@@ -14,11 +14,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .automata import DFA_OUTPUTS, MooreAutomaton, reach
+from .automata import DFA_OUTPUTS, MooreAutomaton, _check_alphabet, reach, subset_names
 from .brzozowski import dual_automaton
-from .errors import StateGuardError
-
-DEFAULT_MAX_AFA_STATES = 20
+from .errors import StateGuardError, resolve_max_states
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,7 @@ class AlternatingAutomaton:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet must be nonempty with distinct letters")
+        _check_alphabet(self.alphabet)
         if set(self.delta) != set(self.alphabet):
             raise ValueError("delta must cover exactly the alphabet")
         for a, row in self.delta.items():
@@ -130,46 +127,42 @@ class AlternatingAutomaton:
         return cls(m.n, m.alphabet, delta, iota, m.accepting(), m.state_names)
 
 
+def _afa_step(a: AlternatingAutomaton, letter: str, subset: frozenset[int]) -> frozenset[int]:
+    """The states whose condition on `letter` holds on `subset`."""
+    return frozenset(s for s, f in enumerate(a.delta[letter]) if subset in f.sats)
+
+
 def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
     """Tree semantics: propagate the final set backwards through the word."""
     word = tuple(word)
     for letter in word:
         if letter not in a.delta:
             raise ValueError(f"unknown letter {letter!r}")
-    subset = a.finals
+    subset = frozenset(a.finals)
     for letter in reversed(word):
-        row = a.delta[letter]
-        subset = frozenset(s for s in range(a.n) if row[s](subset))
+        subset = _afa_step(a, letter, subset)
     return a.iota(subset)
 
 
-def reverse_dfa(a: AlternatingAutomaton, max_n: int = DEFAULT_MAX_AFA_STATES) -> MooreAutomaton:
+def reverse_dfa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
     """The DFA on all of 2^X recognising the reverse of the AFA's language."""
-    if a.n > max_n:
-        raise StateGuardError(f"reverse_dfa would build 2^{a.n} states (bound {max_n})")
+    limit = resolve_max_states(max_states)
+    if 1 << a.n > limit:
+        raise StateGuardError(
+            f"reverse_dfa would build 2^{a.n} states, more than {limit}; raise --max-states")
     subsets = all_subsets(a.n)
     index = {s: i for i, s in enumerate(subsets)}
-    trans = {}
-    for letter in a.alphabet:
-        row = a.delta[letter]
-        trans[letter] = tuple(
-            index[frozenset(s for s in range(a.n) if row[s](subset))]
-            for subset in subsets)
+    trans = {letter: tuple(index[_afa_step(a, letter, subset)] for subset in subsets)
+             for letter in a.alphabet}
     out = tuple(1 if a.iota(subset) else 0 for subset in subsets)
-    names = tuple("+".join((a.state_names[s] if a.state_names else f"s{s}")
-                           for s in sorted(subset)) if subset else "empty"
-                  for subset in subsets)
-    if len(set(names)) != len(names):  # a source state named "empty" can collide
-        names = None
     return MooreAutomaton(len(subsets), a.alphabet, trans, index[a.finals],
-                          out, DFA_OUTPUTS, names)
+                          out, DFA_OUTPUTS, subset_names(map(sorted, subsets), a.state_names))
 
 
-def minimal_dfa_for_afa(a: AlternatingAutomaton, max_n: int = DEFAULT_MAX_AFA_STATES,
-                        max_states: int | None = None) -> MooreAutomaton:
+def minimal_dfa_for_afa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
     """Minimal DFA for the AFA's language.
 
     reverse_dfa already performs the first reversal, so one dual pass over its
     reachable part lands on the reachable and observable automaton for L(A).
     """
-    return dual_automaton(reach(reverse_dfa(a, max_n)), max_states)
+    return dual_automaton(reach(reverse_dfa(a, max_states)), max_states)

@@ -2,6 +2,13 @@
 classical reversal, and the baseline operations: evaluation, reachability,
 subset construction, partition refinement, isomorphism and exact equivalence.
 
+Two kernels serve every construction in the package: `explore` builds the
+state space reachable under a step function (dual predicates, subsets,
+definable sets, reachable states) behind one state bound, and
+`stable_partition` with `quotient_rows` refine and quotient any deterministic
+transition structure whose states carry keys (Moore outputs, or the
+observation sets of a Kripke model).
+
 States are dense integer indices 0..n-1; human names only survive as optional
 serialization metadata.  Reachability renumbers states in BFS order with
 letters taken in alphabet order, so two automata are isomorphic exactly when
@@ -12,7 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+
+from .errors import NonCongruenceError, StateGuardError, resolve_max_states
 
 DFA_OUTPUTS = ("reject", "accept")
 
@@ -57,7 +67,8 @@ class MooreAutomaton:
 
     @classmethod
     def dfa(cls, n, alphabet, trans, init, accepting, state_names=None) -> "MooreAutomaton":
-        out = tuple(1 if s in set(accepting) else 0 for s in range(n))
+        accepting = set(accepting)
+        out = tuple(1 if s in accepting else 0 for s in range(n))
         return cls(n, tuple(alphabet), {a: tuple(t) for a, t in trans.items()},
                    init, out, DFA_OUTPUTS, tuple(state_names) if state_names else None)
 
@@ -146,16 +157,21 @@ def run(m: MooreAutomaton, word: Iterable[str]) -> int:
     return m.out[s]
 
 
-def reverse(m: MooreAutomaton) -> Nfa:
-    """Classical reversal of a DFA: flip arcs, swap initial and final states."""
-    finals = m.accepting()  # demands a two-element output set
+def reverse(m: MooreAutomaton | Nfa) -> Nfa:
+    """Classical reversal of a DFA or an NFA: flip arcs, swap initial and final states."""
+    if isinstance(m, Nfa):
+        succ, inits, finals = m.trans, m.finals, m.inits
+    else:
+        succ = {a: [(t,) for t in row] for a, row in m.trans.items()}
+        inits = m.accepting()  # demands a two-element output set
+        finals = frozenset({m.init})
     rev: dict[str, list[set[int]]] = {a: [set() for _ in range(m.n)] for a in m.alphabet}
     for a in m.alphabet:
-        for s, t in enumerate(m.trans[a]):
-            rev[a][t].add(s)
+        for s, ts in enumerate(succ[a]):
+            for t in ts:
+                rev[a][t].add(s)
     trans = {a: tuple(frozenset(ts) for ts in rev[a]) for a in m.alphabet}
-    return Nfa(m.n, m.alphabet, trans, inits=finals, finals=frozenset({m.init}),
-               state_names=m.state_names)
+    return Nfa(m.n, m.alphabet, trans, inits=inits, finals=finals, state_names=m.state_names)
 
 
 def nfa_step(n: Nfa, subset: frozenset[int], a: str) -> frozenset[int]:
@@ -169,82 +185,129 @@ def nfa_step(n: Nfa, subset: frozenset[int], a: str) -> frozenset[int]:
     return frozenset(out)
 
 
-def _subset_name(subset: frozenset[int], names: tuple[str, ...] | None) -> str:
-    if not subset:
-        return "empty"
-    members = sorted(subset)
-    return "+".join(names[s] if names else f"s{s}" for s in members)
+def explore(starts: Iterable[Hashable], step: Callable, alphabet: Sequence[str],
+            limit: int, what: str) -> tuple[list, dict[str, list[int]]]:
+    """Breadth-first closure of `starts` under `step`, letters in alphabet order.
+
+    Returns (order, trans): `order` lists each state found once, the distinct
+    starts first, and trans[a][i] is the index in `order` of
+    step(order[i], a).  Raises StateGuardError once more than `limit` states
+    would exist.
+    """
+    index: dict = {}
+    order: list = []
+
+    def add(state) -> int:
+        if len(order) >= limit:
+            raise StateGuardError(f"{what} exceeds {limit} states; raise --max-states")
+        index[state] = len(order)
+        order.append(state)
+        return index[state]
+
+    for state in starts:
+        if state not in index:
+            add(state)
+    trans: dict[str, list[int]] = {a: [] for a in alphabet}
+    columns = [(a, trans[a].append) for a in alphabet]
+    for cur in order:  # order grows while it is read, so it is also the queue
+        for a, append in columns:
+            nxt = step(cur, a)
+            i = index.get(nxt)
+            append(add(nxt) if i is None else i)
+    return order, trans
 
 
-def determinise(n: Nfa) -> MooreAutomaton:
+def subset_names(subsets: Iterable[Sequence[int]],
+                 names: Sequence[str] | None) -> tuple[str, ...] | None:
+    """Names for subset states, each subset given as its ascending members.
+
+    Members are joined with '+', or with ',' when some source name already
+    contains '+' (a previous pass), mirroring the {yz, xyz} style of nested
+    subsets; unnamed sources read s0, s1, ...  The empty subset is 'empty'.
+    Returns None when two names collide (a source state named "empty").
+    """
+    label = names.__getitem__ if names else "s{}".format
+    sep = "," if names and any("+" in name for name in names) else "+"
+    out = tuple(sep.join(map(label, members)) if members else "empty" for members in subsets)
+    return out if len(set(out)) == len(out) else None
+
+
+def determinise(n: Nfa, max_states: int | None = None) -> MooreAutomaton:
     """Subset construction restricted to subsets reachable from the initial set.
 
     A subset is accepting iff it meets the final states; empty initial set
     yields the one-state rejecting sink.
     """
-    start = frozenset(n.inits)
-    index: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    trans: dict[str, list[int]] = {a: [] for a in n.alphabet}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for a in n.alphabet:
-            nxt = nfa_step(n, cur, a)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            trans[a].append(index[nxt])
+    order, trans = explore([frozenset(n.inits)], partial(nfa_step, n), n.alphabet,
+                           resolve_max_states(max_states), "subset construction")
     out = tuple(1 if subset & n.finals else 0 for subset in order)
-    names = tuple(_subset_name(subset, n.state_names) for subset in order)
-    if len(set(names)) != len(names):  # a source state named "empty" can collide
-        names = None
     return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
-                          0, out, DFA_OUTPUTS, names)
+                          0, out, DFA_OUTPUTS, subset_names(map(sorted, order), n.state_names))
 
 
 def reach(m: MooreAutomaton) -> MooreAutomaton:
     """Restriction to states reachable from init, renumbered in BFS order."""
-    order = [m.init]
-    seen = {m.init: 0}
-    queue = deque([m.init])
-    while queue:
-        s = queue.popleft()
-        for a in m.alphabet:
-            t = m.trans[a][s]
-            if t not in seen:
-                seen[t] = len(order)
-                order.append(t)
-                queue.append(t)
-    trans = {a: tuple(seen[m.trans[a][s]] for s in order) for a in m.alphabet}
+    rows = m.trans
+    order, trans = explore([m.init], lambda s, a: rows[a][s], m.alphabet, m.n, "reach")
     names = tuple(m.state_names[s] for s in order) if m.state_names else None
-    return MooreAutomaton(len(order), m.alphabet, trans, 0,
-                          tuple(m.out[s] for s in order), m.outputs, names)
+    return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
+                          0, tuple(m.out[s] for s in order), m.outputs, names)
+
+
+def stable_partition(keys: Sequence[Hashable], trans: Mapping[str, Sequence[int]],
+                     alphabet: Sequence[str]) -> Partition:
+    """Coarsest partition that separates different keys and is stable under
+    every letter's successor map (round-based Moore refinement).
+
+    Blocks start from equal keys and split on the blocks of the successors
+    until a round splits nothing.
+    """
+    rows = [trans[a] for a in alphabet]
+    part = Partition.from_signatures(keys)
+    while True:
+        b = part.block_of
+        refined = Partition.from_signatures(zip(b, *(map(b.__getitem__, row) for row in rows)))
+        if refined.n_blocks == part.n_blocks:
+            return part
+        part = refined
+
+
+def quotient_rows(part: Partition, keys: Sequence, trans: Mapping[str, Sequence[int]],
+                  alphabet: Sequence[str]) -> tuple[tuple, dict[str, tuple[int, ...]]]:
+    """Keys and successor rows of the quotient by a congruence partition.
+
+    Each block is represented by its least state.  Raises NonCongruenceError
+    with witness (rep, s) when a block mixes keys or successor blocks.
+    """
+    if len(part.block_of) != len(keys):
+        raise ValueError("partition is over the wrong state count")
+    b = part.block_of
+    reps = []
+    for block in part.blocks():
+        rep = block[0]
+        reps.append(rep)
+        for s in block[1:]:
+            if keys[s] != keys[rep]:
+                raise NonCongruenceError(
+                    f"states {rep} and {s} share a block but observe differently",
+                    witness=(rep, s))
+            for a in alphabet:
+                if b[trans[a][s]] != b[trans[a][rep]]:
+                    raise NonCongruenceError(
+                        f"states {rep} and {s} share a block but step to different blocks on {a!r}",
+                        witness=(rep, s))
+    return (tuple(keys[r] for r in reps),
+            {a: tuple(b[trans[a][r]] for r in reps) for a in alphabet})
 
 
 def partition_refinement_minimise(m: MooreAutomaton) -> MooreAutomaton:
-    """Moore-style partition refinement on the reachable part.
-
-    Blocks start from output values and split on letter-successor blocks until
-    stable; the quotient is the canonical minimal automaton.
-    """
+    """Moore-style partition refinement on the reachable part; the quotient
+    is the canonical minimal automaton."""
     m = reach(m)
-    part = Partition.from_signatures(m.out)
-    while True:
-        sigs = [(part.block_of[s],) + tuple(part.block_of[m.trans[a][s]] for a in m.alphabet)
-                for s in range(m.n)]
-        refined = Partition.from_signatures(sigs)
-        if refined.n_blocks == part.n_blocks:
-            break
-        part = refined
-    reps = [min(b) for b in part.blocks()]
-    trans = {a: tuple(part.block_of[m.trans[a][reps[b]]] for b in range(part.n_blocks))
-             for a in m.alphabet}
-    out = tuple(m.out[reps[b]] for b in range(part.n_blocks))
-    quotient = MooreAutomaton(part.n_blocks, m.alphabet, trans,
-                              part.block_of[m.init], out, m.outputs)
-    return reach(quotient)
+    part = stable_partition(m.out, m.trans, m.alphabet)
+    out, trans = quotient_rows(part, m.out, m.trans, m.alphabet)
+    return reach(MooreAutomaton(part.n_blocks, m.alphabet, trans,
+                                part.block_of[m.init], out, m.outputs))
 
 
 def canonical_form(m: MooreAutomaton) -> MooreAutomaton:

@@ -14,62 +14,35 @@ configurable state bound guards against the |B|^n worst case.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import compress
 
-from .automata import MooreAutomaton
-from .errors import StateGuardError, resolve_max_states
+from .automata import MooreAutomaton, explore, subset_names
+from .errors import resolve_max_states
 
 
 def _explore_dual(m: MooreAutomaton, max_states):
-    limit = resolve_max_states(max_states)
-    start = tuple(m.out)
-    index = {start: 0}
-    order = [start]
-    trans: dict[str, list[int]] = {a: [] for a in m.alphabet}
-    queue = deque([start])
-    while queue:
-        phi = queue.popleft()
-        for a in m.alphabet:
-            row = m.trans[a]
-            psi = tuple(phi[row[x]] for x in range(m.n))
-            if psi not in index:
-                if len(order) >= limit:
-                    raise StateGuardError(
-                        f"dual automaton exceeds {limit} states; raise --max-states")
-                index[psi] = len(order)
-                order.append(psi)
-                queue.append(psi)
-            trans[a].append(index[psi])
-    return order, trans
+    return explore([tuple(m.out)], lambda phi, a: tuple(phi[t] for t in m.trans[a]),
+                   m.alphabet, resolve_max_states(max_states), "dual automaton")
 
 
-def _dual_names(m: MooreAutomaton, order) -> tuple[str, ...] | None:
-    # For the Boolean case the predicates decode to subsets; name them so.
-    # Member names that already contain '+' (a previous dual pass) are joined
-    # with ',' instead, mirroring the usual {yz, xyz} style of nested subsets.
-    if len(m.outputs) != 2:
-        return None
-    base = m.state_names or tuple(f"s{x}" for x in range(m.n))
-    sep = "," if any("+" in name for name in base) else "+"
-    names = []
-    for phi in order:
-        members = [x for x in range(m.n) if phi[x] == 1]
-        names.append(sep.join(base[x] for x in members) if members else "empty")
-    if len(set(names)) != len(names):  # a source state named "empty" can collide
-        return None
-    return tuple(names)
+def _members(m: MooreAutomaton, order) -> list[tuple[int, ...]]:
+    """Boolean predicates decoded as the ascending states where they hold."""
+    states = range(m.n)
+    return [tuple(compress(states, phi)) for phi in order]
 
 
 def dual_automaton(m: MooreAutomaton, max_states: int | None = None) -> MooreAutomaton:
     """The automaton on predicates B^X reachable from the output map.
 
-    run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.
+    run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.  For the
+    Boolean case the predicates decode to subsets, and the states are named so.
     """
     order, trans = _explore_dual(m, max_states)
     out = tuple(phi[m.init] for phi in order)
+    names = subset_names(_members(m, order), m.state_names) if len(m.outputs) == 2 else None
     return MooreAutomaton(len(order), m.alphabet,
                           {a: tuple(ts) for a, ts in trans.items()},
-                          0, out, m.outputs, _dual_names(m, order))
+                          0, out, m.outputs, names)
 
 
 def brzozowski_minimise(m: MooreAutomaton, max_states: int | None = None) -> MooreAutomaton:
@@ -86,7 +59,7 @@ def dual_state_sets(m: MooreAutomaton, max_states: int | None = None) -> frozens
     if len(m.outputs) != 2:
         raise ValueError("dual_state_sets needs a two-element output set")
     order, _ = _explore_dual(m, max_states)
-    return frozenset(frozenset(x for x in range(m.n) if phi[x] == 1) for phi in order)
+    return frozenset(map(frozenset, _members(m, order)))
 
 
 __all__ = ["dual_automaton", "brzozowski_minimise", "dual_state_sets"]

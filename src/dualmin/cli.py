@@ -17,7 +17,7 @@ from .automata import (MooreAutomaton, Nfa, determinise, equiv_exact, nfa_step,
 from .brzozowski import brzozowski_minimise, dual_automaton
 from .dkm import Dkm, TraceFormula, bisimulation_oracle, definable_closure, eval_trace, \
     minimise_dkm, quotient_dkm
-from .errors import FormatError, StateGuardError
+from .errors import FormatError, StateGuardError, resolve_max_states
 from .io import emit, emit_value, parse
 from .selftest import run_selftest
 from .semiring import BOOL, semiring_by_name
@@ -89,39 +89,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reverse(args) -> int:
+    """reverse and dual: the two verbs differ only on Moore and NFA files."""
     obj = _load(args.file, args.semiring)
-    if isinstance(obj, MooreAutomaton):
-        sys.stdout.write(emit(reverse(obj)))
-    elif isinstance(obj, Nfa):
-        flipped = reverse_nfa(obj)
-        sys.stdout.write(emit(flipped))
-    elif isinstance(obj, WeightedAutomaton):
-        sys.stdout.write(emit(dual_wa(obj)))
+    if isinstance(obj, WeightedAutomaton):
+        result = dual_wa(obj)
     elif isinstance(obj, AlternatingAutomaton):
-        sys.stdout.write(emit(reverse_dfa(obj)))
+        result = reverse_dfa(obj, args.max_states)
+    elif args.verb == "reverse" and isinstance(obj, (MooreAutomaton, Nfa)):
+        result = reverse(obj)
+    elif args.verb == "dual" and isinstance(obj, MooreAutomaton):
+        result = dual_automaton(obj, args.max_states)
     else:
-        raise ValueError("reverse: unsupported file type")
+        raise ValueError(f"{args.verb}: unsupported file type")
+    sys.stdout.write(emit(result))
     return 0
-
-
-def reverse_nfa(n: Nfa) -> Nfa:
-    flipped = {a: [set() for _ in range(n.n)] for a in n.alphabet}
-    for a in n.alphabet:
-        for s, targets in enumerate(n.trans[a]):
-            for t in targets:
-                flipped[a][t].add(s)
-    return Nfa(n.n, n.alphabet, {a: tuple(frozenset(x) for x in flipped[a])
-                                 for a in n.alphabet},
-               inits=n.finals, finals=n.inits, state_names=n.state_names)
 
 
 def _cmd_determinize(args) -> int:
     obj = _load(args.file, args.semiring)
     if isinstance(obj, Nfa):
-        sys.stdout.write(emit(determinise(obj)))
+        sys.stdout.write(emit(determinise(obj, args.max_states)))
         return 0
     if isinstance(obj, WeightedAutomaton) and obj.semiring is BOOL:
-        sys.stdout.write(emit(determinise(bool_wa_to_nfa(obj))))
+        sys.stdout.write(emit(determinise(bool_wa_to_nfa(obj), args.max_states)))
         return 0
     raise ValueError("determinize expects an nfa (or a Boolean weighted automaton)")
 
@@ -146,14 +136,14 @@ def _cmd_minimize(args) -> int:
         elif method == "duality":
             if len(obj.outputs) != 2:
                 raise ValueError("duality minimisation of a Moore file needs two outputs")
-            sys.stdout.write(emit(minimise_dkm(Dkm.from_dfa(obj)).to_dfa()))
+            sys.stdout.write(emit(minimise_dkm(Dkm.from_dfa(obj), args.max_states).to_dfa()))
         else:
             sys.stdout.write(emit(brzozowski_minimise(obj, args.max_states)))
     elif isinstance(obj, WeightedAutomaton):
         if obj.semiring is BOOL:
             # join-semilattices are not PIDs: determinise classically, then double reversal
-            sys.stdout.write(emit(brzozowski_minimise(determinise(bool_wa_to_nfa(obj)),
-                                                      args.max_states)))
+            sys.stdout.write(emit(brzozowski_minimise(
+                determinise(bool_wa_to_nfa(obj), args.max_states), args.max_states)))
         elif method == "refine":
             raise ValueError("refine applies to deterministic automata, not weighted ones")
         else:
@@ -164,22 +154,9 @@ def _cmd_minimize(args) -> int:
         if method == "refine":
             sys.stdout.write(emit(quotient_dkm(obj, bisimulation_oracle(obj))))
         else:
-            sys.stdout.write(emit(minimise_dkm(obj)))
+            sys.stdout.write(emit(minimise_dkm(obj, args.max_states)))
     else:
         raise ValueError("minimize: unsupported file type")
-    return 0
-
-
-def _cmd_dual(args) -> int:
-    obj = _load(args.file, args.semiring)
-    if isinstance(obj, MooreAutomaton):
-        sys.stdout.write(emit(dual_automaton(obj, args.max_states)))
-    elif isinstance(obj, WeightedAutomaton):
-        sys.stdout.write(emit(dual_wa(obj)))
-    elif isinstance(obj, AlternatingAutomaton):
-        sys.stdout.write(emit(reverse_dfa(obj)))
-    else:
-        raise ValueError("dual: unsupported file type")
     return 0
 
 
@@ -239,7 +216,7 @@ def _cmd_trace_eval(args) -> int:
 def _cmd_closure(args) -> int:
     k = _as_dkm(_load(args.file))
     names = k.state_names or tuple(f"s{i}" for i in range(k.n))
-    family = sorted(definable_closure(k), key=lambda s: (len(s), sorted(s)))
+    family = sorted(definable_closure(k, args.max_states), key=lambda s: (len(s), sorted(s)))
     for subset in family:
         print("{" + ",".join(names[s] for s in sorted(subset)) + "}")
     return 0
@@ -299,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, hlp in (("reverse", _cmd_reverse, "reverse the automaton"),
                           ("determinize", _cmd_determinize, "subset construction"),
                           ("reach", _cmd_reach, "reachable part / reachable submodule"),
-                          ("dual", _cmd_dual, "dual automaton")):
+                          ("dual", _cmd_reverse, "dual automaton")):
         p = add(name, fn, help=hlp)
         p.add_argument("file")
 
@@ -341,6 +318,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    try:
+        args.max_states = resolve_max_states(args.max_states)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     try:
         return args.fn(args)
     except StateGuardError as exc:

@@ -11,12 +11,13 @@ exactly as the coarsest bisimulation does, which is what the quotient uses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping
 
-from .automata import DFA_OUTPUTS, MooreAutomaton, Partition
-from .errors import NonCongruenceError
+from .automata import (DFA_OUTPUTS, MooreAutomaton, Partition, _check_alphabet, explore,
+                       quotient_rows, stable_partition)
+from .errors import resolve_max_states
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,7 @@ class Dkm:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet must be nonempty with distinct letters")
+        _check_alphabet(self.alphabet)
         if len(set(self.obs)) != len(self.obs):
             raise ValueError("observations must be distinct")
         if len(self.gamma) != self.n or any(not g <= set(self.obs) for g in self.gamma):
@@ -85,25 +85,18 @@ def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:
     return current
 
 
-def definable_closure(k: Dkm) -> frozenset[frozenset[int]]:
+def definable_closure(k: Dkm, max_states: int | None = None) -> frozenset[frozenset[int]]:
     """Least family containing every observation extension and closed under
     transition preimages; equals the set of all trace-formula extensions."""
-    family: set[frozenset[int]] = set()
-    queue: deque[frozenset[int]] = deque()
-    for w in k.obs:
-        base = frozenset(s for s in range(k.n) if w in k.gamma[s])
-        if base not in family:
-            family.add(base)
-            queue.append(base)
-    while queue:
-        cur = queue.popleft()
-        for a in k.alphabet:
-            row = k.delta[a]
-            pre = frozenset(s for s in range(k.n) if row[s] in cur)
-            if pre not in family:
-                family.add(pre)
-                queue.append(pre)
-    return frozenset(family)
+    states, delta = range(k.n), k.delta
+
+    def preimage(cur, a):
+        return frozenset(compress(states, map(cur.__contains__, delta[a])))
+
+    bases = [frozenset(s for s in states if w in k.gamma[s]) for w in k.obs]
+    order, _ = explore(bases, preimage, k.alphabet, resolve_max_states(max_states),
+                       "definable closure")
+    return frozenset(order)
 
 
 def boolean_atoms(family: frozenset[frozenset[int]], n: int) -> Partition:
@@ -122,41 +115,18 @@ def boolean_atoms(family: frozenset[frozenset[int]], n: int) -> Partition:
 
 def quotient_dkm(k: Dkm, part: Partition) -> Dkm:
     """Quotient model on the blocks of a congruence partition."""
-    if len(part.block_of) != k.n:
-        raise ValueError("partition is over the wrong state count")
-    reps = [min(b) for b in part.blocks()]
-    for block in part.blocks():
-        rep = block[0]
-        for s in block[1:]:
-            if k.gamma[s] != k.gamma[rep]:
-                raise NonCongruenceError(
-                    f"states {rep} and {s} share a block but observe differently",
-                    witness=(rep, s))
-            for a in k.alphabet:
-                if part.block_of[k.delta[a][s]] != part.block_of[k.delta[a][rep]]:
-                    raise NonCongruenceError(
-                        f"states {rep} and {s} share a block but step to different blocks on {a!r}",
-                        witness=(rep, s))
-    delta = {a: tuple(part.block_of[k.delta[a][reps[b]]] for b in range(part.n_blocks))
-             for a in k.alphabet}
-    gamma = tuple(k.gamma[reps[b]] for b in range(part.n_blocks))
+    gamma, delta = quotient_rows(part, k.gamma, k.delta, k.alphabet)
     init = part.block_of[k.init] if k.init is not None else None
     return Dkm(part.n_blocks, k.alphabet, k.obs, gamma, delta, init)
 
 
-def minimise_dkm(k: Dkm) -> Dkm:
+def minimise_dkm(k: Dkm, max_states: int | None = None) -> Dkm:
     """Bisimulation quotient via duality: atoms of the definable closure."""
-    return quotient_dkm(k, boolean_atoms(definable_closure(k), k.n))
+    return quotient_dkm(k, boolean_atoms(definable_closure(k, max_states), k.n))
 
 
 def bisimulation_oracle(k: Dkm) -> Partition:
     """Coarsest partition refining the observation partition and stable under
-    every transition (standard partition refinement; independent oracle)."""
-    part = Partition.from_signatures(tuple(sorted(g)) for g in k.gamma)
-    while True:
-        sigs = [(part.block_of[s],) + tuple(part.block_of[k.delta[a][s]] for a in k.alphabet)
-                for s in range(k.n)]
-        refined = Partition.from_signatures(sigs)
-        if refined.n_blocks == part.n_blocks:
-            return part
-        part = refined
+    every transition (partition refinement; an oracle independent of the
+    closure route of minimise_dkm)."""
+    return stable_partition(k.gamma, k.delta, k.alphabet)

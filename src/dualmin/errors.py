@@ -39,6 +39,9 @@ def resolve_max_states(value=None):
     if value is not None:
         return value
     env = os.environ.get(MAX_STATES_ENV)
-    if env is not None:
+    if env is None:
+        return DEFAULT_MAX_STATES
+    try:
         return int(env)
-    return DEFAULT_MAX_STATES
+    except ValueError:
+        raise ValueError(f"{MAX_STATES_ENV} must be an integer, not {env!r}") from None

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .automata import Nfa, words_up_to
+from .automata import Nfa, _check_alphabet, words_up_to
 from .errors import DimensionError, SemiringError
 from .linalg import FieldBasis, IntegerBasis
 from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_mul, mat_vec, vec_mat
@@ -32,8 +32,7 @@ class WeightedAutomaton:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet must be nonempty with distinct letters")
+        _check_alphabet(self.alphabet)
         if set(self.mats) != set(self.alphabet):
             raise ValueError("transition matrices must cover exactly the alphabet")
         for a, mat in self.mats.items():

@@ -65,6 +65,15 @@ def test_reverse_dfa_one_state_embedding():
     assert reach(rev).n == 1
 
 
+def test_reverse_dfa_bound_is_the_powerset_size():
+    a = AlternatingAutomaton.from_dfa(ends_with_a_dfa())  # 3 states, 8 subsets
+    assert reverse_dfa(a, max_states=8).n == 8
+    with pytest.raises(StateGuardError):
+        reverse_dfa(a, max_states=7)
+    with pytest.raises(StateGuardError):
+        minimal_dfa_for_afa(a, max_states=7)
+
+
 def test_reverse_dfa_state_count_is_powerset():
     rng = random.Random(1)
     for _ in range(20):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from dualmin import (MooreAutomaton, Nfa, determinise, equiv_exact, iso_check,
-                     nfa_step, partition_refinement_minimise, reach, reverse, run)
+from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, equiv_exact,
+                     iso_check, nfa_step, partition_refinement_minimise, reach, reverse, run)
+from dualmin.automata import explore, subset_names
 from dualmin.sampling import random_dfa, random_moore, random_nfa
 
 from oracles import ends_with_a_dfa, nfa_accepts_paths, run_by_hand, smallest_equivalent_dfa, words
@@ -14,6 +15,11 @@ def test_run_examples():
     assert run(m, ("a",)) == 1
     assert run(m, ()) == 0
     assert run(m, ("a", "b")) == 0
+
+
+def test_dfa_accepting_states_may_be_a_generator():
+    m = MooreAutomaton.dfa(3, ("a",), {"a": (1, 2, 0)}, 0, (x for x in [1, 2]))
+    assert m.out == (0, 1, 1)
 
 
 def test_run_unknown_letter():
@@ -191,3 +197,61 @@ def test_equiv_exact_agrees_with_bounded_enumeration():
         brute = all(run_by_hand(m1, w) == run_by_hand(m2, w)
                     for w in words(m1.alphabet, 8))
         assert equiv_exact(m1, m2) == brute
+
+
+def test_reverse_nfa_twice_is_identity():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = random_nfa(rng, max_n=5)
+        flipped = reverse(n)
+        assert flipped.inits == n.finals and flipped.finals == n.inits
+        assert reverse(flipped) == n
+
+
+def _walk(x, a):
+    return (x + (1 if a == "a" else 2)) % 6
+
+
+def test_explore_several_starts_in_bfs_order():
+    order, trans = explore([3, 0, 3], _walk, ("a", "b"), 6, "walk")
+    assert order == [3, 0, 4, 5, 1, 2]
+    for a in ("a", "b"):
+        assert [order[t] for t in trans[a]] == [_walk(x, a) for x in order]
+
+
+def test_explore_guard():
+    with pytest.raises(StateGuardError, match="walk exceeds 5 states"):
+        explore([0], _walk, ("a", "b"), 5, "walk")
+    with pytest.raises(StateGuardError):
+        explore([0, 1], _walk, ("a",), 1, "walk")  # the starts alone exceed the bound
+
+
+def test_subset_names_rule():
+    assert subset_names([(), (0, 2)], None) == ("empty", "s0+s2")
+    assert subset_names([(0,), (0, 1)], ("x", "y")) == ("x", "x+y")
+    assert subset_names([(0,), (0, 1)], ("x+y", "z")) == ("x+y", "x+y,z")
+    assert subset_names([(), (0,)], ("empty", "z")) is None
+
+
+def test_determinise_joins_plus_names_with_commas():
+    n = Nfa(2, ("a",), {"a": (frozenset({0, 1}), frozenset())}, frozenset({0}),
+            frozenset({1}), ("p+q", "r"))
+    d = determinise(n)
+    assert d.state_names == ("p+q", "p+q,r")
+    with pytest.raises(StateGuardError):
+        determinise(n, max_states=1)
+
+
+def test_one_alphabet_check_for_every_automaton_type():
+    from dualmin import INT, AlternatingAutomaton, BoolFun, Dkm, WeightedAutomaton
+    f = BoolFun(1, frozenset())
+    builds = [lambda ab: MooreAutomaton(1, ab, {"a": (0,)}, 0, (0,)),
+              lambda ab: Nfa(1, ab, {"a": (frozenset(),)}, frozenset(), frozenset()),
+              lambda ab: Dkm(1, ab, (), (frozenset(),), {"a": (0,)}),
+              lambda ab: AlternatingAutomaton(1, ab, {"a": (f,)}, f, frozenset()),
+              lambda ab: WeightedAutomaton.build(ab, INT, {"a": [[0]]}, [1], [1])]
+    for build in builds:
+        with pytest.raises(ValueError, match="alphabet letters must be distinct"):
+            build(("a", "a"))
+        with pytest.raises(ValueError, match="alphabet must be nonempty"):
+            build(())

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dualmin import iso_check, parse
+from dualmin import iso_check, parse, reverse
 from dualmin.cli import main, parse_trace_formula
 
 
@@ -156,6 +156,42 @@ def test_max_states_env(monkeypatch, capsys, data_dir):
     monkeypatch.setenv("DUALMIN_MAX_STATES", "2")
     rc, _, _ = invoke(capsys, "minimize", str(data_dir / "ends_with_a.json"))
     assert rc == 3
+
+
+def test_max_states_env_must_be_an_integer(monkeypatch, capsys, data_dir):
+    monkeypatch.setenv("DUALMIN_MAX_STATES", "abc")
+    rc, out, err = invoke(capsys, "minimize", str(data_dir / "ends_with_a.json"))
+    assert rc == 2 and out == ""
+    assert "DUALMIN_MAX_STATES" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("determinize", "nfa_small.json"),
+    ("determinize", "wa_bool.json"),
+    ("minimize", "wa_bool.json"),
+    ("reverse", "afa_ends_with_a.json"),
+    ("dual", "afa_ends_with_a.json"),
+    ("minimize", "afa_ends_with_a.json"),
+    ("closure", "dkm_ends_with_a.json"),
+    ("minimize", "dkm_ends_with_a.json"),
+    ("minimize", "ends_with_a.json", "--method", "duality"),
+], ids=" ".join)
+def test_every_construction_honours_max_states(capsys, data_dir, argv):
+    verb, name, *rest = argv
+    rc, out, err = invoke(capsys, verb, str(data_dir / name), *rest, "--max-states", "1")
+    assert rc == 3 and out == ""
+    assert "max-states" in err
+
+
+def test_reverse_nfa_file(capsys, data_dir):
+    path = data_dir / "nfa_small.json"
+    rc, out, _ = invoke(capsys, "reverse", str(path))
+    assert rc == 0
+    flipped, original = parse(out), parse(path.read_bytes())
+    assert flipped.inits == original.finals and flipped.finals == original.inits
+    assert reverse(flipped) == original
+    rc, _, err = invoke(capsys, "dual", str(path))
+    assert rc == 1 and "dual: unsupported file type" in err
 
 
 def test_semiring_override(capsys, data_dir):
