@@ -8,7 +8,8 @@ Kripke models through trace-definable subsets.
 """
 
 from .alternating import (AlternatingAutomaton, BoolFun, afa_accepts, all_subsets,
-                          compile_formula, minimal_dfa_for_afa, reverse_dfa)
+                          compile_formula, minimal_dfa_for_afa, reachable_reverse_dfa,
+                          reverse_dfa)
 from .automata import (MooreAutomaton, Nfa, Partition, determinise, equiv_exact,
                        iso_check, nfa_step, partition_refinement_minimise, reach,
                        reverse, run, words_up_to)

@@ -2,50 +2,108 @@
 powerset of states, and language-level minimisation through the dual pipeline.
 
 A transition condition delta_a(s) and the acceptance condition iota are
-Boolean functions 2^X -> 2, stored extensionally as the collection of their
-satisfying subsets.  The reversed DFA has state set 2^X, starts at the final
-set, steps a subset A to {s | delta_a(s)(A) = 1}, accepts when iota holds,
-and recognises exactly the reverse of the AFA's language.
+Boolean functions 2^X -> 2, stored as truth tables of 2^n bits: a subset is
+the bitmask with bit i set for state i, and bit `mask` of the table says
+whether that subset satisfies the function.  The reversed DFA has state set
+2^X, starts at the final set, steps a subset A to {s | delta_a(s)(A) = 1},
+accepts when iota holds, and recognises exactly the reverse of the AFA's
+language.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import and_, or_
 from typing import Iterable, Mapping
 
-from .automata import DFA_OUTPUTS, MooreAutomaton, _check_alphabet, reach, subset_names
+from .automata import (DFA_OUTPUTS, MooreAutomaton, _check_alphabet, explore,
+                       subset_names)
 from .brzozowski import dual_automaton
 from .errors import StateGuardError, resolve_max_states
 
 
-@dataclass(frozen=True)
+def _mask(n: int, subset: Iterable[int]) -> int:
+    mask = 0
+    for s in subset:
+        if not 0 <= s < n:
+            raise ValueError("satisfying subset mentions an unknown state")
+        mask |= 1 << s
+    return mask
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The states of a bitmask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _ones(n: int) -> int:
+    """The truth table of the constant true over n states."""
+    return (1 << (1 << n)) - 1
+
+
+def _variable(n: int, i: int) -> int:
+    """The truth table of "state i is in the subset": in every run of 2^(i+1)
+    masks, the upper 2^i have bit i set."""
+    half = 1 << i
+    table, width = ((1 << half) - 1) << half, half << 1
+    while width < 1 << n:
+        table |= table << width
+        width <<= 1
+    return table
+
+
+@dataclass(frozen=True, init=False)
 class BoolFun:
-    """A function 2^X -> 2 given by its satisfying subsets."""
+    """A function 2^X -> 2 as a truth table: bit `mask` of `table` is set iff
+    the subset with that bitmask satisfies the function."""
 
     n: int
-    sats: frozenset[frozenset[int]]
+    table: int
 
-    def __post_init__(self):
-        for subset in self.sats:
-            if any(not 0 <= s < self.n for s in subset):
-                raise ValueError("satisfying subset mentions an unknown state")
+    def __init__(self, n: int, sats: Iterable[Iterable[int]]):
+        """The function whose satisfying subsets are `sats`."""
+        table = 0
+        for subset in sats:
+            table |= 1 << _mask(n, subset)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def from_table(cls, n: int, table: int) -> "BoolFun":
+        if table < 0 or table >> (1 << n):
+            raise ValueError(f"truth table wider than 2^{n} bits")
+        f = cls.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "table", table)
+        return f
+
+    @property
+    def sats(self) -> frozenset[frozenset[int]]:
+        """The satisfying subsets, decoded from the table."""
+        bits = bin(self.table)[:1:-1]  # bit 0 first
+        return frozenset(frozenset(_members(mask))
+                         for mask, bit in enumerate(bits) if bit == "1")
 
     def __call__(self, subset: Iterable[int]) -> bool:
-        return frozenset(subset) in self.sats
+        try:
+            return bool(self.table >> _mask(self.n, subset) & 1)
+        except ValueError:  # a subset with an unknown state satisfies nothing
+            return False
 
     @classmethod
     def from_subsets(cls, n: int, subsets) -> "BoolFun":
-        return cls(n, frozenset(frozenset(s) for s in subsets))
+        return cls(n, subsets)
 
     @classmethod
     def always(cls, n: int, value: bool) -> "BoolFun":
-        return cls(n, frozenset(all_subsets(n))) if value else cls(n, frozenset())
+        return cls.from_table(n, _ones(n) if value else 0)
 
 
 def all_subsets(n: int) -> list[frozenset[int]]:
     """All subsets of {0..n-1} ordered by bitmask value (bit i = state i)."""
-    return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    return [frozenset(_members(mask)) for mask in range(1 << n)]
 
 
 _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not,
@@ -56,7 +114,8 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     """Compile an and/or/not formula over state names into a BoolFun.
 
     A state name evaluates to membership of that state in the argument subset;
-    the constants true and false are available.
+    the constants true and false are available.  The syntax tree is evaluated
+    once, on whole truth tables.
     """
     try:
         tree = ast.parse(formula, mode="eval")
@@ -71,23 +130,24 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
                 and node.id not in ("true", "false"):
             raise ValueError(f"bad formula {formula!r}: unknown name {node.id!r}")
     index = {name: i for i, name in enumerate(state_names)}
-
-    def ev(node, subset) -> bool:
-        if isinstance(node, ast.Expression):
-            return ev(node.body, subset)
-        if isinstance(node, ast.BoolOp):
-            op = all if isinstance(node.op, ast.And) else any
-            return op(ev(v, subset) for v in node.values)
-        if isinstance(node, ast.UnaryOp):
-            return not ev(node.operand, subset)
-        if isinstance(node, ast.Constant):
-            return node.value
-        if node.id in index:  # state names shadow the true/false constants
-            return index[node.id] in subset
-        return node.id == "true"
-
     n = len(state_names)
-    return BoolFun(n, frozenset(s for s in all_subsets(n) if ev(tree, s)))
+    ones = _ones(n)
+
+    def ev(node) -> int:
+        if isinstance(node, ast.Expression):
+            return ev(node.body)
+        if isinstance(node, ast.BoolOp):
+            op = and_ if isinstance(node.op, ast.And) else or_
+            return reduce(op, map(ev, node.values))
+        if isinstance(node, ast.UnaryOp):
+            return ev(node.operand) ^ ones
+        if isinstance(node, ast.Constant):
+            return ones if node.value else 0
+        if node.id in index:  # state names shadow the true/false constants
+            return _variable(n, index[node.id])
+        return ones if node.id == "true" else 0
+
+    return BoolFun.from_table(n, ev(tree))
 
 
 @dataclass(frozen=True)
@@ -117,19 +177,18 @@ class AlternatingAutomaton:
     @classmethod
     def from_dfa(cls, m: MooreAutomaton) -> "AlternatingAutomaton":
         """Embed a DFA: delta_a(s) holds on A iff t_a(s) in A, iota holds iff init in A."""
-        subsets = all_subsets(m.n)
-        delta = {}
-        for a in m.alphabet:
-            row = m.trans[a]
-            delta[a] = tuple(BoolFun(m.n, frozenset(s for s in subsets if row[x] in s))
-                             for x in range(m.n))
-        iota = BoolFun(m.n, frozenset(s for s in subsets if m.init in s))
-        return cls(m.n, m.alphabet, delta, iota, m.accepting(), m.state_names)
+        variables = [BoolFun.from_table(m.n, _variable(m.n, i)) for i in range(m.n)]
+        delta = {a: tuple(variables[t] for t in m.trans[a]) for a in m.alphabet}
+        return cls(m.n, m.alphabet, delta, variables[m.init], m.accepting(), m.state_names)
 
 
-def _afa_step(a: AlternatingAutomaton, letter: str, subset: frozenset[int]) -> frozenset[int]:
-    """The states whose condition on `letter` holds on `subset`."""
-    return frozenset(s for s, f in enumerate(a.delta[letter]) if subset in f.sats)
+def _afa_step(a: AlternatingAutomaton, mask: int, letter: str) -> int:
+    """The mask of the states whose condition on `letter` holds on `mask`."""
+    step = 0
+    for s, f in enumerate(a.delta[letter]):
+        if f.table >> mask & 1:
+            step |= 1 << s
+    return step
 
 
 def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
@@ -138,31 +197,50 @@ def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
     for letter in word:
         if letter not in a.delta:
             raise ValueError(f"unknown letter {letter!r}")
-    subset = frozenset(a.finals)
+    mask = _mask(a.n, a.finals)
     for letter in reversed(word):
-        subset = _afa_step(a, letter, subset)
-    return a.iota(subset)
+        mask = _afa_step(a, mask, letter)
+    return bool(a.iota.table >> mask & 1)
 
 
-def reverse_dfa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
-    """The DFA on all of 2^X recognising the reverse of the AFA's language."""
-    limit = resolve_max_states(max_states)
+def _reversed(a: AlternatingAutomaton, starts: Iterable[int], limit: int) -> MooreAutomaton:
+    """The reversed DFA on the subsets reachable from `starts` (bitmasks), in
+    BFS order, with the final set as its initial state.
+
+    Refuses up front when the whole powerset 2^n exceeds `limit`, however few
+    subsets are reachable, so the bound does not depend on the formulas.
+    """
     if 1 << a.n > limit:
         raise StateGuardError(
             f"reverse_dfa would build 2^{a.n} states, more than {limit}; raise --max-states")
-    subsets = all_subsets(a.n)
-    index = {s: i for i, s in enumerate(subsets)}
-    trans = {letter: tuple(index[_afa_step(a, letter, subset)] for subset in subsets)
-             for letter in a.alphabet}
-    out = tuple(1 if a.iota(subset) else 0 for subset in subsets)
-    return MooreAutomaton(len(subsets), a.alphabet, trans, index[a.finals],
-                          out, DFA_OUTPUTS, subset_names(map(sorted, subsets), a.state_names))
+    order, trans = explore(starts, partial(_afa_step, a), a.alphabet, limit, "reverse_dfa")
+    iota = a.iota.table
+    return MooreAutomaton(len(order), a.alphabet, {c: tuple(ts) for c, ts in trans.items()},
+                          order.index(_mask(a.n, a.finals)),
+                          tuple(iota >> mask & 1 for mask in order), DFA_OUTPUTS,
+                          subset_names(map(_members, order), a.state_names))
+
+
+def reverse_dfa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
+    """The DFA on all of 2^X recognising the reverse of the AFA's language;
+    state i is the subset with bitmask i."""
+    return _reversed(a, range(1 << a.n), resolve_max_states(max_states))
+
+
+def reachable_reverse_dfa(a: AlternatingAutomaton,
+                          max_states: int | None = None) -> MooreAutomaton:
+    """reach(reverse_dfa(a)), built from the final set without the unreachable
+    subsets; the same states in the same order.  State names are decided on
+    the reachable subsets alone, so they survive where only an unreachable
+    subset would collide."""
+    return _reversed(a, [_mask(a.n, a.finals)], resolve_max_states(max_states))
 
 
 def minimal_dfa_for_afa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
     """Minimal DFA for the AFA's language.
 
-    reverse_dfa already performs the first reversal, so one dual pass over its
-    reachable part lands on the reachable and observable automaton for L(A).
+    The reversed DFA already performs the first reversal, so one dual pass
+    over its reachable part lands on the reachable and observable automaton
+    for L(A).
     """
-    return dual_automaton(reach(reverse_dfa(a, max_states)), max_states)
+    return dual_automaton(reachable_reverse_dfa(a, max_states), max_states)

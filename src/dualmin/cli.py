@@ -11,7 +11,8 @@ import argparse
 import re
 import sys
 
-from .alternating import AlternatingAutomaton, afa_accepts, minimal_dfa_for_afa, reverse_dfa
+from .alternating import (AlternatingAutomaton, afa_accepts, minimal_dfa_for_afa,
+                          reachable_reverse_dfa, reverse_dfa)
 from .automata import (MooreAutomaton, Nfa, determinise, equiv_exact, nfa_step,
                        partition_refinement_minimise, reach, reverse, run, words_up_to)
 from .brzozowski import brzozowski_minimise, dual_automaton
@@ -177,8 +178,9 @@ def _cmd_equiv(args) -> int:
     elif isinstance(a, AlternatingAutomaton) and isinstance(b, AlternatingAutomaton):
         if a.alphabet != b.alphabet:
             raise ValueError("equiv: alphabet mismatch")
-        verdict = _bounded_equiv(lambda w: afa_accepts(a, w), lambda w: afa_accepts(b, w),
-                                 a.alphabet, args.max_len)
+        # languages are equal iff their reversals are
+        verdict = equiv_exact(reachable_reverse_dfa(a, args.max_states),
+                              reachable_reverse_dfa(b, args.max_states))
     else:
         raise ValueError("equiv: files must hold comparable automata")
     print("equivalent" if verdict else "not equivalent")
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--max-len", type=int, default=6,
-                   help="word-length bound for weighted/afa comparison")
+                   help="word-length bound for weighted comparison")
 
     p = add("trace-eval", _cmd_trace_eval, help="evaluate a trace formula on a dkm")
     p.add_argument("file")

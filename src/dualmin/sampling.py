@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .alternating import AlternatingAutomaton, BoolFun, all_subsets
+from .alternating import AlternatingAutomaton, BoolFun
 from .automata import MooreAutomaton, Nfa
 from .dkm import Dkm
 from .semiring import BOOL, INT, RATIONAL, Matrix, Semiring
@@ -70,7 +70,7 @@ def random_wa(rng: random.Random, semiring: Semiring = INT, max_n: int = 4,
 
 
 def random_boolfun(rng: random.Random, n: int) -> BoolFun:
-    return BoolFun(n, frozenset(s for s in all_subsets(n) if rng.random() < 0.5))
+    return BoolFun.from_table(n, sum(1 << mask for mask in range(1 << n) if rng.random() < 0.5))
 
 
 def random_afa(rng: random.Random, max_n: int = 3, max_letters: int = 2) -> AlternatingAutomaton:

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: languages
 are compared by enumerating words, weighted values by summing over explicit
 paths, ranks by plain Gaussian elimination, determinants by permutation
-expansion, and AFA acceptance by the literal recursive definition.
+expansion, AFA acceptance by the literal recursive definition, and AFA
+formulas by interpreting their syntax tree on one subset at a time.
 """
 
+import ast
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -68,6 +70,28 @@ def afa_accepts_recursive(a: AlternatingAutomaton, word) -> bool:
         return frozenset(s for s in range(a.n) if a.delta[rest[0]][s](inner))
 
     return a.iota(delta_prime(tuple(word), a.finals))
+
+
+def formula_holds(formula: str, state_names, subset) -> bool:
+    """Interpret an and/or/not formula on one subset of state indices; a state
+    name is membership in the subset and shadows the constants true/false."""
+    index = {name: i for i, name in enumerate(state_names)}
+
+    def ev(node) -> bool:
+        if isinstance(node, ast.Expression):
+            return ev(node.body)
+        if isinstance(node, ast.BoolOp):
+            op = all if isinstance(node.op, ast.And) else any
+            return op(ev(v) for v in node.values)
+        if isinstance(node, ast.UnaryOp):
+            return not ev(node.operand)
+        if isinstance(node, ast.Constant):
+            return node.value
+        if node.id in index:
+            return index[node.id] in subset
+        return node.id == "true"
+
+    return ev(ast.parse(formula, mode="eval"))
 
 
 def gauss_rank(rows) -> int:

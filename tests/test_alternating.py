@@ -3,12 +3,12 @@ import random
 import pytest
 
 from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts,
-                     all_subsets, compile_formula, determinise, iso_check,
+                     all_subsets, compile_formula, determinise, dual_automaton, iso_check,
                      minimal_dfa_for_afa, partition_refinement_minimise, reach,
-                     reverse, reverse_dfa, run)
+                     reachable_reverse_dfa, reverse, reverse_dfa, run)
 from dualmin.sampling import random_afa
 
-from oracles import afa_accepts_recursive, ends_with_a_dfa, words
+from oracles import afa_accepts_recursive, ends_with_a_dfa, formula_holds, words
 
 
 def conjunctive_afa() -> AlternatingAutomaton:
@@ -152,3 +152,72 @@ def test_guard_refuses_large_powersets():
         reverse_dfa(a)
     with pytest.raises(StateGuardError):
         minimal_dfa_for_afa(a)
+
+
+def random_formula(rng, names, depth=3) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(names + ("true", "false"))
+    if rng.random() < 0.3:
+        return f"not {random_formula(rng, names, depth - 1)}"
+    op = rng.choice((" and ", " or "))
+    return "(" + op.join(random_formula(rng, names, depth - 1)
+                         for _ in range(rng.randint(2, 3))) + ")"
+
+
+def test_truth_tables_match_the_per_subset_interpreter():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        names = [f"x{i}" for i in range(n)]
+        if rng.random() < 0.3:
+            names[rng.randrange(n)] = rng.choice(("true", "false"))  # shadows the constant
+        names = tuple(names)
+        formula = random_formula(rng, names)
+        f = compile_formula(formula, names)
+        expected = frozenset(s for s in all_subsets(n) if formula_holds(formula, names, s))
+        assert f.sats == expected, formula
+        for mask, subset in enumerate(all_subsets(n)):
+            assert (f.table >> mask & 1) == formula_holds(formula, names, subset)
+
+
+def test_state_named_true_shadows_the_constant():
+    f = compile_formula("true", ("false", "true"))
+    assert f.sats == frozenset({frozenset({1}), frozenset({0, 1})})
+    assert compile_formula("not false", ("false", "true")) == BoolFun.from_subsets(2, [(), {1}])
+
+
+def test_boolfun_constructors_agree():
+    names = ("x", "y", "z")
+    sats = frozenset(s for s in all_subsets(3) if 0 in s and (1 in s or 2 not in s))
+    everything = frozenset(all_subsets(3))
+    groups = [
+        (sats, [BoolFun(3, sats), BoolFun.from_subsets(3, [set(s) for s in sats]),
+                compile_formula("x and (y or not z)", names)]),
+        (everything, [BoolFun(3, everything), BoolFun.from_subsets(3, everything),
+                      BoolFun.always(3, True), compile_formula("true", names),
+                      compile_formula("x or not x", names)]),
+        (frozenset(), [BoolFun(3, frozenset()), BoolFun.from_subsets(3, []),
+                       BoolFun.always(3, False), compile_formula("false", names),
+                       compile_formula("y and not y", names)]),
+    ]
+    for expected, funs in groups:
+        for f in funs:
+            assert f == funs[0] and hash(f) == hash(funs[0])
+            assert f.sats == expected
+    assert BoolFun.always(2, False) != BoolFun.always(3, False)
+    with pytest.raises(ValueError):
+        BoolFun(2, [{2}])
+    with pytest.raises(ValueError):
+        BoolFun.from_table(2, 1 << 4)
+
+
+def test_reachable_reverse_dfa_is_the_reachable_part_of_reverse_dfa():
+    rng = random.Random(5)
+    afas = [random_afa(rng, max_n=4) for _ in range(80)]
+    afas.append(AlternatingAutomaton.from_dfa(ends_with_a_dfa()))  # named states
+    for a in afas:
+        full = reach(reverse_dfa(a))
+        part = reachable_reverse_dfa(a)
+        assert part == full and part.state_names == full.state_names
+        minimal, expected = minimal_dfa_for_afa(a), dual_automaton(full)
+        assert minimal == expected and minimal.state_names == expected.state_names

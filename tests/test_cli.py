@@ -116,6 +116,27 @@ def test_equiv_weighted_bounded(capsys, data_dir, tmp_path):
     assert rc == 1  # different alphabets and semirings: data error
 
 
+def test_equiv_afa_is_exact_beyond_max_len(capsys, tmp_path):
+    # "#a = 0 mod 7" and "no a" first differ at aaaaaaa, past the default --max-len
+    mod7 = [f"m{i}" for i in range(7)]
+    counter = {"type": "afa", "alphabet": ["a", "b"], "states": mod7, "finals": ["m0"],
+               "iota": "m0",
+               "transitions": {"a": {s: mod7[(i + 1) % 7] for i, s in enumerate(mod7)},
+                               "b": {s: s for s in mod7}}}
+    no_a = {"type": "afa", "alphabet": ["a", "b"], "states": ["z"], "finals": ["z"],
+            "iota": "z", "transitions": {"a": {"z": "false"}, "b": {"z": "z"}}}
+    paths = []
+    for name, doc in (("mod7.json", counter), ("no_a.json", no_a)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    rc, out, _ = invoke(capsys, "equiv", *map(str, paths))
+    assert rc == 1 and out.strip() == "not equivalent"
+    rc, out, _ = invoke(capsys, "equiv", str(paths[0]), str(paths[0]))
+    assert rc == 0 and out.strip() == "equivalent"
+    rc, _, err = invoke(capsys, "equiv", *map(str, paths), "--max-states", "64")
+    assert rc == 3 and "max-states" in err
+
+
 def test_trace_eval_and_closure(capsys, data_dir):
     rc, out, _ = invoke(capsys, "trace-eval", str(data_dir / "dkm_ends_with_a.json"),
                         "-f", "<a>p")
