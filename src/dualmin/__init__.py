@@ -25,7 +25,7 @@ from .semiring import (BOOL, INT, RATIONAL, SEMIRINGS, TROPICAL, TROPICAL_INF,
                        LawReport, Matrix, Semiring, check_semiring_laws, mat_mul,
                        mat_vec, semiring_by_name, vec_mat)
 from .weighted import (RestrictedWA, WeightedAutomaton, bool_wa_to_nfa, dual_wa,
-                       eval_series, hankel_rank_oracle, minimise_wa, nfa_to_bool_wa,
-                       reach_restrict)
+                       equiv_wa, eval_series, hankel_rank_oracle, minimise_wa,
+                       nfa_to_bool_wa, reach_restrict)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .errors import FormatError, StateGuardError, resolve_max_states
 from .io import emit, emit_value, parse
 from .selftest import run_selftest
 from .semiring import BOOL, semiring_by_name
-from .weighted import (WeightedAutomaton, bool_wa_to_nfa, dual_wa, eval_series,
+from .weighted import (WeightedAutomaton, bool_wa_to_nfa, dual_wa, equiv_wa, eval_series,
                        hankel_rank_oracle, minimise_wa, reach_restrict)
 
 USAGE_EXIT = 2
@@ -161,20 +161,25 @@ def _cmd_minimize(args) -> int:
     return 0
 
 
-def _bounded_equiv(eval1, eval2, alphabet, max_len) -> bool:
-    return all(eval1(w) == eval2(w) for w in words_up_to(alphabet, max_len))
-
-
 def _cmd_equiv(args) -> int:
     a = _load(args.file1, args.semiring)
     b = _load(args.file2, args.semiring)
+    bound = None
     if isinstance(a, MooreAutomaton) and isinstance(b, MooreAutomaton):
         verdict = equiv_exact(a, b)
     elif isinstance(a, WeightedAutomaton) and isinstance(b, WeightedAutomaton):
         if a.alphabet != b.alphabet or a.semiring is not b.semiring:
             raise ValueError("equiv: alphabet or semiring mismatch")
-        verdict = _bounded_equiv(lambda w: eval_series(a, w), lambda w: eval_series(b, w),
-                                 a.alphabet, args.max_len)
+        if a.semiring is BOOL:
+            verdict = equiv_exact(determinise(bool_wa_to_nfa(a), args.max_states),
+                                  determinise(bool_wa_to_nfa(b), args.max_states))
+        elif a.semiring.is_ring:
+            verdict = equiv_wa(a, b)
+        else:
+            # tropical equivalence is undecidable (Krob 1994): compare short words only
+            bound = args.max_len
+            verdict = all(eval_series(a, w) == eval_series(b, w)
+                          for w in words_up_to(a.alphabet, bound))
     elif isinstance(a, AlternatingAutomaton) and isinstance(b, AlternatingAutomaton):
         if a.alphabet != b.alphabet:
             raise ValueError("equiv: alphabet mismatch")
@@ -183,7 +188,8 @@ def _cmd_equiv(args) -> int:
                               reachable_reverse_dfa(b, args.max_states))
     else:
         raise ValueError("equiv: files must hold comparable automata")
-    print("equivalent" if verdict else "not equivalent")
+    suffix = "" if bound is None else f" up to length {bound}"
+    print(f"equivalent{suffix}" if verdict else "not equivalent")
     return 0 if verdict else 1
 
 
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--max-len", type=int, default=6,
-                   help="word-length bound for weighted comparison")
+                   help="word-length bound for tropical weighted comparison")
 
     p = add("trace-eval", _cmd_trace_eval, help="evaluate a trace formula on a dkm")
     p.add_argument("file")

@@ -1,10 +1,13 @@
-"""Exact linear algebra over the rationals (reduced row echelon form) and over
-the integers (row-style Hermite normal form).
+"""Exact linear algebra over a Euclidean domain: the rationals (reduced row
+echelon form) and the integers (row-style Hermite normal form).
 
 These bases witness reachable submodules of weighted automata: over a field a
 subspace always has a canonical echelon basis, and over Z every sublattice of
 Z^n has a canonical HNF basis, which is what makes minimisation over a
-principal ideal domain effective.
+principal ideal domain effective.  Both are one object, an echelon basis with
+the entries above each pivot reduced, kept by one reduction and one
+incremental insertion; the two classes differ only in how they read a scalar,
+divide, and normalise a pivot.
 
 Canonical forms used throughout:
   * FieldBasis: pivots strictly increasing, pivot entries 1, pivot columns
@@ -15,6 +18,8 @@ Canonical forms used throughout:
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,68 +27,147 @@ from .errors import DimensionError
 from .semiring import INT, RATIONAL, Matrix
 
 
+def _lead(row) -> int | None:
+    return next((j for j, x in enumerate(row) if x), None)
+
+
+@dataclass(frozen=True)
+class _EchelonBasis:
+    """Canonical echelon basis of a submodule of D^ambient, D a Euclidean domain.
+
+    A subclass fixes the scalar rules: `scalar` reads an entry, `divide` is
+    the quotient that reduces an entry modulo a pivot, and `normalise(row, p)`
+    scales a row to a canonical pivot at column p.  It binds `coordinates`
+    and `insert` in its own class body, so that each class owns them (the
+    benchmark's tracing wraps them per class).
+    """
+
+    ambient: int
+    rows: tuple[tuple, ...] = ()
+
+    def __post_init__(self):
+        for row in self.rows:
+            if len(row) != self.ambient:
+                raise DimensionError(f"basis row of {len(row)} in ambient {self.ambient}")
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def matrix(self) -> Matrix:
+        return Matrix(self.semiring, len(self.rows), self.ambient, self.rows)
+
+    def _reduce(self, v) -> tuple[list, list]:
+        """(c, v - c * rows), reducing v pivot by pivot."""
+        if len(v) != self.ambient:
+            raise DimensionError(f"vector of {len(v)} in ambient {self.ambient}")
+        divide = self.divide
+        residue = [self.scalar(x) for x in v]
+        coeffs = []
+        for row in self.rows:
+            p = _lead(row)
+            q = residue[p] and divide(residue[p], row[p])
+            coeffs.append(q)
+            if q:
+                residue[p:] = [x - q * y for x, y in zip(residue[p:], row[p:])]
+        return coeffs, residue
+
+    def _coordinates(self, v) -> tuple | None:
+        """Coefficients c with c * rows = v, or None when v is outside the module."""
+        coeffs, residue = self._reduce(v)
+        return None if any(residue) else tuple(coeffs)
+
+    def _insert(self, v):
+        """Smallest module containing this one and v; changed=False iff v was a member."""
+        residue = self._reduce(v)[1]
+        lead = _lead(residue)
+        if lead is None:
+            return self, False
+        divide, normalise = self.divide, self.normalise
+        rows = list(self.rows)
+        pivots = [_lead(row) for row in rows]
+        while lead is not None:
+            i = bisect_left(pivots, lead)
+            if i == len(pivots) or pivots[i] != lead:
+                rows.insert(i, normalise(residue, lead))
+                pivots.insert(i, lead)
+                break
+            # Euclid against the row with the same pivot; over a field the
+            # reduced residue is zero on every pivot column, so only Z gets here
+            row = rows[i]
+            while residue[lead]:
+                q = divide(row[lead], residue[lead])
+                row, residue = residue, [x - q * y for x, y in zip(row, residue)]
+            rows[i] = normalise(row, lead)
+            lead = _lead(residue)
+        # reduce the entries above each pivot, left to right
+        for k, p in enumerate(pivots):
+            pivot_row = rows[k]
+            for i in range(k):
+                if rows[i][p]:
+                    q = divide(rows[i][p], pivot_row[p])
+                    if q:
+                        rows[i] = tuple(x - q * y for x, y in zip(rows[i], pivot_row))
+        return type(self)(self.ambient, tuple(rows)), True
+
+
+@dataclass(frozen=True)
+class IntegerBasis(_EchelonBasis):
+    """Canonical HNF basis of a sublattice of Z^ambient; empty rows = zero lattice."""
+
+    semiring = INT
+    scalar = int
+    divide = operator.floordiv
+
+    @staticmethod
+    def normalise(row, p) -> tuple[int, ...]:
+        return tuple(row) if row[p] > 0 else tuple(-x for x in row)
+
+    coordinates = _EchelonBasis._coordinates
+    insert = _EchelonBasis._insert
+
+    @classmethod
+    def from_rows(cls, ambient: int, rows) -> "IntegerBasis":
+        basis = cls(ambient)
+        for row in rows:
+            basis, _ = basis.insert(row)
+        return basis
+
+
+@dataclass(frozen=True)
+class FieldBasis(_EchelonBasis):
+    """Canonical reduced-echelon basis of a subspace of Q^ambient."""
+
+    semiring = RATIONAL
+    scalar = Fraction
+    divide = operator.truediv
+
+    @staticmethod
+    def normalise(row, p) -> tuple[Fraction, ...]:
+        pivot = row[p]
+        return tuple(x / pivot for x in row)
+
+    coordinates = _EchelonBasis._coordinates
+    insert = _EchelonBasis._insert
+
+
 def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
     """Row-style Hermite normal form of an integer matrix.
 
     Returns (h, u) with u * a = h, u unimodular (|det u| = 1), and h in
     canonical shape with its zero rows collected at the bottom.  The row
-    lattice of h equals the row lattice of a.  Pivot selection takes the
-    smallest absolute nonzero entry of the current column, which keeps
-    intermediate entries modest; arbitrary-precision integers absorb the rest.
+    lattice of h equals the row lattice of a.  [h | u] is the canonical basis
+    of the rows of [a | I]: every vector of that lattice is c * [a | I] =
+    [c * a | c], and it has full row rank, so the basis has one row per row
+    of a, and the rows whose pivot lies in the a block come first.
     """
     if a.semiring is not INT:
         raise DimensionError("hnf expects an integer matrix")
     m, n = a.n_rows, a.n_cols
-    work = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap(i, j):
-        if i != j:
-            work[i], work[j] = work[j], work[i]
-            u[i], u[j] = u[j], u[i]
-
-    def submul(i, j, q):
-        # row_i -= q * row_j
-        if q:
-            wi, wj = work[i], work[j]
-            for k in range(n):
-                wi[k] -= q * wj[k]
-            ui, uj = u[i], u[j]
-            for k in range(m):
-                ui[k] -= q * uj[k]
-
-    def negate(i):
-        work[i] = [-x for x in work[i]]
-        u[i] = [-x for x in u[i]]
-
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        while True:
-            live = [i for i in range(r, m) if work[i][c] != 0]
-            if not live:
-                break
-            best = min(live, key=lambda i: abs(work[i][c]))
-            swap(r, best)
-            done = True
-            for i in range(r + 1, m):
-                q = work[i][c] // work[r][c]
-                submul(i, r, q)
-                if work[i][c] != 0:
-                    done = False
-            if done:
-                break
-        if work[r][c] != 0:
-            if work[r][c] < 0:
-                negate(r)
-            for i in range(r):
-                submul(i, r, work[i][c] // work[r][c])
-            r += 1
-
-    h = Matrix(INT, m, n, tuple(tuple(row) for row in work))
-    um = Matrix(INT, m, m, tuple(tuple(row) for row in u))
-    return h, um
+    basis = IntegerBasis.from_rows(n + m, (row + tuple(int(i == j) for j in range(m))
+                                           for i, row in enumerate(a.entries)))
+    return (Matrix(INT, m, n, tuple(row[:n] for row in basis.rows)),
+            Matrix(INT, m, m, tuple(row[n:] for row in basis.rows)))
 
 
 def det_int(a: Matrix) -> int:
@@ -131,133 +215,6 @@ def is_hnf_shape(rows: tuple[tuple[int, ...], ...]) -> bool:
             if not 0 <= rows[k][p] < row[p]:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class IntegerBasis:
-    """Canonical HNF basis of a sublattice of Z^ambient; empty rows = zero lattice."""
-
-    ambient: int
-    rows: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.ambient:
-                raise DimensionError(f"basis row of {len(row)} in ambient {self.ambient}")
-
-    @classmethod
-    def from_rows(cls, ambient: int, rows) -> "IntegerBasis":
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if not rows:
-            return cls(ambient)
-        h, _ = hnf(Matrix(INT, len(rows), ambient, rows))
-        return cls(ambient, tuple(r for r in h.entries if any(r)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def matrix(self) -> Matrix:
-        return Matrix(INT, len(self.rows), self.ambient, self.rows)
-
-    def coordinates(self, v) -> tuple[int, ...] | None:
-        """Integer coefficients c with c * rows = v, or None when v is outside the lattice."""
-        if len(v) != self.ambient:
-            raise DimensionError(f"vector of {len(v)} in ambient {self.ambient}")
-        residue = list(v)
-        coeffs = []
-        for row in self.rows:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if residue[p] % row[p] != 0:
-                return None
-            q = residue[p] // row[p]
-            coeffs.append(q)
-            if q:
-                for j in range(p, self.ambient):
-                    residue[j] -= q * row[j]
-        if any(residue):
-            return None
-        return tuple(coeffs)
-
-    def insert(self, v) -> tuple["IntegerBasis", bool]:
-        """Smallest lattice containing this one and v; changed=False iff v was a member."""
-        if self.coordinates(v) is not None:
-            return self, False
-        return IntegerBasis.from_rows(self.ambient, self.rows + (tuple(int(x) for x in v),)), True
-
-
-@dataclass(frozen=True)
-class FieldBasis:
-    """Canonical reduced-echelon basis of a subspace of Q^ambient."""
-
-    ambient: int
-    rows: tuple[tuple[Fraction, ...], ...] = ()
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.ambient:
-                raise DimensionError(f"basis row of {len(row)} in ambient {self.ambient}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def matrix(self) -> Matrix:
-        return Matrix(RATIONAL, len(self.rows), self.ambient, self.rows)
-
-    def _pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x != 0) for row in self.rows]
-
-    def coordinates(self, v) -> tuple[Fraction, ...] | None:
-        if len(v) != self.ambient:
-            raise DimensionError(f"vector of {len(v)} in ambient {self.ambient}")
-        residue = [Fraction(x) for x in v]
-        coeffs = []
-        for row, p in zip(self.rows, self._pivots()):
-            c = residue[p]  # pivot entries are 1 and pivot columns clear elsewhere
-            coeffs.append(c)
-            if c:
-                for j in range(p, self.ambient):
-                    residue[j] -= c * row[j]
-        if any(residue):
-            return None
-        return tuple(coeffs)
-
-    def insert(self, v) -> tuple["FieldBasis", bool]:
-        residue = [Fraction(x) for x in v]
-        if len(residue) != self.ambient:
-            raise DimensionError(f"vector of {len(residue)} in ambient {self.ambient}")
-        pivots = self._pivots()
-        for row, p in zip(self.rows, pivots):
-            c = residue[p]
-            if c:
-                for j in range(p, self.ambient):
-                    residue[j] -= c * row[j]
-        lead = next((j for j, x in enumerate(residue) if x != 0), None)
-        if lead is None:
-            return self, False
-        inv = residue[lead]
-        new_row = tuple(x / inv for x in residue)
-        rows = []
-        inserted = False
-        for row, p in zip(self.rows, pivots):
-            if not inserted and lead < p:
-                rows.append(new_row)
-                inserted = True
-            rows.append(row)
-        if not inserted:
-            rows.append(new_row)
-        # clear the new pivot column in the other rows to restore reduced form
-        cleaned = []
-        for row in rows:
-            if row is new_row:
-                cleaned.append(row)
-                continue
-            c = row[lead]
-            if c:
-                row = tuple(x - c * y for x, y in zip(row, new_row))
-            cleaned.append(row)
-        return FieldBasis(self.ambient, tuple(cleaned)), True
 
 
 Basis = IntegerBasis | FieldBasis

@@ -155,6 +155,25 @@ def minimise_wa(w: WeightedAutomaton) -> RestrictedWA:
     return RestrictedWA(second.automaton, second.basis, embedding)
 
 
+def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
+    """Exact equivalence of two automata over Q or Z with one alphabet
+    (Schützenberger; Tzeng, SIAM J. Comput. 1992).
+
+    The block-diagonal difference automaton, with initial vector (i_a, i_b)
+    and final vector (f_a, -f_b), recognises series(a) - series(b), which is
+    zero iff its final vector vanishes on the reachable submodule.
+    """
+    sr = a.semiring
+    zero = sr.zero()
+    n = a.n + b.n
+    mats = {x: Matrix(sr, n, n, tuple(row + (zero,) * b.n for row in a.mats[x].entries)
+                      + tuple((zero,) * a.n + row for row in b.mats[x].entries))
+            for x in a.alphabet}
+    diff = WeightedAutomaton(n, a.alphabet, sr, mats, a.init + b.init,
+                             a.final + tuple(sr.neg(x) for x in b.final))
+    return all(sr.eq(x, zero) for x in reach_restrict(diff).automaton.final)
+
+
 def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     """Rank over Q of the finite Hankel block H[u][v] = series(u.v), |u|,|v| <= max_len.
 

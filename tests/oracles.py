@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own algorithms: languages
 are compared by enumerating words, weighted values by summing over explicit
-paths, ranks by plain Gaussian elimination, determinants by permutation
-expansion, AFA acceptance by the literal recursive definition, and AFA
-formulas by interpreting their syntax tree on one subset at a time.
+paths, ranks and echelon forms by plain Gaussian elimination, Hermite normal
+forms by whole-matrix elimination, determinants by permutation expansion,
+AFA acceptance by the literal recursive definition, and AFA formulas by
+interpreting their syntax tree on one subset at a time.
 """
 
 import ast
@@ -111,6 +112,84 @@ def gauss_rank(rows) -> int:
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def rref(rows, n_cols):
+    """Nonzero rows of the reduced row echelon form over Q, by plain Gauss-Jordan."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = m[rank][c]
+        m[rank] = [x / inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return tuple(tuple(row) for row in m[:rank])
+
+
+def hnf_batch(entries, n_cols):
+    """Row-style Hermite normal form of an integer matrix, all rows at once.
+
+    Returns (h, u) as tuples of rows with u * a = h and u unimodular, h in
+    canonical shape with its zero rows at the bottom.  Each column is cleared
+    below the pivot by repeatedly taking the smallest absolute nonzero entry
+    as pivot; the entries above each pivot are then reduced into [0, pivot).
+    """
+    m, n = len(entries), n_cols
+    work = [list(row) for row in entries]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def swap(i, j):
+        if i != j:
+            work[i], work[j] = work[j], work[i]
+            u[i], u[j] = u[j], u[i]
+
+    def submul(i, j, q):
+        # row_i -= q * row_j
+        if q:
+            wi, wj = work[i], work[j]
+            for k in range(n):
+                wi[k] -= q * wj[k]
+            ui, uj = u[i], u[j]
+            for k in range(m):
+                ui[k] -= q * uj[k]
+
+    def negate(i):
+        work[i] = [-x for x in work[i]]
+        u[i] = [-x for x in u[i]]
+
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        while True:
+            live = [i for i in range(r, m) if work[i][c] != 0]
+            if not live:
+                break
+            best = min(live, key=lambda i: abs(work[i][c]))
+            swap(r, best)
+            done = True
+            for i in range(r + 1, m):
+                q = work[i][c] // work[r][c]
+                submul(i, r, q)
+                if work[i][c] != 0:
+                    done = False
+            if done:
+                break
+        if work[r][c] != 0:
+            if work[r][c] < 0:
+                negate(r)
+            for i in range(r):
+                submul(i, r, work[i][c] // work[r][c])
+            r += 1
+
+    return tuple(map(tuple, work)), tuple(map(tuple, u))
 
 
 def det_perm(entries) -> int:

@@ -137,6 +137,61 @@ def test_equiv_afa_is_exact_beyond_max_len(capsys, tmp_path):
     assert rc == 3 and "max-states" in err
 
 
+def _shift_chain(semiring, weight):
+    """Series `weight` at aaaaaaa and zero elsewhere, past the default --max-len."""
+    return {"type": "weighted", "semiring": semiring, "alphabet": ["a", "b"],
+            "states": [f"s{i}" for i in range(8)],
+            "initial": [1] + [0] * 7, "final": [0] * 7 + [weight],
+            "transitions": {"a": [[int(y == x + 1) for x in range(8)] for y in range(8)],
+                            "b": [[0] * 8 for _ in range(8)]}}
+
+
+@pytest.mark.parametrize("semiring, weight", [("int", 1), ("rational", "1/2"), ("bool", 1)])
+def test_equiv_weighted_is_exact_beyond_max_len(capsys, tmp_path, semiring, weight):
+    zero = {"type": "weighted", "semiring": semiring, "alphabet": ["a", "b"],
+            "states": ["z"], "initial": [0], "final": [0],
+            "transitions": {"a": [[0]], "b": [[0]]}}
+    paths = []
+    for name, doc in (("shift8.json", _shift_chain(semiring, weight)), ("zero.json", zero)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    rc, out, _ = invoke(capsys, "equiv", *map(str, paths))
+    assert rc == 1 and out.strip() == "not equivalent"
+    rc, out, _ = invoke(capsys, "equiv", str(paths[0]), str(paths[0]))
+    assert rc == 0 and out.strip() == "equivalent"
+
+
+def test_equiv_rational_against_its_minimisation(capsys, data_dir, tmp_path):
+    rc, out, _ = invoke(capsys, "minimize", str(data_dir / "wa_rational.json"))
+    assert rc == 0
+    small = tmp_path / "minimal.json"
+    small.write_text(out)
+    rc, out, _ = invoke(capsys, "equiv", str(data_dir / "wa_rational.json"), str(small))
+    assert rc == 0 and out.strip() == "equivalent"
+
+
+def test_equiv_boolean_obeys_max_states(capsys, data_dir):
+    path = str(data_dir / "wa_bool.json")
+    rc, out, _ = invoke(capsys, "equiv", path, path)
+    assert rc == 0 and out.strip() == "equivalent"
+    rc, _, err = invoke(capsys, "equiv", path, path, "--max-states", "1")
+    assert rc == 3 and "max-states" in err
+
+
+def test_equiv_tropical_says_it_is_bounded(capsys, data_dir, tmp_path):
+    path = data_dir / "wa_tropical.json"
+    rc, out, _ = invoke(capsys, "equiv", str(path), str(path))
+    assert rc == 0 and out.strip() == "equivalent up to length 6"
+    rc, out, _ = invoke(capsys, "equiv", str(path), str(path), "--max-len", "3")
+    assert rc == 0 and out.strip() == "equivalent up to length 3"
+    moved = json.loads(path.read_text())
+    moved["final"] = ["inf", 1]
+    other = tmp_path / "moved.json"
+    other.write_text(json.dumps(moved))
+    rc, out, _ = invoke(capsys, "equiv", str(path), str(other))
+    assert rc == 1 and out.strip() == "not equivalent"
+
+
 def test_trace_eval_and_closure(capsys, data_dir):
     rc, out, _ = invoke(capsys, "trace-eval", str(data_dir / "dkm_ends_with_a.json"),
                         "-f", "<a>p")

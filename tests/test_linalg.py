@@ -8,7 +8,7 @@ from dualmin import (INT, DimensionError, FieldBasis, IntegerBasis, Matrix,
                      rank)
 from dualmin.sampling import random_int_matrix
 
-from oracles import det_perm, gauss_rank
+from oracles import det_perm, gauss_rank, hnf_batch, rref
 
 
 def test_hnf_identity():
@@ -205,3 +205,61 @@ def test_dimension_mismatch_raises():
         basis.insert((1, 2, 3))
     with pytest.raises(DimensionError):
         basis.coordinates((1,))
+
+
+def _awkward_rows(rng, entry):
+    """Rows of every shape a basis must take: none, tall, wide, with zero
+    rows, duplicate rows and rows that combine earlier ones."""
+    n = rng.randint(1, 6)
+    rows = []
+    for i in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if i and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif i > 1 and kind < 0.35:
+            x, y = rng.sample(rows, 2)
+            k = rng.randint(-3, 3)
+            rows.append([a + k * b for a, b in zip(x, y)])
+        elif kind < 0.45:
+            rows.append([0] * n)
+        else:
+            rows.append([entry(rng) if rng.random() < 0.7 else 0 for _ in range(n)])
+    return rows, n
+
+
+def test_hnf_matches_batch_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        rows, n = _awkward_rows(rng, lambda r: r.randint(-30, 30))
+        a = Matrix(INT, len(rows), n, tuple(map(tuple, rows)))
+        h, u = hnf(a)
+        assert h.entries == hnf_batch(a.entries, n)[0]
+        assert mat_mul(u, a) == h
+        assert abs(det_int(u)) == 1
+
+
+def test_integer_basis_matches_batch_oracle_after_each_insert():
+    rng = random.Random(43)
+    for _ in range(300):
+        rows, n = _awkward_rows(rng, lambda r: r.randint(-30, 30))
+        basis, before = IntegerBasis(n), ()
+        for k, row in enumerate(rows):
+            basis, changed = basis.insert(row)
+            expected = tuple(r for r in hnf_batch(rows[:k + 1], n)[0] if any(r))
+            assert basis.rows == expected
+            assert changed == (expected != before)
+            before = expected
+        assert IntegerBasis.from_rows(n, rows).rows == before
+
+
+def test_field_basis_matches_gauss_jordan_after_each_insert():
+    rng = random.Random(47)
+    for _ in range(300):
+        rows, n = _awkward_rows(rng, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 4)))
+        basis, before = FieldBasis(n), ()
+        for k, row in enumerate(rows):
+            basis, changed = basis.insert(row)
+            expected = rref(rows[:k + 1], n)
+            assert basis.rows == expected
+            assert changed == (expected != before)
+            before = expected
