@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from operator import and_, or_
 from typing import Iterable, Mapping
 
@@ -79,6 +79,16 @@ class BoolFun:
         object.__setattr__(f, "table", table)
         return f
 
+    @cached_property
+    def bits(self) -> bytes:
+        """The table as little-endian bytes, built once: bit `mask` is bit
+        mask & 7 of byte mask >> 3, so testing it costs O(1), not O(2^n)."""
+        return self.table.to_bytes(((1 << self.n) + 7) >> 3, "little")
+
+    def at(self, mask: int) -> int:
+        """1 if the subset with bitmask `mask` satisfies the function, else 0."""
+        return self.bits[mask >> 3] >> (mask & 7) & 1
+
     @property
     def sats(self) -> frozenset[frozenset[int]]:
         """The satisfying subsets, decoded from the table."""
@@ -88,7 +98,7 @@ class BoolFun:
 
     def __call__(self, subset: Iterable[int]) -> bool:
         try:
-            return bool(self.table >> _mask(self.n, subset) & 1)
+            return bool(self.at(_mask(self.n, subset)))
         except ValueError:  # a subset with an unknown state satisfies nothing
             return False
 
@@ -185,8 +195,9 @@ class AlternatingAutomaton:
 def _afa_step(a: AlternatingAutomaton, mask: int, letter: str) -> int:
     """The mask of the states whose condition on `letter` holds on `mask`."""
     step = 0
+    byte, bit = mask >> 3, mask & 7
     for s, f in enumerate(a.delta[letter]):
-        if f.table >> mask & 1:
+        if f.bits[byte] >> bit & 1:
             step |= 1 << s
     return step
 
@@ -200,7 +211,7 @@ def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
     mask = _mask(a.n, a.finals)
     for letter in reversed(word):
         mask = _afa_step(a, mask, letter)
-    return bool(a.iota.table >> mask & 1)
+    return bool(a.iota.at(mask))
 
 
 def _reversed(a: AlternatingAutomaton, starts: Iterable[int], limit: int) -> MooreAutomaton:
@@ -214,10 +225,9 @@ def _reversed(a: AlternatingAutomaton, starts: Iterable[int], limit: int) -> Moo
         raise StateGuardError(
             f"reverse_dfa would build 2^{a.n} states, more than {limit}; raise --max-states")
     order, trans = explore(starts, partial(_afa_step, a), a.alphabet, limit, "reverse_dfa")
-    iota = a.iota.table
     return MooreAutomaton(len(order), a.alphabet, {c: tuple(ts) for c, ts in trans.items()},
                           order.index(_mask(a.n, a.finals)),
-                          tuple(iota >> mask & 1 for mask in order), DFA_OUTPUTS,
+                          tuple(map(a.iota.at, order)), DFA_OUTPUTS,
                           subset_names(map(_members, order), a.state_names))
 
 

@@ -9,19 +9,25 @@ observable (hence minimal) automaton for the original language.
 
 Only predicates reachable from the output map are ever materialised; a
 hash-indexed frontier keeps each element of B^X to a single copy, and the
-configurable state bound guards against the |B|^n worst case.
+configurable state bound guards against the |B|^n worst case.  A predicate is
+packed as `bytes`, one byte per state, unless B has more than 256 outputs.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 
 from .automata import MooreAutomaton, explore, subset_names
 from .errors import resolve_max_states
 
 
 def _explore_dual(m: MooreAutomaton, max_states):
-    return explore([tuple(m.out)], lambda phi, a: tuple(phi[t] for t in m.trans[a]),
+    pack = bytes if len(m.outputs) <= 256 else tuple
+    # itemgetter of one index returns a scalar, so one state takes a slice
+    gets = {a: itemgetter(*ts) if m.n > 1 else itemgetter(slice(ts[0], ts[0] + 1))
+            for a, ts in m.trans.items()}
+    return explore([pack(m.out)], lambda phi, a: pack(gets[a](phi)),
                    m.alphabet, resolve_max_states(max_states), "dual automaton")
 
 

@@ -8,6 +8,7 @@ automata back as JSON on stdout.  Exit codes: 0 success (or "equivalent"),
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -102,17 +103,17 @@ def _cmd_reverse(args) -> int:
         result = dual_automaton(obj, args.max_states)
     else:
         raise ValueError(f"{args.verb}: unsupported file type")
-    sys.stdout.write(emit(result))
+    emit(result, sys.stdout)
     return 0
 
 
 def _cmd_determinize(args) -> int:
     obj = _load(args.file, args.semiring)
     if isinstance(obj, Nfa):
-        sys.stdout.write(emit(determinise(obj, args.max_states)))
+        emit(determinise(obj, args.max_states), sys.stdout)
         return 0
     if isinstance(obj, WeightedAutomaton) and obj.semiring is BOOL:
-        sys.stdout.write(emit(determinise(bool_wa_to_nfa(obj), args.max_states)))
+        emit(determinise(bool_wa_to_nfa(obj), args.max_states), sys.stdout)
         return 0
     raise ValueError("determinize expects an nfa (or a Boolean weighted automaton)")
 
@@ -120,9 +121,9 @@ def _cmd_determinize(args) -> int:
 def _cmd_reach(args) -> int:
     obj = _load(args.file, args.semiring)
     if isinstance(obj, MooreAutomaton):
-        sys.stdout.write(emit(reach(obj)))
+        emit(reach(obj), sys.stdout)
     elif isinstance(obj, WeightedAutomaton):
-        sys.stdout.write(emit(reach_restrict(obj)))
+        emit(reach_restrict(obj), sys.stdout)
     else:
         raise ValueError("reach: unsupported file type")
     return 0
@@ -133,29 +134,29 @@ def _cmd_minimize(args) -> int:
     method = args.method
     if isinstance(obj, MooreAutomaton):
         if method == "refine":
-            sys.stdout.write(emit(partition_refinement_minimise(obj)))
+            emit(partition_refinement_minimise(obj), sys.stdout)
         elif method == "duality":
             if len(obj.outputs) != 2:
                 raise ValueError("duality minimisation of a Moore file needs two outputs")
-            sys.stdout.write(emit(minimise_dkm(Dkm.from_dfa(obj), args.max_states).to_dfa()))
+            emit(minimise_dkm(Dkm.from_dfa(obj), args.max_states).to_dfa(), sys.stdout)
         else:
-            sys.stdout.write(emit(brzozowski_minimise(obj, args.max_states)))
+            emit(brzozowski_minimise(obj, args.max_states), sys.stdout)
     elif isinstance(obj, WeightedAutomaton):
         if obj.semiring is BOOL:
             # join-semilattices are not PIDs: determinise classically, then double reversal
-            sys.stdout.write(emit(brzozowski_minimise(
-                determinise(bool_wa_to_nfa(obj), args.max_states), args.max_states)))
+            emit(brzozowski_minimise(determinise(bool_wa_to_nfa(obj), args.max_states),
+                                     args.max_states), sys.stdout)
         elif method == "refine":
             raise ValueError("refine applies to deterministic automata, not weighted ones")
         else:
-            sys.stdout.write(emit(minimise_wa(obj)))
+            emit(minimise_wa(obj), sys.stdout)
     elif isinstance(obj, AlternatingAutomaton):
-        sys.stdout.write(emit(minimal_dfa_for_afa(obj, max_states=args.max_states)))
+        emit(minimal_dfa_for_afa(obj, max_states=args.max_states), sys.stdout)
     elif isinstance(obj, Dkm):
         if method == "refine":
-            sys.stdout.write(emit(quotient_dkm(obj, bisimulation_oracle(obj))))
+            emit(quotient_dkm(obj, bisimulation_oracle(obj)), sys.stdout)
         else:
-            sys.stdout.write(emit(minimise_dkm(obj, args.max_states)))
+            emit(minimise_dkm(obj, args.max_states), sys.stdout)
     else:
         raise ValueError("minimize: unsupported file type")
     return 0
@@ -333,6 +334,13 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (`dualmin ... | head`): stop quietly,
+        # and point stdout at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except StateGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return GUARD_EXIT

@@ -4,7 +4,9 @@ A file is one JSON object with a "type" of dfa, moore, nfa, weighted, afa or
 dkm, an "alphabet", a list of "states" (names fix the index order), and
 type-specific fields.  Parse errors carry the path of the offending field.
 Emission is canonical: keys are sorted and states are listed in index order,
-so parse(emit(x)) reproduces x exactly.
+so parse(emit(x)) reproduces x exactly.  The text is that of
+json.dumps(doc, indent=2, sort_keys=True), produced piece by piece with each
+distinct string escaped once, and emit(x, fp) writes it in bounded batches.
 
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
@@ -13,6 +15,7 @@ the 53-bit safe range and strings beyond it, tropical infinity is "inf".
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .alternating import AlternatingAutomaton, BoolFun, compile_formula
 from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa
@@ -233,23 +236,101 @@ def emit_value(semiring, v):
     return v
 
 
-def emit(obj) -> str:
-    """Canonical JSON for any supported automaton (sorted keys, index order)."""
+_BATCH_CHARS = 1 << 20
+
+
+def emit(obj, fp=None) -> str | None:
+    """Canonical JSON for any supported automaton (sorted keys, index order).
+
+    Without `fp` the text is returned; with `fp` it is written to fp.write in
+    batches of about 1 MiB (more only by the length of one string) and None is
+    returned.
+    """
+    pieces = _pieces(_document(obj))
+    if fp is None:
+        return "".join(pieces)
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH_CHARS:
+            fp.write("".join(batch))
+            batch, size = [], 0
+    fp.write("".join(batch))
+    return None
+
+
+def _document(obj) -> dict:
+    """The JSON document of an automaton, before it is written as text."""
     if isinstance(obj, RestrictedWA):
         obj = obj.automaton
     if isinstance(obj, MooreAutomaton):
-        doc = _emit_moore(obj)
-    elif isinstance(obj, Nfa):
-        doc = _emit_nfa(obj)
-    elif isinstance(obj, WeightedAutomaton):
-        doc = _emit_weighted(obj)
-    elif isinstance(obj, AlternatingAutomaton):
-        doc = _emit_afa(obj)
-    elif isinstance(obj, Dkm):
-        doc = _emit_dkm(obj)
-    else:
-        raise TypeError(f"cannot emit {type(obj).__name__}")
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _emit_moore(obj)
+    if isinstance(obj, Nfa):
+        return _emit_nfa(obj)
+    if isinstance(obj, WeightedAutomaton):
+        return _emit_weighted(obj)
+    if isinstance(obj, AlternatingAutomaton):
+        return _emit_afa(obj)
+    if isinstance(obj, Dkm):
+        return _emit_dkm(obj)
+    raise TypeError(f"cannot emit {type(obj).__name__}")
+
+
+def _pieces(doc):
+    """The text of json.dumps(doc, indent=2, sort_keys=True) + "\n" in pieces.
+
+    Strings (keys and values alike) are escaped once each through a memo;
+    other scalars go to json.dumps.  State names recur in the states list, in
+    every transition row and in the finals, and nested subset names grow
+    long, so escaping each one once is most of the saving over json.dumps.
+    """
+    memo: dict[str, str] = {}
+
+    def esc(s: str) -> str:
+        e = memo.get(s)
+        if e is None:
+            e = memo[s] = encode_basestring_ascii(s)
+        return e
+
+    def value(o, indent: str):
+        if isinstance(o, dict):
+            if not o:
+                yield "{}"
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for k in sorted(o):
+                v = o[k]
+                yield sep
+                yield esc(k)
+                yield ": "
+                if isinstance(v, str):
+                    yield esc(v)
+                else:
+                    yield from value(v, inner)
+                sep = "," + inner
+            yield indent + "}"
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                yield "[]"
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for v in o:
+                yield sep
+                if isinstance(v, str):
+                    yield esc(v)
+                else:
+                    yield from value(v, inner)
+                sep = "," + inner
+            yield indent + "]"
+        else:
+            yield json.dumps(o)
+
+    yield from value(doc, "\n")
+    yield "\n"
 
 
 def _emit_moore(m: MooreAutomaton) -> dict:

@@ -4,15 +4,19 @@ Everything here deliberately avoids the library's own algorithms: languages
 are compared by enumerating words, weighted values by summing over explicit
 paths, ranks and echelon forms by plain Gaussian elimination, Hermite normal
 forms by whole-matrix elimination, determinants by permutation expansion,
-AFA acceptance by the literal recursive definition, and AFA formulas by
-interpreting their syntax tree on one subset at a time.
+AFA acceptance by the literal recursive definition, AFA formulas by
+interpreting their syntax tree on one subset at a time, the dual automaton on
+predicates kept as tuples, and emitted text by json.dumps.
 """
 
 import ast
+import json
 from fractions import Fraction
 from itertools import permutations, product
 
 from dualmin import AlternatingAutomaton, MooreAutomaton, Nfa, WeightedAutomaton
+from dualmin.automata import subset_names
+from dualmin.io import _document
 
 
 def ends_with_a_dfa() -> MooreAutomaton:
@@ -234,3 +238,31 @@ def smallest_equivalent_dfa(m: MooreAutomaton, probe_len: int = 8) -> int:
                     if [run_by_hand(cand, w) for w in ws] == target:
                         return k
     return m.n
+
+
+def emit_json(obj) -> str:
+    """The canonical text through json.dumps, as emit wrote it before it
+    streamed: the same document, serialised in one piece."""
+    return json.dumps(_document(obj), indent=2, sort_keys=True) + "\n"
+
+
+def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
+    """The dual automaton with every predicate a tuple of output indices,
+    explored breadth first with letters in alphabet order; states are named
+    by the library's subset-naming rule."""
+    index = {tuple(m.out): 0}
+    order = [tuple(m.out)]
+    trans = {a: [] for a in m.alphabet}
+    for phi in order:
+        for a in m.alphabet:
+            nxt = tuple(phi[t] for t in m.trans[a])
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            trans[a].append(index[nxt])
+    names = None
+    if len(m.outputs) == 2:
+        names = subset_names([[s for s in range(m.n) if phi[s]] for phi in order],
+                             m.state_names)
+    return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
+                          0, tuple(phi[m.init] for phi in order), m.outputs, names)

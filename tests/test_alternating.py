@@ -221,3 +221,34 @@ def test_reachable_reverse_dfa_is_the_reachable_part_of_reverse_dfa():
         assert part == full and part.state_names == full.state_names
         minimal, expected = minimal_dfa_for_afa(a), dual_automaton(full)
         assert minimal == expected and minimal.state_names == expected.state_names
+
+
+def test_reversal_and_acceptance_match_the_per_subset_interpreter():
+    """reverse_dfa steps and outputs, and afa_accepts, on AFAs of up to 7
+    states (truth tables of up to 16 bytes) against formula_holds."""
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        names = tuple(f"x{i}" for i in range(n))
+        conditions = {c: [random_formula(rng, names) for _ in range(n)] for c in "ab"}
+        iota = random_formula(rng, names)
+        finals = frozenset(s for s in range(n) if rng.random() < 0.5)
+        a = AlternatingAutomaton(n, ("a", "b"),
+                                 {c: tuple(compile_formula(f, names) for f in fs)
+                                  for c, fs in conditions.items()},
+                                 compile_formula(iota, names), finals, names)
+        subsets = all_subsets(n)
+        steps = {c: [frozenset(s for s in range(n) if formula_holds(fs[s], names, subset))
+                     for subset in subsets]
+                 for c, fs in conditions.items()}
+        accepts = [formula_holds(iota, names, subset) for subset in subsets]
+        d = reverse_dfa(a)
+        for mask, subset in enumerate(subsets):
+            assert d.out[mask] == accepts[mask]
+            for c in "ab":
+                assert subsets[d.trans[c][mask]] == steps[c][mask]
+        for w in words("ab", 5):
+            subset = finals
+            for c in reversed(w):
+                subset = steps[c][subsets.index(subset)]
+            assert afa_accepts(a, w) == accepts[subsets.index(subset)]

@@ -7,7 +7,7 @@ from dualmin import (MooreAutomaton, StateGuardError, brzozowski_minimise,
                      iso_check, partition_refinement_minimise, reach, reverse, run)
 from dualmin.sampling import random_dfa, random_moore
 
-from oracles import ends_with_a_dfa, run_by_hand, words
+from oracles import dual_by_tuples, ends_with_a_dfa, run_by_hand, words
 
 
 def test_dual_of_ends_with_a():
@@ -110,3 +110,45 @@ def test_state_guard():
         dual_automaton(m, max_states=2)
     with pytest.raises(StateGuardError):
         brzozowski_minimise(m, max_states=1)
+
+
+def one_state_automata():
+    for letters in (("a",), ("a", "b", "c")):
+        for accepting in ([], [0]):
+            yield MooreAutomaton.dfa(1, letters, {a: (0,) for a in letters}, 0, accepting,
+                                     state_names=("only",))
+    yield MooreAutomaton(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, (2,), ("u", "v", "w"))
+    yield MooreAutomaton(1, ("a",), {"a": (0,)}, 0, (299,), tuple(f"o{i}" for i in range(300)))
+
+
+def many_output_automata(rng):
+    """Moore automata whose output indices reach past one byte (and one with
+    exactly 256 outputs, the most a byte holds)."""
+    for k in (256, 257, 300):
+        outputs = tuple(f"o{i}" for i in range(k))
+        n = 12  # a shifts the states round, b sends every state to 0
+        out = (k - 1, 255, 0) + tuple(rng.randrange(k) for _ in range(n - 3))
+        yield MooreAutomaton(n, ("a", "b"), {"a": tuple((s + 1) % n for s in range(n)),
+                                             "b": (0,) * n}, 0, out, outputs)
+        for _ in range(20):
+            m = random_moore(rng, max_n=5, max_letters=2, max_outputs=1)
+            out = tuple(rng.choice((k - 1, 255, rng.randrange(k))) for _ in range(m.n))
+            yield MooreAutomaton(m.n, m.alphabet, m.trans, m.init, out, outputs)
+
+
+def test_dual_predicates_match_the_tuple_route():
+    rng = random.Random(23)
+    cases = list(one_state_automata()) + list(many_output_automata(rng))
+    cases += [random_moore(rng, max_n=6) for _ in range(40)]
+    cases += [random_dfa(rng, max_n=6) for _ in range(40)]
+    for m in cases:
+        d, expected = dual_automaton(m), dual_by_tuples(m)
+        assert d == expected and d.state_names == expected.state_names
+        twice, expected = brzozowski_minimise(m), dual_by_tuples(expected)
+        assert twice == expected and twice.state_names == expected.state_names
+
+
+def test_dual_state_sets_of_one_state():
+    for m in one_state_automata():
+        if m.is_dfa:
+            assert dual_state_sets(m) == {frozenset(m.accepting())}

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -289,3 +293,28 @@ def test_parse_trace_formula():
     assert parse_trace_formula("p").word == ()
     with pytest.raises(ValueError):
         parse_trace_formula("<a>")
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that stops early (`dualmin reach big.json | head -c 50`)
+    gets exit 0 and nothing on stderr, as with one unbatched write."""
+    n = 2000
+    names = [f"state{'-' * 100}{s}" for s in range(n)]
+    doc = {"type": "dfa", "alphabet": ["a", "b"], "states": names, "initial": names[0],
+           "finals": names[::2],
+           "transitions": {"a": {x: names[(s + 1) % n] for s, x in enumerate(names)},
+                           "b": {x: names[s // 2] for s, x in enumerate(names)}}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "dualmin.cli", "reach", str(path)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(50).startswith(b"{")  # the output is about 1 MB
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()

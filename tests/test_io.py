@@ -1,12 +1,17 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 
 from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF,
-                     AlternatingAutomaton, Dkm, FormatError, MooreAutomaton, Nfa,
+                     AlternatingAutomaton, BoolFun, Dkm, FormatError, MooreAutomaton, Nfa,
                      WeightedAutomaton, emit, parse, run)
+from dualmin.sampling import (random_afa, random_dfa, random_dkm, random_moore, random_nfa,
+                              random_wa)
 
-from oracles import ends_with_a_dfa
+from oracles import emit_json, ends_with_a_dfa
 
 
 def test_parse_ends_with_a_dfa(data_dir):
@@ -123,3 +128,86 @@ def test_bool_weighted_values(data_dir):
 def test_emitted_states_keep_index_order():
     m = ends_with_a_dfa()
     assert parse(emit(m)).state_names == ("x", "y", "z")
+
+
+# names that json must escape: quote, backslash, control characters, non-ASCII
+# letters and an astral character (a surrogate pair under ensure_ascii)
+ODD = ('q"uote', "back\\slash", "ctl\x01\x1f", "new\nline", "tab\t", "café", "Straße",
+       "astral \U0001d504", "", " ", "+", "empty", "Zed", "ab")
+
+
+def odd_names(rng, n):
+    return tuple(rng.choice(ODD) + str(i) for i in rng.sample(range(10 * n), n))
+
+
+def every_kind(rng):
+    """Random automata of every kind, each with plain and with odd names."""
+    yield random_dfa(rng)
+    yield random_moore(rng)
+    yield random_nfa(rng)
+    for ring, lo, hi in ((BOOL, 0, 1), (INT, -2**60, 2**60), (RATIONAL, -2**60, 2**60)):
+        yield random_wa(rng, ring, lo=lo, hi=hi)
+    n = rng.randint(1, 4)
+    entries = [TROPICAL_INF, 0, 3, 2**60]
+    mats = {a: [[rng.choice(entries) for _ in range(n)] for _ in range(n)] for a in "ab"}
+    yield WeightedAutomaton.build(("a", "b"), TROPICAL, mats,
+                                  [rng.choice(entries) for _ in range(n)],
+                                  [rng.choice(entries) for _ in range(n)])
+    yield random_afa(rng, max_n=4)
+    k = random_dkm(rng)
+    yield k
+    yield replace(k, init=None)
+
+
+def test_emit_matches_json_dumps():
+    rng = random.Random(31)
+    cases = []
+    for _ in range(40):
+        for obj in every_kind(rng):
+            cases.append(obj)
+            names = odd_names(rng, obj.n)
+            if isinstance(obj, MooreAutomaton):
+                outputs = tuple(rng.choice(ODD) + str(i) for i in range(len(obj.outputs)))
+                cases.append(replace(obj, state_names=names,
+                                     outputs=obj.outputs if obj.is_dfa else outputs))
+            else:
+                cases.append(replace(obj, state_names=names))
+    # empty containers: a letter without arcs, no finals, false and [[]] conditions
+    cases.append(Nfa(2, ("a", "é"), {"a": (frozenset(), frozenset()),
+                                     "é": (frozenset({1}), frozenset())},
+                     frozenset({0}), frozenset(), ('"', "\\")))
+    cases.append(MooreAutomaton.dfa(2, ("a",), {"a": (1, 0)}, 0, [], ("x\x00", "y")))
+    cases.append(AlternatingAutomaton(2, ("a",), {"a": (BoolFun.always(2, False),
+                                                        BoolFun(2, [()]))},
+                                      BoolFun.always(2, True), frozenset()))
+    cases.append(Dkm(2, ("a",), ("p",), (frozenset(), frozenset({"p"})),
+                     {"a": (1, 1)}, None, ("\U0001f600", "ß")))
+    for obj in cases:
+        expected = emit_json(obj)
+        assert emit(obj) == expected
+        out = StringIO()
+        assert emit(obj, out) is None
+        assert out.getvalue() == expected
+    texts = "".join(emit_json(obj) for obj in cases[-4:])
+    assert "{}" in texts and "[]" in texts and "[\n" in texts and "\\ud83d\\ude00" in texts
+
+
+class Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_emit_writes_in_bounded_batches():
+    n = 3000
+    names = tuple("n" * 700 + str(s) for s in range(n))
+    m = MooreAutomaton.dfa(n, ("a", "b"), {"a": tuple((s + 1) % n for s in range(n)),
+                                           "b": tuple(s // 2 for s in range(n))},
+                           0, range(0, n, 2), names)
+    out = Recorder()
+    assert emit(m, out) is None
+    assert len(out.writes) > 4
+    assert max(map(len, out.writes)) <= 2 << 20
+    assert "".join(out.writes) == emit(m)
