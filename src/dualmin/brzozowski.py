@@ -7,34 +7,38 @@ predicate outputs its value at M's initial state.  The dual accepts the
 reversed language, and applying the construction twice yields the reachable,
 observable (hence minimal) automaton for the original language.
 
-Only predicates reachable from the output map are ever materialised; a
-hash-indexed frontier keeps each element of B^X to a single copy, and the
-configurable state bound guards against the |B|^n worst case.  A predicate is
-packed as `bytes`, one byte per state, unless B has more than 256 outputs.
+`explore_predicates` is the one predicate step: from the output map it gives
+the dual, from one 0/1 predicate per observation the definable closure of a
+Kripke model (dkm.py).  Only reachable predicates are stored, each once,
+behind the configurable state bound that guards the |B|^n worst case.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter
+from typing import Iterator
 
 from .automata import MooreAutomaton, explore, subset_names
 from .errors import resolve_max_states
 
 
-def _explore_dual(m: MooreAutomaton, max_states):
-    pack = bytes if len(m.outputs) <= 256 else tuple
-    # itemgetter of one index returns a scalar, so one state takes a slice
-    gets = {a: itemgetter(*ts) if m.n > 1 else itemgetter(slice(ts[0], ts[0] + 1))
-            for a, ts in m.trans.items()}
-    return explore([pack(m.out)], lambda phi, a: pack(gets[a](phi)),
-                   m.alphabet, resolve_max_states(max_states), "dual automaton")
+def explore_predicates(starts, trans, alphabet, max_states=None, what="dual automaton"):
+    """Closure of the predicates `starts` (value vectors over the states) under
+    phi -> phi . trans[a] for every letter a, as explore's (order, trans).
+    Predicates are `bytes`, one byte per state, unless a value exceeds 255."""
+    starts = list(starts)
+    pack = bytes if all(v < 256 for phi in starts for v in phi) else tuple
+    # itemgetter(t) returns a scalar; with n <= 1 states every step is phi[0:n]
+    gets = {a: itemgetter(*ts) if len(ts) > 1 else itemgetter(slice(0, len(ts)))
+            for a, ts in trans.items()}
+    return explore(map(pack, starts), lambda phi, a: pack(gets[a](phi)),
+                   alphabet, resolve_max_states(max_states), what)
 
 
-def _members(m: MooreAutomaton, order) -> list[tuple[int, ...]]:
-    """Boolean predicates decoded as the ascending states where they hold."""
-    states = range(m.n)
-    return [tuple(compress(states, phi)) for phi in order]
+def _members(order, n: int) -> Iterator[tuple[int, ...]]:
+    """0/1 predicates decoded, one at a time, as the ascending states where they hold."""
+    return (tuple(compress(range(n), phi)) for phi in order)
 
 
 def dual_automaton(m: MooreAutomaton, max_states: int | None = None) -> MooreAutomaton:
@@ -43,9 +47,9 @@ def dual_automaton(m: MooreAutomaton, max_states: int | None = None) -> MooreAut
     run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.  For the
     Boolean case the predicates decode to subsets, and the states are named so.
     """
-    order, trans = _explore_dual(m, max_states)
+    order, trans = explore_predicates([m.out], m.trans, m.alphabet, max_states)
     out = tuple(phi[m.init] for phi in order)
-    names = subset_names(_members(m, order), m.state_names) if len(m.outputs) == 2 else None
+    names = subset_names(_members(order, m.n), m.state_names) if len(m.outputs) == 2 else None
     return MooreAutomaton(len(order), m.alphabet,
                           {a: tuple(ts) for a, ts in trans.items()},
                           0, out, m.outputs, names)
@@ -64,8 +68,8 @@ def dual_state_sets(m: MooreAutomaton, max_states: int | None = None) -> frozens
     """Dual states of a two-output automaton decoded as subsets of m's states."""
     if len(m.outputs) != 2:
         raise ValueError("dual_state_sets needs a two-element output set")
-    order, _ = _explore_dual(m, max_states)
-    return frozenset(map(frozenset, _members(m, order)))
+    order = explore_predicates([m.out], m.trans, m.alphabet, max_states)[0]
+    return frozenset(map(frozenset, _members(order, m.n)))
 
 
-__all__ = ["dual_automaton", "brzozowski_minimise", "dual_state_sets"]
+__all__ = ["explore_predicates", "dual_automaton", "brzozowski_minimise", "dual_state_sets"]

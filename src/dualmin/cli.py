@@ -11,6 +11,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import replace
 
 from .alternating import (AlternatingAutomaton, afa_accepts, minimal_dfa_for_afa,
                           reachable_reverse_dfa, reverse_dfa)
@@ -55,32 +56,23 @@ def _word(raw: str, alphabet) -> tuple[str, ...]:
     return tuple(letters)
 
 
-def _print_moore_verdict(m: MooreAutomaton, value: int):
-    print(m.outputs[value])
-
-
 def _cmd_run(args) -> int:
     obj = _load(args.file, args.semiring)
+    word = _word(args.word, obj.alphabet)
     if isinstance(obj, MooreAutomaton):
-        word = _word(args.word, obj.alphabet)
-        _print_moore_verdict(obj, run(obj, word))
+        print(obj.outputs[run(obj, word)])
     elif isinstance(obj, Nfa):
-        word = _word(args.word, obj.alphabet)
         cur = obj.inits
         for a in word:
             cur = nfa_step(obj, cur, a)
         print("accept" if cur & obj.finals else "reject")
     elif isinstance(obj, WeightedAutomaton):
-        word = _word(args.word, obj.alphabet)
-        value = eval_series(obj, word)
-        print(emit_value(obj.semiring, value))
+        print(emit_value(obj.semiring, eval_series(obj, word)))
     elif isinstance(obj, AlternatingAutomaton):
-        word = _word(args.word, obj.alphabet)
         print("accept" if afa_accepts(obj, word) else "reject")
     elif isinstance(obj, Dkm):
         if obj.init is None:
             raise ValueError("this model has no initial state")
-        word = _word(args.word, obj.alphabet)
         s = obj.init
         for a in word:
             s = obj.delta[a][s]
@@ -138,7 +130,8 @@ def _cmd_minimize(args) -> int:
         elif method == "duality":
             if len(obj.outputs) != 2:
                 raise ValueError("duality minimisation of a Moore file needs two outputs")
-            emit(minimise_dkm(Dkm.from_dfa(obj), args.max_states).to_dfa(), sys.stdout)
+            minimal = minimise_dkm(Dkm.from_dfa(reach(obj)), args.max_states).to_dfa()
+            emit(replace(minimal, outputs=obj.outputs), sys.stdout)
         else:
             emit(brzozowski_minimise(obj, args.max_states), sys.stdout)
     elif isinstance(obj, WeightedAutomaton):
@@ -268,16 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="duality-based automata minimisation toolkit")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, bound=False, semiring=False, **kwargs):
+        """A verb's parser, given only the shared flags the verb reads."""
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--max-states", type=int, default=None,
-                       help="abort constructions beyond this many states")
-        p.add_argument("--semiring", default=None,
-                       help="override the semiring of a weighted file")
+        p.set_defaults(fn=fn, max_states=None)
+        if bound:
+            p.add_argument("--max-states", type=int, default=None,
+                           help="abort constructions beyond this many states")
+        if semiring:
+            p.add_argument("--semiring", default=None,
+                           help="override the semiring of a weighted file")
         return p
 
-    p = add("run", _cmd_run, help="evaluate a word")
+    p = add("run", _cmd_run, semiring=True, help="evaluate a word")
     p.add_argument("file")
     p.add_argument("-w", "--word", required=True,
                    help="letters concatenated, or comma-separated for multi-char letters")
@@ -286,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
                           ("determinize", _cmd_determinize, "subset construction"),
                           ("reach", _cmd_reach, "reachable part / reachable submodule"),
                           ("dual", _cmd_reverse, "dual automaton")):
-        p = add(name, fn, help=hlp)
+        p = add(name, fn, bound=name != "reach", semiring=True, help=hlp)
         p.add_argument("file")
 
-    p = add("minimize", _cmd_minimize, help="minimise the automaton")
+    p = add("minimize", _cmd_minimize, bound=True, semiring=True, help="minimise the automaton")
     p.add_argument("file")
     p.add_argument("--method", choices=("brzozowski", "refine", "duality"),
                    default="brzozowski")
 
-    p = add("equiv", _cmd_equiv, help="compare two automata")
+    p = add("equiv", _cmd_equiv, bound=True, semiring=True, help="compare two automata")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--max-len", type=int, default=6,
@@ -304,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-f", "--formula", required=True, help="formula like '<a><b>p'")
 
-    p = add("closure", _cmd_closure, help="trace-definable subsets of a dkm")
+    p = add("closure", _cmd_closure, bound=True, help="trace-definable subsets of a dkm")
     p.add_argument("file")
 
-    p = add("hankel", _cmd_hankel, help="rank of the truncated Hankel block")
+    p = add("hankel", _cmd_hankel, semiring=True, help="rank of the truncated Hankel block")
     p.add_argument("file")
     p.add_argument("-L", "--length", type=int, required=True)
 
-    p = add("stats", _cmd_stats, help="one-line summary of a file")
+    p = add("stats", _cmd_stats, semiring=True, help="one-line summary of a file")
     p.add_argument("file")
 
     p = add("selftest", _cmd_selftest, help="run the differential property suites")

@@ -4,20 +4,21 @@ quotient obtained from those atoms.
 
 A trace formula is a modality word followed by a single observation,
 <a1>...<ak> w; its extension is computed right to left by taking transition
-preimages of the observation's extension.  The closure of all trace-definable
-subsets is a finite family whose membership signatures partition the states
-exactly as the coarsest bisimulation does, which is what the quotient uses.
+preimages of the observation's extension.  A preimage is the dual
+automaton's predicate step, so the closure of all trace-definable subsets is
+the dual pass (`explore_predicates`) from one 0/1 predicate per observation.
+Its membership signatures partition the states exactly as the coarsest
+bisimulation does, which is what the quotient uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Mapping
 
-from .automata import (DFA_OUTPUTS, MooreAutomaton, Partition, _check_alphabet, explore,
-                       quotient_rows, stable_partition)
-from .errors import resolve_max_states
+from .automata import (DFA_OUTPUTS, MooreAutomaton, Partition, _check_alphabet, quotient_rows,
+                       stable_partition)
+from .brzozowski import _members, explore_predicates
 
 
 @dataclass(frozen=True)
@@ -88,29 +89,23 @@ def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:
 def definable_closure(k: Dkm, max_states: int | None = None) -> frozenset[frozenset[int]]:
     """Least family containing every observation extension and closed under
     transition preimages; equals the set of all trace-formula extensions."""
-    states, delta = range(k.n), k.delta
-
-    def preimage(cur, a):
-        return frozenset(compress(states, map(cur.__contains__, delta[a])))
-
-    bases = [frozenset(s for s in states if w in k.gamma[s]) for w in k.obs]
-    order, _ = explore(bases, preimage, k.alphabet, resolve_max_states(max_states),
-                       "definable closure")
-    return frozenset(order)
+    starts = [[w in g for g in k.gamma] for w in k.obs]
+    order = explore_predicates(starts, k.delta, k.alphabet, max_states, "definable closure")[0]
+    return frozenset(map(frozenset, _members(order, k.n)))
 
 
 def boolean_atoms(family: frozenset[frozenset[int]], n: int) -> Partition:
     """Atoms of the Boolean algebra generated by the family, as a state partition.
 
     Two states share an atom iff they have the same membership signature
-    across every set of the family.
+    across every set of the family.  Blocks are numbered by their least
+    state, so any fixed order of the family gives the same partition.
     """
-    ordered = sorted(family, key=sorted)
-    for subset in ordered:
+    for subset in family:
         if any(not 0 <= s < n for s in subset):
             raise ValueError("family mentions a state out of range")
     return Partition.from_signatures(
-        tuple(s in subset for subset in ordered) for s in range(n))
+        tuple(s in subset for subset in family) for s in range(n))
 
 
 def quotient_dkm(k: Dkm, part: Partition) -> Dkm:

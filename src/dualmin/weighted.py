@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 from .automata import Nfa, _check_alphabet, words_up_to
 from .errors import DimensionError, SemiringError
 from .linalg import FieldBasis, IntegerBasis
-from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_mul, mat_vec, vec_mat
+from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, vec_mat
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ class RestrictedWA:
     """A weighted automaton together with the change of coordinates that embeds
     its states back into the space it was carved out of.
 
-    `basis` is the canonical basis of the immediate restriction; `embedding`
-    has one row per restricted state expressed in the original ambient space
-    (for a composed pipeline the embeddings are multiplied through).
+    `basis` is the canonical basis of the restriction; `embedding` has one row
+    per restricted state, in the coordinates of the automaton that
+    reach_restrict was given.
     """
 
     automaton: WeightedAutomaton
@@ -148,11 +148,14 @@ def minimise_wa(w: WeightedAutomaton) -> RestrictedWA:
     exactly; over a field the resulting dimension is the Hankel rank of the
     series, and over Z it never exceeds the original dimension (submodules of
     free finitely generated modules over a PID are free of smaller rank).
+
+    The result is the second restriction, so its `embedding` maps into the
+    coordinates of first = reach_restrict(dual_wa(w)): for every word u,
+    mat_vec(first.embedding, v_u) == vec_mat(v'_u, embedding), where v_u and
+    v'_u are the forward vectors of w and of the result after reading u.
     """
     first = reach_restrict(dual_wa(w))
-    second = reach_restrict(dual_wa(first.automaton))
-    embedding = mat_mul(second.embedding, first.embedding)
-    return RestrictedWA(second.automaton, second.basis, embedding)
+    return reach_restrict(dual_wa(first.automaton))
 
 
 def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:

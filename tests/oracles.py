@@ -6,7 +6,8 @@ paths, ranks and echelon forms by plain Gaussian elimination, Hermite normal
 forms by whole-matrix elimination, determinants by permutation expansion,
 AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
-predicates kept as tuples, and emitted text by json.dumps.
+predicates kept as tuples, the definable closure of a Kripke model by
+frozenset preimages, and emitted text by json.dumps.
 """
 
 import ast
@@ -266,3 +267,20 @@ def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
                              m.state_names)
     return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(phi[m.init] for phi in order), m.outputs, names)
+
+
+def closure_by_preimages(k) -> frozenset:
+    """The definable closure of a Kripke model: the observation extensions
+    closed under transition preimages, each set a frozenset, by a plain
+    worklist."""
+    states = range(k.n)
+    found = {frozenset(s for s in states if w in k.gamma[s]) for w in k.obs}
+    todo = list(found)
+    while todo:
+        cur = todo.pop()
+        for a in k.alphabet:
+            pre = frozenset(s for s in states if k.delta[a][s] in cur)
+            if pre not in found:
+                found.add(pre)
+                todo.append(pre)
+    return frozenset(found)

@@ -1,12 +1,13 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from dualmin import iso_check, parse, reverse
+from dualmin import MooreAutomaton, emit, iso_check, parse, reverse
 from dualmin.cli import main, parse_trace_formula
 
 
@@ -43,6 +44,53 @@ def test_minimize_methods_agree_on_moore(capsys, data_dir):
         assert rc == 0
         outputs.append(parse(out))
     assert iso_check(outputs[0], outputs[1])
+
+
+def _minimise_by_every_method(capsys, path):
+    results = []
+    for method in ("brzozowski", "refine", "duality"):
+        rc, out, _ = invoke(capsys, "minimize", str(path), "--method", method)
+        assert rc == 0
+        results.append(parse(out))
+    return results
+
+
+def test_duality_quotients_only_the_reachable_part(capsys, tmp_path):
+    # x loops on a; y and z swap on a but cannot be reached
+    path = tmp_path / "unreachable.json"
+    path.write_text(json.dumps({
+        "type": "dfa", "alphabet": ["a"], "states": ["x", "y", "z"], "initial": "x",
+        "transitions": {"a": {"x": "x", "y": "z", "z": "y"}}, "finals": ["y"]}))
+    assert [r.n for r in _minimise_by_every_method(capsys, path)] == [1, 1, 1]
+
+
+def test_duality_keeps_moore_labels(capsys, tmp_path):
+    path = tmp_path / "lohi.json"
+    path.write_text(json.dumps({
+        "type": "moore", "alphabet": ["a"], "states": ["s0", "s1", "s2"], "initial": "s0",
+        "transitions": {"a": {"s0": "s1", "s1": "s0", "s2": "s2"}},
+        "outputs": ["lo", "hi"], "out": {"s0": "lo", "s1": "hi", "s2": "hi"}}))
+    rc, out, _ = invoke(capsys, "minimize", str(path), "--method", "duality")
+    assert rc == 0 and json.loads(out)["type"] == "moore"
+    assert parse(out).outputs == ("lo", "hi")
+
+
+def test_minimize_methods_agree_with_unreachable_states(capsys, tmp_path):
+    rng = random.Random(11)
+    path = tmp_path / "m.json"
+    for i in range(200):
+        # states n.. are never entered from 0..n-1, so they are unreachable
+        n, extra = rng.randint(1, 6), rng.randint(1, 3)
+        alphabet = ("a", "b")[:rng.randint(1, 2)]
+        trans = {a: tuple(rng.randrange(n) for _ in range(n))
+                 + tuple(rng.randrange(n + extra) for _ in range(extra)) for a in alphabet}
+        outputs = ("reject", "accept") if i % 2 else ("lo", "hi")
+        out = tuple(rng.randrange(2) for _ in range(n + extra))
+        m = MooreAutomaton(n + extra, alphabet, trans, rng.randrange(n), out, outputs)
+        path.write_text(emit(m))
+        brz, ref, dual = _minimise_by_every_method(capsys, path)
+        assert iso_check(brz, ref) and iso_check(brz, dual)
+        assert dual.n <= n and dual.outputs == outputs
 
 
 def test_equiv_verdicts(capsys, data_dir):
@@ -261,6 +309,55 @@ def test_every_construction_honours_max_states(capsys, data_dir, argv):
     rc, out, err = invoke(capsys, verb, str(data_dir / name), *rest, "--max-states", "1")
     assert rc == 3 and out == ""
     assert "max-states" in err
+
+
+def test_closure_bound_is_the_closure_size(capsys, data_dir):
+    path = str(data_dir / "dkm_ends_with_a.json")
+    rc, out, _ = invoke(capsys, "closure", path, "--max-states", "3")
+    assert rc == 0 and len(out.splitlines()) == 3
+    rc, out, err = invoke(capsys, "closure", path, "--max-states", "2")
+    assert rc == 3 and out == "" and "max-states" in err
+
+
+def _argv(data_dir, argv):
+    return [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+
+
+VERBS = [
+    ("run", "ends_with_a.json", "-w", "a"),
+    ("reverse", "ends_with_a.json"),
+    ("determinize", "nfa_small.json"),
+    ("reach", "ends_with_a.json"),
+    ("dual", "ends_with_a.json"),
+    ("minimize", "ends_with_a.json"),
+    ("equiv", "ends_with_a.json", "ends_with_a_min.json"),
+    ("trace-eval", "dkm_ends_with_a.json", "-f", "p"),
+    ("closure", "dkm_ends_with_a.json"),
+    ("hankel", "wa_swap.json", "-L", "2"),
+    ("stats", "ends_with_a.json"),
+    ("selftest", "--cases", "1"),
+]
+IGNORES_MAX_STATES = ("run", "reach", "trace-eval", "hankel", "stats", "selftest")
+IGNORES_SEMIRING = ("trace-eval", "closure", "selftest")
+
+
+@pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+def test_shared_flags_only_on_the_verbs_that_read_them(capsys, data_dir, argv):
+    for flag, value, ignored in (("--max-states", "5", IGNORES_MAX_STATES),
+                                 ("--semiring", "int", IGNORES_SEMIRING)):
+        rc, out, err = invoke(capsys, *_argv(data_dir, argv), flag, value)
+        if argv[0] in ignored:
+            assert rc == 2 and out == "" and flag in err
+        else:
+            assert rc != 2, err
+
+
+@pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+def test_bad_max_states_env_is_a_usage_error_on_every_verb(monkeypatch, capsys, data_dir,
+                                                          argv):
+    monkeypatch.setenv("DUALMIN_MAX_STATES", "abc")
+    rc, out, err = invoke(capsys, *_argv(data_dir, argv))
+    assert rc == 2 and out == "" and "DUALMIN_MAX_STATES" in err
 
 
 def test_reverse_nfa_file(capsys, data_dir):

@@ -8,7 +8,7 @@ from dualmin import (Dkm, NonCongruenceError, Partition, TraceFormula,
                      quotient_dkm)
 from dualmin.sampling import random_dfa, random_dkm
 
-from oracles import ends_with_a_dfa, words
+from oracles import closure_by_preimages, ends_with_a_dfa, words
 
 
 def ends_with_a_dkm() -> Dkm:
@@ -72,6 +72,44 @@ def test_closure_matches_dual_state_sets():
     for _ in range(50):
         m = random_dfa(rng, max_n=6)
         assert definable_closure(Dkm.from_dfa(m)) == dual_state_sets(m)
+
+
+def _closure_case(rng, i):
+    """A seeded model of 0-6 states (0 and 1 for the first two) and 1-3
+    observations; every fourth one has an observation that holds nowhere."""
+    n = (0, 1)[i] if i < 2 else rng.randint(0, 6)
+    alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+    obs = tuple(f"p{j}" for j in range(rng.randint(1, 3)))
+    never = obs[-1] if i % 4 == 3 else None
+    gamma = tuple(frozenset(w for w in obs if w != never and rng.random() < 0.5)
+                  for _ in range(n))
+    delta = {a: tuple(rng.randrange(n) for _ in range(n)) for a in alphabet}
+    return Dkm(n, alphabet, obs, gamma, delta, rng.randrange(n) if n else None)
+
+
+def test_closure_matches_preimage_oracle():
+    rng = random.Random(10)
+    sizes = set()
+    for i in range(320):
+        k = _closure_case(rng, i)
+        sizes.add(k.n)
+        family = definable_closure(k)
+        assert family == closure_by_preimages(k)
+        # the atoms do not depend on the order of the family
+        by_sorted = Partition.from_signatures(
+            tuple(s in subset for subset in sorted(family, key=sorted)) for s in range(k.n))
+        assert boolean_atoms(family, k.n) == by_sorted
+        if k.n:
+            assert by_sorted == bisimulation_oracle(k)
+    assert sizes == set(range(7))
+
+
+def test_closure_of_empty_and_one_state_models():
+    empty = Dkm(0, ("a",), ("p", "q"), (), {"a": ()})
+    assert definable_closure(empty) == frozenset({frozenset()})
+    assert definable_closure(Dkm(0, ("a",), (), (), {"a": ()})) == frozenset()
+    one = Dkm(1, ("a", "b"), ("p", "q"), (frozenset({"p"}),), {"a": (0,), "b": (0,)}, 0)
+    assert definable_closure(one) == frozenset({frozenset({0}), frozenset()})
 
 
 def _decode_dual_name(name, index_of):

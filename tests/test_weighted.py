@@ -134,6 +134,22 @@ def test_reach_restrict_embedding_consistency():
                 assert vec_mat(small, r.embedding) == ambient
 
 
+def test_minimise_embedding_meets_the_first_pass():
+    # minimise_wa's embedding maps into the coordinates of its first pass
+    rng = random.Random(3)
+    for i in range(400):
+        w = random_wa(rng, (INT, RATIONAL)[i % 2])
+        first = reach_restrict(dual_wa(w))
+        minimal = minimise_wa(w)
+        assert minimal.embedding.n_cols == first.dimension
+        for word in words(w.alphabet, 3):
+            ambient, small = w.init, minimal.automaton.init
+            for a in word:
+                ambient = mat_vec(w.mats[a], ambient)
+                small = mat_vec(minimal.automaton.mats[a], small)
+            assert mat_vec(first.embedding, ambient) == vec_mat(small, minimal.embedding)
+
+
 def test_minimise_swap_example():
     m = minimise_wa(swap_wa())
     assert m.dimension == 1
