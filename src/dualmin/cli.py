@@ -135,15 +135,17 @@ def _cmd_minimize(args) -> int:
         else:
             emit(brzozowski_minimise(obj, args.max_states), sys.stdout)
     elif isinstance(obj, WeightedAutomaton):
+        if method == "refine":
+            raise ValueError("refine applies to deterministic automata, not weighted ones")
         if obj.semiring is BOOL:
             # join-semilattices are not PIDs: determinise classically, then double reversal
             emit(brzozowski_minimise(determinise(bool_wa_to_nfa(obj), args.max_states),
                                      args.max_states), sys.stdout)
-        elif method == "refine":
-            raise ValueError("refine applies to deterministic automata, not weighted ones")
         else:
             emit(minimise_wa(obj), sys.stdout)
     elif isinstance(obj, AlternatingAutomaton):
+        if method == "refine":
+            raise ValueError("refine applies to deterministic automata, not alternating ones")
         emit(minimal_dfa_for_afa(obj, max_states=args.max_states), sys.stdout)
     elif isinstance(obj, Dkm):
         if method == "refine":

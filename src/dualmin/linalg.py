@@ -1,49 +1,56 @@
-"""Exact linear algebra over a Euclidean domain: the rationals (reduced row
-echelon form) and the integers (row-style Hermite normal form).
+"""Exact linear algebra over the rationals (reduced row echelon form) and the
+integers (row-style Hermite normal form).
 
 These bases witness reachable submodules of weighted automata: over a field a
 subspace always has a canonical echelon basis, and over Z every sublattice of
 Z^n has a canonical HNF basis, which is what makes minimisation over a
-principal ideal domain effective.  Both are one object, an echelon basis with
-the entries above each pivot reduced, kept by one reduction and one
-incremental insertion; the two classes differ only in how they read a scalar,
-divide, and normalise a pivot.
+principal ideal domain effective.
 
 Canonical forms used throughout:
   * FieldBasis: pivots strictly increasing, pivot entries 1, pivot columns
     zero elsewhere, no zero rows.
   * IntegerBasis: pivots strictly increasing, pivot entries positive, entries
     above a pivot reduced into [0, pivot), no zero rows.
+
+All arithmetic is on Python ints.  FieldBasis keeps its rows fraction-free,
+as integer numerators over one common denominator (Bareiss, Math. Comp.
+1968; Cohen, A Course in Computational Algebraic Number Theory, 2.2): a
+vector is read as integer numerators over the lcm of its denominators, its
+coordinates are its entries on the pivot columns, membership is one integer
+combination, and an insertion clears the new pivot column from the other
+rows in integers.  Its `rows` are the same canonical Fraction tuples, built
+on first use, so everything emitted is unchanged.
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from math import gcd
+from operator import mul
 
 from .errors import DimensionError
-from .semiring import INT, RATIONAL, Matrix
+from .semiring import INT, RATIONAL, Matrix, over_lcm
 
 
 def _lead(row) -> int | None:
     return next((j for j, x in enumerate(row) if x), None)
 
 
-@dataclass(frozen=True)
-class _EchelonBasis:
-    """Canonical echelon basis of a submodule of D^ambient, D a Euclidean domain.
+def _check_length(v, ambient: int):
+    if len(v) != ambient:
+        raise DimensionError(f"vector of {len(v)} in ambient {ambient}")
 
-    A subclass fixes the scalar rules: `scalar` reads an entry, `divide` is
-    the quotient that reduces an entry modulo a pivot, and `normalise(row, p)`
-    scales a row to a canonical pivot at column p.  It binds `coordinates`
-    and `insert` in its own class body, so that each class owns them (the
-    benchmark's tracing wraps them per class).
-    """
+
+@dataclass(frozen=True)
+class IntegerBasis:
+    """Canonical HNF basis of a sublattice of Z^ambient; empty rows = zero lattice."""
 
     ambient: int
-    rows: tuple[tuple, ...] = ()
+    rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         for row in self.rows:
@@ -55,76 +62,55 @@ class _EchelonBasis:
         return len(self.rows)
 
     def matrix(self) -> Matrix:
-        return Matrix(self.semiring, len(self.rows), self.ambient, self.rows)
+        return Matrix(INT, len(self.rows), self.ambient, self.rows)
 
     def _reduce(self, v) -> tuple[list, list]:
         """(c, v - c * rows), reducing v pivot by pivot."""
-        if len(v) != self.ambient:
-            raise DimensionError(f"vector of {len(v)} in ambient {self.ambient}")
-        divide = self.divide
-        residue = [self.scalar(x) for x in v]
+        _check_length(v, self.ambient)
+        residue = [int(x) for x in v]
         coeffs = []
         for row in self.rows:
             p = _lead(row)
-            q = residue[p] and divide(residue[p], row[p])
+            q = residue[p] // row[p]
             coeffs.append(q)
             if q:
                 residue[p:] = [x - q * y for x, y in zip(residue[p:], row[p:])]
         return coeffs, residue
 
-    def _coordinates(self, v) -> tuple | None:
-        """Coefficients c with c * rows = v, or None when v is outside the module."""
+    def coordinates(self, v) -> tuple | None:
+        """Coefficients c with c * rows = v, or None when v is outside the lattice."""
         coeffs, residue = self._reduce(v)
         return None if any(residue) else tuple(coeffs)
 
-    def _insert(self, v):
-        """Smallest module containing this one and v; changed=False iff v was a member."""
+    def insert(self, v) -> tuple["IntegerBasis", bool]:
+        """Smallest lattice containing this one and v; changed=False iff v was a member."""
         residue = self._reduce(v)[1]
         lead = _lead(residue)
         if lead is None:
             return self, False
-        divide, normalise = self.divide, self.normalise
         rows = list(self.rows)
         pivots = [_lead(row) for row in rows]
         while lead is not None:
             i = bisect_left(pivots, lead)
             if i == len(pivots) or pivots[i] != lead:
-                rows.insert(i, normalise(residue, lead))
+                rows.insert(i, _positive(residue, lead))
                 pivots.insert(i, lead)
                 break
-            # Euclid against the row with the same pivot; over a field the
-            # reduced residue is zero on every pivot column, so only Z gets here
+            # Euclid against the row with the same pivot
             row = rows[i]
             while residue[lead]:
-                q = divide(row[lead], residue[lead])
+                q = row[lead] // residue[lead]
                 row, residue = residue, [x - q * y for x, y in zip(row, residue)]
-            rows[i] = normalise(row, lead)
+            rows[i] = _positive(row, lead)
             lead = _lead(residue)
         # reduce the entries above each pivot, left to right
         for k, p in enumerate(pivots):
             pivot_row = rows[k]
             for i in range(k):
-                if rows[i][p]:
-                    q = divide(rows[i][p], pivot_row[p])
-                    if q:
-                        rows[i] = tuple(x - q * y for x, y in zip(rows[i], pivot_row))
-        return type(self)(self.ambient, tuple(rows)), True
-
-
-@dataclass(frozen=True)
-class IntegerBasis(_EchelonBasis):
-    """Canonical HNF basis of a sublattice of Z^ambient; empty rows = zero lattice."""
-
-    semiring = INT
-    scalar = int
-    divide = operator.floordiv
-
-    @staticmethod
-    def normalise(row, p) -> tuple[int, ...]:
-        return tuple(row) if row[p] > 0 else tuple(-x for x in row)
-
-    coordinates = _EchelonBasis._coordinates
-    insert = _EchelonBasis._insert
+                q = rows[i][p] // pivot_row[p]
+                if q:
+                    rows[i] = tuple(x - q * y for x, y in zip(rows[i], pivot_row))
+        return IntegerBasis(self.ambient, tuple(rows)), True
 
     @classmethod
     def from_rows(cls, ambient: int, rows) -> "IntegerBasis":
@@ -134,21 +120,93 @@ class IntegerBasis(_EchelonBasis):
         return basis
 
 
+def _positive(row, p) -> tuple[int, ...]:
+    return tuple(row) if row[p] > 0 else tuple(-x for x in row)
+
+
 @dataclass(frozen=True)
-class FieldBasis(_EchelonBasis):
-    """Canonical reduced-echelon basis of a subspace of Q^ambient."""
+class FieldBasis:
+    """Canonical reduced-echelon basis of a subspace of Q^ambient.
 
-    semiring = RATIONAL
-    scalar = Fraction
-    divide = operator.truediv
+    Row k of the basis is nums[k] / den: den > 0 is the least common
+    denominator of all the entries (gcd(den, every numerator) == 1), so
+    nums[k] is den at its pivot.  This is canonical, so == compares subspaces.
+    """
 
-    @staticmethod
-    def normalise(row, p) -> tuple[Fraction, ...]:
-        pivot = row[p]
-        return tuple(x / pivot for x in row)
+    ambient: int
+    nums: tuple[tuple[int, ...], ...] = ()
+    den: int = 1
 
-    coordinates = _EchelonBasis._coordinates
-    insert = _EchelonBasis._insert
+    @property
+    def rank(self) -> int:
+        return len(self.nums)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fraction tuples, built on first use."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.nums)
+
+    def matrix(self) -> Matrix:
+        return Matrix(RATIONAL, self.rank, self.ambient, self.rows)
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(_lead(row) for row in self.nums)
+
+    @cached_property
+    def free(self) -> tuple[int, ...]:
+        """The columns that hold no pivot, in order."""
+        return tuple(sorted(set(range(self.ambient)).difference(self.pivots)))
+
+    def _split(self, v) -> tuple[list[int], int, list[int]]:
+        """(x, d, residue) with v == x / d.
+
+        Over a field in RREF the coordinates of v are its entries on the pivot
+        columns, so den * x - sum_k x[p_k] * nums[k] is den * d times v minus
+        the combination they give.  That is zero on every pivot column, and
+        residue is its entries on the free columns.
+        """
+        _check_length(v, self.ambient)
+        x, d = over_lcm(v)
+        if not self.nums:
+            return x, d, x
+        coeffs = [x[p] for p in self.pivots]
+        den = self.den
+        cols = list(zip(*self.nums))
+        return x, d, [den * x[j] - sum(map(mul, coeffs, cols[j])) for j in self.free]
+
+    def coordinates(self, v) -> tuple | None:
+        """Coefficients c with c * rows = v, or None when v is outside the span."""
+        x, d, residue = self._split(v)
+        if any(residue):
+            return None
+        return tuple(Fraction(x[p], d) for p in self.pivots)
+
+    def insert(self, v) -> tuple["FieldBasis", bool]:
+        """Smallest subspace containing this one and v; changed=False iff v was a member."""
+        residue = self._split(v)[2]
+        if not any(residue):
+            return self, False
+        new = [0] * self.ambient
+        for j, r in zip(self.free, residue):
+            new[j] = r
+        q = _lead(new)
+        g = gcd(*residue)
+        if new[q] < 0:
+            g = -g
+        new = [r // g for r in new]
+        # row k becomes nums[k] / den - (nums[k][q] / den) * (new / c), over den * c
+        c, den = new[q], self.den
+        nums = [tuple(c * x - row[q] * y for x, y in zip(row, new)) if row[q]
+                else tuple(c * x for x in row) for row in self.nums]
+        nums.insert(bisect_left(self.pivots, q), tuple(den * y for y in new))
+        den *= c
+        g = gcd(den, *chain.from_iterable(nums))
+        if g > 1:
+            den //= g
+            nums = [tuple(x // g for x in row) for row in nums]
+        return FieldBasis(self.ambient, tuple(nums), den), True
 
 
 def hnf(a: Matrix) -> tuple[Matrix, Matrix]:

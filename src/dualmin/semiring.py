@@ -5,6 +5,13 @@ integers, exact rationals, and the tropical (min, +) semiring.  Everything
 is computed exactly; no floating point enters any arithmetic path (the
 tropical infinity is a distinguished absorbing value that never mixes into
 finite sums).
+
+Over Z and Q, `dot`, `mat_vec` and `vec_mat` run on Python ints: a rational
+vector is read as integer numerators over the lcm of its denominators, a
+rational matrix as integer rows over one common denominator (computed once
+per Matrix), and each output entry is one `sum(map(mul, ...))` and, over Q,
+one Fraction.  The Boolean and tropical semirings use the generic
+`Semiring.dot`, one `add` and one `mul` per entry.
 """
 
 from __future__ import annotations
@@ -12,11 +19,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Any, Iterable
 
 from .errors import DimensionError, SemiringError
 
 TROPICAL_INF = float("inf")
+
+
+def over_lcm(v) -> tuple[list[int], int]:
+    """(nums, d) with v[i] == nums[i] / d for every i, d the lcm of the
+    denominators of v (entries are Fractions or ints)."""
+    d = lcm(*[x.denominator for x in v])
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 class Semiring:
@@ -142,6 +161,11 @@ class IntegerRing(Semiring):
     def sample(self, rng):
         return rng.randint(-20, 20)
 
+    def dot(self, u, v):
+        if len(u) != len(v):
+            raise DimensionError(f"dot: {len(u)} vs {len(v)}")
+        return sum(map(mul, u, v))
+
 
 class RationalField(Semiring):
     name = "rational"
@@ -182,6 +206,12 @@ class RationalField(Semiring):
 
     def sample(self, rng):
         return Fraction(rng.randint(-12, 12), rng.randint(1, 9))
+
+    def dot(self, u, v):
+        if len(u) != len(v):
+            raise DimensionError(f"dot: {len(u)} vs {len(v)}")
+        (nu, du), (nv, dv) = over_lcm(u), over_lcm(v)
+        return Fraction(sum(map(mul, nu, nv)), du * dv)
 
 
 class TropicalSemiring(Semiring):
@@ -284,6 +314,14 @@ class Matrix:
         return Matrix(self.semiring, self.n_cols, self.n_rows,
                       tuple(self.col(j) for j in range(self.n_cols)))
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den) with entries[i][j] == rows[i][j] / den, den the lcm of
+        every entry's denominator; computed on first use and kept."""
+        den = lcm(*[x.denominator for row in self.entries for x in row])
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                     for row in self.entries), den
+
 
 def _check_same_semiring(a: Semiring, b: Semiring):
     if a is not b:
@@ -306,6 +344,13 @@ def mat_vec(a: Matrix, v: tuple) -> tuple:
     if a.n_cols != len(v):
         raise DimensionError(f"mat_vec: {a.n_rows}x{a.n_cols} times vector of {len(v)}")
     sr = a.semiring
+    if sr is INT:
+        return tuple(sum(map(mul, row, v)) for row in a.entries)
+    if sr is RATIONAL:
+        rows, den = a.integer_rows
+        nums, d = over_lcm(v)
+        den *= d
+        return tuple(Fraction(sum(map(mul, row, nums)), den) for row in rows)
     return tuple(sr.dot(row, v) for row in a.entries)
 
 
@@ -314,6 +359,14 @@ def vec_mat(v: tuple, a: Matrix) -> tuple:
     if a.n_rows != len(v):
         raise DimensionError(f"vec_mat: vector of {len(v)} times {a.n_rows}x{a.n_cols}")
     sr = a.semiring
+    if sr is INT:
+        return tuple(sum(map(mul, v, a.col(j))) for j in range(a.n_cols))
+    if sr is RATIONAL:
+        rows, den = a.integer_rows
+        nums, d = over_lcm(v)
+        den *= d
+        return tuple(Fraction(sum(map(mul, nums, (row[j] for row in rows))), den)
+                     for j in range(a.n_cols))
     return tuple(sr.dot(v, a.col(j)) for j in range(a.n_cols))
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms: languages
 are compared by enumerating words, weighted values by summing over explicit
-paths, ranks and echelon forms by plain Gaussian elimination, Hermite normal
+paths, matrix and vector products by one semiring add and mul per entry,
+ranks and echelon forms by plain Gaussian elimination, Hermite normal
 forms by whole-matrix elimination, determinants by permutation expansion,
 AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
@@ -64,6 +65,34 @@ def wa_eval_paths(w: WeightedAutomaton, word):
             value = sr.mul(w.mats[a].entries[path[i + 1]][path[i]], value)
         total = sr.add(total, sr.mul(w.final[path[-1]], value))
     return total
+
+
+def dot_by_entries(sr, u, v):
+    """Dot product with one sr.mul and one sr.add per entry (the generic
+    route, which the library keeps only for the Boolean and tropical
+    semirings)."""
+    if len(u) != len(v):
+        raise ValueError(f"dot: {len(u)} vs {len(v)}")
+    acc = sr.zero()
+    for a, b in zip(u, v):
+        acc = sr.add(acc, sr.mul(a, b))
+    return acc
+
+
+def mat_vec_by_entries(a, v) -> tuple:
+    return tuple(dot_by_entries(a.semiring, row, v) for row in a.entries)
+
+
+def vec_mat_by_entries(v, a) -> tuple:
+    return tuple(dot_by_entries(a.semiring, v, a.col(j)) for j in range(a.n_cols))
+
+
+def series_by_entries(w: WeightedAutomaton, word):
+    """final * t_ak * ... * t_a1 * init through the per-entry products."""
+    v = w.init
+    for a in word:
+        v = mat_vec_by_entries(w.mats[a], v)
+    return dot_by_entries(w.semiring, w.final, v)
 
 
 def afa_accepts_recursive(a: AlternatingAutomaton, word) -> bool:

@@ -150,6 +150,25 @@ def test_minimize_boolean_weighted_routes_through_determinisation(capsys, data_d
     assert json.loads(out)["type"] == "dfa"
 
 
+@pytest.mark.parametrize("name, kind", [("wa_rational.json", "weighted"),
+                                        ("wa_bool.json", "weighted"),
+                                        ("afa_ends_with_a.json", "alternating")])
+def test_minimize_refine_is_refused_where_it_does_not_apply(capsys, data_dir, name, kind):
+    rc, out, err = invoke(capsys, "minimize", str(data_dir / name), "--method", "refine")
+    assert rc == 1 and out == ""
+    assert err == f"error: refine applies to deterministic automata, not {kind} ones\n"
+
+
+@pytest.mark.parametrize("name", ["wa_bool.json", "afa_ends_with_a.json"])
+def test_minimize_brzozowski_and_duality_agree(capsys, data_dir, name):
+    outs = set()
+    for method in ("brzozowski", "duality"):
+        rc, out, _ = invoke(capsys, "minimize", str(data_dir / name), "--method", method)
+        assert rc == 0
+        outs.add(out)
+    assert len(outs) == 1 and json.loads(outs.pop())["type"] == "dfa"
+
+
 def test_hankel(capsys, data_dir):
     rc, out, _ = invoke(capsys, "hankel", str(data_dir / "wa_swap.json"), "-L", "2")
     assert rc == 0 and out.strip() == "1"

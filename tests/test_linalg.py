@@ -263,3 +263,45 @@ def test_field_basis_matches_gauss_jordan_after_each_insert():
             assert basis.rows == expected
             assert changed == (expected != before)
             before = expected
+
+
+def test_field_basis_coordinates_match_gauss_jordan():
+    # rank-deficient and duplicate rows, plain ints among the Fractions, and
+    # denominators above 2^64; a probe is in the span iff it adds no rank
+    rng = random.Random(53)
+
+    def entry(r):
+        kind = r.random()
+        if kind < 0.2:
+            return r.randint(-9, 9)
+        if kind < 0.4:
+            return Fraction(r.randint(-2**70, 2**70), r.randint(2**64 + 1, 2**66))
+        return Fraction(r.randint(-9, 9), r.randint(1, 4))
+
+    for _ in range(300):
+        rows, n = _awkward_rows(rng, entry)
+        basis = FieldBasis(n)
+        for row in rows:
+            basis, _ = basis.insert(row)
+        assert basis.rows == rref(rows, n)
+        assert basis.rank == len(basis.rows)
+        for probe in ([entry(rng) for _ in range(n)], [0] * n, *rows[:2]):
+            c = coordinates(basis, probe)
+            if gauss_rank(rows + [probe]) > basis.rank:
+                assert c is None
+            else:
+                combo = [Fraction(0)] * n
+                for wgt, row in zip(c, basis.rows):
+                    combo = [x + wgt * y for x, y in zip(combo, row)]
+                assert combo == [Fraction(x) for x in probe]
+                assert all(type(x) is Fraction for x in c)
+
+
+def test_field_basis_dimension_mismatch_raises():
+    basis, _ = FieldBasis(2).insert((1, 0))
+    with pytest.raises(DimensionError):
+        basis.insert((1, 2, 3))
+    with pytest.raises(DimensionError):
+        basis.coordinates((1,))
+    with pytest.raises(DimensionError):
+        FieldBasis(2).coordinates((1,))

@@ -7,6 +7,8 @@ from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF, DimensionError
                      Matrix, SemiringError, check_semiring_laws, mat_mul, mat_vec,
                      semiring_by_name, vec_mat)
 
+from oracles import dot_by_entries, mat_vec_by_entries, vec_mat_by_entries
+
 
 @pytest.mark.parametrize("name", ["bool", "int", "rational", "tropical"])
 def test_laws_hold(name):
@@ -135,3 +137,50 @@ def test_mat_mul_associative_sampled():
 def test_unknown_semiring_name():
     with pytest.raises(SemiringError):
         semiring_by_name("nimber")
+
+
+def _entry(rng, sr, big):
+    """An int over Z; over Q a Fraction, a plain int, or (when big) a
+    Fraction whose denominator exceeds 2^64."""
+    if sr is INT:
+        return rng.randint(-2**70, 2**70) if big else rng.randint(-9, 9)
+    kind = rng.random()
+    if kind < 0.2:
+        return rng.randint(-9, 9)
+    if big and kind < 0.6:
+        return Fraction(rng.randint(-2**80, 2**80), rng.randint(2**64 + 1, 2**66))
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+
+def _vector(rng, sr, n, big):
+    if rng.random() < 0.15:
+        return (0,) * n if rng.random() < 0.5 else (sr.zero(),) * n
+    return tuple(_entry(rng, sr, big) for _ in range(n))
+
+
+def test_integer_kernels_match_per_entry_products():
+    rng = random.Random(13)
+    shapes = [(0, 0), (1, 1), (0, 3), (3, 0)]
+    for sr in (INT, RATIONAL):
+        for case in range(300):
+            rows, cols = shapes[case] if case < len(shapes) else (rng.randint(0, 6),
+                                                                   rng.randint(0, 6))
+            big = case % 3 == 0
+            a = Matrix(sr, rows, cols, tuple(_vector(rng, sr, cols, big) for _ in range(rows)))
+            v, u = _vector(rng, sr, cols, big), _vector(rng, sr, rows, big)
+            for fast, slow in ((mat_vec(a, v), mat_vec_by_entries(a, v)),
+                               (vec_mat(u, a), vec_mat_by_entries(u, a)),
+                               ((sr.dot(u, u),), (dot_by_entries(sr, u, u),))):
+                assert fast == slow
+                assert all(type(x) is type(sr.zero()) for x in fast)
+
+
+def test_integer_kernels_check_lengths():
+    for sr in (INT, RATIONAL):
+        a = Matrix(sr, 2, 3, ((sr.one(),) * 3,) * 2)
+        with pytest.raises(DimensionError):
+            mat_vec(a, (1, 2))
+        with pytest.raises(DimensionError):
+            vec_mat((1, 2, 3), a)
+        with pytest.raises(DimensionError):
+            sr.dot((1,), (1, 2))

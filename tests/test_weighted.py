@@ -9,7 +9,7 @@ from dualmin import (BOOL, INT, RATIONAL, TROPICAL, SemiringError,
                      reach_restrict, vec_mat)
 from dualmin.sampling import random_nfa, random_wa
 
-from oracles import gauss_rank, nfa_accepts_paths, wa_eval_paths, words
+from oracles import gauss_rank, nfa_accepts_paths, series_by_entries, wa_eval_paths, words
 
 
 def swap_wa() -> WeightedAutomaton:
@@ -230,3 +230,47 @@ def test_minimise_rejects_unsupported_semirings():
 def test_build_validates_shapes():
     with pytest.raises(Exception):
         WeightedAutomaton.build(("a",), INT, {"a": [[1, 2], [3, 4]]}, [1], [1])
+
+
+def _dense_wa(rng, sr, n, inner):
+    """A dense automaton of dimension n; with `inner`, each matrix is a
+    product of n x inner and inner x n factors, so the reachable space has
+    dimension at most 1 + 2 * inner."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if sr is RATIONAL \
+            else rng.randint(-3, 3)
+
+    def block(rows, cols):
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    mats = {}
+    for a in "ab":
+        if inner:
+            left, right = block(n, inner), block(inner, n)
+            mats[a] = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                       for row in left]
+        else:
+            mats[a] = block(n, n)
+    return WeightedAutomaton.build(("a", "b"), sr, mats, block(1, n)[0], block(1, n)[0])
+
+
+def test_restrictions_keep_the_series_of_dense_automata():
+    # over Q and Z, dimensions 6 to 10, half of them rank-deficient.  A path
+    # sum costs n^(k+1) products for a word of length k, so on the inputs
+    # wa_eval_paths checks the words up to length 2 and the per-entry route
+    # every word up to length 5; results of dimension 3 or less are checked
+    # by path sums on every word up to length 5.
+    rng = random.Random(61)
+    for sr in (INT, RATIONAL):
+        for n in range(6, 11):
+            w = _dense_wa(rng, sr, n, inner=1 if n % 2 else 0)
+            series = {word: series_by_entries(w, word) for word in words(w.alphabet, 5)}
+            for word in words(w.alphabet, 2):
+                assert wa_eval_paths(w, word) == series[word]
+            for result in (reach_restrict(w).automaton, minimise_wa(w).automaton):
+                assert result.n <= (n if n % 2 == 0 else 3)
+                for word, value in series.items():
+                    assert series_by_entries(result, word) == value
+                    assert eval_series(result, word) == value
+                    if result.n <= 3:
+                        assert wa_eval_paths(result, word) == value
