@@ -310,19 +310,11 @@ def partition_refinement_minimise(m: MooreAutomaton) -> MooreAutomaton:
                                 part.block_of[m.init], out, m.outputs))
 
 
-def canonical_form(m: MooreAutomaton) -> MooreAutomaton:
-    """BFS-canonical representative (drops state names)."""
-    r = reach(m)
-    return MooreAutomaton(r.n, r.alphabet, dict(r.trans), r.init, r.out, r.outputs)
-
-
 def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
-    """True iff a bijection respecting init, transitions and outputs exists.
-
-    Both automata are reduced to BFS-canonical form first, so the check is a
-    structural equality.
-    """
-    return canonical_form(m1) == canonical_form(m2)
+    """True iff a bijection respecting init, transitions and outputs maps one
+    reachable part onto the other: `reach` numbers states canonically (BFS
+    order), and state names take no part in ==."""
+    return reach(m1) == reach(m2)
 
 
 def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:

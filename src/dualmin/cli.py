@@ -23,7 +23,7 @@ from .dkm import Dkm, TraceFormula, bisimulation_oracle, definable_closure, eval
 from .errors import FormatError, StateGuardError, resolve_max_states
 from .io import emit, emit_value, parse
 from .selftest import run_selftest
-from .semiring import BOOL, semiring_by_name
+from .semiring import BOOL
 from .weighted import (WeightedAutomaton, bool_wa_to_nfa, dual_wa, equiv_wa, eval_series,
                        hankel_rank_oracle, minimise_wa, reach_restrict)
 
@@ -31,18 +31,9 @@ USAGE_EXIT = 2
 GUARD_EXIT = 3
 
 
-def _load(path: str, semiring_override: str | None = None):
+def _load(path: str, semiring: str | None = None):
     with open(path, "rb") as fh:
-        obj = parse(fh.read())
-    if semiring_override and isinstance(obj, WeightedAutomaton):
-        target = semiring_by_name(semiring_override)
-        mats = {a: [[target.coerce(v) for v in row] for row in m.entries]
-                for a, m in obj.mats.items()}
-        obj = WeightedAutomaton.build(obj.alphabet, target, mats,
-                                      [target.coerce(v) for v in obj.init],
-                                      [target.coerce(v) for v in obj.final],
-                                      obj.state_names)
-    return obj
+        return parse(fh.read(), semiring)
 
 
 def _word(raw: str, alphabet) -> tuple[str, ...]:
@@ -258,6 +249,16 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest(args.seed, args.cases) else 1
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def check(raw: str) -> int:
+        if int(raw) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {raw}")
+        return int(raw)
+    check.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dualmin",
                                   description="duality-based automata minimisation toolkit")
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("equiv", _cmd_equiv, bound=True, semiring=True, help="compare two automata")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--max-len", type=int, default=6,
+    p.add_argument("--max-len", type=_at_least(0), default=6,
                    help="word-length bound for tropical weighted comparison")
 
     p = add("trace-eval", _cmd_trace_eval, help="evaluate a trace formula on a dkm")
@@ -307,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hankel", _cmd_hankel, semiring=True, help="rank of the truncated Hankel block")
     p.add_argument("file")
-    p.add_argument("-L", "--length", type=int, required=True)
+    p.add_argument("-L", "--length", type=_at_least(0), required=True)
 
     p = add("stats", _cmd_stats, semiring=True, help="one-line summary of a file")
     p.add_argument("file")
 
     p = add("selftest", _cmd_selftest, help="run the differential property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=_at_least(1), default=50)
 
     return top
 

@@ -7,8 +7,9 @@ A trace formula is a modality word followed by a single observation,
 preimages of the observation's extension.  A preimage is the dual
 automaton's predicate step, so the closure of all trace-definable subsets is
 the dual pass (`explore_predicates`) from one 0/1 predicate per observation.
-Its membership signatures partition the states exactly as the coarsest
-bisimulation does, which is what the quotient uses.
+A state's membership signature across the closure is its column in those
+predicates; the signatures partition the states exactly as the coarsest
+bisimulation does, and `minimise_dkm` quotients by them.
 """
 
 from __future__ import annotations
@@ -86,12 +87,16 @@ def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:
     return current
 
 
+def _closure_predicates(k: Dkm, max_states: int | None) -> list[bytes]:
+    """The definable closure as 0/1 predicates, from one per observation."""
+    starts = [[w in g for g in k.gamma] for w in k.obs]
+    return explore_predicates(starts, k.delta, k.alphabet, max_states, "definable closure")[0]
+
+
 def definable_closure(k: Dkm, max_states: int | None = None) -> frozenset[frozenset[int]]:
     """Least family containing every observation extension and closed under
     transition preimages; equals the set of all trace-formula extensions."""
-    starts = [[w in g for g in k.gamma] for w in k.obs]
-    order = explore_predicates(starts, k.delta, k.alphabet, max_states, "definable closure")[0]
-    return frozenset(map(frozenset, _members(order, k.n)))
+    return frozenset(map(frozenset, _members(_closure_predicates(k, max_states), k.n)))
 
 
 def boolean_atoms(family: frozenset[frozenset[int]], n: int) -> Partition:
@@ -116,8 +121,10 @@ def quotient_dkm(k: Dkm, part: Partition) -> Dkm:
 
 
 def minimise_dkm(k: Dkm, max_states: int | None = None) -> Dkm:
-    """Bisimulation quotient via duality: atoms of the definable closure."""
-    return quotient_dkm(k, boolean_atoms(definable_closure(k, max_states), k.n))
+    """Bisimulation quotient via duality: atoms of the definable closure, read
+    as the states' columns in its predicates (one block without observations)."""
+    order = _closure_predicates(k, max_states)
+    return quotient_dkm(k, Partition.from_signatures(zip(*order) if order else [()] * k.n))
 
 
 def bisimulation_oracle(k: Dkm) -> Partition:

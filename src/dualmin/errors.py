@@ -35,13 +35,18 @@ class FormatError(ValueError):
 
 
 def resolve_max_states(value=None):
-    """Effective state bound: explicit argument, else DUALMIN_MAX_STATES, else default."""
-    if value is not None:
-        return value
-    env = os.environ.get(MAX_STATES_ENV)
-    if env is None:
-        return DEFAULT_MAX_STATES
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{MAX_STATES_ENV} must be an integer, not {env!r}") from None
+    """Effective state bound: explicit argument (--max-states), else
+    DUALMIN_MAX_STATES, else default; a ValueError names a bad one's source."""
+    source = "--max-states"
+    if value is None:
+        env = os.environ.get(MAX_STATES_ENV)
+        if env is None:
+            return DEFAULT_MAX_STATES
+        source = MAX_STATES_ENV
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{MAX_STATES_ENV} must be an integer, not {env!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be at least 1, not {value}")
+    return value

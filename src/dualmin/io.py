@@ -21,7 +21,7 @@ from .alternating import AlternatingAutomaton, BoolFun, compile_formula
 from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa
 from .dkm import Dkm
 from .errors import FormatError
-from .semiring import INT, RATIONAL, TROPICAL, TROPICAL_INF, semiring_by_name
+from .semiring import INT, RATIONAL, TROPICAL, TROPICAL_INF, Matrix, semiring_by_name
 from .weighted import RestrictedWA, WeightedAutomaton
 
 KNOWN_TYPES = ("dfa", "moore", "nfa", "weighted", "afa", "dkm")
@@ -66,8 +66,10 @@ def _det_transitions(doc, alphabet, states, path="transitions"):
     return trans
 
 
-def parse(data: bytes | str):
-    """Decode one automaton file into its typed in-memory form."""
+def parse(data: bytes | str, semiring: str | None = None):
+    """Decode one automaton file into its typed in-memory form; a weighted
+    file's values are read in `semiring` when one is named (its own must
+    still be a valid name), other files ignore it."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -83,8 +85,10 @@ def parse(data: bytes | str):
     alphabet = _name_list(_require(doc, "alphabet", list, ""), "alphabet")
     names = _name_list(_require(doc, "states", list, ""), "states")
     states = {name: i for i, name in enumerate(names)}
+    if kind == "weighted":
+        return _parse_weighted(doc, alphabet, names, semiring)
     parser = {"dfa": _parse_dfa, "moore": _parse_moore, "nfa": _parse_nfa,
-              "weighted": _parse_weighted, "afa": _parse_afa, "dkm": _parse_dkm}[kind]
+              "afa": _parse_afa, "dkm": _parse_dkm}[kind]
     return parser(doc, alphabet, names, states)
 
 
@@ -143,8 +147,9 @@ def _parse_value(semiring, raw, path):
         raise FormatError(str(exc), path) from None
 
 
-def _parse_weighted(doc, alphabet, names, states):
+def _parse_weighted(doc, alphabet, names, override):
     semiring = semiring_by_name(_require(doc, "semiring", str, ""))
+    semiring = semiring_by_name(override) if override else semiring
     n = len(names)
     raw = _require(doc, "transitions", dict, "")
     if set(raw) != set(alphabet):
@@ -154,17 +159,17 @@ def _parse_weighted(doc, alphabet, names, states):
         if not isinstance(rows, list) or len(rows) != n \
                 or any(not isinstance(r, list) or len(r) != n for r in rows):
             raise FormatError(f"matrix must be {n}x{n}", f"transitions.{a}")
-        mats[a] = [[_parse_value(semiring, v, f"transitions.{a}[{y}][{x}]")
-                    for x, v in enumerate(row)] for y, row in enumerate(rows)]
-    raw_init = _require(doc, "initial", list, "")
-    raw_final = _require(doc, "final", list, "")
-    if len(raw_init) != n:
-        raise FormatError(f"initial vector must have length {n}", "initial")
-    if len(raw_final) != n:
-        raise FormatError(f"final vector must have length {n}", "final")
-    init = [_parse_value(semiring, v, f"initial[{i}]") for i, v in enumerate(raw_init)]
-    final = [_parse_value(semiring, v, f"final[{i}]") for i, v in enumerate(raw_final)]
-    return WeightedAutomaton.build(alphabet, semiring, mats, init, final, names)
+        mats[a] = Matrix(semiring, n, n, tuple(
+            tuple(_parse_value(semiring, v, f"transitions.{a}[{y}][{x}]")
+                  for x, v in enumerate(row)) for y, row in enumerate(rows)))
+    vectors = []
+    for key in ("initial", "final"):
+        raw_vector = _require(doc, key, list, "")
+        if len(raw_vector) != n:
+            raise FormatError(f"{key} vector must have length {n}", key)
+        vectors.append(tuple(_parse_value(semiring, v, f"{key}[{i}]")
+                             for i, v in enumerate(raw_vector)))
+    return WeightedAutomaton(n, alphabet, semiring, mats, *vectors, names)
 
 
 def _parse_boolfun(raw, names, path) -> BoolFun:
@@ -236,6 +241,7 @@ def emit_value(semiring, v):
     return v
 
 
+# batched: one write per piece made the dfa benchmark's wall_s 7-12 % worse (2 vCPUs)
 _BATCH_CHARS = 1 << 20
 
 

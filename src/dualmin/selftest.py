@@ -18,7 +18,8 @@ from .alternating import afa_accepts, minimal_dfa_for_afa, reverse_dfa
 from .automata import (determinise, equiv_exact, iso_check, partition_refinement_minimise,
                        reverse, run, subset_names, words_up_to)
 from .brzozowski import brzozowski_minimise, dual_automaton
-from .dkm import Dkm, bisimulation_oracle, boolean_atoms, definable_closure, minimise_dkm
+from .dkm import (Dkm, bisimulation_oracle, boolean_atoms, definable_closure, minimise_dkm,
+                  quotient_dkm)
 from .linalg import IntegerBasis, det_int, hnf, is_hnf_shape
 from .semiring import INT, RATIONAL, mat_mul
 from .weighted import eval_series, hankel_rank_oracle, minimise_wa
@@ -108,8 +109,8 @@ def _check_dkm(rng, failures):
         failures.append(f"definable atoms differ from bisimulation on {k}")
         return
     minimal = minimise_dkm(k)
-    if minimise_dkm(minimal) != minimal:
-        failures.append(f"dkm minimisation not idempotent on {k}")
+    if minimal != quotient_dkm(k, atoms) or minimise_dkm(minimal) != minimal:
+        failures.append(f"dkm minimisation is not the atoms' quotient or not idempotent on {k}")
 
 
 def _check_cross(rng, failures):

@@ -6,12 +6,13 @@ is computed exactly; no floating point enters any arithmetic path (the
 tropical infinity is a distinguished absorbing value that never mixes into
 finite sums).
 
-Over Z and Q, `dot`, `mat_vec` and `vec_mat` run on Python ints: a rational
-vector is read as integer numerators over the lcm of its denominators, a
-rational matrix as integer rows over one common denominator (computed once
-per Matrix), and each output entry is one `sum(map(mul, ...))` and, over Q,
-one Fraction.  The Boolean and tropical semirings use the generic
-`Semiring.dot`, one `add` and one `mul` per entry.
+`mat_vec` is the one product kernel: `vec_mat` and `mat_mul` apply it to a
+transpose, which a Matrix builds once and keeps.  Over Z and Q, `mat_vec` and
+`dot` run on Python ints: a rational vector is read as integer numerators over
+the lcm of its denominators, a rational matrix as integer rows over one common
+denominator (computed once per Matrix), and each output entry is one
+`sum(map(mul, ...))` and, over Q, one Fraction.  The Boolean and tropical
+semirings use the generic `Semiring.dot`, one `add` and one `mul` per entry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Any, Iterable
+from typing import Any
 
 from .errors import DimensionError, SemiringError
 
@@ -81,16 +82,13 @@ class Semiring:
         """A random element, for law checking and test generation."""
         raise NotImplementedError
 
-    def sum(self, values: Iterable):
-        acc = self.zero()
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
     def dot(self, u, v):
         if len(u) != len(v):
             raise DimensionError(f"dot: {len(u)} vs {len(v)}")
-        return self.sum(self.mul(a, b) for a, b in zip(u, v))
+        acc = self.zero()
+        for a, b in zip(u, v):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
 
     def __repr__(self):
         return f"<semiring {self.name}>"
@@ -144,15 +142,13 @@ class IntegerRing(Semiring):
         return -a
 
     def coerce(self, raw):
-        if isinstance(raw, bool):
-            raise SemiringError(f"int: bad value {raw!r}")
-        if isinstance(raw, int):
-            return raw
         if isinstance(raw, str):
             try:
                 return int(raw)
             except ValueError:
-                raise SemiringError(f"int: bad value {raw!r}") from None
+                pass
+        elif isinstance(raw, int) and not isinstance(raw, bool):
+            return raw
         raise SemiringError(f"int: bad value {raw!r}")
 
     def to_fraction(self, a):
@@ -190,15 +186,11 @@ class RationalField(Semiring):
 
     def coerce(self, raw):
         # Fraction keeps values in lowest terms with positive denominator.
-        if isinstance(raw, bool):
-            raise SemiringError(f"rational: bad value {raw!r}")
-        if isinstance(raw, (int, Fraction)):
-            return Fraction(raw)
-        if isinstance(raw, str):
+        if isinstance(raw, (int, Fraction, str)) and not isinstance(raw, bool):
             try:
                 return Fraction(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SemiringError(f"rational: bad value {raw!r}") from exc
+            except (ValueError, ZeroDivisionError):  # from a string only
+                pass
         raise SemiringError(f"rational: bad value {raw!r}")
 
     def to_fraction(self, a):
@@ -304,15 +296,19 @@ class Matrix:
         zero = semiring.zero()
         return cls(semiring, n_rows, n_cols, tuple((zero,) * n_cols for _ in range(n_rows)))
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.semiring, self.n_cols, self.n_rows,
-                      tuple(self.col(j) for j in range(self.n_cols)))
+        """The transpose, built on first use and kept (its transpose is self)."""
+        return self._transpose
+
+    @cached_property
+    def _transpose(self) -> "Matrix":
+        t = Matrix(self.semiring, self.n_cols, self.n_rows,
+                   tuple(self.col(j) for j in range(self.n_cols)))
+        t.__dict__["_transpose"] = self
+        return t
 
     @cached_property
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -323,20 +319,14 @@ class Matrix:
                      for row in self.entries), den
 
 
-def _check_same_semiring(a: Semiring, b: Semiring):
-    if a is not b:
-        raise SemiringError(f"mixed semirings: {a.name} and {b.name}")
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product using the semiring's add/mul."""
-    _check_same_semiring(a.semiring, b.semiring)
+    """Matrix product: mat_vec of b's transpose on each row of a."""
+    if a.semiring is not b.semiring:
+        raise SemiringError(f"mixed semirings: {a.semiring.name} and {b.semiring.name}")
     if a.n_cols != b.n_rows:
         raise DimensionError(f"mat_mul: {a.n_rows}x{a.n_cols} times {b.n_rows}x{b.n_cols}")
-    sr = a.semiring
     bt = b.transpose()
-    rows = tuple(tuple(sr.dot(ar, bc) for bc in bt.entries) for ar in a.entries)
-    return Matrix(sr, a.n_rows, b.n_cols, rows)
+    return Matrix(a.semiring, a.n_rows, b.n_cols, tuple(mat_vec(bt, row) for row in a.entries))
 
 
 def mat_vec(a: Matrix, v: tuple) -> tuple:
@@ -355,19 +345,10 @@ def mat_vec(a: Matrix, v: tuple) -> tuple:
 
 
 def vec_mat(v: tuple, a: Matrix) -> tuple:
-    """Apply a matrix to a row vector (on the right)."""
+    """Apply a matrix to a row vector (on the right): mat_vec of the transpose."""
     if a.n_rows != len(v):
         raise DimensionError(f"vec_mat: vector of {len(v)} times {a.n_rows}x{a.n_cols}")
-    sr = a.semiring
-    if sr is INT:
-        return tuple(sum(map(mul, v, a.col(j))) for j in range(a.n_cols))
-    if sr is RATIONAL:
-        rows, den = a.integer_rows
-        nums, d = over_lcm(v)
-        den *= d
-        return tuple(Fraction(sum(map(mul, nums, (row[j] for row in rows))), den)
-                     for j in range(a.n_cols))
-    return tuple(sr.dot(v, a.col(j)) for j in range(a.n_cols))
+    return mat_vec(a.transpose(), v)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Mapping
 
 from .automata import Nfa, _check_alphabet, words_up_to
 from .errors import DimensionError, SemiringError
 from .linalg import FieldBasis, IntegerBasis
-from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, vec_mat
+from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, over_lcm, vec_mat
 
 
 @dataclass(frozen=True)
@@ -123,22 +124,17 @@ def reach_restrict(w: WeightedAutomaton) -> RestrictedWA:
                 if changed:
                     frontier.append(u)
 
-    rows = basis.matrix().entries
-    r = basis.rank
+    embedding, r = basis.matrix(), basis.rank
     mats = {}
     for a in w.alphabet:
-        cols = []
-        for b in rows:
-            c = basis.coordinates(mat_vec(w.mats[a], b))
-            assert c is not None, "closure left the reachable submodule"
-            cols.append(c)
-        entries = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-        mats[a] = Matrix(w.semiring, r, r, entries)
-    init = basis.coordinates(w.init) if r else ()
+        cols = tuple(basis.coordinates(mat_vec(w.mats[a], b)) for b in embedding.entries)
+        assert None not in cols, "closure left the reachable submodule"
+        mats[a] = Matrix(w.semiring, r, r, cols).transpose()
+    init = basis.coordinates(w.init)
     assert init is not None
-    final = tuple(w.semiring.dot(w.final, b) for b in rows)
-    restricted = WeightedAutomaton(r, w.alphabet, w.semiring, mats, tuple(init), final)
-    return RestrictedWA(restricted, basis, basis.matrix())
+    restricted = WeightedAutomaton(r, w.alphabet, w.semiring, mats, init,
+                                   mat_vec(embedding, w.final))
+    return RestrictedWA(restricted, basis, embedding)
 
 
 def minimise_wa(w: WeightedAutomaton) -> RestrictedWA:
@@ -184,27 +180,30 @@ def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     rationals; for an automaton with n states any max_len >= n - 1 already
     reaches the rank of the full Hankel matrix.
     """
-    to_q = w.semiring.to_fraction
-    mats = {a: Matrix.from_rows(RATIONAL, [[to_q(x) for x in row] for row in m.entries],
-                                n_cols=w.n) if w.n else Matrix.zeros(RATIONAL, 0, 0)
-            for a, m in w.mats.items()}
-    init = tuple(to_q(x) for x in w.init)
-    final = tuple(to_q(x) for x in w.final)
+    return _hankel_basis(w, max_len).rank
 
+
+def _hankel_basis(w: WeightedAutomaton, max_len: int) -> FieldBasis:
+    """The row space of the Hankel block, rows inserted in word order."""
+    to_q = w.semiring.to_fraction
+    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
+            for a, m in w.mats.items()}
     words = list(words_up_to(w.alphabet, max_len))
-    forward: dict[tuple[str, ...], tuple] = {(): init}
-    backward: dict[tuple[str, ...], tuple] = {(): final}
-    for word in words:
-        if not word:
-            continue
+    forward = {(): tuple(map(to_q, w.init))}
+    backward = {(): tuple(map(to_q, w.final))}
+    for word in words[1:]:
         # forward vectors extend at the end, backward vectors at the front
         forward[word] = mat_vec(mats[word[-1]], forward[word[:-1]])
         backward[word] = vec_mat(backward[word[1:]], mats[word[0]])
+    # Every backward vector over one common denominator, each forward vector
+    # over its own: row u is H's row u times a nonzero integer, so each
+    # insertion leaves the same basis as H's own row would.
+    back = Matrix(RATIONAL, len(words), w.n, tuple(backward[v] for v in words)).integer_rows[0]
     basis = FieldBasis(len(words))
     for u in words:
-        row = tuple(RATIONAL.dot(backward[v], forward[u]) for v in words)
-        basis, _ = basis.insert(row)
-    return basis.rank
+        f = over_lcm(forward[u])[0]
+        basis, _ = basis.insert(tuple(sum(map(mul, b, f)) for b in back))
+    return basis
 
 
 def bool_wa_to_nfa(w: WeightedAutomaton) -> Nfa:
@@ -226,7 +225,7 @@ def nfa_to_bool_wa(n: Nfa) -> WeightedAutomaton:
     mats = {}
     for a in n.alphabet:
         rows = [[1 if y in n.trans[a][x] else 0 for x in range(n.n)] for y in range(n.n)]
-        mats[a] = Matrix.from_rows(BOOL, rows, n_cols=n.n) if n.n else Matrix.zeros(BOOL, 0, 0)
+        mats[a] = Matrix.from_rows(BOOL, rows, n_cols=n.n)
     return WeightedAutomaton(n.n, n.alphabet, BOOL, mats,
                              init=tuple(1 if s in n.inits else 0 for s in range(n.n)),
                              final=tuple(1 if s in n.finals else 0 for s in range(n.n)),

@@ -8,7 +8,10 @@ forms by whole-matrix elimination, determinants by permutation expansion,
 AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the definable closure of a Kripke model by
-frozenset preimages, and emitted text by json.dumps.
+frozenset preimages, and emitted text by json.dumps.  Two oracles keep a
+library route as an explicit second copy: the Kripke quotient by the atoms of
+the definable closure as a set family, and the Hankel block one word pair at
+a time.
 """
 
 import ast
@@ -16,7 +19,8 @@ import json
 from fractions import Fraction
 from itertools import permutations, product
 
-from dualmin import AlternatingAutomaton, MooreAutomaton, Nfa, WeightedAutomaton
+from dualmin import (RATIONAL, AlternatingAutomaton, FieldBasis, Matrix, MooreAutomaton, Nfa,
+                     WeightedAutomaton, boolean_atoms, definable_closure, quotient_dkm)
 from dualmin.automata import subset_names
 from dualmin.io import _document
 
@@ -85,6 +89,12 @@ def mat_vec_by_entries(a, v) -> tuple:
 
 def vec_mat_by_entries(v, a) -> tuple:
     return tuple(dot_by_entries(a.semiring, v, a.col(j)) for j in range(a.n_cols))
+
+
+def mat_mul_by_entries(a, b) -> Matrix:
+    rows = tuple(tuple(dot_by_entries(a.semiring, row, b.col(j)) for j in range(b.n_cols))
+                 for row in a.entries)
+    return Matrix(a.semiring, a.n_rows, b.n_cols, rows)
 
 
 def series_by_entries(w: WeightedAutomaton, word):
@@ -313,3 +323,29 @@ def closure_by_preimages(k) -> frozenset:
                 found.add(pre)
                 todo.append(pre)
     return frozenset(found)
+
+
+def minimise_dkm_by_atoms(k):
+    """The Kripke quotient by the Boolean atoms of the definable closure,
+    through the closure decoded as a family of frozensets."""
+    return quotient_dkm(k, boolean_atoms(definable_closure(k), k.n))
+
+
+def hankel_basis_by_pairs(w: WeightedAutomaton, max_len: int) -> FieldBasis:
+    """Echelon basis of the Hankel block H[u][v] = series(u.v), |u|,|v| <=
+    max_len, with each entry a Fraction dot product of the backward vector of
+    v and the forward vector of u, and the rows inserted in word order."""
+    to_q = w.semiring.to_fraction
+    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
+            for a, m in w.mats.items()}
+    ws = words(w.alphabet, max_len)
+    forward = {(): tuple(map(to_q, w.init))}
+    backward = {(): tuple(map(to_q, w.final))}
+    for word in ws[1:]:
+        forward[word] = mat_vec_by_entries(mats[word[-1]], forward[word[:-1]])
+        backward[word] = vec_mat_by_entries(backward[word[1:]], mats[word[0]])
+    basis = FieldBasis(len(ws))
+    for u in ws:
+        basis, _ = basis.insert(tuple(dot_by_entries(RATIONAL, backward[v], forward[u])
+                                      for v in ws))
+    return basis

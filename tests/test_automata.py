@@ -153,6 +153,23 @@ def test_iso_check_basics():
     assert not iso_check(m, partition_refinement_minimise(m))
 
 
+def test_iso_check_ignores_state_names():
+    rng = random.Random(15)
+    for _ in range(40):
+        m = random_moore(rng, max_n=5, max_letters=2, max_outputs=2)
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        inv = {p: s for s, p in enumerate(perm)}
+        moved = MooreAutomaton(m.n, m.alphabet,
+                               {a: tuple(perm[m.trans[a][inv[p]]] for p in range(m.n))
+                                for a in m.alphabet},
+                               perm[m.init], tuple(m.out[inv[p]] for p in range(m.n)),
+                               m.outputs, tuple(f"r{inv[p]}" for p in range(m.n)))
+        assert iso_check(m, moved) and iso_check(moved, m)
+        assert iso_check(moved, MooreAutomaton(m.n, m.alphabet, m.trans, m.init, m.out,
+                                               m.outputs))
+
+
 def test_iso_is_equivalence_and_implies_equiv():
     rng = random.Random(14)
     autos = [random_moore(rng, max_n=4, max_letters=2, max_outputs=2) for _ in range(20)]

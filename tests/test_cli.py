@@ -9,6 +9,7 @@ import pytest
 
 from dualmin import MooreAutomaton, emit, iso_check, parse, reverse
 from dualmin.cli import main, parse_trace_formula
+from dualmin.errors import DEFAULT_MAX_STATES, resolve_max_states
 
 
 def invoke(capsys, *argv):
@@ -394,6 +395,77 @@ def test_semiring_override(capsys, data_dir):
     rc, out, _ = invoke(capsys, "run", str(data_dir / "wa_swap.json"),
                         "-w", "a", "--semiring", "rational")
     assert rc == 0 and out.strip() == "1/1"
+
+
+def _weighted_file(tmp_path, semiring, values):
+    path = tmp_path / f"{semiring}.json"
+    path.write_text(json.dumps({"type": "weighted", "semiring": semiring, "alphabet": ["a"],
+                                "states": ["q0", "q1"], "initial": values[:2],
+                                "final": values[2:4], "transitions": {"a": [values[4:6],
+                                                                            values[6:]]}}))
+    return str(path)
+
+
+def test_semiring_override_reads_the_raw_values(capsys, tmp_path):
+    # a rational file whose entries are all integers reads as an integer file
+    path = _weighted_file(tmp_path, "rational", [1, 0, 1, 1, 0, 1, 1, 0])
+    rc, out, err = invoke(capsys, "run", path, "-w", "a", "--semiring", "int")
+    assert (rc, out, err) == (0, "1\n", "")
+    rc, out, _ = invoke(capsys, "stats", path, "--semiring", "int")
+    assert rc == 0 and "semiring=int" in out
+    path = _weighted_file(tmp_path, "rational", ["1/2", 0, 1, 1, 0, 1, 1, 0])
+    rc, _, err = invoke(capsys, "run", path, "-w", "a", "--semiring", "int")
+    assert rc == 1 and "initial[0]: int: bad value '1/2'" in err
+
+
+def test_semiring_override_names_the_refused_field(capsys, data_dir):
+    rc, out, err = invoke(capsys, "stats", str(data_dir / "wa_tropical.json"),
+                          "--semiring", "rational")
+    assert rc == 1 and out == ""
+    assert err == "error: transitions.a[0][1]: rational: bad value 'inf'\n"
+
+
+def test_semiring_override_still_checks_the_file_semiring(capsys, tmp_path):
+    path = _weighted_file(tmp_path, "nimber", [1, 0, 1, 1, 0, 1, 1, 0])
+    rc, _, err = invoke(capsys, "stats", path, "--semiring", "int")
+    assert rc == 1 and "unknown semiring 'nimber'" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("minimize", "ends_with_a.json", "--max-states", "0"), "--max-states"),
+    (("minimize", "ends_with_a.json", "--max-states", "-1"), "--max-states"),
+    (("hankel", "wa_swap.json", "-L", "-1"), "-L/--length"),
+    (("equiv", "wa_tropical.json", "wa_tropical.json", "--max-len", "-1"), "--max-len"),
+    (("selftest", "--cases", "0"), "--cases"),
+], ids=" ".join)
+def test_bad_numeric_arguments_are_usage_errors(capsys, data_dir, argv, flag):
+    rc, out, err = invoke(capsys, *_argv(data_dir, argv))
+    assert rc == 2 and out == "" and flag in err and "at least" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_states_env_below_one_is_a_usage_error(monkeypatch, capsys, data_dir, value):
+    monkeypatch.setenv("DUALMIN_MAX_STATES", value)
+    rc, out, err = invoke(capsys, "minimize", str(data_dir / "ends_with_a.json"))
+    assert rc == 2 and out == ""
+    assert err == f"error: DUALMIN_MAX_STATES must be at least 1, not {value}\n"
+
+
+def test_resolve_max_states_is_the_one_check(monkeypatch):
+    monkeypatch.delenv("DUALMIN_MAX_STATES", raising=False)
+    assert resolve_max_states(1) == 1 and resolve_max_states() == DEFAULT_MAX_STATES
+    with pytest.raises(ValueError, match="^--max-states must be at least 1, not 0$"):
+        resolve_max_states(0)
+    monkeypatch.setenv("DUALMIN_MAX_STATES", "7")
+    assert resolve_max_states() == 7 and resolve_max_states(3) == 3
+
+
+def test_zero_length_bounds_are_accepted(capsys, data_dir):
+    rc, out, _ = invoke(capsys, "hankel", str(data_dir / "wa_swap.json"), "-L", "0")
+    assert (rc, out) == (0, "1\n")
+    path = str(data_dir / "wa_tropical.json")
+    rc, out, _ = invoke(capsys, "equiv", path, path, "--max-len", "0")
+    assert (rc, out) == (0, "equivalent up to length 0\n")
 
 
 def test_selftest_small(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from dualmin import (Dkm, NonCongruenceError, Partition, TraceFormula,
                      quotient_dkm)
 from dualmin.sampling import random_dfa, random_dkm
 
-from oracles import closure_by_preimages, ends_with_a_dfa, words
+from oracles import closure_by_preimages, ends_with_a_dfa, minimise_dkm_by_atoms, words
 
 
 def ends_with_a_dkm() -> Dkm:
@@ -229,3 +230,25 @@ def test_quotient_preserves_trace_semantics():
                 assert small == frozenset(part.block_of[s] for s in big)
                 saturated = frozenset(s for s in range(k.n) if part.block_of[s] in small)
                 assert saturated == big
+
+
+def test_minimise_matches_the_set_family_route_and_bisimulation():
+    """The columns of the closure's predicates against the atoms of the
+    closure as a set family and against partition refinement."""
+    none = frozenset()
+    cases = [Dkm(0, ("a",), ("p",), (), {"a": ()}),
+             Dkm(0, ("a",), (), (), {"a": ()}),
+             Dkm(1, ("a",), ("p",), (frozenset({"p"}),), {"a": (0,)}, 0),
+             Dkm(1, ("a",), ("p",), (none,), {"a": (0,)}, 0),
+             Dkm(1, ("a",), (), (none,), {"a": (0,)})]
+    rng = random.Random(22)
+    for _ in range(300):
+        k = random_dkm(rng)
+        cases += [k, replace(k, obs=k.obs + ("never",)),
+                  replace(k, obs=(), gamma=(none,) * k.n)]
+    for k in cases:
+        minimal = minimise_dkm(k)
+        assert minimal == minimise_dkm_by_atoms(k)
+        assert minimal == quotient_dkm(k, bisimulation_oracle(k))
+        if not k.obs:
+            assert minimal.n == min(k.n, 1)

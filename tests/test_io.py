@@ -211,3 +211,15 @@ def test_emit_writes_in_bounded_batches():
     assert len(out.writes) > 4
     assert max(map(len, out.writes)) <= 2 << 20
     assert "".join(out.writes) == emit(m)
+
+
+def test_parse_reads_weighted_values_in_a_named_semiring(data_dir):
+    data = (data_dir / "wa_swap.json").read_bytes()
+    w = parse(data, "rational")
+    assert w.semiring is RATIONAL and w.init == (Fraction(1), Fraction(0))
+    assert all(m.semiring is RATIONAL for m in w.mats.values())
+    assert parse(data, "rational") == parse(emit(w))
+    assert parse((data_dir / "ends_with_a.json").read_bytes(), "nimber").n == 3
+    with pytest.raises(FormatError, match=r"^initial\[1\]: int: bad value 'inf'$"):
+        parse((data_dir / "wa_tropical.json").read_bytes().replace(b'[3, "inf"]', b"[3, 4]"),
+              "int")

@@ -7,7 +7,7 @@ from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF, DimensionError
                      Matrix, SemiringError, check_semiring_laws, mat_mul, mat_vec,
                      semiring_by_name, vec_mat)
 
-from oracles import dot_by_entries, mat_vec_by_entries, vec_mat_by_entries
+from oracles import dot_by_entries, mat_mul_by_entries, mat_vec_by_entries, vec_mat_by_entries
 
 
 @pytest.mark.parametrize("name", ["bool", "int", "rational", "tropical"])
@@ -184,3 +184,37 @@ def test_integer_kernels_check_lengths():
             vec_mat((1, 2, 3), a)
         with pytest.raises(DimensionError):
             sr.dot((1,), (1, 2))
+
+
+def test_products_match_per_entry_oracles_on_every_semiring():
+    rng = random.Random(17)
+    shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1)]
+
+    def sample(sr, rows, cols):
+        return Matrix(sr, rows, cols, tuple(tuple(sr.sample(rng) for _ in range(cols))
+                                            for _ in range(rows)))
+
+    for sr in (BOOL, INT, RATIONAL, TROPICAL):
+        for case in range(100):
+            r, m, c = shapes[case] if case < len(shapes) else [rng.randint(0, 4)
+                                                               for _ in range(3)]
+            a, b = sample(sr, r, m), sample(sr, m, c)
+            u = tuple(sr.sample(rng) for _ in range(r))
+            assert vec_mat(u, a) == vec_mat_by_entries(u, a)
+            assert mat_mul(a, b) == mat_mul_by_entries(a, b)
+
+
+def test_products_keep_their_own_dimension_errors():
+    a = Matrix.from_rows(INT, [[1, 2]])
+    with pytest.raises(DimensionError, match="^vec_mat: vector of 2 times 1x2$"):
+        vec_mat((1, 2), a)
+    with pytest.raises(DimensionError, match="^mat_mul: 1x2 times 1x2$"):
+        mat_mul(a, a)
+
+
+def test_transpose_is_built_once():
+    m = Matrix.from_rows(RATIONAL, [[1, 2, 3], [4, 5, 6]])
+    t = m.transpose()
+    assert t is m.transpose()
+    assert t.entries == ((1, 4), (2, 5), (3, 6)) and (t.n_rows, t.n_cols) == (3, 2)
+    assert Matrix.zeros(INT, 0, 3).transpose() == Matrix.zeros(INT, 3, 0)

@@ -8,8 +8,10 @@ from dualmin import (BOOL, INT, RATIONAL, TROPICAL, SemiringError,
                      hankel_rank_oracle, mat_vec, minimise_wa, nfa_to_bool_wa,
                      reach_restrict, vec_mat)
 from dualmin.sampling import random_nfa, random_wa
+from dualmin.weighted import _hankel_basis
 
-from oracles import gauss_rank, nfa_accepts_paths, series_by_entries, wa_eval_paths, words
+from oracles import (gauss_rank, hankel_basis_by_pairs, nfa_accepts_paths, series_by_entries,
+                     wa_eval_paths, words)
 
 
 def swap_wa() -> WeightedAutomaton:
@@ -182,6 +184,17 @@ def test_hankel_matches_gauss_on_explicit_blocks():
         ws = words(w.alphabet, level)
         block = [[Fraction(eval_series(w, u + v)) for v in ws] for u in ws]
         assert hankel_rank_oracle(w, level) == gauss_rank(block)
+
+
+def test_hankel_basis_matches_the_per_pair_route():
+    rng = random.Random(24)
+    for sr in (RATIONAL, INT, BOOL):
+        for case in range(20):
+            w = random_wa(rng, sr, max_n=3)
+            level = case % 4
+            basis = _hankel_basis(w, level)
+            assert basis == hankel_basis_by_pairs(w, level)
+            assert hankel_rank_oracle(w, level) == basis.rank
 
 
 def test_hankel_rejects_tropical():
