@@ -3,6 +3,8 @@
 Verbs operate on JSON automaton files (see io.py for the schema) and write
 automata back as JSON on stdout.  Exit codes: 0 success (or "equivalent"),
 1 negative verdicts and data errors, 2 usage errors, 3 state-bound guards.
+A verb imports the library module of a construction only on the branch that
+runs it, so each call loads the code of the file kind it reads and no more.
 """
 
 from __future__ import annotations
@@ -13,19 +15,8 @@ import re
 import sys
 from dataclasses import replace
 
-from .alternating import (AlternatingAutomaton, afa_accepts, minimal_dfa_for_afa,
-                          reachable_reverse_dfa, reverse_dfa)
-from .automata import (MooreAutomaton, Nfa, determinise, equiv_exact, nfa_step,
-                       partition_refinement_minimise, reach, reverse, run, words_up_to)
-from .brzozowski import brzozowski_minimise, dual_automaton
-from .dkm import Dkm, TraceFormula, bisimulation_oracle, definable_closure, eval_trace, \
-    minimise_dkm, quotient_dkm
+from . import automata, io
 from .errors import FormatError, StateGuardError, resolve_max_states
-from .io import emit, emit_value, parse
-from .selftest import run_selftest
-from .semiring import BOOL
-from .weighted import (WeightedAutomaton, bool_wa_to_nfa, dual_wa, equiv_wa, eval_series,
-                       hankel_rank_oracle, minimise_wa, reach_restrict)
 
 USAGE_EXIT = 2
 GUARD_EXIT = 3
@@ -33,7 +24,7 @@ GUARD_EXIT = 3
 
 def _load(path: str, semiring: str | None = None):
     with open(path, "rb") as fh:
-        return parse(fh.read(), semiring)
+        return io.parse(fh.read(), semiring)
 
 
 def _word(raw: str, alphabet) -> tuple[str, ...]:
@@ -50,18 +41,21 @@ def _word(raw: str, alphabet) -> tuple[str, ...]:
 def _cmd_run(args) -> int:
     obj = _load(args.file, args.semiring)
     word = _word(args.word, obj.alphabet)
-    if isinstance(obj, MooreAutomaton):
-        print(obj.outputs[run(obj, word)])
-    elif isinstance(obj, Nfa):
+    kind = io.kind_of(obj)
+    if kind == "moore":
+        print(obj.outputs[automata.run(obj, word)])
+    elif kind == "nfa":
         cur = obj.inits
         for a in word:
-            cur = nfa_step(obj, cur, a)
+            cur = automata.nfa_step(obj, cur, a)
         print("accept" if cur & obj.finals else "reject")
-    elif isinstance(obj, WeightedAutomaton):
-        print(emit_value(obj.semiring, eval_series(obj, word)))
-    elif isinstance(obj, AlternatingAutomaton):
+    elif kind == "weighted":
+        from .weighted import eval_series
+        print(io.emit_value(obj.semiring, eval_series(obj, word)))
+    elif kind == "afa":
+        from .alternating import afa_accepts
         print("accept" if afa_accepts(obj, word) else "reject")
-    elif isinstance(obj, Dkm):
+    elif kind == "dkm":
         if obj.init is None:
             raise ValueError("this model has no initial state")
         s = obj.init
@@ -76,37 +70,44 @@ def _cmd_run(args) -> int:
 def _cmd_reverse(args) -> int:
     """reverse and dual: the two verbs differ only on Moore and NFA files."""
     obj = _load(args.file, args.semiring)
-    if isinstance(obj, WeightedAutomaton):
+    kind = io.kind_of(obj)
+    if kind == "weighted":
+        from .weighted import dual_wa
         result = dual_wa(obj)
-    elif isinstance(obj, AlternatingAutomaton):
+    elif kind == "afa":
+        from .alternating import reverse_dfa
         result = reverse_dfa(obj, args.max_states)
-    elif args.verb == "reverse" and isinstance(obj, (MooreAutomaton, Nfa)):
-        result = reverse(obj)
-    elif args.verb == "dual" and isinstance(obj, MooreAutomaton):
+    elif args.verb == "reverse" and kind in ("moore", "nfa"):
+        result = automata.reverse(obj)
+    elif args.verb == "dual" and kind == "moore":
+        from .brzozowski import dual_automaton
         result = dual_automaton(obj, args.max_states)
     else:
         raise ValueError(f"{args.verb}: unsupported file type")
-    emit(result, sys.stdout)
+    io.emit(result, sys.stdout)
     return 0
 
 
 def _cmd_determinize(args) -> int:
     obj = _load(args.file, args.semiring)
-    if isinstance(obj, Nfa):
-        emit(determinise(obj, args.max_states), sys.stdout)
-        return 0
-    if isinstance(obj, WeightedAutomaton) and obj.semiring is BOOL:
-        emit(determinise(bool_wa_to_nfa(obj), args.max_states), sys.stdout)
-        return 0
-    raise ValueError("determinize expects an nfa (or a Boolean weighted automaton)")
+    kind = io.kind_of(obj)
+    if kind == "weighted" and obj.semiring.name == "bool":
+        from .weighted import bool_wa_to_nfa
+        obj, kind = bool_wa_to_nfa(obj), "nfa"
+    if kind != "nfa":
+        raise ValueError("determinize expects an nfa (or a Boolean weighted automaton)")
+    io.emit(automata.determinise(obj, args.max_states), sys.stdout)
+    return 0
 
 
 def _cmd_reach(args) -> int:
     obj = _load(args.file, args.semiring)
-    if isinstance(obj, MooreAutomaton):
-        emit(reach(obj), sys.stdout)
-    elif isinstance(obj, WeightedAutomaton):
-        emit(reach_restrict(obj), sys.stdout)
+    kind = io.kind_of(obj)
+    if kind == "moore":
+        io.emit(automata.reach(obj), sys.stdout)
+    elif kind == "weighted":
+        from .weighted import reach_restrict
+        io.emit(reach_restrict(obj), sys.stdout)
     else:
         raise ValueError("reach: unsupported file type")
     return 0
@@ -115,34 +116,43 @@ def _cmd_reach(args) -> int:
 def _cmd_minimize(args) -> int:
     obj = _load(args.file, args.semiring)
     method = args.method
-    if isinstance(obj, MooreAutomaton):
+    kind = io.kind_of(obj)
+    if kind == "moore":
         if method == "refine":
-            emit(partition_refinement_minimise(obj), sys.stdout)
+            io.emit(automata.partition_refinement_minimise(obj), sys.stdout)
         elif method == "duality":
             if len(obj.outputs) != 2:
                 raise ValueError("duality minimisation of a Moore file needs two outputs")
-            minimal = minimise_dkm(Dkm.from_dfa(reach(obj)), args.max_states).to_dfa()
-            emit(replace(minimal, outputs=obj.outputs), sys.stdout)
+            from .dkm import Dkm, minimise_dkm
+            minimal = minimise_dkm(Dkm.from_dfa(automata.reach(obj)), args.max_states).to_dfa()
+            io.emit(replace(minimal, outputs=obj.outputs), sys.stdout)
         else:
-            emit(brzozowski_minimise(obj, args.max_states), sys.stdout)
-    elif isinstance(obj, WeightedAutomaton):
+            from .brzozowski import brzozowski_minimise
+            io.emit(brzozowski_minimise(obj, args.max_states), sys.stdout)
+    elif kind == "weighted":
         if method == "refine":
             raise ValueError("refine applies to deterministic automata, not weighted ones")
-        if obj.semiring is BOOL:
+        if obj.semiring.name == "bool":
             # join-semilattices are not PIDs: determinise classically, then double reversal
-            emit(brzozowski_minimise(determinise(bool_wa_to_nfa(obj), args.max_states),
-                                     args.max_states), sys.stdout)
+            from .brzozowski import brzozowski_minimise
+            from .weighted import bool_wa_to_nfa
+            io.emit(brzozowski_minimise(automata.determinise(bool_wa_to_nfa(obj),
+                                                             args.max_states),
+                                        args.max_states), sys.stdout)
         else:
-            emit(minimise_wa(obj), sys.stdout)
-    elif isinstance(obj, AlternatingAutomaton):
+            from .weighted import minimise_wa
+            io.emit(minimise_wa(obj), sys.stdout)
+    elif kind == "afa":
         if method == "refine":
             raise ValueError("refine applies to deterministic automata, not alternating ones")
-        emit(minimal_dfa_for_afa(obj, max_states=args.max_states), sys.stdout)
-    elif isinstance(obj, Dkm):
+        from .alternating import minimal_dfa_for_afa
+        io.emit(minimal_dfa_for_afa(obj, max_states=args.max_states), sys.stdout)
+    elif kind == "dkm":
+        from .dkm import bisimulation_oracle, minimise_dkm, quotient_dkm
         if method == "refine":
-            emit(quotient_dkm(obj, bisimulation_oracle(obj)), sys.stdout)
+            io.emit(quotient_dkm(obj, bisimulation_oracle(obj)), sys.stdout)
         else:
-            emit(minimise_dkm(obj, args.max_states), sys.stdout)
+            io.emit(minimise_dkm(obj, args.max_states), sys.stdout)
     else:
         raise ValueError("minimize: unsupported file type")
     return 0
@@ -151,28 +161,37 @@ def _cmd_minimize(args) -> int:
 def _cmd_equiv(args) -> int:
     a = _load(args.file1, args.semiring)
     b = _load(args.file2, args.semiring)
+    kind = io.kind_of(a) if io.kind_of(a) == io.kind_of(b) else None
     bound = None
-    if isinstance(a, MooreAutomaton) and isinstance(b, MooreAutomaton):
-        verdict = equiv_exact(a, b)
-    elif isinstance(a, WeightedAutomaton) and isinstance(b, WeightedAutomaton):
+    if kind == "weighted":
         if a.alphabet != b.alphabet or a.semiring is not b.semiring:
             raise ValueError("equiv: alphabet or semiring mismatch")
-        if a.semiring is BOOL:
-            verdict = equiv_exact(determinise(bool_wa_to_nfa(a), args.max_states),
-                                  determinise(bool_wa_to_nfa(b), args.max_states))
-        elif a.semiring.is_ring:
-            verdict = equiv_wa(a, b)
-        else:
-            # tropical equivalence is undecidable (Krob 1994): compare short words only
-            bound = args.max_len
-            verdict = all(eval_series(a, w) == eval_series(b, w)
-                          for w in words_up_to(a.alphabet, bound))
-    elif isinstance(a, AlternatingAutomaton) and isinstance(b, AlternatingAutomaton):
+        if a.semiring.name == "bool":
+            from .weighted import bool_wa_to_nfa
+            a, b, kind = bool_wa_to_nfa(a), bool_wa_to_nfa(b), "nfa"
+    if kind == "moore":
+        verdict = automata.equiv_exact(a, b)
+    elif kind == "nfa":
+        if a.alphabet != b.alphabet:
+            raise ValueError("equiv: alphabet mismatch")
+        verdict = automata.equiv_exact(automata.determinise(a, args.max_states),
+                                       automata.determinise(b, args.max_states))
+    elif kind == "weighted" and a.semiring.is_ring:
+        from .weighted import equiv_wa
+        verdict = equiv_wa(a, b)
+    elif kind == "weighted":
+        # tropical equivalence is undecidable (Krob 1994): compare short words only
+        from .weighted import eval_series
+        bound = args.max_len
+        verdict = all(eval_series(a, w) == eval_series(b, w)
+                      for w in automata.words_up_to(a.alphabet, bound))
+    elif kind == "afa":
         if a.alphabet != b.alphabet:
             raise ValueError("equiv: alphabet mismatch")
         # languages are equal iff their reversals are
-        verdict = equiv_exact(reachable_reverse_dfa(a, args.max_states),
-                              reachable_reverse_dfa(b, args.max_states))
+        from .alternating import reachable_reverse_dfa
+        verdict = automata.equiv_exact(reachable_reverse_dfa(a, args.max_states),
+                                       reachable_reverse_dfa(b, args.max_states))
     else:
         raise ValueError("equiv: files must hold comparable automata")
     suffix = "" if bound is None else f" up to length {bound}"
@@ -183,7 +202,9 @@ def _cmd_equiv(args) -> int:
 _FORMULA_RE = re.compile(r"^((?:<[^<>]+>)*)([^<>]+)$")
 
 
-def parse_trace_formula(raw: str) -> TraceFormula:
+def parse_trace_formula(raw: str):
+    """The TraceFormula of `<a><b>obs`."""
+    from .dkm import TraceFormula
     m = _FORMULA_RE.match(raw.strip())
     if not m:
         raise ValueError(f"bad trace formula {raw!r} (expected <a><b>obs)")
@@ -191,15 +212,18 @@ def parse_trace_formula(raw: str) -> TraceFormula:
     return TraceFormula(word, m.group(2).strip())
 
 
-def _as_dkm(obj) -> Dkm:
-    if isinstance(obj, Dkm):
+def _as_dkm(obj):
+    from .dkm import Dkm
+    kind = io.kind_of(obj)
+    if kind == "dkm":
         return obj
-    if isinstance(obj, MooreAutomaton) and len(obj.outputs) == 2:
+    if kind == "moore" and len(obj.outputs) == 2:
         return Dkm.from_dfa(obj)
     raise ValueError("expected a dkm (or dfa) file")
 
 
 def _cmd_trace_eval(args) -> int:
+    from .dkm import eval_trace
     k = _as_dkm(_load(args.file))
     formula = parse_trace_formula(args.formula)
     names = k.state_names or tuple(f"s{i}" for i in range(k.n))
@@ -209,6 +233,7 @@ def _cmd_trace_eval(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .dkm import definable_closure
     k = _as_dkm(_load(args.file))
     names = k.state_names or tuple(f"s{i}" for i in range(k.n))
     family = sorted(definable_closure(k, args.max_states), key=lambda s: (len(s), sorted(s)))
@@ -219,33 +244,35 @@ def _cmd_closure(args) -> int:
 
 def _cmd_hankel(args) -> int:
     obj = _load(args.file, args.semiring)
-    if not isinstance(obj, WeightedAutomaton):
+    if io.kind_of(obj) != "weighted":
         raise ValueError("hankel expects a weighted file")
-    print(hankel_rank_oracle(obj, args.length))
+    from .weighted import hankel_rank_oracle
+    print(hankel_rank_oracle(obj, args.length, args.max_states))
     return 0
 
 
 def _cmd_stats(args) -> int:
     obj = _load(args.file, args.semiring)
-    kind = type(obj).__name__
-    if isinstance(obj, MooreAutomaton):
+    kind = io.kind_of(obj)
+    if kind == "moore":
         print(f"moore states={obj.n} letters={len(obj.alphabet)} "
-              f"outputs={len(obj.outputs)} reachable={reach(obj).n}")
-    elif isinstance(obj, Nfa):
+              f"outputs={len(obj.outputs)} reachable={automata.reach(obj).n}")
+    elif kind == "nfa":
         print(f"nfa states={obj.n} letters={len(obj.alphabet)} "
               f"initial={len(obj.inits)} final={len(obj.finals)}")
-    elif isinstance(obj, WeightedAutomaton):
+    elif kind == "weighted":
         print(f"weighted states={obj.n} letters={len(obj.alphabet)} semiring={obj.semiring.name}")
-    elif isinstance(obj, AlternatingAutomaton):
+    elif kind == "afa":
         print(f"afa states={obj.n} letters={len(obj.alphabet)} finals={len(obj.finals)}")
-    elif isinstance(obj, Dkm):
+    elif kind == "dkm":
         print(f"dkm states={obj.n} letters={len(obj.alphabet)} observations={len(obj.obs)}")
     else:
-        raise ValueError(f"stats: unsupported {kind}")
+        raise ValueError(f"stats: unsupported {type(obj).__name__}")
     return 0
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     return 0 if run_selftest(args.seed, args.cases) else 1
 
 
@@ -306,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("closure", _cmd_closure, bound=True, help="trace-definable subsets of a dkm")
     p.add_argument("file")
 
-    p = add("hankel", _cmd_hankel, semiring=True, help="rank of the truncated Hankel block")
+    p = add("hankel", _cmd_hankel, bound=True, semiring=True,
+            help="rank of the truncated Hankel block")
     p.add_argument("file")
     p.add_argument("-L", "--length", type=_at_least(0), required=True)
 

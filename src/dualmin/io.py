@@ -10,21 +10,38 @@ distinct string escaped once, and emit(x, fp) writes it in bounded batches.
 
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
+
+A file kind's module is imported only when a file or an object of that kind
+turns up, so reading a DFA loads no weighted, alternating or Kripke code.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
 
-from .alternating import AlternatingAutomaton, BoolFun, compile_formula
 from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa
-from .dkm import Dkm
 from .errors import FormatError
-from .semiring import INT, RATIONAL, TROPICAL, TROPICAL_INF, Matrix, semiring_by_name
-from .weighted import RestrictedWA, WeightedAutomaton
 
 KNOWN_TYPES = ("dfa", "moore", "nfa", "weighted", "afa", "dkm")
+
+# (kind, module, class) of every automaton object that emit writes
+_KINDS = (("moore", "automata", "MooreAutomaton"), ("nfa", "automata", "Nfa"),
+          ("weighted", "weighted", "WeightedAutomaton"),
+          ("restricted", "weighted", "RestrictedWA"),
+          ("afa", "alternating", "AlternatingAutomaton"), ("dkm", "dkm", "Dkm"))
+
+
+def kind_of(obj) -> str | None:
+    """The kind of an automaton object: "moore", "nfa", "weighted",
+    "restricted", "afa", "dkm", or None.  Only the modules already loaded are
+    asked: an object's class was loaded before the object could exist."""
+    for kind, module, cls in _KINDS:
+        loaded = sys.modules.get(f"dualmin.{module}")
+        if loaded is not None and isinstance(obj, getattr(loaded, cls)):
+            return kind
+    return None
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -148,6 +165,8 @@ def _parse_value(semiring, raw, path):
 
 
 def _parse_weighted(doc, alphabet, names, override):
+    from .semiring import Matrix, semiring_by_name
+    from .weighted import WeightedAutomaton
     semiring = semiring_by_name(_require(doc, "semiring", str, ""))
     semiring = semiring_by_name(override) if override else semiring
     n = len(names)
@@ -172,25 +191,25 @@ def _parse_weighted(doc, alphabet, names, override):
     return WeightedAutomaton(n, alphabet, semiring, mats, *vectors, names)
 
 
-def _parse_boolfun(raw, names, path) -> BoolFun:
-    n = len(names)
-    if isinstance(raw, str):
-        try:
-            return compile_formula(raw, names)
-        except ValueError as exc:
-            raise FormatError(str(exc), path) from None
-    if isinstance(raw, list):
-        states = {name: i for i, name in enumerate(names)}
-        subsets = []
-        for i, subset in enumerate(raw):
-            if not isinstance(subset, list):
-                raise FormatError("expected a list of state lists", f"{path}[{i}]")
-            subsets.append(frozenset(_state_index(s, states, f"{path}[{i}]") for s in subset))
-        return BoolFun.from_subsets(n, subsets)
-    raise FormatError("expected a formula string or a list of subsets", path)
-
-
 def _parse_afa(doc, alphabet, names, states):
+    from .alternating import AlternatingAutomaton, BoolFun, compile_formula
+
+    def boolfun(raw, path) -> BoolFun:
+        if isinstance(raw, str):
+            try:
+                return compile_formula(raw, names)
+            except ValueError as exc:
+                raise FormatError(str(exc), path) from None
+        if isinstance(raw, list):
+            subsets = []
+            for i, subset in enumerate(raw):
+                if not isinstance(subset, list):
+                    raise FormatError("expected a list of state lists", f"{path}[{i}]")
+                subsets.append(frozenset(_state_index(s, states, f"{path}[{i}]")
+                                         for s in subset))
+            return BoolFun.from_subsets(len(names), subsets)
+        raise FormatError("expected a formula string or a list of subsets", path)
+
     raw = _require(doc, "transitions", dict, "")
     if set(raw) != set(alphabet):
         raise FormatError("letters must match the alphabet exactly", "transitions")
@@ -198,15 +217,15 @@ def _parse_afa(doc, alphabet, names, states):
     for a, row in raw.items():
         if not isinstance(row, dict) or set(row) != set(names):
             raise FormatError("every state needs a transition condition", f"transitions.{a}")
-        delta[a] = tuple(_parse_boolfun(row[name], names, f"transitions.{a}.{name}")
-                         for name in names)
-    iota = _parse_boolfun(_require(doc, "iota", None, ""), names, "iota")
+        delta[a] = tuple(boolfun(row[name], f"transitions.{a}.{name}") for name in names)
+    iota = boolfun(_require(doc, "iota", None, ""), "iota")
     finals = frozenset(_state_index(s, states, "finals")
                        for s in _require(doc, "finals", list, ""))
     return AlternatingAutomaton(len(names), alphabet, delta, iota, finals, names)
 
 
 def _parse_dkm(doc, alphabet, names, states):
+    from .dkm import Dkm
     obs = _name_list(_require(doc, "obs", list, ""), "obs")
     raw_gamma = _require(doc, "gamma", dict, "")
     gamma = []
@@ -232,11 +251,13 @@ def _state_names(obj) -> tuple[str, ...]:
 
 
 def emit_value(semiring, v):
-    if semiring is RATIONAL:
+    # by name, so that writing a value needs no import of the semiring module
+    name = semiring.name
+    if name == "rational":
         return f"{v.numerator}/{v.denominator}"
-    if semiring is TROPICAL:
-        return "inf" if v == TROPICAL_INF else v
-    if semiring is INT and not -2**53 <= v <= 2**53:
+    if name == "tropical":
+        return "inf" if v == float("inf") else v
+    if name == "int" and not -2**53 <= v <= 2**53:
         return str(v)
     return v
 
@@ -269,19 +290,13 @@ def emit(obj, fp=None) -> str | None:
 
 def _document(obj) -> dict:
     """The JSON document of an automaton, before it is written as text."""
-    if isinstance(obj, RestrictedWA):
-        obj = obj.automaton
-    if isinstance(obj, MooreAutomaton):
-        return _emit_moore(obj)
-    if isinstance(obj, Nfa):
-        return _emit_nfa(obj)
-    if isinstance(obj, WeightedAutomaton):
-        return _emit_weighted(obj)
-    if isinstance(obj, AlternatingAutomaton):
-        return _emit_afa(obj)
-    if isinstance(obj, Dkm):
-        return _emit_dkm(obj)
-    raise TypeError(f"cannot emit {type(obj).__name__}")
+    kind = kind_of(obj)
+    if kind == "restricted":
+        obj, kind = obj.automaton, "weighted"
+    if kind is None:
+        raise TypeError(f"cannot emit {type(obj).__name__}")
+    return {"moore": _emit_moore, "nfa": _emit_nfa, "weighted": _emit_weighted,
+            "afa": _emit_afa, "dkm": _emit_dkm}[kind](obj)
 
 
 def _pieces(doc):

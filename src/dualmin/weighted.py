@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Mapping
 
 from .automata import Nfa, _check_alphabet, words_up_to
-from .errors import DimensionError, SemiringError
+from .errors import DimensionError, SemiringError, StateGuardError, resolve_max_states
 from .linalg import FieldBasis, IntegerBasis
 from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, over_lcm, vec_mat
 
@@ -173,18 +173,29 @@ def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     return all(sr.eq(x, zero) for x in reach_restrict(diff).automaton.final)
 
 
-def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
+def hankel_rank_oracle(w: WeightedAutomaton, max_len: int,
+                       max_states: int | None = None) -> int:
     """Rank over Q of the finite Hankel block H[u][v] = series(u.v), |u|,|v| <= max_len.
 
     Independent minimality oracle for series over semirings that embed in the
     rationals; for an automaton with n states any max_len >= n - 1 already
-    reaches the rank of the full Hankel matrix.
+    reaches the rank of the full Hankel matrix.  The block has one row and
+    one column per word; more words than the state bound raise
+    StateGuardError before any word is listed.
     """
-    return _hankel_basis(w, max_len).rank
+    return _hankel_basis(w, max_len, max_states).rank
 
 
-def _hankel_basis(w: WeightedAutomaton, max_len: int) -> FieldBasis:
+def _hankel_basis(w: WeightedAutomaton, max_len: int,
+                  max_states: int | None = None) -> FieldBasis:
     """The row space of the Hankel block, rows inserted in word order."""
+    limit = resolve_max_states(max_states)
+    # the number of words, or a count already past the bound: lengths beyond
+    # limit.bit_length() need not be counted, and a huge power is never built
+    k, length = len(w.alphabet), min(max_len, limit.bit_length())
+    if (max_len + 1 if k == 1 else (k ** (length + 1) - 1) // (k - 1)) > limit:
+        raise StateGuardError(f"Hankel block of the words up to length {max_len} exceeds "
+                              f"{limit} words; raise --max-states")
     to_q = w.semiring.to_fraction
     mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
             for a, m in w.mats.items()}

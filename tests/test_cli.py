@@ -175,6 +175,17 @@ def test_hankel(capsys, data_dir):
     assert rc == 0 and out.strip() == "1"
 
 
+def test_hankel_counts_its_words_before_listing_them(capsys, data_dir):
+    path = str(data_dir / "wa_rational.json")  # two letters: 7 words up to length 2
+    rc, out, _ = invoke(capsys, "hankel", path, "-L", "2", "--max-states", "7")
+    assert rc == 0 and out.strip() == "2"
+    rc, out, err = invoke(capsys, "hankel", path, "-L", "2", "--max-states", "6")
+    assert rc == 3 and out == "" and "exceeds 6 words" in err
+    # 2**(10**9) words: refused at once, as the count passes the default bound
+    rc, out, err = invoke(capsys, "hankel", path, "-L", str(10**9))
+    assert rc == 3 and out == "" and f"exceeds {DEFAULT_MAX_STATES} words" in err
+
+
 def test_equiv_weighted_bounded(capsys, data_dir, tmp_path):
     rc, out, _ = invoke(capsys, "minimize", str(data_dir / "wa_swap.json"))
     assert rc == 0
@@ -250,6 +261,31 @@ def test_equiv_boolean_obeys_max_states(capsys, data_dir):
     assert rc == 3 and "max-states" in err
 
 
+def _nfa_doc(**extra_arcs):
+    """Words ending in `aa` then any b's, with the arcs in `extra_arcs` added
+    (letter -> {state: [targets]})."""
+    trans = {"a": {"p": ["p", "q"], "q": ["r"]}, "b": {"p": ["p"], "r": ["r"]}}
+    for a, row in extra_arcs.items():
+        for state, targets in row.items():
+            trans[a][state] = trans[a].get(state, []) + targets
+    return {"type": "nfa", "alphabet": ["a", "b"], "states": ["p", "q", "r", "t"],
+            "initial": ["p"], "transitions": trans, "finals": ["r", "t"]}
+
+
+def test_equiv_nfa_is_exact(capsys, data_dir, tmp_path):
+    small = str(data_dir / "nfa_small.json")
+    same = tmp_path / "same.json"  # a second final state reached like r
+    same.write_text(json.dumps(_nfa_doc(a={"q": ["t"]}, b={"t": ["t"]})))
+    more = tmp_path / "more.json"  # r also loops on a: aaba is accepted
+    more.write_text(json.dumps(_nfa_doc(a={"r": ["r"]})))
+    rc, out, _ = invoke(capsys, "equiv", small, str(same))
+    assert rc == 0 and out.strip() == "equivalent"
+    rc, out, _ = invoke(capsys, "equiv", small, str(more))
+    assert rc == 1 and out.strip() == "not equivalent"
+    rc, out, err = invoke(capsys, "equiv", small, str(same), "--max-states", "1")
+    assert rc == 3 and out == "" and "max-states" in err
+
+
 def test_equiv_tropical_says_it_is_bounded(capsys, data_dir, tmp_path):
     path = data_dir / "wa_tropical.json"
     rc, out, _ = invoke(capsys, "equiv", str(path), str(path))
@@ -323,10 +359,11 @@ def test_max_states_env_must_be_an_integer(monkeypatch, capsys, data_dir):
     ("closure", "dkm_ends_with_a.json"),
     ("minimize", "dkm_ends_with_a.json"),
     ("minimize", "ends_with_a.json", "--method", "duality"),
+    ("hankel", "wa_swap.json", "-L", "2"),
+    ("equiv", "nfa_small.json", "nfa_small.json"),
 ], ids=" ".join)
 def test_every_construction_honours_max_states(capsys, data_dir, argv):
-    verb, name, *rest = argv
-    rc, out, err = invoke(capsys, verb, str(data_dir / name), *rest, "--max-states", "1")
+    rc, out, err = invoke(capsys, *_argv(data_dir, argv), "--max-states", "1")
     assert rc == 3 and out == ""
     assert "max-states" in err
 
@@ -357,7 +394,7 @@ VERBS = [
     ("stats", "ends_with_a.json"),
     ("selftest", "--cases", "1"),
 ]
-IGNORES_MAX_STATES = ("run", "reach", "trace-eval", "hankel", "stats", "selftest")
+IGNORES_MAX_STATES = ("run", "reach", "trace-eval", "stats", "selftest")
 IGNORES_SEMIRING = ("trace-eval", "closure", "selftest")
 
 
@@ -506,3 +543,41 @@ def test_closed_stdout_exits_quietly(tmp_path):
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+# modules that only some file kinds need
+HEAVY = ("weighted", "linalg", "semiring", "alternating", "dkm", "selftest", "sampling")
+
+
+LOADS = [
+    (("stats", "ends_with_a.json"), HEAVY + ("fractions",)),
+    (("minimize", "ends_with_a.json"), HEAVY + ("fractions",)),
+    (("equiv", "ends_with_a.json", "ends_with_a_min.json"), HEAVY + ("fractions",)),
+    (("determinize", "nfa_small.json"), HEAVY + ("fractions",)),
+    (("equiv", "nfa_small.json", "nfa_small.json"), HEAVY + ("fractions",)),
+    (("minimize", "afa_conj.json"), ("weighted", "linalg", "semiring", "selftest")),
+    (("equiv", "afa_conj.json", "afa_conj.json"), ("weighted", "linalg", "semiring")),
+    (("minimize", "wa_rational.json"), ("alternating", "dkm", "selftest", "sampling")),
+    (("hankel", "wa_rational.json", "-L", "2"), ("alternating", "dkm")),
+    (("minimize", "dkm_ends_with_a.json"), ("weighted", "linalg", "alternating")),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", LOADS, ids=[" ".join(argv) for argv, _ in LOADS])
+def test_a_call_loads_only_the_modules_of_its_file_kind(data_dir, argv, unloaded):
+    """Each call runs in a fresh interpreter, which then lists the dualmin
+    modules (and `fractions`) it has loaded."""
+    script = ("import json, sys\n"
+              "from dualmin.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              "                        if m.startswith('dualmin.') or m == 'fractions')))\n"
+              "sys.exit(code)\n")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *_argv(data_dir, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "dualmin.io" in loaded
+    assert not loaded & {m if m == "fractions" else f"dualmin.{m}" for m in unloaded}
