@@ -4,7 +4,7 @@ subset construction, partition refinement, isomorphism and exact equivalence.
 
 Two kernels serve every construction in the package: `explore` builds the
 state space reachable under a step function (dual predicates, subsets,
-definable sets, reachable states) behind one state bound, and
+definable sets, reachable states, pairs of states) behind one state bound, and
 `stable_partition` with `quotient_rows` refine and quotient any deterministic
 transition structure whose states carry keys (Moore outputs, or the
 observation sets of a Kripke model).
@@ -17,7 +17,6 @@ their reachable canonical forms compare equal.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -32,6 +31,21 @@ def _check_alphabet(alphabet):
         raise ValueError("alphabet must be nonempty")
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet letters must be distinct")
+
+
+def _check_successors(n: int, alphabet, rows: Mapping[str, Sequence[int]], init: int | None):
+    """Successor rows cover exactly the alphabet, each maps all n states into
+    0..n-1, and init (None where a structure may have no initial state) is a
+    state."""
+    _check_alphabet(alphabet)
+    if set(rows) != set(alphabet):
+        raise ValueError("successor rows must cover exactly the alphabet")
+    for a in alphabet:
+        row = rows[a]
+        if len(row) != n or any(not 0 <= t < n for t in row):
+            raise ValueError(f"bad successor row for letter {a!r}")
+    if init is not None and not 0 <= init < n:
+        raise ValueError("initial state out of range")
 
 
 @dataclass(frozen=True)
@@ -51,15 +65,7 @@ class MooreAutomaton:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_alphabet(self.alphabet)
-        if set(self.trans) != set(self.alphabet):
-            raise ValueError("transition table letters differ from the alphabet")
-        for a in self.alphabet:
-            row = self.trans[a]
-            if len(row) != self.n or any(not 0 <= t < self.n for t in row):
-                raise ValueError(f"bad transition row for letter {a!r}")
-        if not 0 <= self.init < self.n:
-            raise ValueError("initial state out of range")
+        _check_successors(self.n, self.alphabet, self.trans, self.init)
         if len(self.out) != self.n or any(not 0 <= o < len(self.outputs) for o in self.out):
             raise ValueError("output map must assign every state a valid output")
         if self.state_names is not None and len(self.state_names) != self.n:
@@ -147,6 +153,21 @@ def words_up_to(alphabet: tuple[str, ...], max_len: int) -> Iterator[tuple[str, 
     for _ in range(max_len):
         layer = [w + (a,) for w in layer for a in alphabet]
         yield from layer
+
+
+def bounded_words(alphabet: tuple[str, ...], max_len: int, max_states: int | None,
+                  what: str) -> Iterator[tuple[str, ...]]:
+    """words_up_to(alphabet, max_len), once their number is known to stay
+    within the state bound: StateGuardError is raised before any word is
+    listed."""
+    limit = resolve_max_states(max_states)
+    # the number of words, or a count already past the bound: lengths beyond
+    # limit.bit_length() need not be counted, and a huge power is never built
+    k, length = len(alphabet), min(max_len, limit.bit_length())
+    if (max_len + 1 if k == 1 else (k ** (length + 1) - 1) // (k - 1)) > limit:
+        raise StateGuardError(f"{what} of the words up to length {max_len} exceeds "
+                              f"{limit} words; raise --max-states")
+    return words_up_to(alphabet, max_len)
 
 
 def run(m: MooreAutomaton, word: Iterable[str]) -> int:
@@ -300,14 +321,18 @@ def quotient_rows(part: Partition, keys: Sequence, trans: Mapping[str, Sequence[
             {a: tuple(b[trans[a][r]] for r in reps) for a in alphabet})
 
 
+def quotient_moore(m: MooreAutomaton, part: Partition) -> MooreAutomaton:
+    """The quotient automaton on the blocks of a congruence partition, block
+    i as state i; it keeps m's output set and drops state names."""
+    out, trans = quotient_rows(part, m.out, m.trans, m.alphabet)
+    return MooreAutomaton(part.n_blocks, m.alphabet, trans, part.block_of[m.init], out, m.outputs)
+
+
 def partition_refinement_minimise(m: MooreAutomaton) -> MooreAutomaton:
     """Moore-style partition refinement on the reachable part; the quotient
     is the canonical minimal automaton."""
     m = reach(m)
-    part = stable_partition(m.out, m.trans, m.alphabet)
-    out, trans = quotient_rows(part, m.out, m.trans, m.alphabet)
-    return reach(MooreAutomaton(part.n_blocks, m.alphabet, trans,
-                                part.block_of[m.init], out, m.outputs))
+    return reach(quotient_moore(m, stable_partition(m.out, m.trans, m.alphabet)))
 
 
 def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
@@ -317,22 +342,38 @@ def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
     return reach(m1) == reach(m2)
 
 
-def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
-    """Exact language equivalence via BFS over the reachable product."""
+class _Differ(Exception):
+    """Raised inside pair_walk's step at the first pair whose keys differ."""
+
+
+def pair_walk(first: tuple, second: tuple, alphabet: Sequence[str],
+              max_states: int | None = None) -> bool:
+    """True iff the pairs of states reachable from the two initial states all
+    carry equal keys.  `first` and `second` are (keys, successor rows, initial
+    state) triples over one alphabet, the keys Moore outputs or a Kripke
+    model's observation sets.  The pairs are explored breadth-first behind
+    the state bound, and the walk stops at the first pair whose keys differ."""
+    (keys1, rows1, init1), (keys2, rows2, init2) = first, second
+
+    def step(pair, a):
+        s1, s2 = pair
+        if keys1[s1] != keys2[s2]:
+            raise _Differ
+        return rows1[a][s1], rows2[a][s2]
+
+    try:
+        explore([(init1, init2)], step, alphabet, resolve_max_states(max_states),
+                "product automaton")
+    except _Differ:
+        return False
+    return True
+
+
+def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton, max_states: int | None = None) -> bool:
+    """Exact language equivalence: the pair walk over the reachable product."""
     if m1.alphabet != m2.alphabet:
         raise ValueError("equiv_exact: alphabets differ")
     if m1.outputs != m2.outputs:
         raise ValueError("equiv_exact: output sets differ")
-    start = (m1.init, m2.init)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s1, s2 = queue.popleft()
-        if m1.out[s1] != m2.out[s2]:
-            return False
-        for a in m1.alphabet:
-            nxt = (m1.trans[a][s1], m2.trans[a][s2])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    return pair_walk((m1.out, m1.trans, m1.init), (m2.out, m2.trans, m2.init), m1.alphabet,
+                     max_states)

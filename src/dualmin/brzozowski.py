@@ -11,6 +11,9 @@ observable (hence minimal) automaton for the original language.
 the dual, from one 0/1 predicate per observation the definable closure of a
 Kripke model (dkm.py).  Only reachable predicates are stored, each once,
 behind the configurable state bound that guards the |B|^n worst case.
+`predicate_atoms` reads the atoms of such a closure off its predicates: the
+bisimulation quotient of a Kripke model, and `duality_minimise` for a Moore
+automaton read as a model with one observation per output.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Iterator
 
-from .automata import MooreAutomaton, explore, subset_names
+from .automata import MooreAutomaton, Partition, explore, quotient_moore, reach, subset_names
 from .errors import resolve_max_states
 
 
@@ -34,6 +37,16 @@ def explore_predicates(starts, trans, alphabet, max_states=None, what="dual auto
             for a, ts in trans.items()}
     return explore(map(pack, starts), lambda phi, a: pack(gets[a](phi)),
                    alphabet, resolve_max_states(max_states), what)
+
+
+def predicate_atoms(starts, trans, alphabet, max_states=None,
+                    what="definable closure") -> Partition:
+    """The states partitioned by their columns in the predicates explored from
+    the 0/1 predicates `starts`: the atoms of the Boolean algebra the closure
+    generates, blocks numbered by least state (one block without starts)."""
+    order = explore_predicates(starts, trans, alphabet, max_states, what)[0]
+    n = len(trans[alphabet[0]])
+    return Partition.from_signatures(zip(*order) if order else [()] * n)
 
 
 def _members(order, n: int) -> Iterator[tuple[int, ...]]:
@@ -64,6 +77,18 @@ def brzozowski_minimise(m: MooreAutomaton, max_states: int | None = None) -> Moo
     return dual_automaton(dual_automaton(m, max_states), max_states)
 
 
+def duality_minimise(m: MooreAutomaton, max_states: int | None = None) -> MooreAutomaton:
+    """The reachable part quotiented by the atoms of its definable closure.
+
+    The closure starts from one 0/1 predicate per output except the first,
+    whose extension is the complement of the union of the others, so the
+    atoms are those of all the outputs.  The result keeps m's output set.
+    """
+    m = reach(m)
+    starts = [[o == j for o in m.out] for j in range(1, len(m.outputs))]
+    return quotient_moore(m, predicate_atoms(starts, m.trans, m.alphabet, max_states))
+
+
 def dual_state_sets(m: MooreAutomaton, max_states: int | None = None) -> frozenset[frozenset[int]]:
     """Dual states of a two-output automaton decoded as subsets of m's states."""
     if len(m.outputs) != 2:
@@ -72,4 +97,5 @@ def dual_state_sets(m: MooreAutomaton, max_states: int | None = None) -> frozens
     return frozenset(map(frozenset, _members(order, m.n)))
 
 
-__all__ = ["explore_predicates", "dual_automaton", "brzozowski_minimise", "dual_state_sets"]
+__all__ = ["explore_predicates", "predicate_atoms", "dual_automaton", "brzozowski_minimise",
+           "duality_minimise", "dual_state_sets"]

@@ -13,7 +13,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
 
 from . import automata, io
 from .errors import FormatError, StateGuardError, resolve_max_states
@@ -121,11 +120,8 @@ def _cmd_minimize(args) -> int:
         if method == "refine":
             io.emit(automata.partition_refinement_minimise(obj), sys.stdout)
         elif method == "duality":
-            if len(obj.outputs) != 2:
-                raise ValueError("duality minimisation of a Moore file needs two outputs")
-            from .dkm import Dkm, minimise_dkm
-            minimal = minimise_dkm(Dkm.from_dfa(automata.reach(obj)), args.max_states).to_dfa()
-            io.emit(replace(minimal, outputs=obj.outputs), sys.stdout)
+            from .brzozowski import duality_minimise
+            io.emit(duality_minimise(obj, args.max_states), sys.stdout)
         else:
             from .brzozowski import brzozowski_minimise
             io.emit(brzozowski_minimise(obj, args.max_states), sys.stdout)
@@ -170,12 +166,12 @@ def _cmd_equiv(args) -> int:
             from .weighted import bool_wa_to_nfa
             a, b, kind = bool_wa_to_nfa(a), bool_wa_to_nfa(b), "nfa"
     if kind == "moore":
-        verdict = automata.equiv_exact(a, b)
+        verdict = automata.equiv_exact(a, b, args.max_states)
     elif kind == "nfa":
         if a.alphabet != b.alphabet:
             raise ValueError("equiv: alphabet mismatch")
         verdict = automata.equiv_exact(automata.determinise(a, args.max_states),
-                                       automata.determinise(b, args.max_states))
+                                       automata.determinise(b, args.max_states), args.max_states)
     elif kind == "weighted" and a.semiring.is_ring:
         from .weighted import equiv_wa
         verdict = equiv_wa(a, b)
@@ -183,15 +179,24 @@ def _cmd_equiv(args) -> int:
         # tropical equivalence is undecidable (Krob 1994): compare short words only
         from .weighted import eval_series
         bound = args.max_len
-        verdict = all(eval_series(a, w) == eval_series(b, w)
-                      for w in automata.words_up_to(a.alphabet, bound))
+        words = automata.bounded_words(a.alphabet, bound, args.max_states, "tropical comparison")
+        verdict = all(eval_series(a, w) == eval_series(b, w) for w in words)
     elif kind == "afa":
         if a.alphabet != b.alphabet:
             raise ValueError("equiv: alphabet mismatch")
         # languages are equal iff their reversals are
         from .alternating import reachable_reverse_dfa
         verdict = automata.equiv_exact(reachable_reverse_dfa(a, args.max_states),
-                                       reachable_reverse_dfa(b, args.max_states))
+                                       reachable_reverse_dfa(b, args.max_states), args.max_states)
+    elif kind == "dkm":
+        # deterministic models are bisimilar iff the reachable pairs observe alike
+        for k, path in ((a, args.file1), (b, args.file2)):
+            if k.init is None:
+                raise ValueError(f"equiv: {path} has no initial state")
+        if a.alphabet != b.alphabet:
+            raise ValueError("equiv: alphabet mismatch")
+        verdict = automata.pair_walk((a.gamma, a.delta, a.init), (b.gamma, b.delta, b.init),
+                                     a.alphabet, args.max_states)
     else:
         raise ValueError("equiv: files must hold comparable automata")
     suffix = "" if bound is None else f" up to length {bound}"

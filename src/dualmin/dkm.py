@@ -9,7 +9,8 @@ automaton's predicate step, so the closure of all trace-definable subsets is
 the dual pass (`explore_predicates`) from one 0/1 predicate per observation.
 A state's membership signature across the closure is its column in those
 predicates; the signatures partition the states exactly as the coarsest
-bisimulation does, and `minimise_dkm` quotients by them.
+bisimulation does, and `minimise_dkm` quotients by them (`predicate_atoms`,
+which also minimises Moore automata by duality).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .automata import (DFA_OUTPUTS, MooreAutomaton, Partition, _check_alphabet, quotient_rows,
+from .automata import (DFA_OUTPUTS, MooreAutomaton, Partition, _check_successors, quotient_rows,
                        stable_partition)
-from .brzozowski import _members, explore_predicates
+from .brzozowski import _members, explore_predicates, predicate_atoms
 
 
 @dataclass(frozen=True)
@@ -33,18 +34,11 @@ class Dkm:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_alphabet(self.alphabet)
+        _check_successors(self.n, self.alphabet, self.delta, self.init)
         if len(set(self.obs)) != len(self.obs):
             raise ValueError("observations must be distinct")
         if len(self.gamma) != self.n or any(not g <= set(self.obs) for g in self.gamma):
             raise ValueError("gamma must assign every state a subset of the observations")
-        if set(self.delta) != set(self.alphabet):
-            raise ValueError("delta must cover exactly the alphabet")
-        for a, row in self.delta.items():
-            if len(row) != self.n or any(not 0 <= t < self.n for t in row):
-                raise ValueError(f"bad delta row for letter {a!r}")
-        if self.init is not None and not 0 <= self.init < self.n:
-            raise ValueError("initial state out of range")
 
     @classmethod
     def from_dfa(cls, m: MooreAutomaton, obs_name: str = "p") -> "Dkm":
@@ -87,16 +81,17 @@ def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:
     return current
 
 
-def _closure_predicates(k: Dkm, max_states: int | None) -> list[bytes]:
-    """The definable closure as 0/1 predicates, from one per observation."""
-    starts = [[w in g for g in k.gamma] for w in k.obs]
-    return explore_predicates(starts, k.delta, k.alphabet, max_states, "definable closure")[0]
+def _observations(k: Dkm) -> list[list[bool]]:
+    """One 0/1 predicate per observation: the states where it holds."""
+    return [[w in g for g in k.gamma] for w in k.obs]
 
 
 def definable_closure(k: Dkm, max_states: int | None = None) -> frozenset[frozenset[int]]:
     """Least family containing every observation extension and closed under
     transition preimages; equals the set of all trace-formula extensions."""
-    return frozenset(map(frozenset, _members(_closure_predicates(k, max_states), k.n)))
+    order = explore_predicates(_observations(k), k.delta, k.alphabet, max_states,
+                               "definable closure")[0]
+    return frozenset(map(frozenset, _members(order, k.n)))
 
 
 def boolean_atoms(family: frozenset[frozenset[int]], n: int) -> Partition:
@@ -123,8 +118,7 @@ def quotient_dkm(k: Dkm, part: Partition) -> Dkm:
 def minimise_dkm(k: Dkm, max_states: int | None = None) -> Dkm:
     """Bisimulation quotient via duality: atoms of the definable closure, read
     as the states' columns in its predicates (one block without observations)."""
-    order = _closure_predicates(k, max_states)
-    return quotient_dkm(k, Partition.from_signatures(zip(*order) if order else [()] * k.n))
+    return quotient_dkm(k, predicate_atoms(_observations(k), k.delta, k.alphabet, max_states))
 
 
 def bisimulation_oracle(k: Dkm) -> Partition:

@@ -68,6 +68,13 @@ def _state_index(name, states: dict[str, int], path: str) -> int:
     return states[name]
 
 
+def _known_states(raw: dict, states: dict[str, int], path: str):
+    """A map keyed by state names may name only states of the file."""
+    for name in raw:
+        if name not in states:
+            raise FormatError(f"unknown state {name!r}", f"{path}.{name}")
+
+
 def _det_transitions(doc, alphabet, states, path="transitions"):
     raw = _require(doc, "transitions", dict, "")
     if set(raw) != set(alphabet):
@@ -142,6 +149,7 @@ def _parse_nfa(doc, alphabet, names, states):
     for a, row in raw.items():
         if not isinstance(row, dict):
             raise FormatError("expected a state-to-targets map", f"transitions.{a}")
+        _known_states(row, states, f"transitions.{a}")
         per_state = []
         for name in names:
             targets = row.get(name, [])
@@ -228,6 +236,7 @@ def _parse_dkm(doc, alphabet, names, states):
     from .dkm import Dkm
     obs = _name_list(_require(doc, "obs", list, ""), "obs")
     raw_gamma = _require(doc, "gamma", dict, "")
+    _known_states(raw_gamma, states, "gamma")
     gamma = []
     for name in names:
         seen = raw_gamma.get(name, [])

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Mapping
 
-from .automata import Nfa, _check_alphabet, words_up_to
-from .errors import DimensionError, SemiringError, StateGuardError, resolve_max_states
+from .automata import Nfa, _check_alphabet, bounded_words
+from .errors import DimensionError, SemiringError
 from .linalg import FieldBasis, IntegerBasis
 from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, over_lcm, vec_mat
 
@@ -189,17 +189,10 @@ def hankel_rank_oracle(w: WeightedAutomaton, max_len: int,
 def _hankel_basis(w: WeightedAutomaton, max_len: int,
                   max_states: int | None = None) -> FieldBasis:
     """The row space of the Hankel block, rows inserted in word order."""
-    limit = resolve_max_states(max_states)
-    # the number of words, or a count already past the bound: lengths beyond
-    # limit.bit_length() need not be counted, and a huge power is never built
-    k, length = len(w.alphabet), min(max_len, limit.bit_length())
-    if (max_len + 1 if k == 1 else (k ** (length + 1) - 1) // (k - 1)) > limit:
-        raise StateGuardError(f"Hankel block of the words up to length {max_len} exceeds "
-                              f"{limit} words; raise --max-states")
+    words = list(bounded_words(w.alphabet, max_len, max_states, "Hankel block"))
     to_q = w.semiring.to_fraction
     mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
             for a, m in w.mats.items()}
-    words = list(words_up_to(w.alphabet, max_len))
     forward = {(): tuple(map(to_q, w.init))}
     backward = {(): tuple(map(to_q, w.final))}
     for word in words[1:]:

@@ -8,20 +8,22 @@ forms by whole-matrix elimination, determinants by permutation expansion,
 AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the definable closure of a Kripke model by
-frozenset preimages, and emitted text by json.dumps.  Two oracles keep a
+frozenset preimages, and emitted text by json.dumps.  Four oracles keep a
 library route as an explicit second copy: the Kripke quotient by the atoms of
-the definable closure as a set family, and the Hankel block one word pair at
-a time.
+the definable closure as a set family, the Hankel block one word pair at a
+time, Moore equivalence by a hand-written breadth-first walk over the
+product, and Kripke equivalence by refining the disjoint union of two models.
 """
 
 import ast
 import json
+from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
 
 from dualmin import (RATIONAL, AlternatingAutomaton, FieldBasis, Matrix, MooreAutomaton, Nfa,
                      WeightedAutomaton, boolean_atoms, definable_closure, quotient_dkm)
-from dualmin.automata import subset_names
+from dualmin.automata import stable_partition, subset_names
 from dualmin.io import _document
 
 
@@ -349,3 +351,32 @@ def hankel_basis_by_pairs(w: WeightedAutomaton, max_len: int) -> FieldBasis:
         basis, _ = basis.insert(tuple(dot_by_entries(RATIONAL, backward[v], forward[u])
                                       for v in ws))
     return basis
+
+
+def equiv_by_bfs(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
+    """Moore equivalence by a breadth-first walk over the reachable pairs of
+    states with a deque and a seen set, stopping at the first pair whose
+    outputs differ."""
+    start = (m1.init, m2.init)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        s1, s2 = queue.popleft()
+        if m1.out[s1] != m2.out[s2]:
+            return False
+        for a in m1.alphabet:
+            nxt = (m1.trans[a][s1], m2.trans[a][s2])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def dkm_equiv_by_union(k1, k2) -> bool:
+    """Two Kripke models' initial states are bisimilar iff they share a block
+    of the coarsest stable partition of the disjoint union of the models
+    (the second model's states shifted by k1.n)."""
+    gamma = k1.gamma + k2.gamma
+    delta = {a: tuple(k1.delta[a]) + tuple(t + k1.n for t in k2.delta[a]) for a in k1.alphabet}
+    block_of = stable_partition(gamma, delta, k1.alphabet).block_of
+    return block_of[k1.init] == block_of[k1.n + k2.init]

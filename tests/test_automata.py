@@ -4,10 +4,11 @@ import pytest
 
 from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, equiv_exact,
                      iso_check, nfa_step, partition_refinement_minimise, reach, reverse, run)
-from dualmin.automata import explore, subset_names
+from dualmin.automata import bounded_words, explore, pair_walk, subset_names
 from dualmin.sampling import random_dfa, random_moore, random_nfa
 
-from oracles import ends_with_a_dfa, nfa_accepts_paths, run_by_hand, smallest_equivalent_dfa, words
+from oracles import (ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths, run_by_hand,
+                     smallest_equivalent_dfa, words)
 
 
 def test_run_examples():
@@ -214,6 +215,73 @@ def test_equiv_exact_agrees_with_bounded_enumeration():
         brute = all(run_by_hand(m1, w) == run_by_hand(m2, w)
                     for w in words(m1.alphabet, 8))
         assert equiv_exact(m1, m2) == brute
+
+
+def _with_unreachable(rng, m: MooreAutomaton) -> MooreAutomaton:
+    """m plus one to three states that no state of m steps into."""
+    extra = rng.randint(1, 3)
+    n = m.n + extra
+    trans = {a: m.trans[a] + tuple(rng.randrange(n) for _ in range(extra)) for a in m.alphabet}
+    out = m.out + tuple(rng.randrange(len(m.outputs)) for _ in range(extra))
+    return MooreAutomaton(n, m.alphabet, trans, m.init, out, m.outputs)
+
+
+def _renumbered(rng, m: MooreAutomaton) -> MooreAutomaton:
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    inv = {p: s for s, p in enumerate(perm)}
+    return MooreAutomaton(m.n, m.alphabet,
+                          {a: tuple(perm[m.trans[a][inv[p]]] for p in range(m.n))
+                           for a in m.alphabet},
+                          perm[m.init], tuple(m.out[inv[p]] for p in range(m.n)), m.outputs)
+
+
+def test_equiv_exact_matches_the_bfs_oracle():
+    rng = random.Random(41)
+    verdicts = []
+    for i in range(600):
+        m = _with_unreachable(rng, random_moore(rng, max_n=5, max_letters=2, max_outputs=3))
+        kind = i % 4
+        if kind == 0:  # a renumbered copy, unreachable states included
+            other = _renumbered(rng, m)
+        elif kind == 1:  # the minimal automaton: no unreachable or equivalent states
+            other = partition_refinement_minimise(m)
+        elif kind == 2:  # an independent draw over the same letters and outputs
+            n = rng.randint(1, 5)
+            other = _with_unreachable(rng, MooreAutomaton(
+                n, m.alphabet, {a: tuple(rng.randrange(n) for _ in range(n)) for a in m.alphabet},
+                rng.randrange(n), tuple(rng.randrange(len(m.outputs)) for _ in range(n)),
+                m.outputs))
+        else:  # one output changed, which matters only if that state is reachable
+            s = rng.randrange(m.n)
+            out = list(m.out)
+            out[s] = (out[s] + 1) % len(m.outputs)
+            other = MooreAutomaton(m.n, m.alphabet, m.trans, m.init, tuple(out), m.outputs)
+        verdict = equiv_exact(m, other)
+        assert verdict == equiv_by_bfs(m, other) == equiv_exact(other, m)
+        if kind < 2:
+            assert verdict
+        verdicts.append(verdict)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 300
+
+
+def test_pair_walk_obeys_the_state_bound():
+    m = ends_with_a_dfa()  # compared with itself: 3 reachable pairs
+    assert equiv_exact(m, m, max_states=3)
+    with pytest.raises(StateGuardError, match="product automaton exceeds 2 states"):
+        equiv_exact(m, m, max_states=2)
+    # a difference found before the bound is reached still decides
+    yes = MooreAutomaton.dfa(1, ("a",), {"a": (0,)}, 0, [0])
+    no = MooreAutomaton.dfa(1, ("a",), {"a": (0,)}, 0, [])
+    assert not pair_walk((yes.out, yes.trans, 0), (no.out, no.trans, 0), ("a",), 1)
+
+
+def test_bounded_words_counts_before_listing():
+    assert list(bounded_words(("a", "b"), 2, 7, "test")) == words(("a", "b"), 2)
+    with pytest.raises(StateGuardError, match="test of the words up to length 2 exceeds 6"):
+        bounded_words(("a", "b"), 2, 6, "test")
+    with pytest.raises(StateGuardError):
+        bounded_words(("a",), 10**9, None, "test")  # 10**9 + 1 words: refused unlisted
 
 
 def test_reverse_nfa_twice_is_identity():

@@ -5,6 +5,7 @@ import pytest
 from dualmin import (MooreAutomaton, StateGuardError, brzozowski_minimise,
                      determinise, dual_automaton, dual_state_sets, equiv_exact,
                      iso_check, partition_refinement_minimise, reach, reverse, run)
+from dualmin.brzozowski import duality_minimise
 from dualmin.sampling import random_dfa, random_moore
 
 from oracles import dual_by_tuples, ends_with_a_dfa, run_by_hand, words
@@ -67,6 +68,16 @@ def test_brzozowski_vs_refinement_moore():
         assert iso_check(b, p)
         assert equiv_exact(b, m)
         assert b.n == p.n
+
+
+def test_duality_route_matches_refinement_on_moore():
+    rng = random.Random(78)
+    for _ in range(400):
+        m = random_moore(rng, max_n=6, max_letters=2, max_outputs=4)
+        d = duality_minimise(m)
+        # the quotient of the reachable part: minimal, numbered by block, labels kept
+        assert iso_check(d, partition_refinement_minimise(m))
+        assert d.outputs == m.outputs and d.init == 0
 
 
 def test_dual_involution_on_minimal():

@@ -39,12 +39,13 @@ def test_minimize_methods_agree(capsys, data_dir):
 
 def test_minimize_methods_agree_on_moore(capsys, data_dir):
     outputs = []
-    for method in ("brzozowski", "refine"):
+    for method in ("brzozowski", "refine", "duality"):
         rc, out, _ = invoke(capsys, "minimize", str(data_dir / "moore3.json"),
                             "--method", method)
         assert rc == 0
         outputs.append(parse(out))
     assert iso_check(outputs[0], outputs[1])
+    assert iso_check(outputs[0], outputs[2])  # three outputs: low, mid, high
 
 
 def _minimise_by_every_method(capsys, path):
@@ -101,6 +102,41 @@ def test_equiv_verdicts(capsys, data_dir):
     rc, out, _ = invoke(capsys, "equiv", str(data_dir / "ends_with_a.json"),
                         str(data_dir / "moore3.json"))
     assert rc == 1  # output sets differ: reported as an error verdict
+
+
+def test_equiv_dkm(capsys, data_dir, tmp_path):
+    path = data_dir / "dkm_ends_with_a.json"
+    rc, out, _ = invoke(capsys, "equiv", str(path), str(path))
+    assert rc == 0 and out.strip() == "equivalent"
+    doc = json.loads(path.read_text())
+    doc["gamma"]["x"] = ["p"]  # x observes p too: the empty word now tells them apart
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    rc, out, _ = invoke(capsys, "equiv", str(path), str(other))
+    assert rc == 1 and out.strip() == "not equivalent"
+    # the minimal model of the same behaviour: y and z merged
+    rc, out, _ = invoke(capsys, "minimize", str(path))
+    small = tmp_path / "small.json"
+    small.write_text(out)
+    rc, out, _ = invoke(capsys, "equiv", str(small), str(path))
+    assert rc == 0 and out.strip() == "equivalent"
+
+
+def test_equiv_dkm_data_errors(capsys, data_dir, tmp_path):
+    path = data_dir / "dkm_ends_with_a.json"
+    doc = json.loads(path.read_text())
+    del doc["initial"]
+    rootless = tmp_path / "rootless.json"
+    rootless.write_text(json.dumps(doc))
+    rc, out, err = invoke(capsys, "equiv", str(path), str(rootless))
+    assert rc == 1 and out == "" and str(rootless) in err and "no initial state" in err
+    doc = json.loads(path.read_text())
+    doc["alphabet"] = ["a", "b", "c"]
+    doc["transitions"]["c"] = {"x": "x", "y": "y", "z": "z"}
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps(doc))
+    rc, out, err = invoke(capsys, "equiv", str(path), str(wider))
+    assert rc == 1 and out == "" and "alphabet mismatch" in err
 
 
 def test_run_words(capsys, data_dir):
@@ -300,6 +336,24 @@ def test_equiv_tropical_says_it_is_bounded(capsys, data_dir, tmp_path):
     assert rc == 1 and out.strip() == "not equivalent"
 
 
+def test_equiv_tropical_counts_its_words_before_listing_them(capsys, data_dir, tmp_path):
+    doc = json.loads((data_dir / "wa_tropical.json").read_text())
+    doc["alphabet"] = ["a", "b"]
+    doc["transitions"]["b"] = [[0, "inf"], ["inf", 2]]
+    two = tmp_path / "two_letters.json"
+    two.write_text(json.dumps(doc))
+    # 2**17 - 1 words up to length 16: refused before one is compared
+    rc, out, err = invoke(capsys, "equiv", str(two), str(two), "--max-len", "16",
+                          "--max-states", "1000")
+    assert rc == 3 and out == "" and "exceeds 1000 words" in err
+    rc, out, _ = invoke(capsys, "equiv", str(two), str(two), "--max-len", "8",
+                        "--max-states", "1000")
+    assert rc == 0 and out.strip() == "equivalent up to length 8"  # 511 words
+    path = str(data_dir / "wa_tropical.json")
+    rc, out, err = invoke(capsys, "equiv", path, path, "--max-len", str(10**9))
+    assert rc == 3 and out == "" and f"exceeds {DEFAULT_MAX_STATES} words" in err
+
+
 def test_trace_eval_and_closure(capsys, data_dir):
     rc, out, _ = invoke(capsys, "trace-eval", str(data_dir / "dkm_ends_with_a.json"),
                         "-f", "<a>p")
@@ -361,6 +415,8 @@ def test_max_states_env_must_be_an_integer(monkeypatch, capsys, data_dir):
     ("minimize", "ends_with_a.json", "--method", "duality"),
     ("hankel", "wa_swap.json", "-L", "2"),
     ("equiv", "nfa_small.json", "nfa_small.json"),
+    ("equiv", "ends_with_a.json", "ends_with_a.json"),
+    ("equiv", "dkm_ends_with_a.json", "dkm_ends_with_a.json"),
 ], ids=" ".join)
 def test_every_construction_honours_max_states(capsys, data_dir, argv):
     rc, out, err = invoke(capsys, *_argv(data_dir, argv), "--max-states", "1")
@@ -552,6 +608,7 @@ HEAVY = ("weighted", "linalg", "semiring", "alternating", "dkm", "selftest", "sa
 LOADS = [
     (("stats", "ends_with_a.json"), HEAVY + ("fractions",)),
     (("minimize", "ends_with_a.json"), HEAVY + ("fractions",)),
+    (("minimize", "ends_with_a.json", "--method", "duality"), HEAVY + ("fractions",)),
     (("equiv", "ends_with_a.json", "ends_with_a_min.json"), HEAVY + ("fractions",)),
     (("determinize", "nfa_small.json"), HEAVY + ("fractions",)),
     (("equiv", "nfa_small.json", "nfa_small.json"), HEAVY + ("fractions",)),

@@ -9,7 +9,10 @@ from dualmin import (Dkm, NonCongruenceError, Partition, TraceFormula,
                      quotient_dkm)
 from dualmin.sampling import random_dfa, random_dkm
 
-from oracles import closure_by_preimages, ends_with_a_dfa, minimise_dkm_by_atoms, words
+from dualmin.automata import pair_walk
+
+from oracles import (closure_by_preimages, dkm_equiv_by_union, ends_with_a_dfa,
+                     minimise_dkm_by_atoms, words)
 
 
 def ends_with_a_dkm() -> Dkm:
@@ -252,3 +255,23 @@ def test_minimise_matches_the_set_family_route_and_bisimulation():
         assert minimal == quotient_dkm(k, bisimulation_oracle(k))
         if not k.obs:
             assert minimal.n == min(k.n, 1)
+
+
+def test_pair_walk_matches_the_disjoint_union_oracle():
+    rng = random.Random(61)
+    verdicts = []
+    for i in range(600):
+        k1 = random_dkm(rng, max_n=5, max_letters=2, max_obs=2)
+        if i % 3 == 0:  # the bisimulation quotient: always equivalent
+            k2 = minimise_dkm(k1)
+        else:
+            k2 = random_dkm(rng, max_n=5, max_letters=2, max_obs=2)
+            if k2.alphabet != k1.alphabet:
+                continue
+        verdict = pair_walk((k1.gamma, k1.delta, k1.init), (k2.gamma, k2.delta, k2.init),
+                            k1.alphabet)
+        assert verdict == dkm_equiv_by_union(k1, k2)
+        if i % 3 == 0:
+            assert verdict
+        verdicts.append(verdict)
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 200

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -101,6 +102,21 @@ def test_nfa_parse_defaults_missing_rows(data_dir):
     assert isinstance(n, Nfa)
     assert n.trans["a"][2] == frozenset()  # r has no a-arcs in the file
     assert n.inits == frozenset({0})
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"type": "nfa", "alphabet": ["a"], "states": ["p", "q"], "initial": ["p"],
+      "transitions": {"a": {"p": ["q"], "qq": ["p"]}}, "finals": ["q"]}, "transitions.a.qq"),
+    ({"type": "dkm", "alphabet": ["a"], "states": ["x", "y"], "obs": ["p"],
+      "gamma": {"x": [], "yy": ["p"]}, "transitions": {"a": {"x": "y", "y": "x"}},
+      "initial": "x"}, "gamma.yy"),
+], ids=["nfa", "dkm"])
+def test_state_keyed_maps_reject_unknown_states(doc, path):
+    # a misspelt state name is an error, not a row that is silently dropped
+    with pytest.raises(FormatError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: unknown state {path.rsplit('.', 1)[1]!r}"
 
 
 def test_dkm_parse(data_dir):
