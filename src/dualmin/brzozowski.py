@@ -39,12 +39,11 @@ def explore_predicates(starts, trans, alphabet, max_states=None, what="dual auto
                    alphabet, resolve_max_states(max_states), what)
 
 
-def predicate_atoms(starts, trans, alphabet, max_states=None,
-                    what="definable closure") -> Partition:
+def predicate_atoms(starts, trans, alphabet, max_states=None) -> Partition:
     """The states partitioned by their columns in the predicates explored from
     the 0/1 predicates `starts`: the atoms of the Boolean algebra the closure
     generates, blocks numbered by least state (one block without starts)."""
-    order = explore_predicates(starts, trans, alphabet, max_states, what)[0]
+    order = explore_predicates(starts, trans, alphabet, max_states, "definable closure")[0]
     n = len(trans[alphabet[0]])
     return Partition.from_signatures(zip(*order) if order else [()] * n)
 

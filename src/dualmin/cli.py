@@ -171,7 +171,7 @@ def _cmd_equiv(args) -> int:
         if a.alphabet != b.alphabet:
             raise ValueError("equiv: alphabet mismatch")
         verdict = automata.equiv_exact(automata.determinise(a, args.max_states),
-                                       automata.determinise(b, args.max_states), args.max_states)
+                                       automata.determinise(b, args.max_states))
     elif kind == "weighted" and a.semiring.is_ring:
         from .weighted import equiv_wa
         verdict = equiv_wa(a, b)
@@ -187,7 +187,7 @@ def _cmd_equiv(args) -> int:
         # languages are equal iff their reversals are
         from .alternating import reachable_reverse_dfa
         verdict = automata.equiv_exact(reachable_reverse_dfa(a, args.max_states),
-                                       reachable_reverse_dfa(b, args.max_states), args.max_states)
+                                       reachable_reverse_dfa(b, args.max_states))
     elif kind == "dkm":
         # deterministic models are bisimilar iff the reachable pairs observe alike
         for k, path in ((a, args.file1), (b, args.file2)):

@@ -68,13 +68,6 @@ def _state_index(name, states: dict[str, int], path: str) -> int:
     return states[name]
 
 
-def _known_states(raw: dict, states: dict[str, int], path: str):
-    """A map keyed by state names may name only states of the file."""
-    for name in raw:
-        if name not in states:
-            raise FormatError(f"unknown state {name!r}", f"{path}.{name}")
-
-
 def _det_transitions(doc, alphabet, states, path="transitions"):
     raw = _require(doc, "transitions", dict, "")
     if set(raw) != set(alphabet):
@@ -149,7 +142,8 @@ def _parse_nfa(doc, alphabet, names, states):
     for a, row in raw.items():
         if not isinstance(row, dict):
             raise FormatError("expected a state-to-targets map", f"transitions.{a}")
-        _known_states(row, states, f"transitions.{a}")
+        for name in row:
+            _state_index(name, states, f"transitions.{a}.{name}")
         per_state = []
         for name in names:
             targets = row.get(name, [])
@@ -236,7 +230,8 @@ def _parse_dkm(doc, alphabet, names, states):
     from .dkm import Dkm
     obs = _name_list(_require(doc, "obs", list, ""), "obs")
     raw_gamma = _require(doc, "gamma", dict, "")
-    _known_states(raw_gamma, states, "gamma")
+    for name in raw_gamma:
+        _state_index(name, states, f"gamma.{name}")
     gamma = []
     for name in names:
         seen = raw_gamma.get(name, [])

@@ -322,6 +322,34 @@ def test_equiv_nfa_is_exact(capsys, data_dir, tmp_path):
     assert rc == 3 and out == "" and "max-states" in err
 
 
+def _counter(kind, n):
+    """Words with an even number of a's, counted modulo the even number n."""
+    states = [f"c{i}" for i in range(n)]
+    step = {s: states[(i + 1) % n] for i, s in enumerate(states)}
+    doc = {"type": kind, "alphabet": ["a"], "states": states, "finals": states[::2]}
+    if kind == "dfa":
+        return {**doc, "initial": states[0], "transitions": {"a": step}}
+    return {**doc, "initial": states[:1],
+            "transitions": {"a": {s: [t] for s, t in step.items()}}}
+
+
+@pytest.mark.parametrize("kind, rc_bounded", [("dfa", 3), ("nfa", 0)])
+def test_equiv_bounds_the_pairs_of_deterministic_files_only(capsys, tmp_path, kind, rc_bounded):
+    # 4 and 6 states each, 12 reachable pairs: the bound 6 admits each file
+    paths = []
+    for n in (4, 6):
+        paths.append(tmp_path / f"mod{n}.json")
+        paths[-1].write_text(json.dumps(_counter(kind, n)))
+    rc, out, _ = invoke(capsys, "equiv", *map(str, paths))
+    assert rc == 0 and out.strip() == "equivalent"
+    rc, out, err = invoke(capsys, "equiv", *map(str, paths), "--max-states", "6")
+    assert rc == rc_bounded
+    if rc_bounded == 3:
+        assert out == "" and "max-states" in err
+    else:
+        assert out.strip() == "equivalent"
+
+
 def test_equiv_tropical_says_it_is_bounded(capsys, data_dir, tmp_path):
     path = data_dir / "wa_tropical.json"
     rc, out, _ = invoke(capsys, "equiv", str(path), str(path))
