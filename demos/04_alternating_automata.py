@@ -41,8 +41,8 @@ print("  language agrees up to length 6:",
 # Extensional Boolean functions work just as well as formulas.
 parity = AlternatingAutomaton(
     2, ("a",),
-    {"a": (BoolFun.from_subsets(2, [{1}, {0, 1}]), BoolFun.from_subsets(2, [{0}]))},
-    BoolFun.from_subsets(2, [{0}, {0, 1}]), frozenset({0}))
+    {"a": (BoolFun(2, [{1}, {0, 1}]), BoolFun(2, [{0}]))},
+    BoolFun(2, [{0}, {0, 1}]), frozenset({0}))
 print("\nA hand-built AFA accepts:",
       [''.join(w) or '(empty)' for w in words_up_to(("a",), 5) if afa_accepts(parity, w)])
 print("Its minimal DFA has", minimal_dfa_for_afa(parity).n, "states")

@@ -8,6 +8,9 @@ whether that subset satisfies the function.  The reversed DFA has state set
 2^X, starts at the final set, steps a subset A to {s | delta_a(s)(A) = 1},
 accepts when iota holds, and recognises exactly the reverse of the AFA's
 language.
+
+A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
+truth table (`BoolFun.from_table`), or by compiling a formula.
 """
 
 from __future__ import annotations
@@ -102,19 +105,6 @@ class BoolFun:
         except ValueError:  # a subset with an unknown state satisfies nothing
             return False
 
-    @classmethod
-    def from_subsets(cls, n: int, subsets) -> "BoolFun":
-        return cls(n, subsets)
-
-    @classmethod
-    def always(cls, n: int, value: bool) -> "BoolFun":
-        return cls.from_table(n, _ones(n) if value else 0)
-
-
-def all_subsets(n: int) -> list[frozenset[int]]:
-    """All subsets of {0..n-1} ordered by bitmask value (bit i = state i)."""
-    return [frozenset(_members(mask)) for mask in range(1 << n)]
-
 
 _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not,
                   ast.Name, ast.Constant, ast.Load)
@@ -173,9 +163,7 @@ class AlternatingAutomaton:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_alphabet(self.alphabet)
-        if set(self.delta) != set(self.alphabet):
-            raise ValueError("delta must cover exactly the alphabet")
+        _check_alphabet(self.alphabet, self.delta)
         for a, row in self.delta.items():
             if len(row) != self.n or any(f.n != self.n for f in row):
                 raise ValueError(f"bad delta row for letter {a!r}")

@@ -26,20 +26,22 @@ from .errors import NonCongruenceError, StateGuardError, resolve_max_states
 DFA_OUTPUTS = ("reject", "accept")
 
 
-def _check_alphabet(alphabet):
+def _check_alphabet(alphabet, rows: Mapping):
+    """The alphabet is nonempty with distinct letters, and the transition
+    mapping `rows` has an entry for each letter and for nothing else."""
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet letters must be distinct")
+    if set(rows) != set(alphabet):
+        raise ValueError("transitions must cover exactly the alphabet")
 
 
 def _check_successors(n: int, alphabet, rows: Mapping[str, Sequence[int]], init: int | None):
     """Successor rows cover exactly the alphabet, each maps all n states into
     0..n-1, and init (None where a structure may have no initial state) is a
     state."""
-    _check_alphabet(alphabet)
-    if set(rows) != set(alphabet):
-        raise ValueError("successor rows must cover exactly the alphabet")
+    _check_alphabet(alphabet, rows)
     for a in alphabet:
         row = rows[a]
         if len(row) != n or any(not 0 <= t < n for t in row):
@@ -78,10 +80,6 @@ class MooreAutomaton:
         return cls(n, tuple(alphabet), {a: tuple(t) for a, t in trans.items()},
                    init, out, DFA_OUTPUTS, tuple(state_names) if state_names else None)
 
-    @property
-    def is_dfa(self) -> bool:
-        return self.outputs == DFA_OUTPUTS
-
     def accepting(self) -> frozenset[int]:
         if len(self.outputs) != 2:
             raise ValueError("accepting states need a two-element output set")
@@ -104,7 +102,7 @@ class Nfa:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_alphabet(self.alphabet)
+        _check_alphabet(self.alphabet, self.trans)
         for a in self.alphabet:
             row = self.trans[a]
             if len(row) != self.n or any(not 0 <= t < self.n for ts in row for t in ts):
@@ -141,9 +139,6 @@ class Partition:
         for s, b in enumerate(self.block_of):
             out[b].append(s)
         return out
-
-    def as_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(b) for b in self.blocks())
 
 
 def words_up_to(alphabet: tuple[str, ...], max_len: int) -> Iterator[tuple[str, ...]]:

@@ -231,7 +231,7 @@ def _cmd_trace_eval(args) -> int:
     from .dkm import eval_trace
     k = _as_dkm(_load(args.file))
     formula = parse_trace_formula(args.formula)
-    names = k.state_names or tuple(f"s{i}" for i in range(k.n))
+    names = io._state_names(k)
     sat = eval_trace(k, formula)
     print(" ".join(names[s] for s in sorted(sat)) if sat else "-")
     return 0
@@ -240,7 +240,7 @@ def _cmd_trace_eval(args) -> int:
 def _cmd_closure(args) -> int:
     from .dkm import definable_closure
     k = _as_dkm(_load(args.file))
-    names = k.state_names or tuple(f"s{i}" for i in range(k.n))
+    names = io._state_names(k)
     family = sorted(definable_closure(k, args.max_states), key=lambda s: (len(s), sorted(s)))
     for subset in family:
         print("{" + ",".join(names[s] for s in sorted(subset)) + "}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .automata import (DFA_OUTPUTS, MooreAutomaton, Partition, _check_successors, quotient_rows,
+from .automata import (MooreAutomaton, Partition, _check_successors, quotient_rows,
                        stable_partition)
 from .brzozowski import _members, explore_predicates, predicate_atoms
 
@@ -46,15 +46,6 @@ class Dkm:
         gamma = tuple(frozenset({obs_name}) if m.out[s] == 1 else frozenset()
                       for s in range(m.n))
         return cls(m.n, m.alphabet, (obs_name,), gamma, dict(m.trans), m.init, m.state_names)
-
-    def to_dfa(self) -> MooreAutomaton:
-        """Decode a single-observation model with an initial state back to a DFA."""
-        if len(self.obs) != 1 or self.init is None:
-            raise ValueError("to_dfa needs one observation and an initial state")
-        p = self.obs[0]
-        out = tuple(1 if p in g else 0 for g in self.gamma)
-        return MooreAutomaton(self.n, self.alphabet, dict(self.delta), self.init,
-                              out, DFA_OUTPUTS, self.state_names)
 
 
 @dataclass(frozen=True)

@@ -68,17 +68,22 @@ def _state_index(name, states: dict[str, int], path: str) -> int:
     return states[name]
 
 
-def _det_transitions(doc, alphabet, states, path="transitions"):
+def _transitions(doc, alphabet) -> dict:
+    """The "transitions" object, its letters checked against the alphabet."""
     raw = _require(doc, "transitions", dict, "")
     if set(raw) != set(alphabet):
-        raise FormatError("letters must match the alphabet exactly", path)
+        raise FormatError("letters must match the alphabet exactly", "transitions")
+    return raw
+
+
+def _det_transitions(doc, alphabet, states):
     trans = {}
-    for a, row in raw.items():
+    for a, row in _transitions(doc, alphabet).items():
         if not isinstance(row, dict):
-            raise FormatError("expected a state-to-state map", f"{path}.{a}")
+            raise FormatError("expected a state-to-state map", f"transitions.{a}")
         if set(row) != set(states):
-            raise FormatError("every state needs a successor", f"{path}.{a}")
-        trans[a] = tuple(_state_index(row[name], states, f"{path}.{a}.{name}")
+            raise FormatError("every state needs a successor", f"transitions.{a}")
+        trans[a] = tuple(_state_index(row[name], states, f"transitions.{a}.{name}")
                          for name in states)
     return trans
 
@@ -135,11 +140,8 @@ def _parse_moore(doc, alphabet, names, states):
 
 
 def _parse_nfa(doc, alphabet, names, states):
-    raw = _require(doc, "transitions", dict, "")
-    if set(raw) != set(alphabet):
-        raise FormatError("letters must match the alphabet exactly", "transitions")
     trans = {}
-    for a, row in raw.items():
+    for a, row in _transitions(doc, alphabet).items():
         if not isinstance(row, dict):
             raise FormatError("expected a state-to-targets map", f"transitions.{a}")
         for name in row:
@@ -172,11 +174,8 @@ def _parse_weighted(doc, alphabet, names, override):
     semiring = semiring_by_name(_require(doc, "semiring", str, ""))
     semiring = semiring_by_name(override) if override else semiring
     n = len(names)
-    raw = _require(doc, "transitions", dict, "")
-    if set(raw) != set(alphabet):
-        raise FormatError("letters must match the alphabet exactly", "transitions")
     mats = {}
-    for a, rows in raw.items():
+    for a, rows in _transitions(doc, alphabet).items():
         if not isinstance(rows, list) or len(rows) != n \
                 or any(not isinstance(r, list) or len(r) != n for r in rows):
             raise FormatError(f"matrix must be {n}x{n}", f"transitions.{a}")
@@ -209,14 +208,11 @@ def _parse_afa(doc, alphabet, names, states):
                     raise FormatError("expected a list of state lists", f"{path}[{i}]")
                 subsets.append(frozenset(_state_index(s, states, f"{path}[{i}]")
                                          for s in subset))
-            return BoolFun.from_subsets(len(names), subsets)
+            return BoolFun(len(names), subsets)
         raise FormatError("expected a formula string or a list of subsets", path)
 
-    raw = _require(doc, "transitions", dict, "")
-    if set(raw) != set(alphabet):
-        raise FormatError("letters must match the alphabet exactly", "transitions")
     delta = {}
-    for a, row in raw.items():
+    for a, row in _transitions(doc, alphabet).items():
         if not isinstance(row, dict) or set(row) != set(names):
             raise FormatError("every state needs a transition condition", f"transitions.{a}")
         delta[a] = tuple(boolfun(row[name], f"transitions.{a}.{name}") for name in names)

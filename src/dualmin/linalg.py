@@ -274,19 +274,3 @@ def is_hnf_shape(rows: tuple[tuple[int, ...], ...]) -> bool:
                 return False
     return True
 
-
-Basis = IntegerBasis | FieldBasis
-
-
-def basis_insert(basis: Basis, v) -> tuple[Basis, bool]:
-    """Insert a vector into a canonical basis; see IntegerBasis/FieldBasis.insert."""
-    return basis.insert(tuple(v))
-
-
-def coordinates(basis: Basis, v):
-    """Coefficients of v in the basis, or None when v lies outside the span/lattice."""
-    return basis.coordinates(tuple(v))
-
-
-def rank(basis: Basis) -> int:
-    return basis.rank

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from .alternating import AlternatingAutomaton, BoolFun
-from .automata import MooreAutomaton, Nfa
+from .automata import MooreAutomaton
 from .dkm import Dkm
 from .semiring import BOOL, INT, RATIONAL, Matrix, Semiring
 from .weighted import WeightedAutomaton
@@ -35,17 +35,6 @@ def random_dfa(rng: random.Random, max_n: int = 8, max_letters: int = 3) -> Moor
     trans = {a: tuple(rng.randrange(n) for _ in range(n)) for a in alphabet}
     accepting = [s for s in range(n) if rng.random() < 0.5]
     return MooreAutomaton.dfa(n, alphabet, trans, rng.randrange(n), accepting)
-
-
-def random_nfa(rng: random.Random, max_n: int = 6, max_letters: int = 2) -> Nfa:
-    n = rng.randint(1, max_n)
-    alphabet = _alphabet(rng, max_letters)
-    trans = {a: tuple(frozenset(t for t in range(n) if rng.random() < 0.3)
-                      for _ in range(n))
-             for a in alphabet}
-    inits = frozenset(s for s in range(n) if rng.random() < 0.4)
-    finals = frozenset(s for s in range(n) if rng.random() < 0.4)
-    return Nfa(n, alphabet, trans, inits, finals)
 
 
 def _entry(rng: random.Random, semiring: Semiring, lo: int, hi: int):

@@ -13,12 +13,14 @@ the lcm of its denominators, a rational matrix as integer rows over one common
 denominator (computed once per Matrix), and each output entry is one
 `sum(map(mul, ...))` and, over Q, one Fraction.  The Boolean and tropical
 semirings use the generic `Semiring.dot`, one `add` and one `mul` per entry.
+
+The randomized check of the semiring laws, with a sampler per semiring, is
+part of the test suite (tests/test_semiring.py).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -65,9 +67,6 @@ class Semiring:
     def one(self):
         raise NotImplementedError
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def neg(self, a):
         raise SemiringError(f"{self.name}: no subtraction")
 
@@ -77,10 +76,6 @@ class Semiring:
 
     def to_fraction(self, a) -> Fraction:
         raise SemiringError(f"{self.name}: does not embed in the rationals")
-
-    def sample(self, rng: random.Random):
-        """A random element, for law checking and test generation."""
-        raise NotImplementedError
 
     def dot(self, u, v):
         if len(u) != len(v):
@@ -117,9 +112,6 @@ class BooleanSemiring(Semiring):
     def to_fraction(self, a):
         return Fraction(a)
 
-    def sample(self, rng):
-        return rng.randint(0, 1)
-
 
 class IntegerRing(Semiring):
     name = "int"
@@ -153,9 +145,6 @@ class IntegerRing(Semiring):
 
     def to_fraction(self, a):
         return Fraction(a)
-
-    def sample(self, rng):
-        return rng.randint(-20, 20)
 
     def dot(self, u, v):
         if len(u) != len(v):
@@ -195,9 +184,6 @@ class RationalField(Semiring):
 
     def to_fraction(self, a):
         return a
-
-    def sample(self, rng):
-        return Fraction(rng.randint(-12, 12), rng.randint(1, 9))
 
     def dot(self, u, v):
         if len(u) != len(v):
@@ -239,11 +225,6 @@ class TropicalSemiring(Semiring):
                 return v
         raise SemiringError(f"tropical: bad value {raw!r}")
 
-    def sample(self, rng):
-        if rng.random() < 0.15:
-            return TROPICAL_INF
-        return rng.randint(0, 12)
-
 
 BOOL = BooleanSemiring()
 INT = IntegerRing()
@@ -284,17 +265,6 @@ class Matrix:
                 raise DimensionError("cannot infer column count of an empty matrix")
             n_cols = len(rows[0])
         return cls(semiring, len(rows), n_cols, rows)
-
-    @classmethod
-    def identity(cls, semiring: Semiring, n: int) -> "Matrix":
-        one, zero = semiring.one(), semiring.zero()
-        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return cls(semiring, n, n, rows)
-
-    @classmethod
-    def zeros(cls, semiring: Semiring, n_rows: int, n_cols: int) -> "Matrix":
-        zero = semiring.zero()
-        return cls(semiring, n_rows, n_cols, tuple((zero,) * n_cols for _ in range(n_rows)))
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -349,43 +319,3 @@ def vec_mat(v: tuple, a: Matrix) -> tuple:
     if a.n_rows != len(v):
         raise DimensionError(f"vec_mat: vector of {len(v)} times {a.n_rows}x{a.n_cols}")
     return mat_vec(a.transpose(), v)
-
-
-@dataclass(frozen=True)
-class LawReport:
-    """Outcome of a randomized semiring-law check; failures carry a counterexample each."""
-
-    semiring: str
-    samples: int
-    failures: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_semiring_laws(instance: Semiring, samples: int = 100, seed: int = 0) -> LawReport:
-    """Randomized check of the monoid, distributivity and annihilation laws."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    s = instance
-    failures = []
-
-    def claim(law, lhs, rhs, triple):
-        if not s.eq(lhs, rhs):
-            failures.append(f"{law} fails on {triple!r}: {lhs!r} != {rhs!r}")
-
-    for _ in range(samples):
-        a, b, c = (s.sample(rng) for _ in range(3))
-        claim("add-assoc", s.add(s.add(a, b), c), s.add(a, s.add(b, c)), (a, b, c))
-        claim("add-comm", s.add(a, b), s.add(b, a), (a, b))
-        claim("add-zero", s.add(a, s.zero()), a, (a,))
-        claim("mul-assoc", s.mul(s.mul(a, b), c), s.mul(a, s.mul(b, c)), (a, b, c))
-        claim("mul-one-left", s.mul(s.one(), a), a, (a,))
-        claim("mul-one-right", s.mul(a, s.one()), a, (a,))
-        claim("left-distrib", s.mul(a, s.add(b, c)), s.add(s.mul(a, b), s.mul(a, c)), (a, b, c))
-        claim("right-distrib", s.mul(s.add(a, b), c), s.add(s.mul(a, c), s.mul(b, c)), (a, b, c))
-        claim("annihilate-left", s.mul(s.zero(), a), s.zero(), (a,))
-        claim("annihilate-right", s.mul(a, s.zero()), s.zero(), (a,))
-    return LawReport(s.name, samples, tuple(failures))

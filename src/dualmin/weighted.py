@@ -33,9 +33,7 @@ class WeightedAutomaton:
     state_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _check_alphabet(self.alphabet)
-        if set(self.mats) != set(self.alphabet):
-            raise ValueError("transition matrices must cover exactly the alphabet")
+        _check_alphabet(self.alphabet, self.mats)
         for a, mat in self.mats.items():
             if mat.n_rows != self.n or mat.n_cols != self.n:
                 raise DimensionError(f"matrix for {a!r} is {mat.n_rows}x{mat.n_cols}, want {self.n}x{self.n}")
@@ -113,7 +111,7 @@ def reach_restrict(w: WeightedAutomaton) -> RestrictedWA:
     """
     basis = _empty_basis(w)
     zero = w.semiring.zero()
-    if any(not w.semiring.eq(x, zero) for x in w.init):
+    if any(x != zero for x in w.init):
         basis, _ = basis.insert(w.init)
         frontier = deque([w.init])
         while frontier:
@@ -170,7 +168,7 @@ def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
             for x in a.alphabet}
     diff = WeightedAutomaton(n, a.alphabet, sr, mats, a.init + b.init,
                              a.final + tuple(sr.neg(x) for x in b.final))
-    return all(sr.eq(x, zero) for x in reach_restrict(diff).automaton.final)
+    return all(x == zero for x in reach_restrict(diff).automaton.final)
 
 
 def hankel_rank_oracle(w: WeightedAutomaton, max_len: int,
@@ -223,14 +221,3 @@ def bool_wa_to_nfa(w: WeightedAutomaton) -> Nfa:
                finals=frozenset(x for x in range(w.n) if w.final[x]),
                state_names=w.state_names)
 
-
-def nfa_to_bool_wa(n: Nfa) -> WeightedAutomaton:
-    """Encode a classical NFA as a Boolean-semiring weighted automaton."""
-    mats = {}
-    for a in n.alphabet:
-        rows = [[1 if y in n.trans[a][x] else 0 for x in range(n.n)] for y in range(n.n)]
-        mats[a] = Matrix.from_rows(BOOL, rows, n_cols=n.n)
-    return WeightedAutomaton(n.n, n.alphabet, BOOL, mats,
-                             init=tuple(1 if s in n.inits else 0 for s in range(n.n)),
-                             final=tuple(1 if s in n.finals else 0 for s in range(n.n)),
-                             state_names=n.state_names)

@@ -13,6 +13,10 @@ library route as an explicit second copy: the Kripke quotient by the atoms of
 the definable closure as a set family, the Hankel block one word pair at a
 time, Moore equivalence by a hand-written breadth-first walk over the
 product, and Kripke equivalence by refining the disjoint union of two models.
+
+The module also holds the small builders that several test modules share and
+the package does not ship: identity and zero matrices, constant Boolean
+functions, the DFA-output test, and a random NFA generator.
 """
 
 import ast
@@ -21,10 +25,13 @@ from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
 
-from dualmin import (RATIONAL, AlternatingAutomaton, FieldBasis, Matrix, MooreAutomaton, Nfa,
-                     WeightedAutomaton, boolean_atoms, definable_closure, quotient_dkm)
-from dualmin.automata import stable_partition, subset_names
+from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix, MooreAutomaton,
+                     Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
+                     quotient_dkm)
+from dualmin.alternating import _ones
+from dualmin.automata import DFA_OUTPUTS, stable_partition, subset_names
 from dualmin.io import _document
+from dualmin.sampling import _alphabet
 
 
 def ends_with_a_dfa() -> MooreAutomaton:
@@ -380,3 +387,34 @@ def dkm_equiv_by_union(k1, k2) -> bool:
     delta = {a: tuple(k1.delta[a]) + tuple(t + k1.n for t in k2.delta[a]) for a in k1.alphabet}
     block_of = stable_partition(gamma, delta, k1.alphabet).block_of
     return block_of[k1.init] == block_of[k1.n + k2.init]
+
+
+def identity(semiring: Semiring, n: int) -> Matrix:
+    one, zero = semiring.one(), semiring.zero()
+    rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return Matrix(semiring, n, n, rows)
+
+
+def zeros(semiring: Semiring, n_rows: int, n_cols: int) -> Matrix:
+    zero = semiring.zero()
+    return Matrix(semiring, n_rows, n_cols, tuple((zero,) * n_cols for _ in range(n_rows)))
+
+
+def always(n: int, value: bool) -> BoolFun:
+    """The constant Boolean function over n states."""
+    return BoolFun.from_table(n, _ones(n) if value else 0)
+
+
+def is_dfa(m: MooreAutomaton) -> bool:
+    return m.outputs == DFA_OUTPUTS
+
+
+def random_nfa(rng, max_n: int = 6, max_letters: int = 2) -> Nfa:
+    n = rng.randint(1, max_n)
+    alphabet = _alphabet(rng, max_letters)
+    trans = {a: tuple(frozenset(t for t in range(n) if rng.random() < 0.3)
+                      for _ in range(n))
+             for a in alphabet}
+    inits = frozenset(s for s in range(n) if rng.random() < 0.4)
+    finals = frozenset(s for s in range(n) if rng.random() < 0.4)
+    return Nfa(n, alphabet, trans, inits, finals)

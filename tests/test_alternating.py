@@ -3,20 +3,26 @@ import random
 import pytest
 
 from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts,
-                     all_subsets, compile_formula, determinise, dual_automaton, iso_check,
+                     compile_formula, determinise, dual_automaton, iso_check,
                      minimal_dfa_for_afa, partition_refinement_minimise, reach,
                      reachable_reverse_dfa, reverse, reverse_dfa, run)
+from dualmin.alternating import _members
 from dualmin.sampling import random_afa
 
-from oracles import afa_accepts_recursive, ends_with_a_dfa, formula_holds, words
+from oracles import afa_accepts_recursive, always, ends_with_a_dfa, formula_holds, words
+
+
+def all_subsets(n: int) -> list[frozenset[int]]:
+    """All subsets of {0..n-1} ordered by bitmask value (bit i = state i)."""
+    return [frozenset(_members(mask)) for mask in range(1 << n)]
 
 
 def conjunctive_afa() -> AlternatingAutomaton:
     # delta_a(0) asks both states to report 1, delta_a(1) asks state 1 only
     n = 2
-    delta = {"a": (BoolFun.from_subsets(n, [{0, 1}]),
-                   BoolFun.from_subsets(n, [{1}, {0, 1}]))}
-    iota = BoolFun.from_subsets(n, [{0}, {0, 1}])
+    delta = {"a": (BoolFun(n, [{0, 1}]),
+                   BoolFun(n, [{1}, {0, 1}]))}
+    iota = BoolFun(n, [{0}, {0, 1}])
     return AlternatingAutomaton(n, ("a",), delta, iota, frozenset({1}))
 
 
@@ -111,8 +117,8 @@ def test_minimal_dfa_for_embedded_dfa():
 
 def test_minimal_dfa_reject_all():
     a = AlternatingAutomaton(2, ("a",),
-                             {"a": (BoolFun.always(2, True), BoolFun.always(2, False))},
-                             BoolFun.always(2, False), frozenset({0}))
+                             {"a": (always(2, True), always(2, False))},
+                             always(2, False), frozenset({0}))
     minimal = minimal_dfa_for_afa(a)
     assert minimal.n == 1
     assert minimal.out == (0,)
@@ -183,7 +189,7 @@ def test_truth_tables_match_the_per_subset_interpreter():
 def test_state_named_true_shadows_the_constant():
     f = compile_formula("true", ("false", "true"))
     assert f.sats == frozenset({frozenset({1}), frozenset({0, 1})})
-    assert compile_formula("not false", ("false", "true")) == BoolFun.from_subsets(2, [(), {1}])
+    assert compile_formula("not false", ("false", "true")) == BoolFun(2, [(), {1}])
 
 
 def test_boolfun_constructors_agree():
@@ -191,20 +197,19 @@ def test_boolfun_constructors_agree():
     sats = frozenset(s for s in all_subsets(3) if 0 in s and (1 in s or 2 not in s))
     everything = frozenset(all_subsets(3))
     groups = [
-        (sats, [BoolFun(3, sats), BoolFun.from_subsets(3, [set(s) for s in sats]),
+        (sats, [BoolFun(3, sats), BoolFun(3, [set(s) for s in sats]),
                 compile_formula("x and (y or not z)", names)]),
-        (everything, [BoolFun(3, everything), BoolFun.from_subsets(3, everything),
-                      BoolFun.always(3, True), compile_formula("true", names),
+        (everything, [BoolFun(3, everything), always(3, True), compile_formula("true", names),
                       compile_formula("x or not x", names)]),
-        (frozenset(), [BoolFun(3, frozenset()), BoolFun.from_subsets(3, []),
-                       BoolFun.always(3, False), compile_formula("false", names),
+        (frozenset(), [BoolFun(3, frozenset()), BoolFun(3, []),
+                       always(3, False), compile_formula("false", names),
                        compile_formula("y and not y", names)]),
     ]
     for expected, funs in groups:
         for f in funs:
             assert f == funs[0] and hash(f) == hash(funs[0])
             assert f.sats == expected
-    assert BoolFun.always(2, False) != BoolFun.always(3, False)
+    assert always(2, False) != always(3, False)
     with pytest.raises(ValueError):
         BoolFun(2, [{2}])
     with pytest.raises(ValueError):

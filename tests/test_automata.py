@@ -5,9 +5,9 @@ import pytest
 from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, equiv_exact,
                      iso_check, nfa_step, partition_refinement_minimise, reach, reverse, run)
 from dualmin.automata import bounded_words, explore, pair_walk, subset_names
-from dualmin.sampling import random_dfa, random_moore, random_nfa
+from dualmin.sampling import random_dfa, random_moore
 
-from oracles import (ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths, run_by_hand,
+from oracles import (ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths, random_nfa, run_by_hand,
                      smallest_equivalent_dfa, words)
 
 
@@ -340,3 +340,26 @@ def test_one_alphabet_check_for_every_automaton_type():
             build(("a", "a"))
         with pytest.raises(ValueError, match="alphabet must be nonempty"):
             build(())
+
+
+def test_every_automaton_type_checks_its_transition_letters():
+    from dualmin import INT, AlternatingAutomaton, BoolFun, Dkm, Matrix, WeightedAutomaton
+    f = BoolFun(1, frozenset())
+    # each build takes the alphabet and the letters whose transitions it is given
+    builds = [lambda ab, ls: MooreAutomaton(1, ab, dict.fromkeys(ls, (0,)), 0, (0,)),
+              lambda ab, ls: Nfa(1, ab, dict.fromkeys(ls, (frozenset(),)), frozenset(),
+                                 frozenset()),
+              lambda ab, ls: Dkm(1, ab, (), (frozenset(),), dict.fromkeys(ls, (0,))),
+              lambda ab, ls: AlternatingAutomaton(1, ab, dict.fromkeys(ls, (f,)), f,
+                                                  frozenset()),
+              lambda ab, ls: WeightedAutomaton(1, ab, INT,
+                                               dict.fromkeys(ls, Matrix(INT, 1, 1, ((0,),))),
+                                               (1,), (1,))]
+    for build in builds:
+        build(("a", "b"), "ab")
+        for letters in ("a", "abz"):
+            with pytest.raises(ValueError, match="transitions must cover exactly the alphabet"):
+                build(("a", "b"), letters)
+    # an extra letter is refused, not read past: its target 5 is no state of this NFA
+    with pytest.raises(ValueError, match="transitions must cover exactly the alphabet"):
+        Nfa(1, ("a",), {"a": (frozenset(),), "z": (frozenset({5}),)}, frozenset(), frozenset())

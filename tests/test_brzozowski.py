@@ -8,7 +8,7 @@ from dualmin import (MooreAutomaton, StateGuardError, brzozowski_minimise,
 from dualmin.brzozowski import duality_minimise
 from dualmin.sampling import random_dfa, random_moore
 
-from oracles import dual_by_tuples, ends_with_a_dfa, run_by_hand, words
+from oracles import dual_by_tuples, ends_with_a_dfa, is_dfa, run_by_hand, words
 
 
 def test_dual_of_ends_with_a():
@@ -161,5 +161,5 @@ def test_dual_predicates_match_the_tuple_route():
 
 def test_dual_state_sets_of_one_state():
     for m in one_state_automata():
-        if m.is_dfa:
+        if is_dfa(m):
             assert dual_state_sets(m) == {frozenset(m.accepting())}

@@ -9,10 +9,9 @@ import pytest
 from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF,
                      AlternatingAutomaton, BoolFun, Dkm, FormatError, MooreAutomaton, Nfa,
                      WeightedAutomaton, emit, parse, run)
-from dualmin.sampling import (random_afa, random_dfa, random_dkm, random_moore, random_nfa,
-                              random_wa)
+from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore, random_wa
 
-from oracles import emit_json, ends_with_a_dfa
+from oracles import always, emit_json, ends_with_a_dfa, is_dfa, random_nfa
 
 
 def test_parse_ends_with_a_dfa(data_dir):
@@ -119,6 +118,28 @@ def test_state_keyed_maps_reject_unknown_states(doc, path):
     assert str(exc.value) == f"{path}: unknown state {path.rsplit('.', 1)[1]!r}"
 
 
+# one file per type whose transitions name a letter outside the alphabet or miss one
+@pytest.mark.parametrize("doc", [
+    {"type": "dfa", "alphabet": ["a", "b"], "states": ["x"], "initial": "x", "finals": [],
+     "transitions": {"a": {"x": "x"}}},
+    {"type": "moore", "alphabet": ["a"], "states": ["x"], "initial": "x", "outputs": ["o"],
+     "out": {"x": "o"}, "transitions": {"a": {"x": "x"}, "z": {"x": "x"}}},
+    {"type": "nfa", "alphabet": ["a", "b"], "states": ["x"], "initial": ["x"], "finals": [],
+     "transitions": {"a": {}}},
+    {"type": "weighted", "semiring": "int", "alphabet": ["a"], "states": ["x"],
+     "initial": [1], "final": [1], "transitions": {"a": [[0]], "z": [[0]]}},
+    {"type": "afa", "alphabet": ["a"], "states": ["x"], "finals": [], "iota": "x",
+     "transitions": {"b": {"x": "x"}}},
+    {"type": "dkm", "alphabet": ["a", "b"], "states": ["x"], "obs": ["p"], "gamma": {},
+     "transitions": {"a": {"x": "x"}}},
+], ids=["dfa", "moore", "nfa", "weighted", "afa", "dkm"])
+def test_transition_letters_must_match_the_alphabet(doc):
+    with pytest.raises(FormatError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == "transitions"
+    assert str(exc.value) == "transitions: letters must match the alphabet exactly"
+
+
 def test_dkm_parse(data_dir):
     k = parse((data_dir / "dkm_ends_with_a.json").read_bytes())
     assert isinstance(k, Dkm)
@@ -185,7 +206,7 @@ def test_emit_matches_json_dumps():
             if isinstance(obj, MooreAutomaton):
                 outputs = tuple(rng.choice(ODD) + str(i) for i in range(len(obj.outputs)))
                 cases.append(replace(obj, state_names=names,
-                                     outputs=obj.outputs if obj.is_dfa else outputs))
+                                     outputs=obj.outputs if is_dfa(obj) else outputs))
             else:
                 cases.append(replace(obj, state_names=names))
     # empty containers: a letter without arcs, no finals, false and [[]] conditions
@@ -193,9 +214,9 @@ def test_emit_matches_json_dumps():
                                      "é": (frozenset({1}), frozenset())},
                      frozenset({0}), frozenset(), ('"', "\\")))
     cases.append(MooreAutomaton.dfa(2, ("a",), {"a": (1, 0)}, 0, [], ("x\x00", "y")))
-    cases.append(AlternatingAutomaton(2, ("a",), {"a": (BoolFun.always(2, False),
+    cases.append(AlternatingAutomaton(2, ("a",), {"a": (always(2, False),
                                                         BoolFun(2, [()]))},
-                                      BoolFun.always(2, True), frozenset()))
+                                      always(2, True), frozenset()))
     cases.append(Dkm(2, ("a",), ("p",), (frozenset(), frozenset({"p"})),
                      {"a": (1, 1)}, None, ("\U0001f600", "ß")))
     for obj in cases:
