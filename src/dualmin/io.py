@@ -5,8 +5,9 @@ dkm, an "alphabet", a list of "states" (names fix the index order), and
 type-specific fields.  Parse errors carry the path of the offending field.
 Emission is canonical: keys are sorted and states are listed in index order,
 so parse(emit(x)) reproduces x exactly.  The text is that of
-json.dumps(doc, indent=2, sort_keys=True), produced piece by piece with each
-distinct string escaped once, and emit(x, fp) writes it in bounded batches.
+json.dumps(doc, indent=2, sort_keys=True), produced piece by piece with a
+string escaped, once, only when json must escape it, and emit(x, fp) writes
+it in bounded batches.
 
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
@@ -299,21 +300,31 @@ def _document(obj) -> dict:
             "afa": _emit_afa, "dkm": _emit_dkm}[kind](obj)
 
 
+# the ASCII characters json escapes; it escapes all non-ASCII ones too
+_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'
+# an entry whose strings are shorter than this is copied into one piece; a
+# longer string is a piece of its own, so that a batch holds no copy of it
+_COPY_CHARS = 256
+
+
 def _pieces(doc):
     """The text of json.dumps(doc, indent=2, sort_keys=True) + "\n" in pieces.
 
-    Strings (keys and values alike) are escaped once each through a memo;
-    other scalars go to json.dumps.  State names recur in the states list, in
-    every transition row and in the finals, and nested subset names grow
-    long, so escaping each one once is most of the saving over json.dumps.
+    Each distinct string is tested once for whether json must escape it; the
+    memo keeps escaped copies of those only and maps a clean string to itself.
+    An entry whose strings are short is one piece, and a long string is a
+    piece of its own, so the long nested subset names that recur in every
+    transition row are copied neither into the memo nor into a batch.  Other
+    scalars go to json.dumps.
     """
     memo: dict[str, str] = {}
 
-    def esc(s: str) -> str:
-        e = memo.get(s)
-        if e is None:
-            e = memo[s] = encode_basestring_ascii(s)
-        return e
+    def body(s: str) -> str:  # s as json writes it between its quotes
+        b = memo.get(s)
+        if b is None:
+            clean = s.isascii() and len(s.encode("ascii").translate(None, _ESCAPED)) == len(s)
+            b = memo[s] = s if clean else encode_basestring_ascii(s)[1:-1]
+        return b
 
     def value(o, indent: str):
         if isinstance(o, dict):
@@ -324,12 +335,18 @@ def _pieces(doc):
             sep = "{" + inner
             for k in sorted(o):
                 v = o[k]
-                yield sep
-                yield esc(k)
-                yield ": "
+                kb = body(k)
                 if isinstance(v, str):
-                    yield esc(v)
+                    vb = body(v)
+                    if len(kb) + len(vb) < _COPY_CHARS:
+                        yield f'{sep}"{kb}": "{vb}"'
+                    else:
+                        yield from (f'{sep}"', kb, '": "', vb, '"')
                 else:
+                    if len(kb) < _COPY_CHARS:
+                        yield f'{sep}"{kb}": '
+                    else:
+                        yield from (f'{sep}"', kb, '": ')
                     yield from value(v, inner)
                 sep = "," + inner
             yield indent + "}"
@@ -340,10 +357,14 @@ def _pieces(doc):
             inner = indent + "  "
             sep = "[" + inner
             for v in o:
-                yield sep
                 if isinstance(v, str):
-                    yield esc(v)
+                    b = body(v)
+                    if len(b) < _COPY_CHARS:
+                        yield f'{sep}"{b}"'
+                    else:
+                        yield from (f'{sep}"', b, '"')
                 else:
+                    yield sep
                     yield from value(v, inner)
                 sep = "," + inner
             yield indent + "]"

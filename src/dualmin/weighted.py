@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from .automata import Nfa, _check_alphabet, bounded_words
 from .errors import DimensionError, SemiringError
 from .linalg import FieldBasis, IntegerBasis
-from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, over_lcm, vec_mat
+from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, vec_mat
 
 
 @dataclass(frozen=True)
@@ -179,32 +179,47 @@ def hankel_rank_oracle(w: WeightedAutomaton, max_len: int,
     rationals; for an automaton with n states any max_len >= n - 1 already
     reaches the rank of the full Hankel matrix.  The block has one row and
     one column per word; more words than the state bound raise
-    StateGuardError before any word is listed.
+    StateGuardError before any work is done.
+
+    H is the backward vectors times the forward vectors, so its rank is that
+    of the pairing between their two spans.  Each span is built here, apart
+    from the minimiser's reach_restrict, one word length at a time; once a
+    length adds nothing to a span, no longer length does, so the work stops
+    there, whatever max_len is.
     """
-    return _hankel_basis(w, max_len, max_states).rank
-
-
-def _hankel_basis(w: WeightedAutomaton, max_len: int,
-                  max_states: int | None = None) -> FieldBasis:
-    """The row space of the Hankel block, rows inserted in word order."""
-    words = list(bounded_words(w.alphabet, max_len, max_states, "Hankel block"))
+    bounded_words(w.alphabet, max_len, max_states, "Hankel block")  # counts, lists none
     to_q = w.semiring.to_fraction
     mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
             for a, m in w.mats.items()}
-    forward = {(): tuple(map(to_q, w.init))}
-    backward = {(): tuple(map(to_q, w.final))}
-    for word in words[1:]:
-        # forward vectors extend at the end, backward vectors at the front
-        forward[word] = mat_vec(mats[word[-1]], forward[word[:-1]])
-        backward[word] = vec_mat(backward[word[1:]], mats[word[0]])
-    # Every backward vector over one common denominator, each forward vector
-    # over its own: row u is H's row u times a nonzero integer, so each
-    # insertion leaves the same basis as H's own row would.
-    back = Matrix(RATIONAL, len(words), w.n, tuple(backward[v] for v in words)).integer_rows[0]
-    basis = FieldBasis(len(words))
-    for u in words:
-        f = over_lcm(forward[u])[0]
-        basis, _ = basis.insert(tuple(sum(map(mul, b, f)) for b in back))
+    # forward vectors extend at the end, backward vectors at the front
+    forward = _span_by_length(tuple(map(to_q, w.init)), lambda v, a: mat_vec(mats[a], v),
+                              w.alphabet, max_len)
+    backward = _span_by_length(tuple(map(to_q, w.final)), lambda v, a: vec_mat(v, mats[a]),
+                               w.alphabet, max_len)
+    # the pairing's matrix, scaled by the two bases' common denominators
+    pairing = FieldBasis(forward.rank)
+    for b in backward.nums:
+        pairing, _ = pairing.insert(tuple(sum(map(mul, b, f)) for f in forward.nums))
+    return pairing.rank
+
+
+def _span_by_length(start: tuple, step, alphabet, max_len: int) -> FieldBasis:
+    """The span of the vectors step gives from start along the words up to
+    max_len, one length at a time: each length steps only the vectors that
+    grew the span at the length before, and stops when there are none."""
+    basis, grew = FieldBasis(len(start)).insert(start)
+    frontier = [start] if grew else []
+    for _ in range(max_len):
+        grown = []
+        for v in frontier:
+            for a in alphabet:
+                u = step(v, a)
+                basis, grew = basis.insert(u)
+                if grew:
+                    grown.append(u)
+        if not grown:
+            break
+        frontier = grown
     return basis
 
 

@@ -24,14 +24,16 @@ import json
 from collections import deque
 from fractions import Fraction
 from itertools import permutations, product
+from operator import mul
 
 from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix, MooreAutomaton,
                      Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
-                     quotient_dkm)
+                     mat_vec, quotient_dkm, vec_mat)
 from dualmin.alternating import _ones
 from dualmin.automata import DFA_OUTPUTS, stable_partition, subset_names
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
+from dualmin.semiring import over_lcm
 
 
 def ends_with_a_dfa() -> MooreAutomaton:
@@ -357,6 +359,28 @@ def hankel_basis_by_pairs(w: WeightedAutomaton, max_len: int) -> FieldBasis:
     for u in ws:
         basis, _ = basis.insert(tuple(dot_by_entries(RATIONAL, backward[v], forward[u])
                                       for v in ws))
+    return basis
+
+
+def hankel_basis_by_block(w: WeightedAutomaton, max_len: int) -> FieldBasis:
+    """The row space of the whole Hankel block, |u|,|v| <= max_len, rows
+    inserted in word order: every forward and backward vector, the backward
+    ones over one common denominator and each forward one over its own, so
+    that row u is H's row u times a nonzero integer."""
+    ws = words(w.alphabet, max_len)
+    to_q = w.semiring.to_fraction
+    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
+            for a, m in w.mats.items()}
+    forward = {(): tuple(map(to_q, w.init))}
+    backward = {(): tuple(map(to_q, w.final))}
+    for word in ws[1:]:
+        forward[word] = mat_vec(mats[word[-1]], forward[word[:-1]])
+        backward[word] = vec_mat(backward[word[1:]], mats[word[0]])
+    back = Matrix(RATIONAL, len(ws), w.n, tuple(backward[v] for v in ws)).integer_rows[0]
+    basis = FieldBasis(len(ws))
+    for u in ws:
+        f = over_lcm(forward[u])[0]
+        basis, _ = basis.insert(tuple(sum(map(mul, b, f)) for b in back))
     return basis
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from io import StringIO
@@ -8,7 +9,8 @@ import pytest
 
 from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF,
                      AlternatingAutomaton, BoolFun, Dkm, FormatError, MooreAutomaton, Nfa,
-                     WeightedAutomaton, emit, parse, run)
+                     WeightedAutomaton, brzozowski_minimise, emit, parse, run)
+from dualmin.io import _BATCH_CHARS
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore, random_wa
 
 from oracles import always, emit_json, ends_with_a_dfa, is_dfa, random_nfa
@@ -167,10 +169,13 @@ def test_emitted_states_keep_index_order():
     assert parse(emit(m)).state_names == ("x", "y", "z")
 
 
-# names that json must escape: quote, backslash, control characters, non-ASCII
-# letters and an astral character (a surrogate pair under ensure_ascii)
-ODD = ('q"uote', "back\\slash", "ctl\x01\x1f", "new\nline", "tab\t", "café", "Straße",
-       "astral \U0001d504", "", " ", "+", "empty", "Zed", "ab")
+# names that json must escape: quote, backslash, control characters, DEL,
+# non-ASCII letters, the line separator and an astral character (a surrogate
+# pair under ensure_ascii), one of them long; and clean ones: the ends of the
+# printable range, and one longer than a batch
+ODD = ('q"uote', "back\\slash", "ctl\x01\x1f", "new\nline", "tab\t", "\x7f", "café", "Straße",
+       "\u2028", "astral \U0001d504", "", " ", "~", "+", "empty", "Zed", "ab",
+       "é" * 300, "n" * (_BATCH_CHARS + 1))
 
 
 def odd_names(rng, n):
@@ -209,6 +214,10 @@ def test_emit_matches_json_dumps():
                                      outputs=obj.outputs if is_dfa(obj) else outputs))
             else:
                 cases.append(replace(obj, state_names=names))
+    # the escape rule's edges, alone: DEL, the ends of the printable range and
+    # the line separator, as names and as letters
+    cases.append(MooreAutomaton.dfa(4, ("~", " "), {"~": (1, 2, 3, 0), " ": (0, 0, 1, 1)}, 0,
+                                    [1, 3], ("\x7f", "~", " ", "\u2028")))
     # empty containers: a letter without arcs, no finals, false and [[]] conditions
     cases.append(Nfa(2, ("a", "é"), {"a": (frozenset(), frozenset()),
                                      "é": (frozenset({1}), frozenset())},
@@ -248,6 +257,49 @@ def test_emit_writes_in_bounded_batches():
     assert len(out.writes) > 4
     assert max(map(len, out.writes)) <= 2 << 20
     assert "".join(out.writes) == emit(m)
+
+
+class NullSink:
+    def write(self, text):
+        pass
+
+
+def kth_from_end_minimal(k):
+    """The Brzozowski-minimal DFA for "the k-th letter from the end is a",
+    whose 2**k states have nested subset names that json escapes none of."""
+    n, last = 1 << k, (1 << k) - 1
+    m = MooreAutomaton.dfa(n, ("a", "b"), {"a": tuple((s << 1 | 1) & last for s in range(n)),
+                                           "b": tuple((s << 1) & last for s in range(n))},
+                           0, [s for s in range(n) if s >> (k - 1) & 1])
+    minimal = brzozowski_minimise(m)
+    assert minimal.n == n
+    return minimal
+
+
+def emit_peak(obj) -> int:
+    """The traced peak of memory allocated while obj is emitted to a null sink."""
+    tracemalloc.start()
+    try:
+        emit(obj, NullSink())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emit_keeps_no_copy_of_clean_names():
+    minimal = kth_from_end_minimal(10)  # 1,024 names of about 18 MB in all
+    total = sum(map(len, minimal.state_names))
+    assert total > 16 * _BATCH_CHARS
+    # a batch of pieces and its joined text, but no second copy of the names
+    assert emit_peak(minimal) < total // 2 + 2 * _BATCH_CHARS
+
+
+def test_emit_holds_a_document_under_one_batch_once():
+    minimal = kth_from_end_minimal(6)  # names of about 600 characters each
+    size = len(emit(minimal))
+    assert size < _BATCH_CHARS
+    # the long names are pieces of their own, not copied into their entries
+    assert emit_peak(minimal) < size * 5 // 4
 
 
 def test_parse_reads_weighted_values_in_a_named_semiring(data_dir):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from dualmin import (BOOL, INT, RATIONAL, TROPICAL, Matrix, Nfa, SemiringError,
                      WeightedAutomaton, bool_wa_to_nfa, dual_wa, eval_series,
                      hankel_rank_oracle, mat_vec, minimise_wa, reach_restrict, vec_mat)
+from dualmin.io import parse
 from dualmin.sampling import random_wa
-from dualmin.weighted import _hankel_basis
 
-from oracles import (gauss_rank, hankel_basis_by_pairs, nfa_accepts_paths, random_nfa,
-                     series_by_entries, wa_eval_paths, words)
+from oracles import (gauss_rank, hankel_basis_by_block, hankel_basis_by_pairs,
+                     nfa_accepts_paths, random_nfa, series_by_entries, wa_eval_paths, words)
 
 
 def nfa_to_bool_wa(n: Nfa) -> WeightedAutomaton:
@@ -203,9 +204,28 @@ def test_hankel_basis_matches_the_per_pair_route():
         for case in range(20):
             w = random_wa(rng, sr, max_n=3)
             level = case % 4
-            basis = _hankel_basis(w, level)
+            basis = hankel_basis_by_block(w, level)
             assert basis == hankel_basis_by_pairs(w, level)
             assert hankel_rank_oracle(w, level) == basis.rank
+
+
+def test_hankel_spans_match_the_full_block():
+    rng = random.Random(25)
+    for sr in (RATIONAL, INT):
+        for case in range(60):
+            # entries in [-1, 1] give zero rows and rank-deficient spans, which
+            # stop growing before the longest length
+            lo, hi = (-1, 1) if case % 2 else (-3, 3)
+            w = random_wa(rng, sr, max_n=5, lo=lo, hi=hi)
+            for level in range(6 if len(w.alphabet) < 3 else 4):
+                assert hankel_rank_oracle(w, level) == hankel_basis_by_block(w, level).rank
+
+
+def test_hankel_stops_when_its_spans_do(data_dir):
+    w = parse((data_dir / "wa_rational.json").read_bytes())
+    start = time.perf_counter()
+    assert hankel_rank_oracle(w, 11) == 2
+    assert time.perf_counter() - start < 0.1
 
 
 def test_hankel_rejects_tropical():
