@@ -3,11 +3,12 @@ powerset of states, and language-level minimisation through the dual pipeline.
 
 A transition condition delta_a(s) and the acceptance condition iota are
 Boolean functions 2^X -> 2, stored as truth tables of 2^n bits: a subset is
-the bitmask with bit i set for state i, and bit `mask` of the table says
-whether that subset satisfies the function.  The reversed DFA has state set
-2^X, starts at the final set, steps a subset A to {s | delta_a(s)(A) = 1},
-accepts when iota holds, and recognises exactly the reverse of the AFA's
-language.
+the bitmask with bit i set for state i, as for NFA subsets in automata.py,
+and bit `mask` of the table says whether that subset satisfies the function.
+The reversed DFA has state set 2^X, starts at the final set, steps a subset
+A to {s | delta_a(s)(A) = 1}, accepts when iota holds, and recognises
+exactly the reverse of the AFA's language.  `reversed_subsets` gives it as a
+lazy triple, which `equiv` walks without building it.
 
 A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
 truth table (`BoolFun.from_table`), or by compiling a formula.
@@ -21,24 +22,10 @@ from functools import cached_property, partial, reduce
 from operator import and_, or_
 from typing import Iterable, Mapping
 
-from .automata import (DFA_OUTPUTS, MooreAutomaton, _check_alphabet, explore,
-                       subset_names)
+from .automata import (DFA_OUTPUTS, MooreAutomaton, _check_alphabet, _mask, _members,
+                       explore, subset_names)
 from .brzozowski import dual_automaton
 from .errors import StateGuardError, resolve_max_states
-
-
-def _mask(n: int, subset: Iterable[int]) -> int:
-    mask = 0
-    for s in subset:
-        if not 0 <= s < n:
-            raise ValueError("satisfying subset mentions an unknown state")
-        mask |= 1 << s
-    return mask
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The states of a bitmask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _ones(n: int) -> int:
@@ -202,27 +189,32 @@ def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
     return bool(a.iota.at(mask))
 
 
-def _reversed(a: AlternatingAutomaton, starts: Iterable[int], limit: int) -> MooreAutomaton:
-    """The reversed DFA on the subsets reachable from `starts` (bitmasks), in
-    BFS order, with the final set as its initial state.
-
-    Refuses up front when the whole powerset 2^n exceeds `limit`, however few
-    subsets are reachable, so the bound does not depend on the formulas.
-    """
+def reversed_subsets(a: AlternatingAutomaton, max_states: int | None = None) -> tuple:
+    """The reversed DFA as a lazy (start, key, step) triple on bitmasks.
+    Refuses up front when 2^n exceeds the state bound, however few subsets
+    are reachable, so the bound does not depend on the formulas."""
+    limit = resolve_max_states(max_states)
     if 1 << a.n > limit:
         raise StateGuardError(
             f"reverse_dfa would build 2^{a.n} states, more than {limit}; raise --max-states")
-    order, trans = explore(starts, partial(_afa_step, a), a.alphabet, limit, "reverse_dfa")
+    return _mask(a.n, a.finals), a.iota.at, partial(_afa_step, a)
+
+
+def _reversed(a: AlternatingAutomaton, every: bool, max_states: int | None) -> MooreAutomaton:
+    """The reversed DFA on every subset, or on those reachable from the final
+    set, in BFS order, with the final set as its initial state."""
+    start, key, step = reversed_subsets(a, max_states)
+    order, trans = explore(range(1 << a.n) if every else [start], step, a.alphabet,
+                           resolve_max_states(max_states), "reverse_dfa")
     return MooreAutomaton(len(order), a.alphabet, {c: tuple(ts) for c, ts in trans.items()},
-                          order.index(_mask(a.n, a.finals)),
-                          tuple(map(a.iota.at, order)), DFA_OUTPUTS,
+                          order.index(start), tuple(map(key, order)), DFA_OUTPUTS,
                           subset_names(map(_members, order), a.state_names))
 
 
 def reverse_dfa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
     """The DFA on all of 2^X recognising the reverse of the AFA's language;
     state i is the subset with bitmask i."""
-    return _reversed(a, range(1 << a.n), resolve_max_states(max_states))
+    return _reversed(a, True, max_states)
 
 
 def reachable_reverse_dfa(a: AlternatingAutomaton,
@@ -231,7 +223,7 @@ def reachable_reverse_dfa(a: AlternatingAutomaton,
     subsets; the same states in the same order.  State names are decided on
     the reachable subsets alone, so they survive where only an unreachable
     subset would collide."""
-    return _reversed(a, [_mask(a.n, a.finals)], resolve_max_states(max_states))
+    return _reversed(a, False, max_states)
 
 
 def minimal_dfa_for_afa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:

@@ -2,12 +2,13 @@
 classical reversal, and the baseline operations: evaluation, reachability,
 subset construction, partition refinement, isomorphism and exact equivalence.
 
-Two kernels serve every construction in the package: `explore` builds the
+Three kernels serve every construction in the package: `explore` builds the
 state space reachable under a step function (dual predicates, subsets,
-definable sets, reachable states, pairs of states) behind one state bound, and
-`stable_partition` with `quotient_rows` refine and quotient any deterministic
-transition structure whose states carry keys (Moore outputs, or the
-observation sets of a Kripke model).
+definable sets, reachable states) behind one state bound; `stable_partition`
+with `quotient_rows` refine and quotient any deterministic transition
+structure whose states carry keys (Moore outputs, or the observation sets of
+a Kripke model); `pair_walk` decides exact equivalence on the reachable pairs
+of two lazy (start, key, step) triples.  NFA and AFA subsets are bitmasks.
 
 States are dense integer indices 0..n-1; human names only survive as optional
 serialization metadata.  Reachability renumbers states in BFS order with
@@ -18,7 +19,6 @@ their reachable canonical forms compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonCongruenceError, StateGuardError, resolve_max_states
@@ -190,17 +190,6 @@ def reverse(m: MooreAutomaton | Nfa) -> Nfa:
     return Nfa(m.n, m.alphabet, trans, inits=inits, finals=finals, state_names=m.state_names)
 
 
-def nfa_step(n: Nfa, subset: frozenset[int], a: str) -> frozenset[int]:
-    try:
-        row = n.trans[a]
-    except KeyError:
-        raise ValueError(f"unknown letter {a!r}") from None
-    out: set[int] = set()
-    for s in subset:
-        out |= row[s]
-    return frozenset(out)
-
-
 def explore(starts: Iterable[Hashable], step: Callable, alphabet: Sequence[str],
             limit: int, what: str) -> tuple[list, dict[str, list[int]]]:
     """Breadth-first closure of `starts` under `step`, letters in alphabet order.
@@ -248,17 +237,51 @@ def subset_names(subsets: Iterable[Sequence[int]],
     return out if len(set(out)) == len(out) else None
 
 
+def _mask(n: int, subset: Iterable[int]) -> int:
+    """The bitmask of a subset of 0..n-1: bit i is set for state i."""
+    mask = 0
+    for s in subset:
+        if not 0 <= s < n:
+            raise ValueError("subset mentions an unknown state")
+        mask |= 1 << s
+    return mask
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The states of a bitmask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def subsets(n: Nfa) -> tuple:
+    """The subset construction as a lazy (start, key, step) triple on bitmasks:
+    the initial set, 1 for a subset that meets the final states (else 0), and
+    the step that joins the successor masks of a subset's members."""
+    succ = {a: [_mask(n.n, ts) for ts in row] for a, row in n.trans.items()}
+    finals = _mask(n.n, n.finals)
+
+    def step(mask: int, a: str) -> int:
+        row, out = succ[a], 0
+        while mask:
+            low = mask & -mask
+            out |= row[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    return _mask(n.n, n.inits), lambda mask: 1 if mask & finals else 0, step
+
+
 def determinise(n: Nfa, max_states: int | None = None) -> MooreAutomaton:
     """Subset construction restricted to subsets reachable from the initial set.
 
     A subset is accepting iff it meets the final states; empty initial set
     yields the one-state rejecting sink.
     """
-    order, trans = explore([frozenset(n.inits)], partial(nfa_step, n), n.alphabet,
-                           resolve_max_states(max_states), "subset construction")
-    out = tuple(1 if subset & n.finals else 0 for subset in order)
+    start, accepts, step = subsets(n)
+    order, trans = explore([start], step, n.alphabet, resolve_max_states(max_states),
+                           "subset construction")
     return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
-                          0, out, DFA_OUTPUTS, subset_names(map(sorted, order), n.state_names))
+                          0, tuple(map(accepts, order)), DFA_OUTPUTS,
+                          subset_names(map(_members, order), n.state_names))
 
 
 def reach(m: MooreAutomaton) -> MooreAutomaton:
@@ -337,31 +360,36 @@ def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
     return reach(m1) == reach(m2)
 
 
-class _Differ(Exception):
-    """Raised inside pair_walk's step at the first pair whose keys differ."""
-
-
 def pair_walk(first: tuple, second: tuple, alphabet: Sequence[str],
               max_states: int | None = None) -> bool:
-    """True iff the pairs of states reachable from the two initial states all
-    carry equal keys.  `first` and `second` are (keys, successor rows, initial
-    state) triples over one alphabet, the keys Moore outputs or a Kripke
-    model's observation sets.  The pairs are explored breadth-first behind
-    the state bound, and the walk stops at the first pair whose keys differ."""
-    (keys1, rows1, init1), (keys2, rows2, init2) = first, second
-
-    def step(pair, a):
-        s1, s2 = pair
-        if keys1[s1] != keys2[s2]:
-            raise _Differ
-        return rows1[a][s1], rows2[a][s2]
-
-    try:
-        explore([(init1, init2)], step, alphabet, resolve_max_states(max_states),
-                "product automaton")
-    except _Differ:
-        return False
+    """True iff the pairs of states reachable from the two starts all carry
+    equal keys.  `first` and `second` are (start, key, step) triples over one
+    alphabet: key(s) is what state s shows (a Moore output, a Kripke model's
+    observation set, whether a subset accepts) and step(s, a) its successor.
+    The pairs are walked from a stack, each stored once behind the state
+    bound, and the walk stops at the first pair whose keys differ."""
+    (start1, key1, step1), (start2, key2, step2) = first, second
+    limit = resolve_max_states(max_states)
+    pair = start1, start2
+    seen, stack = {pair}, [pair]
+    while stack:
+        s1, s2 = stack.pop()
+        if key1(s1) != key2(s2):
+            return False
+        for a in alphabet:
+            pair = step1(s1, a), step2(s2, a)
+            if pair not in seen:
+                if len(seen) >= limit:
+                    raise StateGuardError(
+                        f"product automaton exceeds {limit} states; raise --max-states")
+                seen.add(pair)
+                stack.append(pair)
     return True
+
+
+def by_rows(start: int, keys: Sequence, rows: Mapping[str, Sequence[int]]) -> tuple:
+    """The (start, key, step) triple of a structure given by keys and successor rows."""
+    return start, keys.__getitem__, lambda s, a: rows[a][s]
 
 
 def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton, max_states: int | None = None) -> bool:
@@ -370,5 +398,5 @@ def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton, max_states: int | None =
         raise ValueError("equiv_exact: alphabets differ")
     if m1.outputs != m2.outputs:
         raise ValueError("equiv_exact: output sets differ")
-    return pair_walk((m1.out, m1.trans, m1.init), (m2.out, m2.trans, m2.init), m1.alphabet,
-                     max_states)
+    return pair_walk(by_rows(m1.init, m1.out, m1.trans), by_rows(m2.init, m2.out, m2.trans),
+                     m1.alphabet, max_states)

@@ -44,10 +44,10 @@ def _cmd_run(args) -> int:
     if kind == "moore":
         print(obj.outputs[automata.run(obj, word)])
     elif kind == "nfa":
-        cur = obj.inits
+        cur, accepts, step = automata.subsets(obj)
         for a in word:
-            cur = automata.nfa_step(obj, cur, a)
-        print("accept" if cur & obj.finals else "reject")
+            cur = step(cur, a)
+        print("accept" if accepts(cur) else "reject")
     elif kind == "weighted":
         from .weighted import eval_series
         print(io.emit_value(obj.semiring, eval_series(obj, word)))
@@ -158,20 +158,19 @@ def _cmd_equiv(args) -> int:
     a = _load(args.file1, args.semiring)
     b = _load(args.file2, args.semiring)
     kind = io.kind_of(a) if io.kind_of(a) == io.kind_of(b) else None
+    if kind is None:
+        raise ValueError("equiv: files must hold comparable automata")
+    if a.alphabet != b.alphabet:
+        raise ValueError("equiv: alphabet mismatch")
     bound = None
     if kind == "weighted":
-        if a.alphabet != b.alphabet or a.semiring is not b.semiring:
-            raise ValueError("equiv: alphabet or semiring mismatch")
+        if a.semiring is not b.semiring:
+            raise ValueError("equiv: semiring mismatch")
         if a.semiring.name == "bool":
             from .weighted import bool_wa_to_nfa
             a, b, kind = bool_wa_to_nfa(a), bool_wa_to_nfa(b), "nfa"
     if kind == "moore":
         verdict = automata.equiv_exact(a, b, args.max_states)
-    elif kind == "nfa":
-        if a.alphabet != b.alphabet:
-            raise ValueError("equiv: alphabet mismatch")
-        verdict = automata.equiv_exact(automata.determinise(a, args.max_states),
-                                       automata.determinise(b, args.max_states))
     elif kind == "weighted" and a.semiring.is_ring:
         from .weighted import equiv_wa
         verdict = equiv_wa(a, b)
@@ -181,24 +180,20 @@ def _cmd_equiv(args) -> int:
         bound = args.max_len
         words = automata.bounded_words(a.alphabet, bound, args.max_states, "tropical comparison")
         verdict = all(eval_series(a, w) == eval_series(b, w) for w in words)
-    elif kind == "afa":
-        if a.alphabet != b.alphabet:
-            raise ValueError("equiv: alphabet mismatch")
-        # languages are equal iff their reversals are
-        from .alternating import reachable_reverse_dfa
-        verdict = automata.equiv_exact(reachable_reverse_dfa(a, args.max_states),
-                                       reachable_reverse_dfa(b, args.max_states))
-    elif kind == "dkm":
-        # deterministic models are bisimilar iff the reachable pairs observe alike
-        for k, path in ((a, args.file1), (b, args.file2)):
-            if k.init is None:
-                raise ValueError(f"equiv: {path} has no initial state")
-        if a.alphabet != b.alphabet:
-            raise ValueError("equiv: alphabet mismatch")
-        verdict = automata.pair_walk((a.gamma, a.delta, a.init), (b.gamma, b.delta, b.init),
-                                     a.alphabet, args.max_states)
     else:
-        raise ValueError("equiv: files must hold comparable automata")
+        # one walk over reachable pairs: of NFA subsets, of AFA reversed-DFA
+        # subsets (equal languages have equal reversals), or of DKM states
+        if kind == "nfa":
+            first, second = map(automata.subsets, (a, b))
+        elif kind == "afa":
+            from .alternating import reversed_subsets
+            first, second = (reversed_subsets(k, args.max_states) for k in (a, b))
+        else:
+            for k, path in ((a, args.file1), (b, args.file2)):
+                if k.init is None:
+                    raise ValueError(f"equiv: {path} has no initial state")
+            first, second = (automata.by_rows(k.init, k.gamma, k.delta) for k in (a, b))
+        verdict = automata.pair_walk(first, second, a.alphabet, args.max_states)
     suffix = "" if bound is None else f" up to length {bound}"
     print(f"equivalent{suffix}" if verdict else "not equivalent")
     return 0 if verdict else 1
@@ -252,7 +247,7 @@ def _cmd_hankel(args) -> int:
     if io.kind_of(obj) != "weighted":
         raise ValueError("hankel expects a weighted file")
     from .weighted import hankel_rank_oracle
-    print(hankel_rank_oracle(obj, args.length, args.max_states))
+    print(hankel_rank_oracle(obj, args.length))
     return 0
 
 
@@ -338,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("closure", _cmd_closure, bound=True, help="trace-definable subsets of a dkm")
     p.add_argument("file")
 
-    p = add("hankel", _cmd_hankel, bound=True, semiring=True,
+    p = add("hankel", _cmd_hankel, semiring=True,
             help="rank of the truncated Hankel block")
     p.add_argument("file")
     p.add_argument("-L", "--length", type=_at_least(0), required=True)
@@ -375,6 +370,9 @@ def main(argv=None) -> int:
         return 0
     except StateGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return GUARD_EXIT
+    except MemoryError:
+        print("error: out of memory; lower --max-states", file=sys.stderr)
         return GUARD_EXIT
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Mapping
 
-from .automata import Nfa, _check_alphabet, bounded_words
+from .automata import Nfa, _check_alphabet
 from .errors import DimensionError, SemiringError
 from .linalg import FieldBasis, IntegerBasis
 from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, vec_mat
@@ -171,23 +171,19 @@ def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     return all(x == zero for x in reach_restrict(diff).automaton.final)
 
 
-def hankel_rank_oracle(w: WeightedAutomaton, max_len: int,
-                       max_states: int | None = None) -> int:
+def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     """Rank over Q of the finite Hankel block H[u][v] = series(u.v), |u|,|v| <= max_len.
 
     Independent minimality oracle for series over semirings that embed in the
     rationals; for an automaton with n states any max_len >= n - 1 already
-    reaches the rank of the full Hankel matrix.  The block has one row and
-    one column per word; more words than the state bound raise
-    StateGuardError before any work is done.
+    reaches the rank of the full Hankel matrix.
 
     H is the backward vectors times the forward vectors, so its rank is that
     of the pairing between their two spans.  Each span is built here, apart
     from the minimiser's reach_restrict, one word length at a time; once a
     length adds nothing to a span, no longer length does, so the work stops
-    there, whatever max_len is.
+    there, after at most n lengths, whatever max_len is.
     """
-    bounded_words(w.alphabet, max_len, max_states, "Hankel block")  # counts, lists none
     to_q = w.semiring.to_fraction
     mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
             for a, m in w.mats.items()}

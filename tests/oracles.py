@@ -8,11 +8,12 @@ forms by whole-matrix elimination, determinants by permutation expansion,
 AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the definable closure of a Kripke model by
-frozenset preimages, and emitted text by json.dumps.  Four oracles keep a
+frozenset preimages, and emitted text by json.dumps.  Five oracles keep a
 library route as an explicit second copy: the Kripke quotient by the atoms of
 the definable closure as a set family, the Hankel block one word pair at a
 time, Moore equivalence by a hand-written breadth-first walk over the
-product, and Kripke equivalence by refining the disjoint union of two models.
+product, Kripke equivalence by refining the disjoint union of two models, and
+the subset construction on frozensets instead of bitmasks.
 
 The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
@@ -401,6 +402,25 @@ def equiv_by_bfs(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+def determinise_by_sets(n: Nfa) -> MooreAutomaton:
+    """The subset construction with every subset a frozenset, explored
+    breadth first with letters in alphabet order; states are named by the
+    library's subset-naming rule."""
+    start = frozenset(n.inits)
+    index, order = {start: 0}, [start]
+    trans = {a: [] for a in n.alphabet}
+    for cur in order:
+        for a in n.alphabet:
+            nxt = frozenset(t for s in cur for t in n.trans[a][s])
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            trans[a].append(index[nxt])
+    return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
+                          0, tuple(1 if subset & n.finals else 0 for subset in order),
+                          DFA_OUTPUTS, subset_names(map(sorted, order), n.state_names))
 
 
 def dkm_equiv_by_union(k1, k2) -> bool:

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts,
-                     compile_formula, determinise, dual_automaton, iso_check,
+                     compile_formula, determinise, dual_automaton, equiv_exact, iso_check,
                      minimal_dfa_for_afa, partition_refinement_minimise, reach,
                      reachable_reverse_dfa, reverse, reverse_dfa, run)
-from dualmin.alternating import _members
-from dualmin.sampling import random_afa
+from dualmin.alternating import reversed_subsets
+from dualmin.automata import _members, pair_walk
+from dualmin.sampling import random_afa, random_boolfun
 
 from oracles import afa_accepts_recursive, always, ends_with_a_dfa, formula_holds, words
 
@@ -257,3 +258,34 @@ def test_reversal_and_acceptance_match_the_per_subset_interpreter():
             for c in reversed(w):
                 subset = steps[c][subsets.index(subset)]
             assert afa_accepts(a, w) == accepts[subsets.index(subset)]
+
+
+def _padded(rng, a: AlternatingAutomaton) -> AlternatingAutomaton:
+    """a with one more state, which no condition of the other states and not
+    iota reads: the same language from a larger powerset."""
+    def lift(f):  # the masks with bit n set repeat the table
+        return BoolFun.from_table(a.n + 1, f.table | f.table << (1 << a.n))
+
+    delta = {c: tuple(map(lift, row)) + (random_boolfun(rng, a.n + 1),)
+             for c, row in a.delta.items()}
+    finals = a.finals | {a.n} if rng.random() < 0.5 else a.finals
+    return AlternatingAutomaton(a.n + 1, a.alphabet, delta, lift(a.iota), finals)
+
+
+def test_lazy_equiv_matches_the_built_reversed_dfas():
+    rng = random.Random(23)
+    verdicts = []
+    for i in range(400):
+        a = random_afa(rng)
+        if i % 2:
+            b = _padded(rng, a)
+        else:  # an independent draw of another size over the same letters
+            b = random_afa(rng, max_n=4)
+            if b.alphabet != a.alphabet or b.n == a.n:
+                continue
+        verdict = pair_walk(reversed_subsets(a), reversed_subsets(b), a.alphabet)
+        assert verdict == equiv_exact(reachable_reverse_dfa(a), reachable_reverse_dfa(b))
+        if i % 2:
+            assert verdict
+        verdicts.append(verdict)
+    assert verdicts.count(False) >= 50 and verdicts.count(True) >= 150

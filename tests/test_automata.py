@@ -3,12 +3,13 @@ import random
 import pytest
 
 from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, equiv_exact,
-                     iso_check, nfa_step, partition_refinement_minimise, reach, reverse, run)
-from dualmin.automata import bounded_words, explore, pair_walk, subset_names
+                     iso_check, partition_refinement_minimise, reach, reverse, run)
+from dualmin.automata import (_members, bounded_words, by_rows, explore, pair_walk,
+                              subset_names, subsets)
 from dualmin.sampling import random_dfa, random_moore
 
-from oracles import (ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths, random_nfa, run_by_hand,
-                     smallest_equivalent_dfa, words)
+from oracles import (determinise_by_sets, ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths,
+                     random_nfa, run_by_hand, smallest_equivalent_dfa, words)
 
 
 def test_run_examples():
@@ -52,8 +53,9 @@ def test_determinise_full_and_reachable():
     # full subset closure over all 8 subsets of {x,y,z}
     x, y, z = 0, 1, 2
     f = frozenset
-    subsets = [f(s for s in range(3) if mask >> s & 1) for mask in range(8)]
-    closure = {subset: {a: nfa_step(n, subset, a) for a in "ab"} for subset in subsets}
+    step = subsets(n)[2]
+    closure = {f(_members(mask)): {a: f(_members(step(mask, a))) for a in "ab"}
+               for mask in range(8)}
     assert len(closure) == 8
     assert {s for s, row in closure.items() if row["a"] == f({y, z})} == {f({y}), f({x, y})}
     assert closure[f({x, z})] == {"a": f({x}), "b": f({x, y, z})}
@@ -99,6 +101,72 @@ def test_determinise_matches_path_search():
         det = determinise(n)
         for w in words(n.alphabet, 6):
             assert (run(det, w) == 1) == nfa_accepts_paths(n, w)
+
+
+def _named(rng, n: Nfa) -> Nfa:
+    """n with state names, some of them holding '+', or n unnamed."""
+    if rng.random() < 0.5:
+        return n
+    names = tuple(f"q{s}" + ("+" if rng.random() < 0.2 else "") for s in range(n.n))
+    return Nfa(n.n, n.alphabet, n.trans, n.inits, n.finals, names)
+
+
+def test_determinise_matches_the_frozenset_oracle():
+    rng = random.Random(14)
+    shapes = set()
+    for _ in range(400):
+        n = _named(rng, random_nfa(rng))
+        det, oracle = determinise(n), determinise_by_sets(n)
+        assert det == oracle and det.state_names == oracle.state_names
+        shapes.add((n.n == 1, not n.inits))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _nfa_renumbered(rng, n: Nfa) -> Nfa:
+    perm = list(range(n.n))
+    rng.shuffle(perm)
+    inv = {p: s for s, p in enumerate(perm)}
+    trans = {a: tuple(frozenset(perm[t] for t in row[inv[p]]) for p in range(n.n))
+             for a, row in n.trans.items()}
+    return Nfa(n.n, n.alphabet, trans, frozenset(perm[s] for s in n.inits),
+               frozenset(perm[s] for s in n.finals))
+
+
+def _nfa_duplicated(rng, n: Nfa) -> Nfa:
+    """n with a new state n.n that copies state s: its arcs, its finality,
+    its initiality, and every arc into s; the language stays the same."""
+    s = rng.randrange(n.n)
+
+    def lift(targets):
+        return targets | {n.n} if s in targets else targets
+
+    trans = {a: tuple(map(lift, row)) + (lift(row[s]),) for a, row in n.trans.items()}
+    return Nfa(n.n + 1, n.alphabet, trans, lift(n.inits), lift(n.finals))
+
+
+def test_nfa_pair_walk_matches_the_determinised_oracle():
+    rng = random.Random(15)
+    verdicts = []
+    for i in range(1000):
+        n = random_nfa(rng)
+        kind = i % 4
+        if kind == 0:
+            other = _nfa_renumbered(rng, n)
+        elif kind == 1:
+            other = _nfa_duplicated(rng, n)
+        elif kind == 2:  # one state's finality flipped, which may not matter
+            other = Nfa(n.n, n.alphabet, n.trans, n.inits, n.finals ^ {rng.randrange(n.n)})
+        else:  # an independent draw over the same letters
+            other = random_nfa(rng)
+            if other.alphabet != n.alphabet:
+                continue
+        verdict = pair_walk(subsets(n), subsets(other), n.alphabet)
+        assert verdict == equiv_by_bfs(determinise_by_sets(n), determinise_by_sets(other))
+        assert verdict == pair_walk(subsets(other), subsets(n), n.alphabet)
+        if kind < 2:
+            assert verdict
+        verdicts.append(verdict)
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
 
 
 def test_reach_trivial_and_sink():
@@ -273,7 +341,8 @@ def test_pair_walk_obeys_the_state_bound():
     # a difference found before the bound is reached still decides
     yes = MooreAutomaton.dfa(1, ("a",), {"a": (0,)}, 0, [0])
     no = MooreAutomaton.dfa(1, ("a",), {"a": (0,)}, 0, [])
-    assert not pair_walk((yes.out, yes.trans, 0), (no.out, no.trans, 0), ("a",), 1)
+    assert not pair_walk(by_rows(0, yes.out, yes.trans), by_rows(0, no.out, no.trans),
+                         ("a",), 1)
 
 
 def test_bounded_words_counts_before_listing():

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -211,15 +212,14 @@ def test_hankel(capsys, data_dir):
     assert rc == 0 and out.strip() == "1"
 
 
-def test_hankel_counts_its_words_before_listing_them(capsys, data_dir):
-    path = str(data_dir / "wa_rational.json")  # two letters: 7 words up to length 2
-    rc, out, _ = invoke(capsys, "hankel", path, "-L", "2", "--max-states", "7")
+def test_hankel_needs_no_bound_on_its_words(capsys, data_dir):
+    path = str(data_dir / "wa_rational.json")  # 2**31 - 1 words up to length 30
+    rc, out, _ = invoke(capsys, "hankel", path, "-L", "30")
     assert rc == 0 and out.strip() == "2"
-    rc, out, err = invoke(capsys, "hankel", path, "-L", "2", "--max-states", "6")
-    assert rc == 3 and out == "" and "exceeds 6 words" in err
-    # 2**(10**9) words: refused at once, as the count passes the default bound
-    rc, out, err = invoke(capsys, "hankel", path, "-L", str(10**9))
-    assert rc == 3 and out == "" and f"exceeds {DEFAULT_MAX_STATES} words" in err
+    # the spans stop growing at length 1, so any length returns at once
+    start = time.perf_counter()
+    rc, out, _ = invoke(capsys, "hankel", path, "-L", str(10**9))
+    assert rc == 0 and out.strip() == "2" and time.perf_counter() - start < 5
 
 
 def test_equiv_weighted_bounded(capsys, data_dir, tmp_path):
@@ -333,9 +333,10 @@ def _counter(kind, n):
             "transitions": {"a": {s: [t] for s, t in step.items()}}}
 
 
-@pytest.mark.parametrize("kind, rc_bounded", [("dfa", 3), ("nfa", 0)])
-def test_equiv_bounds_the_pairs_of_deterministic_files_only(capsys, tmp_path, kind, rc_bounded):
-    # 4 and 6 states each, 12 reachable pairs: the bound 6 admits each file
+@pytest.mark.parametrize("kind", ["dfa", "nfa"])
+def test_equiv_bounds_the_pairs_it_stores(capsys, tmp_path, kind):
+    # 4 and 6 states (or subsets) each, 12 reachable pairs: the bound 6
+    # admits each file but not the pairs
     paths = []
     for n in (4, 6):
         paths.append(tmp_path / f"mod{n}.json")
@@ -343,11 +344,52 @@ def test_equiv_bounds_the_pairs_of_deterministic_files_only(capsys, tmp_path, ki
     rc, out, _ = invoke(capsys, "equiv", *map(str, paths))
     assert rc == 0 and out.strip() == "equivalent"
     rc, out, err = invoke(capsys, "equiv", *map(str, paths), "--max-states", "6")
-    assert rc == rc_bounded
-    if rc_bounded == 3:
-        assert out == "" and "max-states" in err
-    else:
-        assert out.strip() == "equivalent"
+    assert rc == 3 and out == "" and "max-states" in err
+
+
+def _kth_from_end(k: int, prefix: str, reverse: bool = False) -> dict:
+    """The k+1-state NFA of the words whose k-th letter from the end is a,
+    its states named prefix0..prefixk and listed in reverse if asked."""
+    names = [f"{prefix}{i}" for i in range(k + 1)]
+    trans = {a: {names[0]: [names[0]] + ([names[1]] if a == "a" else [])} for a in "ab"}
+    for i in range(1, k):
+        for a in "ab":
+            trans[a][names[i]] = [names[i + 1]]
+    return {"type": "nfa", "alphabet": ["a", "b"], "states": names[::-1] if reverse else names,
+            "initial": names[:1], "transitions": trans, "finals": names[-1:]}
+
+
+def _capped(megabytes: int, *argv) -> subprocess.CompletedProcess:
+    """A CLI call in a subprocess whose address space is capped."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-m", "dualmin.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=300)
+
+
+def test_equiv_of_nfas_walks_subset_pairs_in_little_memory(tmp_path):
+    # 65,536 reachable pairs of subsets; the two subset DFAs built in full
+    # would not fit under the cap
+    paths = []
+    for name, doc in (("kth16.json", _kth_from_end(16, "p")),
+                      ("kth16_renamed.json", _kth_from_end(16, "q", reverse=True))):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    proc = _capped(60, "equiv", *map(str, paths))
+    assert proc.returncode == 0 and proc.stdout.strip() == "equivalent", proc.stderr
+
+
+def test_running_out_of_memory_is_a_guard_exit(tmp_path):
+    path = tmp_path / "kth20.json"
+    path.write_text(json.dumps(_kth_from_end(20, "p")))
+    proc = _capped(100, "determinize", str(path), "--max-states", "2000000")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "max-states" in proc.stderr
 
 
 def test_equiv_tropical_says_it_is_bounded(capsys, data_dir, tmp_path):
@@ -441,7 +483,6 @@ def test_max_states_env_must_be_an_integer(monkeypatch, capsys, data_dir):
     ("closure", "dkm_ends_with_a.json"),
     ("minimize", "dkm_ends_with_a.json"),
     ("minimize", "ends_with_a.json", "--method", "duality"),
-    ("hankel", "wa_swap.json", "-L", "2"),
     ("equiv", "nfa_small.json", "nfa_small.json"),
     ("equiv", "ends_with_a.json", "ends_with_a.json"),
     ("equiv", "dkm_ends_with_a.json", "dkm_ends_with_a.json"),
@@ -478,7 +519,7 @@ VERBS = [
     ("stats", "ends_with_a.json"),
     ("selftest", "--cases", "1"),
 ]
-IGNORES_MAX_STATES = ("run", "reach", "trace-eval", "stats", "selftest")
+IGNORES_MAX_STATES = ("run", "reach", "trace-eval", "hankel", "stats", "selftest")
 IGNORES_SEMIRING = ("trace-eval", "closure", "selftest")
 
 

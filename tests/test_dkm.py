@@ -9,7 +9,7 @@ from dualmin import (Dkm, MooreAutomaton, NonCongruenceError, Partition, TraceFo
                      quotient_dkm)
 from dualmin.sampling import random_dfa, random_dkm
 
-from dualmin.automata import DFA_OUTPUTS, pair_walk
+from dualmin.automata import DFA_OUTPUTS, by_rows, pair_walk
 
 from oracles import (closure_by_preimages, dkm_equiv_by_union, ends_with_a_dfa,
                      minimise_dkm_by_atoms, words)
@@ -282,8 +282,8 @@ def test_pair_walk_matches_the_disjoint_union_oracle():
             k2 = random_dkm(rng, max_n=5, max_letters=2, max_obs=2)
             if k2.alphabet != k1.alphabet:
                 continue
-        verdict = pair_walk((k1.gamma, k1.delta, k1.init), (k2.gamma, k2.delta, k2.init),
-                            k1.alphabet)
+        verdict = pair_walk(by_rows(k1.init, k1.gamma, k1.delta),
+                            by_rows(k2.init, k2.gamma, k2.delta), k1.alphabet)
         assert verdict == dkm_equiv_by_union(k1, k2)
         if i % 3 == 0:
             assert verdict

@@ -14,7 +14,7 @@ EXPORTED = {
     "AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
     "minimal_dfa_for_afa", "reachable_reverse_dfa", "reverse_dfa",
     "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact", "iso_check",
-    "nfa_step", "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
+    "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
     "brzozowski_minimise", "dual_automaton", "dual_state_sets",
     "Dkm", "TraceFormula", "bisimulation_oracle", "boolean_atoms", "definable_closure",
     "eval_trace", "minimise_dkm", "quotient_dkm",
