@@ -86,12 +86,6 @@ class BoolFun:
         return frozenset(frozenset(_members(mask))
                          for mask, bit in enumerate(bits) if bit == "1")
 
-    def __call__(self, subset: Iterable[int]) -> bool:
-        try:
-            return bool(self.at(_mask(self.n, subset)))
-        except ValueError:  # a subset with an unknown state satisfies nothing
-            return False
-
 
 _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not,
                   ast.Name, ast.Constant, ast.Load)
@@ -159,13 +153,6 @@ class AlternatingAutomaton:
         if any(not 0 <= s < self.n for s in self.finals):
             raise ValueError("final state out of range")
 
-    @classmethod
-    def from_dfa(cls, m: MooreAutomaton) -> "AlternatingAutomaton":
-        """Embed a DFA: delta_a(s) holds on A iff t_a(s) in A, iota holds iff init in A."""
-        variables = [BoolFun.from_table(m.n, _variable(m.n, i)) for i in range(m.n)]
-        delta = {a: tuple(variables[t] for t in m.trans[a]) for a in m.alphabet}
-        return cls(m.n, m.alphabet, delta, variables[m.init], m.accepting(), m.state_names)
-
 
 def _afa_step(a: AlternatingAutomaton, mask: int, letter: str) -> int:
     """The mask of the states whose condition on `letter` holds on `mask`."""
@@ -196,7 +183,7 @@ def reversed_subsets(a: AlternatingAutomaton, max_states: int | None = None) -> 
     limit = resolve_max_states(max_states)
     if 1 << a.n > limit:
         raise StateGuardError(
-            f"reverse_dfa would build 2^{a.n} states, more than {limit}; raise --max-states")
+            f"the AFA's 2^{a.n} subsets exceed the bound of {limit}; raise --max-states")
     return _mask(a.n, a.finals), a.iota.at, partial(_afa_step, a)
 
 

@@ -248,8 +248,13 @@ def _mask(n: int, subset: Iterable[int]) -> int:
 
 
 def _members(mask: int) -> tuple[int, ...]:
-    """The states of a bitmask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The states of a bitmask, ascending, found one set bit at a time."""
+    states = []
+    while mask:
+        low = mask & -mask
+        states.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(states)
 
 
 def subsets(n: Nfa) -> tuple:
@@ -381,7 +386,7 @@ def pair_walk(first: tuple, second: tuple, alphabet: Sequence[str],
             if pair not in seen:
                 if len(seen) >= limit:
                     raise StateGuardError(
-                        f"product automaton exceeds {limit} states; raise --max-states")
+                        f"the pair walk stores more than {limit} pairs; raise --max-states")
                 seen.add(pair)
                 stack.append(pair)
     return True

@@ -1,18 +1,22 @@
 """Exact semirings and dense vector/matrix arithmetic over them.
 
-Four instances are provided: the Boolean semiring, arbitrary-precision
-integers, exact rationals, and the tropical (min, +) semiring.  Everything
-is computed exactly; no floating point enters any arithmetic path (the
-tropical infinity is a distinguished absorbing value that never mixes into
-finite sums).
+A semiring is a value: one frozen `Semiring` record holds its name, its two
+units, its operations and its flags.  Four instances are provided: `BOOL`,
+`INT` (arbitrary-precision integers), `RATIONAL` (exact rationals) and
+`TROPICAL` (min, +).  Everything is computed exactly; no floating point
+enters any arithmetic path (the tropical infinity is a distinguished
+absorbing value that never mixes into finite sums).
 
-`mat_vec` is the one product kernel: `vec_mat` and `mat_mul` apply it to a
-transpose, which a Matrix builds once and keeps.  Over Z and Q, `mat_vec` and
-`dot` run on Python ints: a rational vector is read as integer numerators over
-the lcm of its denominators, a rational matrix as integer rows over one common
-denominator (computed once per Matrix), and each output entry is one
-`sum(map(mul, ...))` and, over Q, one Fraction.  The Boolean and tropical
-semirings use the generic `Semiring.dot`, one `add` and one `mul` per entry.
+`_row_product` is the one product kernel: given a vector, it returns the
+function that multiplies a row by it.  `mat_vec` maps that function over a
+matrix's rows and `Semiring.dot` applies it to one row; `vec_mat` and
+`mat_mul` are `mat_vec` of a transpose, which a Matrix builds once and keeps.
+Over Z and Q the kernel runs on Python ints: a rational vector is read as
+integer numerators over the lcm of its denominators, a rational matrix as
+integer rows over one common denominator (computed once per Matrix), and
+each output entry is one `sum(map(mul, ...))` and, over Q, one Fraction.
+Over the Boolean and tropical semirings each entry is one fold of `add` over
+the `mul` of the pairs.
 
 The randomized check of the semiring laws, with a sampler per semiring, is
 part of the test suite (tests/test_semiring.py).
@@ -22,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
-from operator import mul
-from typing import Any
+from operator import add, and_, mul, neg, or_
+from typing import Any, Callable
 
 from .errors import DimensionError, SemiringError
 
@@ -41,195 +45,110 @@ def over_lcm(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Semiring:
     """A semiring (S, +, *, 0, 1) with exact arithmetic on plain Python values.
 
-    Flags describe the extra structure available:
+    `coerce` validates and normalises an externally supplied value; `neg` and
+    `to_fraction` raise SemiringError where the semiring has no subtraction
+    or does not embed in the rationals.  Flags describe the extra structure
+    available:
       is_ring   subtraction exists
       is_field  division by nonzero elements exists
       is_pid    exact gcd-style division exists (Z; fields trivially qualify)
     """
 
-    name: str = "?"
-    is_ring = False
-    is_field = False
-    is_pid = False
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    name: str
+    zero_element: Any
+    one_element: Any
+    add: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
+    coerce: Callable[[Any], Any]
+    neg: Callable[[Any], Any]
+    to_fraction: Callable[[Any], Fraction]
+    is_ring: bool = False
+    is_field: bool = False
+    is_pid: bool = False
 
     def zero(self):
-        raise NotImplementedError
+        return self.zero_element
 
     def one(self):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise SemiringError(f"{self.name}: no subtraction")
-
-    def coerce(self, raw):
-        """Validate and normalise an externally supplied value."""
-        raise NotImplementedError
-
-    def to_fraction(self, a) -> Fraction:
-        raise SemiringError(f"{self.name}: does not embed in the rationals")
+        return self.one_element
 
     def dot(self, u, v):
+        """The sum of u[i] * v[i]: `mat_vec`'s row kernel on the one row u."""
         if len(u) != len(v):
             raise DimensionError(f"dot: {len(u)} vs {len(v)}")
-        acc = self.zero()
-        for a, b in zip(u, v):
-            acc = self.add(acc, self.mul(a, b))
-        return acc
+        row, den = over_lcm(u) if self is RATIONAL else (u, 1)
+        return _row_product(self, den, v)(row)
 
     def __repr__(self):
         return f"<semiring {self.name}>"
 
 
-class BooleanSemiring(Semiring):
-    name = "bool"
+def _refuse(message: str):
+    """An operation that always raises SemiringError(message)."""
+    def refuse(a):
+        raise SemiringError(message)
+    return refuse
 
-    def add(self, a, b):
-        return a | b
 
-    def mul(self, a, b):
-        return a & b
+def _coerce_bool(raw):
+    if raw in (0, 1, False, True):
+        return int(raw)
+    raise SemiringError(f"bool: bad value {raw!r}")
 
-    def zero(self):
-        return 0
 
-    def one(self):
-        return 1
-
-    def coerce(self, raw):
-        if raw in (0, 1, False, True):
+def _coerce_int(raw):
+    if isinstance(raw, str):
+        try:
             return int(raw)
-        raise SemiringError(f"bool: bad value {raw!r}")
-
-    def to_fraction(self, a):
-        return Fraction(a)
-
-
-class IntegerRing(Semiring):
-    name = "int"
-    is_ring = True
-    is_pid = True
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def neg(self, a):
-        return -a
-
-    def coerce(self, raw):
-        if isinstance(raw, str):
-            try:
-                return int(raw)
-            except ValueError:
-                pass
-        elif isinstance(raw, int) and not isinstance(raw, bool):
-            return raw
-        raise SemiringError(f"int: bad value {raw!r}")
-
-    def to_fraction(self, a):
-        return Fraction(a)
-
-    def dot(self, u, v):
-        if len(u) != len(v):
-            raise DimensionError(f"dot: {len(u)} vs {len(v)}")
-        return sum(map(mul, u, v))
+        except ValueError:
+            pass
+    elif isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise SemiringError(f"int: bad value {raw!r}")
 
 
-class RationalField(Semiring):
-    name = "rational"
-    is_ring = True
-    is_field = True
-    is_pid = True
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def neg(self, a):
-        return -a
-
-    def coerce(self, raw):
-        # Fraction keeps values in lowest terms with positive denominator.
-        if isinstance(raw, (int, Fraction, str)) and not isinstance(raw, bool):
-            try:
-                return Fraction(raw)
-            except (ValueError, ZeroDivisionError):  # from a string only
-                pass
-        raise SemiringError(f"rational: bad value {raw!r}")
-
-    def to_fraction(self, a):
-        return a
-
-    def dot(self, u, v):
-        if len(u) != len(v):
-            raise DimensionError(f"dot: {len(u)} vs {len(v)}")
-        (nu, du), (nv, dv) = over_lcm(u), over_lcm(v)
-        return Fraction(sum(map(mul, nu, nv)), du * dv)
+def _coerce_rational(raw):
+    # Fraction keeps values in lowest terms with positive denominator.
+    if isinstance(raw, (int, Fraction, str)) and not isinstance(raw, bool):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):  # from a string only
+            pass
+    raise SemiringError(f"rational: bad value {raw!r}")
 
 
-class TropicalSemiring(Semiring):
-    """(N u {inf}, min, +): addition is min with identity inf, product is + with identity 0."""
-
-    name = "tropical"
-
-    def add(self, a, b):
-        return min(a, b)
-
-    def mul(self, a, b):
-        return a + b
-
-    def zero(self):
+def _coerce_tropical(raw):
+    if raw == TROPICAL_INF or raw == "inf":
         return TROPICAL_INF
-
-    def one(self):
-        return 0
-
-    def coerce(self, raw):
-        if raw == TROPICAL_INF or raw == "inf":
-            return TROPICAL_INF
-        if isinstance(raw, bool):
-            raise SemiringError(f"tropical: bad value {raw!r}")
-        if isinstance(raw, int) and raw >= 0:
-            return raw
-        if isinstance(raw, str):
-            try:
-                v = int(raw)
-            except ValueError:
-                v = -1
-            if v >= 0:
-                return v
+    if isinstance(raw, bool):
         raise SemiringError(f"tropical: bad value {raw!r}")
+    if isinstance(raw, int) and raw >= 0:
+        return raw
+    if isinstance(raw, str):
+        try:
+            v = int(raw)
+        except ValueError:
+            v = -1
+        if v >= 0:
+            return v
+    raise SemiringError(f"tropical: bad value {raw!r}")
 
 
-BOOL = BooleanSemiring()
-INT = IntegerRing()
-RATIONAL = RationalField()
-TROPICAL = TropicalSemiring()
+BOOL = Semiring("bool", 0, 1, or_, and_, _coerce_bool,
+                _refuse("bool: no subtraction"), Fraction)
+INT = Semiring("int", 0, 1, add, mul, _coerce_int, neg, Fraction,
+               is_ring=True, is_pid=True)
+RATIONAL = Semiring("rational", Fraction(0), Fraction(1), add, mul, _coerce_rational, neg,
+                    Fraction,
+                    is_ring=True, is_field=True, is_pid=True)
+# (N u {inf}, min, +): addition is min with identity inf, product is + with identity 0
+TROPICAL = Semiring("tropical", TROPICAL_INF, 0, min, add, _coerce_tropical,
+                    _refuse("tropical: no subtraction"),
+                    _refuse("tropical: does not embed in the rationals"))
 
 SEMIRINGS = {s.name: s for s in (BOOL, INT, RATIONAL, TROPICAL)}
 
@@ -239,6 +158,21 @@ def semiring_by_name(name: str) -> Semiring:
         return SEMIRINGS[name]
     except KeyError:
         raise SemiringError(f"unknown semiring {name!r}") from None
+
+
+def _row_product(sr: Semiring, den: int, v):
+    """The one product kernel: the function that multiplies a row by the
+    vector v.  Over Q a row is read as integers over den (as
+    `Matrix.kernel_rows` gives it) and v as integers over the lcm of its
+    denominators."""
+    if sr is INT:
+        return lambda row: sum(map(mul, row, v))
+    if sr is RATIONAL:
+        nums, d = over_lcm(v)
+        den *= d
+        return lambda row: Fraction(sum(map(mul, row, nums)), den)
+    plus, times, zero = sr.add, sr.mul, sr.zero_element
+    return lambda row: reduce(plus, map(times, row, v), zero)
 
 
 @dataclass(frozen=True)
@@ -281,9 +215,12 @@ class Matrix:
         return t
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(rows, den) with entries[i][j] == rows[i][j] / den, den the lcm of
-        every entry's denominator; computed on first use and kept."""
+    def kernel_rows(self) -> tuple[tuple[tuple, ...], int]:
+        """(rows, den) as `_row_product` reads them, computed on first use and
+        kept: over Q, integer rows with entries[i][j] == rows[i][j] / den, den
+        the lcm of every entry's denominator; otherwise the entries over 1."""
+        if self.semiring is not RATIONAL:
+            return self.entries, 1
         den = lcm(*[x.denominator for row in self.entries for x in row])
         return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                      for row in self.entries), den
@@ -303,15 +240,8 @@ def mat_vec(a: Matrix, v: tuple) -> tuple:
     """Apply a matrix to a column vector."""
     if a.n_cols != len(v):
         raise DimensionError(f"mat_vec: {a.n_rows}x{a.n_cols} times vector of {len(v)}")
-    sr = a.semiring
-    if sr is INT:
-        return tuple(sum(map(mul, row, v)) for row in a.entries)
-    if sr is RATIONAL:
-        rows, den = a.integer_rows
-        nums, d = over_lcm(v)
-        den *= d
-        return tuple(Fraction(sum(map(mul, row, nums)), den) for row in rows)
-    return tuple(sr.dot(row, v) for row in a.entries)
+    rows, den = a.kernel_rows
+    return tuple(map(_row_product(a.semiring, den, v), rows))
 
 
 def vec_mat(v: tuple, a: Matrix) -> tuple:

@@ -17,7 +17,8 @@ the subset construction on frozensets instead of bitmasks.
 
 The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
-functions, the DFA-output test, and a random NFA generator.
+functions and their truth-table lookup, the AFA embedding of a DFA, the
+DFA-output test, and a random NFA generator.
 """
 
 import ast
@@ -30,8 +31,8 @@ from operator import mul
 from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix, MooreAutomaton,
                      Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
                      mat_vec, quotient_dkm, vec_mat)
-from dualmin.alternating import _ones
-from dualmin.automata import DFA_OUTPUTS, stable_partition, subset_names
+from dualmin.alternating import _ones, _variable
+from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition, subset_names
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
 from dualmin.semiring import over_lcm
@@ -84,9 +85,7 @@ def wa_eval_paths(w: WeightedAutomaton, word):
 
 
 def dot_by_entries(sr, u, v):
-    """Dot product with one sr.mul and one sr.add per entry (the generic
-    route, which the library keeps only for the Boolean and tropical
-    semirings)."""
+    """Dot product with one sr.mul and one sr.add per entry, in a Python loop."""
     if len(u) != len(v):
         raise ValueError(f"dot: {len(u)} vs {len(v)}")
     acc = sr.zero()
@@ -124,9 +123,9 @@ def afa_accepts_recursive(a: AlternatingAutomaton, word) -> bool:
         if not rest:
             return subset
         inner = delta_prime(rest[1:], subset)
-        return frozenset(s for s in range(a.n) if a.delta[rest[0]][s](inner))
+        return frozenset(s for s in range(a.n) if holds(a.delta[rest[0]][s], inner))
 
-    return a.iota(delta_prime(tuple(word), a.finals))
+    return holds(a.iota, delta_prime(tuple(word), a.finals))
 
 
 def formula_holds(formula: str, state_names, subset) -> bool:
@@ -377,7 +376,7 @@ def hankel_basis_by_block(w: WeightedAutomaton, max_len: int) -> FieldBasis:
     for word in ws[1:]:
         forward[word] = mat_vec(mats[word[-1]], forward[word[:-1]])
         backward[word] = vec_mat(backward[word[1:]], mats[word[0]])
-    back = Matrix(RATIONAL, len(ws), w.n, tuple(backward[v] for v in ws)).integer_rows[0]
+    back = Matrix(RATIONAL, len(ws), w.n, tuple(backward[v] for v in ws)).kernel_rows[0]
     basis = FieldBasis(len(ws))
     for u in ws:
         f = over_lcm(forward[u])[0]
@@ -447,6 +446,22 @@ def zeros(semiring: Semiring, n_rows: int, n_cols: int) -> Matrix:
 def always(n: int, value: bool) -> BoolFun:
     """The constant Boolean function over n states."""
     return BoolFun.from_table(n, _ones(n) if value else 0)
+
+
+def holds(f: BoolFun, subset) -> bool:
+    """Whether the subset satisfies f, looked up in its truth table."""
+    try:
+        return bool(f.at(_mask(f.n, subset)))
+    except ValueError:  # a subset with an unknown state satisfies nothing
+        return False
+
+
+def afa_of_dfa(m: MooreAutomaton) -> AlternatingAutomaton:
+    """Embed a DFA: delta_a(s) holds on A iff t_a(s) in A, iota holds iff init in A."""
+    variables = [BoolFun.from_table(m.n, _variable(m.n, i)) for i in range(m.n)]
+    delta = {a: tuple(variables[t] for t in m.trans[a]) for a in m.alphabet}
+    return AlternatingAutomaton(m.n, m.alphabet, delta, variables[m.init], m.accepting(),
+                                m.state_names)
 
 
 def is_dfa(m: MooreAutomaton) -> bool:

@@ -10,7 +10,8 @@ from dualmin.alternating import reversed_subsets
 from dualmin.automata import _members, pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
-from oracles import afa_accepts_recursive, always, ends_with_a_dfa, formula_holds, words
+from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa, formula_holds,
+                     holds, words)
 
 
 def all_subsets(n: int) -> list[frozenset[int]]:
@@ -31,7 +32,7 @@ def test_empty_word_acceptance_is_iota_of_finals():
     rng = random.Random(0)
     for _ in range(30):
         a = random_afa(rng)
-        assert afa_accepts(a, ()) == a.iota(a.finals)
+        assert afa_accepts(a, ()) == holds(a.iota, a.finals)
 
 
 def test_conjunctive_example_by_brute_force():
@@ -44,7 +45,7 @@ def test_conjunctive_example_by_brute_force():
 
 def test_dfa_embedding_agrees_with_run():
     m = ends_with_a_dfa()
-    a = AlternatingAutomaton.from_dfa(m)
+    a = afa_of_dfa(m)
     for w in words(m.alphabet, 6):
         assert afa_accepts(a, w) == (run(m, w) == 1)
 
@@ -54,7 +55,7 @@ def test_dfa_embedding_agrees_on_random_dfas():
     rng = random.Random(9)
     for _ in range(25):
         m = random_dfa(rng, max_n=4, max_letters=2)
-        a = AlternatingAutomaton.from_dfa(m)
+        a = afa_of_dfa(m)
         for w in words(m.alphabet, 5):
             assert afa_accepts(a, w) == (run(m, w) == 1)
 
@@ -66,14 +67,14 @@ def test_afa_accepts_unknown_letter():
 
 def test_reverse_dfa_one_state_embedding():
     from dualmin import MooreAutomaton
-    one = AlternatingAutomaton.from_dfa(MooreAutomaton.dfa(1, ("a",), {"a": (0,)}, 0, [0]))
+    one = afa_of_dfa(MooreAutomaton.dfa(1, ("a",), {"a": (0,)}, 0, [0]))
     rev = reverse_dfa(one)
     assert rev.n == 2
     assert reach(rev).n == 1
 
 
 def test_reverse_dfa_bound_is_the_powerset_size():
-    a = AlternatingAutomaton.from_dfa(ends_with_a_dfa())  # 3 states, 8 subsets
+    a = afa_of_dfa(ends_with_a_dfa())  # 3 states, 8 subsets
     assert reverse_dfa(a, max_states=8).n == 8
     with pytest.raises(StateGuardError):
         reverse_dfa(a, max_states=7)
@@ -104,13 +105,13 @@ def test_transpose_identity_pointwise():
         for letter in a.alphabet:
             row = a.delta[letter]
             for subset in all_subsets(a.n):
-                transposed = frozenset(s for s in range(a.n) if row[s](subset))
+                transposed = frozenset(s for s in range(a.n) if holds(row[s], subset))
                 for s in range(a.n):
-                    assert (s in transposed) == row[s](subset)
+                    assert (s in transposed) == holds(row[s], subset)
 
 
 def test_minimal_dfa_for_embedded_dfa():
-    a = AlternatingAutomaton.from_dfa(ends_with_a_dfa())
+    a = afa_of_dfa(ends_with_a_dfa())
     minimal = minimal_dfa_for_afa(a)
     assert minimal.n == 2
     assert iso_check(minimal, partition_refinement_minimise(ends_with_a_dfa()))
@@ -136,8 +137,8 @@ def test_minimal_dfa_matches_oracle_route():
 def test_formula_compilation():
     names = ("x", "y", "z")
     f = compile_formula("x and (y or not z)", names)
-    assert f({0, 1}) and f({0, 1, 2}) and f({0})
-    assert not f({0, 2}) and not f({1, 2}) and not f(set())
+    assert holds(f, {0, 1}) and holds(f, {0, 1, 2}) and holds(f, {0})
+    assert not holds(f, {0, 2}) and not holds(f, {1, 2}) and not holds(f, set())
     assert compile_formula("true", names).sats == frozenset(all_subsets(3))
     assert compile_formula("false", names).sats == frozenset()
 
@@ -220,7 +221,7 @@ def test_boolfun_constructors_agree():
 def test_reachable_reverse_dfa_is_the_reachable_part_of_reverse_dfa():
     rng = random.Random(5)
     afas = [random_afa(rng, max_n=4) for _ in range(80)]
-    afas.append(AlternatingAutomaton.from_dfa(ends_with_a_dfa()))  # named states
+    afas.append(afa_of_dfa(ends_with_a_dfa()))  # named states
     for a in afas:
         full = reach(reverse_dfa(a))
         part = reachable_reverse_dfa(a)

@@ -336,7 +336,7 @@ def test_equiv_exact_matches_the_bfs_oracle():
 def test_pair_walk_obeys_the_state_bound():
     m = ends_with_a_dfa()  # compared with itself: 3 reachable pairs
     assert equiv_exact(m, m, max_states=3)
-    with pytest.raises(StateGuardError, match="product automaton exceeds 2 states"):
+    with pytest.raises(StateGuardError, match="the pair walk stores more than 2 pairs"):
         equiv_exact(m, m, max_states=2)
     # a difference found before the bound is reached still decides
     yes = MooreAutomaton.dfa(1, ("a",), {"a": (0,)}, 0, [0])

@@ -13,7 +13,7 @@ from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF,
 from dualmin.io import _BATCH_CHARS
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore, random_wa
 
-from oracles import always, emit_json, ends_with_a_dfa, is_dfa, random_nfa
+from oracles import afa_of_dfa, always, emit_json, ends_with_a_dfa, is_dfa, random_nfa
 
 
 def test_parse_ends_with_a_dfa(data_dir):
@@ -91,8 +91,7 @@ def test_big_integers_become_strings():
 def test_afa_formula_and_subset_forms_agree(data_dir):
     by_formula = parse((data_dir / "afa_ends_with_a.json").read_bytes())
     assert isinstance(by_formula, AlternatingAutomaton)
-    from dualmin import AlternatingAutomaton as AA
-    embedded = AA.from_dfa(ends_with_a_dfa())
+    embedded = afa_of_dfa(ends_with_a_dfa())
     assert by_formula.delta == embedded.delta
     assert by_formula.iota == embedded.iota
     assert by_formula.finals == embedded.finals

@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import pytest
@@ -98,13 +98,9 @@ def test_tropical_laws_exhaustive_small_range():
 
 
 def test_law_report_counterexample_detection():
-    class Broken(type(INT)):
-        name = "broken"
-
-        def mul(self, a, b):
-            return a * b + 1
-
-    report = check_semiring_laws(Broken(), SAMPLERS[INT], samples=50, seed=0)
+    broken = replace(INT, name="broken", mul=lambda a, b: a * b + 1)
+    report = check_semiring_laws(broken, SAMPLERS[INT], samples=50, seed=0)
+    assert report.semiring == "broken"
     assert not report.ok
     assert any("distrib" in f or "one" in f or "annihilate" in f for f in report.failures)
 
@@ -229,7 +225,7 @@ def test_integer_kernels_match_per_entry_products():
 
 
 def test_integer_kernels_check_lengths():
-    for sr in (INT, RATIONAL):
+    for sr in (BOOL, INT, RATIONAL, TROPICAL):
         a = Matrix(sr, 2, 3, ((sr.one(),) * 3,) * 2)
         with pytest.raises(DimensionError):
             mat_vec(a, (1, 2))
@@ -252,8 +248,9 @@ def test_products_match_per_entry_oracles_on_every_semiring():
             r, m, c = shapes[case] if case < len(shapes) else [rng.randint(0, 4)
                                                                for _ in range(3)]
             a, b = sample(sr, r, m), sample(sr, m, c)
-            u = tuple(SAMPLERS[sr](rng) for _ in range(r))
+            u, w = (tuple(SAMPLERS[sr](rng) for _ in range(r)) for _ in range(2))
             assert vec_mat(u, a) == vec_mat_by_entries(u, a)
+            assert sr.dot(u, w) == dot_by_entries(sr, u, w)
             assert mat_mul(a, b) == mat_mul_by_entries(a, b)
 
 
