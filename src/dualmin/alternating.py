@@ -17,15 +17,14 @@ truth table (`BoolFun.from_table`), or by compiling a formula.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .automata import (DFA_OUTPUTS, MooreAutomaton, _check_alphabet, _mask, _members,
-                       explore, subset_names)
+                       explore, mask_names)
 from .brzozowski import dual_automaton
-from .errors import StateGuardError, resolve_max_states
+from .errors import Record, StateGuardError, resolve_max_states
 
 
 def _ones(n: int) -> int:
@@ -44,8 +43,7 @@ def _variable(n: int, i: int) -> int:
     return table
 
 
-@dataclass(frozen=True, init=False)
-class BoolFun:
+class BoolFun(Record):
     """A function 2^X -> 2 as a truth table: bit `mask` of `table` is set iff
     the subset with that bitmask satisfies the function."""
 
@@ -57,16 +55,14 @@ class BoolFun:
         table = 0
         for subset in sats:
             table |= 1 << _mask(n, subset)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
+        self.__dict__.update(n=n, table=table)
 
     @classmethod
     def from_table(cls, n: int, table: int) -> "BoolFun":
         if table < 0 or table >> (1 << n):
             raise ValueError(f"truth table wider than 2^{n} bits")
         f = cls.__new__(cls)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "table", table)
+        f.__dict__.update(n=n, table=table)
         return f
 
     @cached_property
@@ -131,8 +127,7 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     return BoolFun.from_table(n, ev(tree))
 
 
-@dataclass(frozen=True)
-class AlternatingAutomaton:
+class AlternatingAutomaton(Record):
     """AFA with per-letter, per-state Boolean transition conditions, an
     acceptance condition over the final verdict vector, and final states."""
 
@@ -141,7 +136,8 @@ class AlternatingAutomaton:
     delta: Mapping[str, tuple[BoolFun, ...]]
     iota: BoolFun
     finals: frozenset[int]
-    state_names: tuple[str, ...] | None = field(default=None, compare=False)
+    state_names: tuple[str, ...] | None = None
+    _uncompared = ("state_names",)
 
     def __post_init__(self):
         _check_alphabet(self.alphabet, self.delta)
@@ -195,7 +191,7 @@ def _reversed(a: AlternatingAutomaton, every: bool, max_states: int | None) -> M
                            resolve_max_states(max_states), "reverse_dfa")
     return MooreAutomaton(len(order), a.alphabet, {c: tuple(ts) for c, ts in trans.items()},
                           order.index(start), tuple(map(key, order)), DFA_OUTPUTS,
-                          subset_names(map(_members, order), a.state_names))
+                          mask_names(order, a.state_names, a.n))
 
 
 def reverse_dfa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:

@@ -18,10 +18,9 @@ their reachable canonical forms compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NonCongruenceError, StateGuardError, resolve_max_states
+from .errors import NonCongruenceError, Record, StateGuardError, resolve_max_states
 
 DFA_OUTPUTS = ("reject", "accept")
 
@@ -50,8 +49,7 @@ def _check_successors(n: int, alphabet, rows: Mapping[str, Sequence[int]], init:
         raise ValueError("initial state out of range")
 
 
-@dataclass(frozen=True)
-class MooreAutomaton:
+class MooreAutomaton(Record):
     """Deterministic automaton with an output attached to every state.
 
     `outputs` is the ordered output set B; `out[s]` indexes into it.  For the
@@ -64,7 +62,8 @@ class MooreAutomaton:
     init: int
     out: tuple[int, ...]
     outputs: tuple[str, ...] = DFA_OUTPUTS
-    state_names: tuple[str, ...] | None = field(default=None, compare=False)
+    state_names: tuple[str, ...] | None = None
+    _uncompared = ("state_names",)
 
     def __post_init__(self):
         _check_successors(self.n, self.alphabet, self.trans, self.init)
@@ -92,14 +91,14 @@ class MooreAutomaton:
             raise ValueError(f"unknown letter {a!r}") from None
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Record):
     n: int
     alphabet: tuple[str, ...]
     trans: Mapping[str, tuple[frozenset[int], ...]]
     inits: frozenset[int]
     finals: frozenset[int]
-    state_names: tuple[str, ...] | None = field(default=None, compare=False)
+    state_names: tuple[str, ...] | None = None
+    _uncompared = ("state_names",)
 
     def __post_init__(self):
         _check_alphabet(self.alphabet, self.trans)
@@ -112,8 +111,7 @@ class Nfa:
                 raise ValueError("initial/final state out of range")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Map state -> block id with ids dense in 0..n_blocks-1."""
 
     block_of: tuple[int, ...]
@@ -222,19 +220,30 @@ def explore(starts: Iterable[Hashable], step: Callable, alphabet: Sequence[str],
     return order, trans
 
 
-def subset_names(subsets: Iterable[Sequence[int]],
-                 names: Sequence[str] | None) -> tuple[str, ...] | None:
-    """Names for subset states, each subset given as its ascending members.
+def subset_labels(names: Sequence[str] | None, n: int) -> tuple[Sequence[str], str]:
+    """(labels, sep) that name the subsets of n states: each state's name, or
+    s0, s1, ... when unnamed, and '+', or ',' when some name already contains
+    '+' (a previous pass), mirroring the {yz, xyz} style of nested subsets."""
+    if not names:
+        return [f"s{i}" for i in range(n)], "+"
+    return names, "," if any("+" in name for name in names) else "+"
 
-    Members are joined with '+', or with ',' when some source name already
-    contains '+' (a previous pass), mirroring the {yz, xyz} style of nested
-    subsets; unnamed sources read s0, s1, ...  The empty subset is 'empty'.
-    Returns None when two names collide (a source state named "empty").
-    """
-    label = names.__getitem__ if names else "s{}".format
-    sep = "," if names and any("+" in name for name in names) else "+"
-    out = tuple(sep.join(map(label, members)) if members else "empty" for members in subsets)
+
+def subset_names(subsets: Iterable[Iterable[str]], sep: str) -> tuple[str, ...] | None:
+    """Names for subset states, each subset given by the labels of its
+    members in ascending order (see subset_labels), an empty subset by an
+    empty sequence: the labels joined with sep, or 'empty'.  Returns None when
+    two names collide (a source state named "empty")."""
+    out = tuple(sep.join(members) if members else "empty" for members in subsets)
     return out if len(set(out)) == len(out) else None
+
+
+def mask_names(masks: Iterable[int], names: Sequence[str] | None,
+               n: int) -> tuple[str, ...] | None:
+    """subset_names of subsets of n states given as bitmasks."""
+    labels, sep = subset_labels(names, n)
+    return subset_names((map(labels.__getitem__, _members(mask)) if mask else ()
+                         for mask in masks), sep)
 
 
 def _mask(n: int, subset: Iterable[int]) -> int:
@@ -286,7 +295,7 @@ def determinise(n: Nfa, max_states: int | None = None) -> MooreAutomaton:
                            "subset construction")
     return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(map(accepts, order)), DFA_OUTPUTS,
-                          subset_names(map(_members, order), n.state_names))
+                          mask_names(order, n.state_names, n.n))
 
 
 def reach(m: MooreAutomaton) -> MooreAutomaton:

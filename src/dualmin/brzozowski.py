@@ -22,7 +22,8 @@ from itertools import compress
 from operator import itemgetter
 from typing import Iterator
 
-from .automata import MooreAutomaton, Partition, explore, quotient_moore, reach, subset_names
+from .automata import (MooreAutomaton, Partition, explore, quotient_moore, reach, subset_labels,
+                       subset_names)
 from .errors import resolve_max_states
 
 
@@ -57,11 +58,15 @@ def dual_automaton(m: MooreAutomaton, max_states: int | None = None) -> MooreAut
     """The automaton on predicates B^X reachable from the output map.
 
     run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.  For the
-    Boolean case the predicates decode to subsets, and the states are named so.
+    Boolean case the predicates are subsets, and each state is named by its
+    members' labels, picked out of the labels by the predicate's 0/1 bytes.
     """
     order, trans = explore_predicates([m.out], m.trans, m.alphabet, max_states)
     out = tuple(phi[m.init] for phi in order)
-    names = subset_names(_members(order, m.n), m.state_names) if len(m.outputs) == 2 else None
+    names = None
+    if len(m.outputs) == 2:
+        labels, sep = subset_labels(m.state_names, m.n)
+        names = subset_names((compress(labels, phi) if 1 in phi else () for phi in order), sep)
     return MooreAutomaton(len(order), m.alphabet,
                           {a: tuple(ts) for a, ts in trans.items()},
                           0, out, m.outputs, names)

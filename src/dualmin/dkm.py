@@ -15,23 +15,23 @@ which also minimises Moore automata by duality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .automata import (MooreAutomaton, Partition, _check_successors, quotient_rows,
                        stable_partition)
 from .brzozowski import _members, explore_predicates, predicate_atoms
+from .errors import Record
 
 
-@dataclass(frozen=True)
-class Dkm:
+class Dkm(Record):
     n: int
     alphabet: tuple[str, ...]
     obs: tuple[str, ...]
     gamma: tuple[frozenset[str], ...]
     delta: Mapping[str, tuple[int, ...]]
     init: int | None = None
-    state_names: tuple[str, ...] | None = field(default=None, compare=False)
+    state_names: tuple[str, ...] | None = None
+    _uncompared = ("state_names",)
 
     def __post_init__(self):
         _check_successors(self.n, self.alphabet, self.delta, self.init)
@@ -48,8 +48,7 @@ class Dkm:
         return cls(m.n, m.alphabet, (obs_name,), gamma, dict(m.trans), m.init, m.state_names)
 
 
-@dataclass(frozen=True)
-class TraceFormula:
+class TraceFormula(Record):
     """<a1>...<ak> obs: a modality word followed by one observation."""
 
     word: tuple[str, ...]

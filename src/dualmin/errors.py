@@ -1,6 +1,8 @@
-"""Shared exception types and the state-explosion guard."""
+"""Shared exception types, the state-explosion guard and the frozen `Record`
+base of every automaton, matrix and basis class."""
 
 import os
+from operator import attrgetter
 
 DEFAULT_MAX_STATES = 1_000_000
 MAX_STATES_ENV = "DUALMIN_MAX_STATES"
@@ -50,3 +52,61 @@ def resolve_max_states(value=None):
     if value < 1:
         raise ValueError(f"{source} must be at least 1, not {value}")
     return value
+
+
+class Record:
+    """A frozen record.  Its fields are the class's annotated names, in order,
+    and a field's default is its value in the class body.  The constructor
+    takes the fields by position or by keyword, then calls __post_init__;
+    assigning or deleting an attribute raises AttributeError.  == and hash
+    read every field but those the class names in `_uncompared`, and repr
+    lists every field.  Instances keep a __dict__, so cached_property works.
+    Nothing is generated or exec'd when a class is defined."""
+
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        cls._defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+        cls._compared = attrgetter(*(f for f in fields if f not in cls._uncompared))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        """Every field's value, in order, from a call's arguments and the defaults."""
+        fields = self._fields
+        rest = fields[len(args):]
+        unknown = [name for name in kwargs if name not in rest]
+        missing = [name for name in rest if name not in kwargs and name not in self._defaults]
+        if len(args) > len(fields) or unknown or missing:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}; "
+                            f"got {len(args)} by position, unknown or repeated {unknown}, "
+                            f"missing {missing}")
+        return [*args, *(kwargs[f] if f in kwargs else self._defaults[f] for f in rest)]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self):
+        return hash(self._compared(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -55,18 +55,27 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
+def _distinct(items: list, path: str) -> list:
+    if len(set(items)) != len(items):
+        raise FormatError("names must be distinct", path)
+    return items
+
+
 def _name_list(raw, path: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise FormatError("expected a list of strings", path)
-    if len(set(raw)) != len(raw):
-        raise FormatError("names must be distinct", path)
-    return tuple(raw)
+    return tuple(_distinct(raw, path))
 
 
 def _state_index(name, states: dict[str, int], path: str) -> int:
     if not isinstance(name, str) or name not in states:
         raise FormatError(f"unknown state {name!r}", path)
     return states[name]
+
+
+def _state_indices(doc, key: str, states: dict[str, int]) -> list[int]:
+    """The states of the list doc[key], each named once."""
+    return _distinct([_state_index(s, states, key) for s in _require(doc, key, list, "")], key)
 
 
 def _transitions(doc, alphabet) -> dict:
@@ -118,8 +127,8 @@ def parse(data: bytes | str, semiring: str | None = None):
 def _parse_dfa(doc, alphabet, names, states):
     trans = _det_transitions(doc, alphabet, states)
     init = _state_index(_require(doc, "initial", str, ""), states, "initial")
-    finals = [_state_index(f, states, "finals") for f in _require(doc, "finals", list, "")]
-    return MooreAutomaton.dfa(len(names), alphabet, trans, init, finals, names)
+    return MooreAutomaton.dfa(len(names), alphabet, trans, init,
+                              _state_indices(doc, "finals", states), names)
 
 
 def _parse_moore(doc, alphabet, names, states):
@@ -155,10 +164,8 @@ def _parse_nfa(doc, alphabet, names, states):
             per_state.append(frozenset(_state_index(t, states, f"transitions.{a}.{name}")
                                        for t in targets))
         trans[a] = tuple(per_state)
-    raw_init = _require(doc, "initial", list, "")
-    inits = frozenset(_state_index(s, states, "initial") for s in raw_init)
-    finals = frozenset(_state_index(s, states, "finals")
-                       for s in _require(doc, "finals", list, ""))
+    inits = frozenset(_state_indices(doc, "initial", states))
+    finals = frozenset(_state_indices(doc, "finals", states))
     return Nfa(len(names), alphabet, trans, inits, finals, names)
 
 
@@ -218,8 +225,7 @@ def _parse_afa(doc, alphabet, names, states):
             raise FormatError("every state needs a transition condition", f"transitions.{a}")
         delta[a] = tuple(boolfun(row[name], f"transitions.{a}.{name}") for name in names)
     iota = boolfun(_require(doc, "iota", None, ""), "iota")
-    finals = frozenset(_state_index(s, states, "finals")
-                       for s in _require(doc, "finals", list, ""))
+    finals = frozenset(_state_indices(doc, "finals", states))
     return AlternatingAutomaton(len(names), alphabet, delta, iota, finals, names)
 
 
@@ -237,7 +243,7 @@ def _parse_dkm(doc, alphabet, names, states):
         for w in seen:
             if w not in obs:
                 raise FormatError(f"unknown observation {w!r}", f"gamma.{name}")
-        gamma.append(frozenset(seen))
+        gamma.append(frozenset(_distinct(seen, f"gamma.{name}")))
     delta = _det_transitions(doc, alphabet, states)
     init = None
     if doc.get("initial") is not None:

@@ -25,14 +25,13 @@ on first use, so everything emitted is unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import mul
 
-from .errors import DimensionError
+from .errors import DimensionError, Record
 from .semiring import INT, RATIONAL, Matrix, over_lcm
 
 
@@ -45,8 +44,7 @@ def _check_length(v, ambient: int):
         raise DimensionError(f"vector of {len(v)} in ambient {ambient}")
 
 
-@dataclass(frozen=True)
-class IntegerBasis:
+class IntegerBasis(Record):
     """Canonical HNF basis of a sublattice of Z^ambient; empty rows = zero lattice."""
 
     ambient: int
@@ -124,8 +122,7 @@ def _positive(row, p) -> tuple[int, ...]:
     return tuple(row) if row[p] > 0 else tuple(-x for x in row)
 
 
-@dataclass(frozen=True)
-class FieldBasis:
+class FieldBasis(Record):
     """Canonical reduced-echelon basis of a subspace of Q^ambient.
 
     Row k of the basis is nums[k] / den: den > 0 is the least common

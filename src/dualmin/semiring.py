@@ -24,14 +24,13 @@ part of the test suite (tests/test_semiring.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
 from operator import add, and_, mul, neg, or_
 from typing import Any, Callable
 
-from .errors import DimensionError, SemiringError
+from .errors import DimensionError, Record, SemiringError
 
 TROPICAL_INF = float("inf")
 
@@ -45,8 +44,7 @@ def over_lcm(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Semiring:
+class Semiring(Record):
     """A semiring (S, +, *, 0, 1) with exact arithmetic on plain Python values.
 
     `coerce` validates and normalises an externally supplied value; `neg` and
@@ -82,6 +80,9 @@ class Semiring:
             raise DimensionError(f"dot: {len(u)} vs {len(v)}")
         row, den = over_lcm(u) if self is RATIONAL else (u, 1)
         return _row_product(self, den, v)(row)
+
+    # a semiring is equal to itself alone
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __repr__(self):
         return f"<semiring {self.name}>"
@@ -175,8 +176,7 @@ def _row_product(sr: Semiring, den: int, v):
     return lambda row: reduce(plus, map(times, row, v), zero)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Dense matrix with explicit shape (rows may be empty, so shape is stored)."""
 
     semiring: Semiring

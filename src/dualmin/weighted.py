@@ -12,25 +12,24 @@ final * t_ak * ... * t_a1 * init.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Mapping
 
 from .automata import Nfa, _check_alphabet
-from .errors import DimensionError, SemiringError
+from .errors import DimensionError, Record, SemiringError
 from .linalg import FieldBasis, IntegerBasis
 from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, vec_mat
 
 
-@dataclass(frozen=True)
-class WeightedAutomaton:
+class WeightedAutomaton(Record):
     n: int
     alphabet: tuple[str, ...]
     semiring: Semiring
     mats: Mapping[str, Matrix]
     init: tuple  # column vector, length n
     final: tuple  # row vector, length n
-    state_names: tuple[str, ...] | None = field(default=None, compare=False)
+    state_names: tuple[str, ...] | None = None
+    _uncompared = ("state_names",)
 
     def __post_init__(self):
         _check_alphabet(self.alphabet, self.mats)
@@ -53,8 +52,7 @@ class WeightedAutomaton:
                    tuple(state_names) if state_names else None)
 
 
-@dataclass(frozen=True)
-class RestrictedWA:
+class RestrictedWA(Record):
     """A weighted automaton together with the change of coordinates that embeds
     its states back into the space it was carved out of.
 

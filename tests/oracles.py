@@ -17,8 +17,9 @@ the subset construction on frozensets instead of bitmasks.
 
 The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
-functions and their truth-table lookup, the AFA embedding of a DFA, the
-DFA-output test, and a random NFA generator.
+functions and their truth-table lookup, the AFA embedding of a DFA, a
+record's copy with fields changed, the DFA-output test, and a random NFA
+generator.
 """
 
 import ast
@@ -32,7 +33,7 @@ from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix
                      Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
                      mat_vec, quotient_dkm, vec_mat)
 from dualmin.alternating import _ones, _variable
-from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition, subset_names
+from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition, subset_labels, subset_names
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
 from dualmin.semiring import over_lcm
@@ -313,8 +314,8 @@ def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
             trans[a].append(index[nxt])
     names = None
     if len(m.outputs) == 2:
-        names = subset_names([[s for s in range(m.n) if phi[s]] for phi in order],
-                             m.state_names)
+        labels, sep = subset_labels(m.state_names, m.n)
+        names = subset_names([[labels[s] for s in range(m.n) if phi[s]] for phi in order], sep)
     return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(phi[m.init] for phi in order), m.outputs, names)
 
@@ -417,9 +418,11 @@ def determinise_by_sets(n: Nfa) -> MooreAutomaton:
                 index[nxt] = len(order)
                 order.append(nxt)
             trans[a].append(index[nxt])
+    labels, sep = subset_labels(n.state_names, n.n)
+    names = subset_names([[labels[s] for s in sorted(subset)] for subset in order], sep)
     return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(1 if subset & n.finals else 0 for subset in order),
-                          DFA_OUTPUTS, subset_names(map(sorted, order), n.state_names))
+                          DFA_OUTPUTS, names)
 
 
 def dkm_equiv_by_union(k1, k2) -> bool:
@@ -462,6 +465,12 @@ def afa_of_dfa(m: MooreAutomaton) -> AlternatingAutomaton:
     delta = {a: tuple(variables[t] for t in m.trans[a]) for a in m.alphabet}
     return AlternatingAutomaton(m.n, m.alphabet, delta, variables[m.init], m.accepting(),
                                 m.state_names)
+
+
+def replace(obj, **changes):
+    """A copy of a record with the given fields changed, built (and so
+    checked) by its constructor from the record's field list."""
+    return type(obj)(**{f: changes.pop(f, getattr(obj, f)) for f in obj._fields}, **changes)
 
 
 def is_dfa(m: MooreAutomaton) -> bool:

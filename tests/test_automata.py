@@ -4,8 +4,8 @@ import pytest
 
 from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, equiv_exact,
                      iso_check, partition_refinement_minimise, reach, reverse, run)
-from dualmin.automata import (_members, bounded_words, by_rows, explore, pair_walk,
-                              subset_names, subsets)
+from dualmin.automata import (_members, bounded_words, by_rows, explore, mask_names, pair_walk,
+                              subset_labels, subset_names, subsets)
 from dualmin.sampling import random_dfa, random_moore
 
 from oracles import (determinise_by_sets, ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths,
@@ -381,10 +381,14 @@ def test_explore_guard():
 
 
 def test_subset_names_rule():
-    assert subset_names([(), (0, 2)], None) == ("empty", "s0+s2")
-    assert subset_names([(0,), (0, 1)], ("x", "y")) == ("x", "x+y")
-    assert subset_names([(0,), (0, 1)], ("x+y", "z")) == ("x+y", "x+y,z")
-    assert subset_names([(), (0,)], ("empty", "z")) is None
+    assert subset_labels(None, 3) == (["s0", "s1", "s2"], "+")
+    assert subset_labels(("x+y", "z"), 2) == (("x+y", "z"), ",")
+    assert mask_names([0, 0b101], None, 3) == ("empty", "s0+s2")
+    assert mask_names([1, 3], ("x", "y"), 2) == ("x", "x+y")
+    assert mask_names([1, 3], ("x+y", "z"), 2) == ("x+y", "x+y,z")
+    assert mask_names([0, 1], ("empty", "z"), 2) is None
+    # a state named "" is told apart from the empty subset
+    assert subset_names([(), ("",)], "+") == ("empty", "")
 
 
 def test_determinise_joins_plus_names_with_commas():

@@ -707,3 +707,21 @@ def test_a_call_loads_only_the_modules_of_its_file_kind(data_dir, argv, unloaded
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     assert "dualmin.io" in loaded
     assert not loaded & {m if m == "fractions" else f"dualmin.{m}" for m in unloaded}
+
+
+def test_a_process_loads_neither_dataclasses_nor_inspect(data_dir):
+    """The records are plain classes: a DFA and a weighted minimisation in one
+    fresh interpreter leave `dataclasses` and `inspect` (which it would
+    import) unloaded."""
+    script = ("import contextlib, io, json, sys\n"
+              "from dualmin.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [main(['minimize', path]) for path in sys.argv[1:]]\n"
+              "print(json.dumps([codes, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))\n")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, str(data_dir / "ends_with_a.json"),
+                           str(data_dir / "wa_rational.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], []]

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -12,7 +11,7 @@ from dualmin.sampling import random_dfa, random_dkm
 from dualmin.automata import DFA_OUTPUTS, by_rows, pair_walk
 
 from oracles import (closure_by_preimages, dkm_equiv_by_union, ends_with_a_dfa,
-                     minimise_dkm_by_atoms, words)
+                     minimise_dkm_by_atoms, replace, words)
 
 
 def ends_with_a_dkm() -> Dkm:

@@ -1,7 +1,6 @@
 import json
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from io import StringIO
 
@@ -10,10 +9,12 @@ import pytest
 from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF,
                      AlternatingAutomaton, BoolFun, Dkm, FormatError, MooreAutomaton, Nfa,
                      WeightedAutomaton, brzozowski_minimise, emit, parse, run)
+from dualmin.cli import main
 from dualmin.io import _BATCH_CHARS
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore, random_wa
 
-from oracles import afa_of_dfa, always, emit_json, ends_with_a_dfa, is_dfa, random_nfa
+from oracles import (afa_of_dfa, always, emit_json, ends_with_a_dfa, is_dfa, random_nfa,
+                     replace)
 
 
 def test_parse_ends_with_a_dfa(data_dir):
@@ -117,6 +118,30 @@ def test_state_keyed_maps_reject_unknown_states(doc, path):
         parse(json.dumps(doc))
     assert exc.value.path == path
     assert str(exc.value) == f"{path}: unknown state {path.rsplit('.', 1)[1]!r}"
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"type": "dfa", "alphabet": ["a"], "states": ["x", "y"], "initial": "x",
+      "transitions": {"a": {"x": "y", "y": "x"}}, "finals": ["y", "y"]}, "finals"),
+    ({"type": "nfa", "alphabet": ["a"], "states": ["p", "q"], "initial": ["p"],
+      "transitions": {"a": {"p": ["q"]}}, "finals": ["q", "p", "q"]}, "finals"),
+    ({"type": "nfa", "alphabet": ["a"], "states": ["p", "q"], "initial": ["p", "p"],
+      "transitions": {"a": {"p": ["q"]}}, "finals": ["q"]}, "initial"),
+    ({"type": "afa", "alphabet": ["a"], "states": ["x"], "finals": ["x", "x"], "iota": "x",
+      "transitions": {"a": {"x": "x"}}}, "finals"),
+    ({"type": "dkm", "alphabet": ["a"], "states": ["x", "y"], "obs": ["p", "q"],
+      "gamma": {"x": ["q"], "y": ["p", "q", "p"]}, "transitions": {"a": {"x": "y", "y": "x"}},
+      "initial": "x"}, "gamma.y"),
+], ids=["dfa finals", "nfa finals", "nfa initial", "afa finals", "dkm gamma"])
+def test_state_and_observation_lists_reject_duplicates(capsys, tmp_path, doc, path):
+    # a repeated entry is an error, as in "states" and "alphabet", not silently merged
+    with pytest.raises(FormatError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: names must be distinct"
+    (tmp_path / "dup.json").write_text(json.dumps(doc))
+    assert main(["stats", str(tmp_path / "dup.json")]) == 1
+    assert f"{path}: names must be distinct" in capsys.readouterr().err
 
 
 # one file per type whose transitions name a letter outside the alphabet or miss one

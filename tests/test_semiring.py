@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -9,7 +9,7 @@ from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF, DimensionError
                      vec_mat)
 
 from oracles import (dot_by_entries, identity, mat_mul_by_entries, mat_vec_by_entries,
-                     vec_mat_by_entries, zeros)
+                     replace, vec_mat_by_entries, zeros)
 
 # a random element of each semiring, drawn from a random.Random
 SAMPLERS = {
