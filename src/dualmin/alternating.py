@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from .automata import (DFA_OUTPUTS, MooreAutomaton, _check_alphabet, _mask, _members,
                        explore, mask_names)
 from .brzozowski import dual_automaton
-from .errors import Record, StateGuardError, resolve_max_states
+from .errors import DEFAULT_MAX_STATES, Record, StateGuardError
 
 
 def _ones(n: int) -> int:
@@ -92,12 +92,15 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
 
     A state name evaluates to membership of that state in the argument subset;
     the constants true and false are available.  The syntax tree is evaluated
-    once, on whole truth tables.
+    once, on whole truth tables.  A formula nested past the parser's or the
+    interpreter's depth limit is a ValueError too.
     """
     try:
         tree = ast.parse(formula, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"bad formula {formula!r}: {exc}") from None
+    except (RecursionError, MemoryError):  # how ast.parse refuses a deep nesting
+        raise ValueError(f"bad formula {formula!r}: nested too deeply") from None
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"bad formula {formula!r}: {type(node).__name__} not allowed")
@@ -124,7 +127,10 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
             return _variable(n, index[node.id])
         return ones if node.id == "true" else 0
 
-    return BoolFun.from_table(n, ev(tree))
+    try:
+        return BoolFun.from_table(n, ev(tree))
+    except RecursionError:
+        raise ValueError(f"bad formula {formula!r}: nested too deeply") from None
 
 
 class AlternatingAutomaton(Record):
@@ -138,6 +144,7 @@ class AlternatingAutomaton(Record):
     finals: frozenset[int]
     state_names: tuple[str, ...] | None = None
     _uncompared = ("state_names",)
+    kind = "afa"
 
     def __post_init__(self):
         _check_alphabet(self.alphabet, self.delta)
@@ -172,36 +179,35 @@ def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
     return bool(a.iota.at(mask))
 
 
-def reversed_subsets(a: AlternatingAutomaton, max_states: int | None = None) -> tuple:
+def reversed_subsets(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -> tuple:
     """The reversed DFA as a lazy (start, key, step) triple on bitmasks.
     Refuses up front when 2^n exceeds the state bound, however few subsets
     are reachable, so the bound does not depend on the formulas."""
-    limit = resolve_max_states(max_states)
-    if 1 << a.n > limit:
+    if 1 << a.n > max_states:
         raise StateGuardError(
-            f"the AFA's 2^{a.n} subsets exceed the bound of {limit}; raise --max-states")
+            f"the AFA's 2^{a.n} subsets exceed the bound of {max_states}; raise --max-states")
     return _mask(a.n, a.finals), a.iota.at, partial(_afa_step, a)
 
 
-def _reversed(a: AlternatingAutomaton, every: bool, max_states: int | None) -> MooreAutomaton:
+def _reversed(a: AlternatingAutomaton, every: bool, max_states: int) -> MooreAutomaton:
     """The reversed DFA on every subset, or on those reachable from the final
     set, in BFS order, with the final set as its initial state."""
     start, key, step = reversed_subsets(a, max_states)
     order, trans = explore(range(1 << a.n) if every else [start], step, a.alphabet,
-                           resolve_max_states(max_states), "reverse_dfa")
+                           max_states, "reverse_dfa")
     return MooreAutomaton(len(order), a.alphabet, {c: tuple(ts) for c, ts in trans.items()},
                           order.index(start), tuple(map(key, order)), DFA_OUTPUTS,
                           mask_names(order, a.state_names, a.n))
 
 
-def reverse_dfa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
+def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """The DFA on all of 2^X recognising the reverse of the AFA's language;
     state i is the subset with bitmask i."""
     return _reversed(a, True, max_states)
 
 
 def reachable_reverse_dfa(a: AlternatingAutomaton,
-                          max_states: int | None = None) -> MooreAutomaton:
+                          max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """reach(reverse_dfa(a)), built from the final set without the unreachable
     subsets; the same states in the same order.  State names are decided on
     the reachable subsets alone, so they survive where only an unreachable
@@ -209,7 +215,8 @@ def reachable_reverse_dfa(a: AlternatingAutomaton,
     return _reversed(a, False, max_states)
 
 
-def minimal_dfa_for_afa(a: AlternatingAutomaton, max_states: int | None = None) -> MooreAutomaton:
+def minimal_dfa_for_afa(a: AlternatingAutomaton,
+                        max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """Minimal DFA for the AFA's language.
 
     The reversed DFA already performs the first reversal, so one dual pass

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NonCongruenceError, Record, StateGuardError, resolve_max_states
+from .errors import DEFAULT_MAX_STATES, NonCongruenceError, Record, StateGuardError
 
 DFA_OUTPUTS = ("reject", "accept")
 
@@ -64,6 +64,7 @@ class MooreAutomaton(Record):
     outputs: tuple[str, ...] = DFA_OUTPUTS
     state_names: tuple[str, ...] | None = None
     _uncompared = ("state_names",)
+    kind = "moore"
 
     def __post_init__(self):
         _check_successors(self.n, self.alphabet, self.trans, self.init)
@@ -99,6 +100,7 @@ class Nfa(Record):
     finals: frozenset[int]
     state_names: tuple[str, ...] | None = None
     _uncompared = ("state_names",)
+    kind = "nfa"
 
     def __post_init__(self):
         _check_alphabet(self.alphabet, self.trans)
@@ -148,18 +150,17 @@ def words_up_to(alphabet: tuple[str, ...], max_len: int) -> Iterator[tuple[str, 
         yield from layer
 
 
-def bounded_words(alphabet: tuple[str, ...], max_len: int, max_states: int | None,
+def bounded_words(alphabet: tuple[str, ...], max_len: int, max_states: int,
                   what: str) -> Iterator[tuple[str, ...]]:
     """words_up_to(alphabet, max_len), once their number is known to stay
     within the state bound: StateGuardError is raised before any word is
     listed."""
-    limit = resolve_max_states(max_states)
     # the number of words, or a count already past the bound: lengths beyond
-    # limit.bit_length() need not be counted, and a huge power is never built
-    k, length = len(alphabet), min(max_len, limit.bit_length())
-    if (max_len + 1 if k == 1 else (k ** (length + 1) - 1) // (k - 1)) > limit:
+    # max_states.bit_length() need not be counted, and a huge power is never built
+    k, length = len(alphabet), min(max_len, max_states.bit_length())
+    if (max_len + 1 if k == 1 else (k ** (length + 1) - 1) // (k - 1)) > max_states:
         raise StateGuardError(f"{what} of the words up to length {max_len} exceeds "
-                              f"{limit} words; raise --max-states")
+                              f"{max_states} words; raise --max-states")
     return words_up_to(alphabet, max_len)
 
 
@@ -284,15 +285,14 @@ def subsets(n: Nfa) -> tuple:
     return _mask(n.n, n.inits), lambda mask: 1 if mask & finals else 0, step
 
 
-def determinise(n: Nfa, max_states: int | None = None) -> MooreAutomaton:
+def determinise(n: Nfa, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """Subset construction restricted to subsets reachable from the initial set.
 
     A subset is accepting iff it meets the final states; empty initial set
     yields the one-state rejecting sink.
     """
     start, accepts, step = subsets(n)
-    order, trans = explore([start], step, n.alphabet, resolve_max_states(max_states),
-                           "subset construction")
+    order, trans = explore([start], step, n.alphabet, max_states, "subset construction")
     return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(map(accepts, order)), DFA_OUTPUTS,
                           mask_names(order, n.state_names, n.n))
@@ -375,7 +375,7 @@ def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
 
 
 def pair_walk(first: tuple, second: tuple, alphabet: Sequence[str],
-              max_states: int | None = None) -> bool:
+              max_states: int = DEFAULT_MAX_STATES) -> bool:
     """True iff the pairs of states reachable from the two starts all carry
     equal keys.  `first` and `second` are (start, key, step) triples over one
     alphabet: key(s) is what state s shows (a Moore output, a Kripke model's
@@ -383,7 +383,6 @@ def pair_walk(first: tuple, second: tuple, alphabet: Sequence[str],
     The pairs are walked from a stack, each stored once behind the state
     bound, and the walk stops at the first pair whose keys differ."""
     (start1, key1, step1), (start2, key2, step2) = first, second
-    limit = resolve_max_states(max_states)
     pair = start1, start2
     seen, stack = {pair}, [pair]
     while stack:
@@ -393,9 +392,9 @@ def pair_walk(first: tuple, second: tuple, alphabet: Sequence[str],
         for a in alphabet:
             pair = step1(s1, a), step2(s2, a)
             if pair not in seen:
-                if len(seen) >= limit:
+                if len(seen) >= max_states:
                     raise StateGuardError(
-                        f"the pair walk stores more than {limit} pairs; raise --max-states")
+                        f"the pair walk stores more than {max_states} pairs; raise --max-states")
                 seen.add(pair)
                 stack.append(pair)
     return True
@@ -406,7 +405,8 @@ def by_rows(start: int, keys: Sequence, rows: Mapping[str, Sequence[int]]) -> tu
     return start, keys.__getitem__, lambda s, a: rows[a][s]
 
 
-def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton, max_states: int | None = None) -> bool:
+def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton,
+                max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Exact language equivalence: the pair walk over the reachable product."""
     if m1.alphabet != m2.alphabet:
         raise ValueError("equiv_exact: alphabets differ")

@@ -24,10 +24,11 @@ from typing import Iterator
 
 from .automata import (MooreAutomaton, Partition, explore, quotient_moore, reach, subset_labels,
                        subset_names)
-from .errors import resolve_max_states
+from .errors import DEFAULT_MAX_STATES
 
 
-def explore_predicates(starts, trans, alphabet, max_states=None, what="dual automaton"):
+def explore_predicates(starts, trans, alphabet, max_states=DEFAULT_MAX_STATES,
+                       what="dual automaton"):
     """Closure of the predicates `starts` (value vectors over the states) under
     phi -> phi . trans[a] for every letter a, as explore's (order, trans).
     Predicates are `bytes`, one byte per state, unless a value exceeds 255."""
@@ -37,10 +38,10 @@ def explore_predicates(starts, trans, alphabet, max_states=None, what="dual auto
     gets = {a: itemgetter(*ts) if len(ts) > 1 else itemgetter(slice(0, len(ts)))
             for a, ts in trans.items()}
     return explore(map(pack, starts), lambda phi, a: pack(gets[a](phi)),
-                   alphabet, resolve_max_states(max_states), what)
+                   alphabet, max_states, what)
 
 
-def predicate_atoms(starts, trans, alphabet, max_states=None) -> Partition:
+def predicate_atoms(starts, trans, alphabet, max_states=DEFAULT_MAX_STATES) -> Partition:
     """The states partitioned by their columns in the predicates explored from
     the 0/1 predicates `starts`: the atoms of the Boolean algebra the closure
     generates, blocks numbered by least state (one block without starts)."""
@@ -54,7 +55,7 @@ def _members(order, n: int) -> Iterator[tuple[int, ...]]:
     return (tuple(compress(range(n), phi)) for phi in order)
 
 
-def dual_automaton(m: MooreAutomaton, max_states: int | None = None) -> MooreAutomaton:
+def dual_automaton(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """The automaton on predicates B^X reachable from the output map.
 
     run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.  For the
@@ -72,7 +73,7 @@ def dual_automaton(m: MooreAutomaton, max_states: int | None = None) -> MooreAut
                           0, out, m.outputs, names)
 
 
-def brzozowski_minimise(m: MooreAutomaton, max_states: int | None = None) -> MooreAutomaton:
+def brzozowski_minimise(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """Double reversal: the dual applied twice.
 
     The first pass is reachable by construction, so the second pass is both
@@ -81,7 +82,7 @@ def brzozowski_minimise(m: MooreAutomaton, max_states: int | None = None) -> Moo
     return dual_automaton(dual_automaton(m, max_states), max_states)
 
 
-def duality_minimise(m: MooreAutomaton, max_states: int | None = None) -> MooreAutomaton:
+def duality_minimise(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """The reachable part quotiented by the atoms of its definable closure.
 
     The closure starts from one 0/1 predicate per output except the first,
@@ -93,7 +94,8 @@ def duality_minimise(m: MooreAutomaton, max_states: int | None = None) -> MooreA
     return quotient_moore(m, predicate_atoms(starts, m.trans, m.alphabet, max_states))
 
 
-def dual_state_sets(m: MooreAutomaton, max_states: int | None = None) -> frozenset[frozenset[int]]:
+def dual_state_sets(m: MooreAutomaton,
+                    max_states: int = DEFAULT_MAX_STATES) -> frozenset[frozenset[int]]:
     """Dual states of a two-output automaton decoded as subsets of m's states."""
     if len(m.outputs) != 2:
         raise ValueError("dual_state_sets needs a two-element output set")

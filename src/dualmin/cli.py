@@ -1,8 +1,12 @@
 """Command-line surface tying the library together.
 
-Verbs operate on JSON automaton files (see io.py for the schema) and write
-automata back as JSON on stdout.  Exit codes: 0 success (or "equivalent"),
-1 negative verdicts and data errors, 2 usage errors, 3 state-bound guards.
+Verbs operate on JSON automaton files (see io.py for the schema).  `main`
+reads the files a verb names and hands it the automata; a verb that builds
+an automaton returns it, and `main` writes it as JSON on stdout, while a
+verb that prints lines returns its exit code.  Exit codes: 0 success (or
+"equivalent"), 1 negative verdicts and data errors, 2 usage errors, 3
+state-bound guards.  `main` also resolves the state bound, once: the
+library's constructions take it as an argument and read no environment.
 A verb imports the library module of a construction only on the branch that
 runs it, so each call loads the code of the file kind it reads and no more.
 """
@@ -37,144 +41,116 @@ def _word(raw: str, alphabet) -> tuple[str, ...]:
     return tuple(letters)
 
 
-def _cmd_run(args) -> int:
-    obj = _load(args.file, args.semiring)
+def _cmd_run(args, obj) -> int:
     word = _word(args.word, obj.alphabet)
-    kind = io.kind_of(obj)
-    if kind == "moore":
+    if obj.kind == "moore":
         print(obj.outputs[automata.run(obj, word)])
-    elif kind == "nfa":
+    elif obj.kind == "nfa":
         cur, accepts, step = automata.subsets(obj)
         for a in word:
             cur = step(cur, a)
         print("accept" if accepts(cur) else "reject")
-    elif kind == "weighted":
+    elif obj.kind == "weighted":
         from .weighted import eval_series
         print(io.emit_value(obj.semiring, eval_series(obj, word)))
-    elif kind == "afa":
+    elif obj.kind == "afa":
         from .alternating import afa_accepts
         print("accept" if afa_accepts(obj, word) else "reject")
-    elif kind == "dkm":
+    else:  # a dkm
         if obj.init is None:
             raise ValueError("this model has no initial state")
         s = obj.init
         for a in word:
             s = obj.delta[a][s]
         print(" ".join(sorted(obj.gamma[s])) or "-")
-    else:
-        raise ValueError("run: unsupported file type")
     return 0
 
 
-def _cmd_reverse(args) -> int:
+def _cmd_reverse(args, obj):
     """reverse and dual: the two verbs differ only on Moore and NFA files."""
-    obj = _load(args.file, args.semiring)
-    kind = io.kind_of(obj)
-    if kind == "weighted":
+    if obj.kind == "weighted":
         from .weighted import dual_wa
-        result = dual_wa(obj)
-    elif kind == "afa":
+        return dual_wa(obj)
+    if obj.kind == "afa":
         from .alternating import reverse_dfa
-        result = reverse_dfa(obj, args.max_states)
-    elif args.verb == "reverse" and kind in ("moore", "nfa"):
-        result = automata.reverse(obj)
-    elif args.verb == "dual" and kind == "moore":
+        return reverse_dfa(obj, args.max_states)
+    if args.verb == "reverse" and obj.kind in ("moore", "nfa"):
+        return automata.reverse(obj)
+    if args.verb == "dual" and obj.kind == "moore":
         from .brzozowski import dual_automaton
-        result = dual_automaton(obj, args.max_states)
-    else:
-        raise ValueError(f"{args.verb}: unsupported file type")
-    io.emit(result, sys.stdout)
-    return 0
+        return dual_automaton(obj, args.max_states)
+    raise ValueError(f"{args.verb}: unsupported file type")
 
 
-def _cmd_determinize(args) -> int:
-    obj = _load(args.file, args.semiring)
-    kind = io.kind_of(obj)
-    if kind == "weighted" and obj.semiring.name == "bool":
+def _cmd_determinize(args, obj):
+    if obj.kind == "weighted" and obj.semiring.name == "bool":
         from .weighted import bool_wa_to_nfa
-        obj, kind = bool_wa_to_nfa(obj), "nfa"
-    if kind != "nfa":
+        obj = bool_wa_to_nfa(obj)
+    if obj.kind != "nfa":
         raise ValueError("determinize expects an nfa (or a Boolean weighted automaton)")
-    io.emit(automata.determinise(obj, args.max_states), sys.stdout)
-    return 0
+    return automata.determinise(obj, args.max_states)
 
 
-def _cmd_reach(args) -> int:
-    obj = _load(args.file, args.semiring)
-    kind = io.kind_of(obj)
-    if kind == "moore":
-        io.emit(automata.reach(obj), sys.stdout)
-    elif kind == "weighted":
+def _cmd_reach(args, obj):
+    if obj.kind == "moore":
+        return automata.reach(obj)
+    if obj.kind == "weighted":
         from .weighted import reach_restrict
-        io.emit(reach_restrict(obj), sys.stdout)
-    else:
-        raise ValueError("reach: unsupported file type")
-    return 0
+        return reach_restrict(obj)
+    raise ValueError("reach: unsupported file type")
 
 
-def _cmd_minimize(args) -> int:
-    obj = _load(args.file, args.semiring)
-    method = args.method
-    kind = io.kind_of(obj)
-    if kind == "moore":
+def _cmd_minimize(args, obj):
+    method, bound = args.method, args.max_states
+    if obj.kind == "moore":
         if method == "refine":
-            io.emit(automata.partition_refinement_minimise(obj), sys.stdout)
-        elif method == "duality":
+            return automata.partition_refinement_minimise(obj)
+        if method == "duality":
             from .brzozowski import duality_minimise
-            io.emit(duality_minimise(obj, args.max_states), sys.stdout)
-        else:
-            from .brzozowski import brzozowski_minimise
-            io.emit(brzozowski_minimise(obj, args.max_states), sys.stdout)
-    elif kind == "weighted":
+            return duality_minimise(obj, bound)
+        from .brzozowski import brzozowski_minimise
+        return brzozowski_minimise(obj, bound)
+    if obj.kind == "weighted":
         if method == "refine":
             raise ValueError("refine applies to deterministic automata, not weighted ones")
         if obj.semiring.name == "bool":
             # join-semilattices are not PIDs: determinise classically, then double reversal
             from .brzozowski import brzozowski_minimise
             from .weighted import bool_wa_to_nfa
-            io.emit(brzozowski_minimise(automata.determinise(bool_wa_to_nfa(obj),
-                                                             args.max_states),
-                                        args.max_states), sys.stdout)
-        else:
-            from .weighted import minimise_wa
-            io.emit(minimise_wa(obj), sys.stdout)
-    elif kind == "afa":
+            return brzozowski_minimise(automata.determinise(bool_wa_to_nfa(obj), bound), bound)
+        from .weighted import minimise_wa
+        return minimise_wa(obj)
+    if obj.kind == "afa":
         if method == "refine":
             raise ValueError("refine applies to deterministic automata, not alternating ones")
         from .alternating import minimal_dfa_for_afa
-        io.emit(minimal_dfa_for_afa(obj, max_states=args.max_states), sys.stdout)
-    elif kind == "dkm":
+        return minimal_dfa_for_afa(obj, bound)
+    if obj.kind == "dkm":
         from .dkm import bisimulation_oracle, minimise_dkm, quotient_dkm
         if method == "refine":
-            io.emit(quotient_dkm(obj, bisimulation_oracle(obj)), sys.stdout)
-        else:
-            io.emit(minimise_dkm(obj, args.max_states), sys.stdout)
-    else:
-        raise ValueError("minimize: unsupported file type")
-    return 0
+            return quotient_dkm(obj, bisimulation_oracle(obj))
+        return minimise_dkm(obj, bound)
+    raise ValueError("minimize: unsupported file type")
 
 
-def _cmd_equiv(args) -> int:
-    a = _load(args.file1, args.semiring)
-    b = _load(args.file2, args.semiring)
-    kind = io.kind_of(a) if io.kind_of(a) == io.kind_of(b) else None
-    if kind is None:
+def _cmd_equiv(args, a, b) -> int:
+    if a.kind != b.kind:
         raise ValueError("equiv: files must hold comparable automata")
     if a.alphabet != b.alphabet:
         raise ValueError("equiv: alphabet mismatch")
     bound = None
-    if kind == "weighted":
+    if a.kind == "weighted":
         if a.semiring is not b.semiring:
             raise ValueError("equiv: semiring mismatch")
         if a.semiring.name == "bool":
             from .weighted import bool_wa_to_nfa
-            a, b, kind = bool_wa_to_nfa(a), bool_wa_to_nfa(b), "nfa"
-    if kind == "moore":
+            a, b = bool_wa_to_nfa(a), bool_wa_to_nfa(b)
+    if a.kind == "moore":
         verdict = automata.equiv_exact(a, b, args.max_states)
-    elif kind == "weighted" and a.semiring.is_ring:
+    elif a.kind == "weighted" and a.semiring.is_ring:
         from .weighted import equiv_wa
         verdict = equiv_wa(a, b)
-    elif kind == "weighted":
+    elif a.kind == "weighted":
         # tropical equivalence is undecidable (Krob 1994): compare short words only
         from .weighted import eval_series
         bound = args.max_len
@@ -183,9 +159,9 @@ def _cmd_equiv(args) -> int:
     else:
         # one walk over reachable pairs: of NFA subsets, of AFA reversed-DFA
         # subsets (equal languages have equal reversals), or of DKM states
-        if kind == "nfa":
+        if a.kind == "nfa":
             first, second = map(automata.subsets, (a, b))
-        elif kind == "afa":
+        elif a.kind == "afa":
             from .alternating import reversed_subsets
             first, second = (reversed_subsets(k, args.max_states) for k in (a, b))
         else:
@@ -214,17 +190,16 @@ def parse_trace_formula(raw: str):
 
 def _as_dkm(obj):
     from .dkm import Dkm
-    kind = io.kind_of(obj)
-    if kind == "dkm":
+    if obj.kind == "dkm":
         return obj
-    if kind == "moore" and len(obj.outputs) == 2:
+    if obj.kind == "moore" and len(obj.outputs) == 2:
         return Dkm.from_dfa(obj)
     raise ValueError("expected a dkm (or dfa) file")
 
 
-def _cmd_trace_eval(args) -> int:
+def _cmd_trace_eval(args, obj) -> int:
     from .dkm import eval_trace
-    k = _as_dkm(_load(args.file))
+    k = _as_dkm(obj)
     formula = parse_trace_formula(args.formula)
     names = io._state_names(k)
     sat = eval_trace(k, formula)
@@ -232,9 +207,9 @@ def _cmd_trace_eval(args) -> int:
     return 0
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args, obj) -> int:
     from .dkm import definable_closure
-    k = _as_dkm(_load(args.file))
+    k = _as_dkm(obj)
     names = io._state_names(k)
     family = sorted(definable_closure(k, args.max_states), key=lambda s: (len(s), sorted(s)))
     for subset in family:
@@ -242,32 +217,26 @@ def _cmd_closure(args) -> int:
     return 0
 
 
-def _cmd_hankel(args) -> int:
-    obj = _load(args.file, args.semiring)
-    if io.kind_of(obj) != "weighted":
+def _cmd_hankel(args, obj) -> int:
+    if obj.kind != "weighted":
         raise ValueError("hankel expects a weighted file")
     from .weighted import hankel_rank_oracle
     print(hankel_rank_oracle(obj, args.length))
     return 0
 
 
-def _cmd_stats(args) -> int:
-    obj = _load(args.file, args.semiring)
-    kind = io.kind_of(obj)
-    if kind == "moore":
-        print(f"moore states={obj.n} letters={len(obj.alphabet)} "
-              f"outputs={len(obj.outputs)} reachable={automata.reach(obj).n}")
-    elif kind == "nfa":
-        print(f"nfa states={obj.n} letters={len(obj.alphabet)} "
-              f"initial={len(obj.inits)} final={len(obj.finals)}")
-    elif kind == "weighted":
-        print(f"weighted states={obj.n} letters={len(obj.alphabet)} semiring={obj.semiring.name}")
-    elif kind == "afa":
-        print(f"afa states={obj.n} letters={len(obj.alphabet)} finals={len(obj.finals)}")
-    elif kind == "dkm":
-        print(f"dkm states={obj.n} letters={len(obj.alphabet)} observations={len(obj.obs)}")
-    else:
-        raise ValueError(f"stats: unsupported {type(obj).__name__}")
+# what stats prints of each kind of file after its states and letters
+_STATS = {
+    "moore": lambda m: f"outputs={len(m.outputs)} reachable={automata.reach(m).n}",
+    "nfa": lambda n: f"initial={len(n.inits)} final={len(n.finals)}",
+    "weighted": lambda w: f"semiring={w.semiring.name}",
+    "afa": lambda a: f"finals={len(a.finals)}",
+    "dkm": lambda k: f"observations={len(k.obs)}",
+}
+
+
+def _cmd_stats(args, obj) -> int:
+    print(f"{obj.kind} states={obj.n} letters={len(obj.alphabet)} {_STATS[obj.kind](obj)}")
     return 0
 
 
@@ -291,10 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="duality-based automata minimisation toolkit")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, bound=False, semiring=False, **kwargs):
-        """A verb's parser, given only the shared flags the verb reads."""
+    def add(name, fn, files=("file",), bound=False, semiring=False, **kwargs):
+        """A verb's parser, given its file positionals and only the shared
+        flags the verb reads."""
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn, max_states=None)
+        p.set_defaults(fn=fn, files=files, max_states=None, semiring=None)
+        for dest in files:
+            p.add_argument(dest)
         if bound:
             p.add_argument("--max-states", type=int, default=None,
                            help="abort constructions beyond this many states")
@@ -304,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("run", _cmd_run, semiring=True, help="evaluate a word")
-    p.add_argument("file")
     p.add_argument("-w", "--word", required=True,
                    help="letters concatenated, or comma-separated for multi-char letters")
 
@@ -312,36 +283,28 @@ def build_parser() -> argparse.ArgumentParser:
                           ("determinize", _cmd_determinize, "subset construction"),
                           ("reach", _cmd_reach, "reachable part / reachable submodule"),
                           ("dual", _cmd_reverse, "dual automaton")):
-        p = add(name, fn, bound=name != "reach", semiring=True, help=hlp)
-        p.add_argument("file")
+        add(name, fn, bound=name != "reach", semiring=True, help=hlp)
 
     p = add("minimize", _cmd_minimize, bound=True, semiring=True, help="minimise the automaton")
-    p.add_argument("file")
     p.add_argument("--method", choices=("brzozowski", "refine", "duality"),
                    default="brzozowski")
 
-    p = add("equiv", _cmd_equiv, bound=True, semiring=True, help="compare two automata")
-    p.add_argument("file1")
-    p.add_argument("file2")
+    p = add("equiv", _cmd_equiv, files=("file1", "file2"), bound=True, semiring=True,
+            help="compare two automata")
     p.add_argument("--max-len", type=_at_least(0), default=6,
                    help="word-length bound for tropical weighted comparison")
 
     p = add("trace-eval", _cmd_trace_eval, help="evaluate a trace formula on a dkm")
-    p.add_argument("file")
     p.add_argument("-f", "--formula", required=True, help="formula like '<a><b>p'")
 
-    p = add("closure", _cmd_closure, bound=True, help="trace-definable subsets of a dkm")
-    p.add_argument("file")
+    add("closure", _cmd_closure, bound=True, help="trace-definable subsets of a dkm")
 
-    p = add("hankel", _cmd_hankel, semiring=True,
-            help="rank of the truncated Hankel block")
-    p.add_argument("file")
+    p = add("hankel", _cmd_hankel, semiring=True, help="rank of the truncated Hankel block")
     p.add_argument("-L", "--length", type=_at_least(0), required=True)
 
-    p = add("stats", _cmd_stats, semiring=True, help="one-line summary of a file")
-    p.add_argument("file")
+    add("stats", _cmd_stats, semiring=True, help="one-line summary of a file")
 
-    p = add("selftest", _cmd_selftest, help="run the differential property suites")
+    p = add("selftest", _cmd_selftest, files=(), help="run the differential property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_at_least(1), default=50)
 
@@ -360,7 +323,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        return args.fn(args)
+        result = args.fn(args, *(_load(getattr(args, dest), args.semiring)
+                                 for dest in args.files))
+        if isinstance(result, int):  # a verb that printed its lines: its exit code
+            return result
+        io.emit(result, sys.stdout)
+        return 0
     except BrokenPipeError:
         # the reader closed stdout early (`dualmin ... | head`): stop quietly,
         # and point stdout at devnull so the flush at exit cannot raise again

@@ -20,7 +20,7 @@ from typing import Mapping
 from .automata import (MooreAutomaton, Partition, _check_successors, quotient_rows,
                        stable_partition)
 from .brzozowski import _members, explore_predicates, predicate_atoms
-from .errors import Record
+from .errors import DEFAULT_MAX_STATES, Record
 
 
 class Dkm(Record):
@@ -32,6 +32,7 @@ class Dkm(Record):
     init: int | None = None
     state_names: tuple[str, ...] | None = None
     _uncompared = ("state_names",)
+    kind = "dkm"
 
     def __post_init__(self):
         _check_successors(self.n, self.alphabet, self.delta, self.init)
@@ -76,7 +77,7 @@ def _observations(k: Dkm) -> list[list[bool]]:
     return [[w in g for g in k.gamma] for w in k.obs]
 
 
-def definable_closure(k: Dkm, max_states: int | None = None) -> frozenset[frozenset[int]]:
+def definable_closure(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> frozenset[frozenset[int]]:
     """Least family containing every observation extension and closed under
     transition preimages; equals the set of all trace-formula extensions."""
     order = explore_predicates(_observations(k), k.delta, k.alphabet, max_states,
@@ -105,7 +106,7 @@ def quotient_dkm(k: Dkm, part: Partition) -> Dkm:
     return Dkm(part.n_blocks, k.alphabet, k.obs, gamma, delta, init)
 
 
-def minimise_dkm(k: Dkm, max_states: int | None = None) -> Dkm:
+def minimise_dkm(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> Dkm:
     """Bisimulation quotient via duality: atoms of the definable closure, read
     as the states' columns in its predicates (one block without observations)."""
     return quotient_dkm(k, predicate_atoms(_observations(k), k.delta, k.alphabet, max_states))

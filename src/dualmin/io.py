@@ -19,30 +19,12 @@ turns up, so reading a DFA loads no weighted, alternating or Kripke code.
 from __future__ import annotations
 
 import json
-import sys
 from json.encoder import encode_basestring_ascii
 
 from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa
 from .errors import FormatError
 
 KNOWN_TYPES = ("dfa", "moore", "nfa", "weighted", "afa", "dkm")
-
-# (kind, module, class) of every automaton object that emit writes
-_KINDS = (("moore", "automata", "MooreAutomaton"), ("nfa", "automata", "Nfa"),
-          ("weighted", "weighted", "WeightedAutomaton"),
-          ("restricted", "weighted", "RestrictedWA"),
-          ("afa", "alternating", "AlternatingAutomaton"), ("dkm", "dkm", "Dkm"))
-
-
-def kind_of(obj) -> str | None:
-    """The kind of an automaton object: "moore", "nfa", "weighted",
-    "restricted", "afa", "dkm", or None.  Only the modules already loaded are
-    asked: an object's class was loaded before the object could exist."""
-    for kind, module, cls in _KINDS:
-        loaded = sys.modules.get(f"dualmin.{module}")
-        if loaded is not None and isinstance(obj, getattr(loaded, cls)):
-            return kind
-    return None
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -108,6 +90,8 @@ def parse(data: bytes | str, semiring: str | None = None):
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
     kind = _require(doc, "type", str, "")
@@ -296,14 +280,16 @@ def emit(obj, fp=None) -> str | None:
 
 
 def _document(obj) -> dict:
-    """The JSON document of an automaton, before it is written as text."""
-    kind = kind_of(obj)
+    """The JSON document of an automaton, before it is written as text: each
+    automaton class names its kind in its `kind` attribute."""
+    kind = getattr(obj, "kind", None)
     if kind == "restricted":
         obj, kind = obj.automaton, "weighted"
-    if kind is None:
+    document = {"moore": _emit_moore, "nfa": _emit_nfa, "weighted": _emit_weighted,
+                "afa": _emit_afa, "dkm": _emit_dkm}.get(kind)
+    if document is None:
         raise TypeError(f"cannot emit {type(obj).__name__}")
-    return {"moore": _emit_moore, "nfa": _emit_nfa, "weighted": _emit_weighted,
-            "afa": _emit_afa, "dkm": _emit_dkm}[kind](obj)
+    return document(obj)
 
 
 # the ASCII characters json escapes; it escapes all non-ASCII ones too

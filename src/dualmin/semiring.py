@@ -139,8 +139,10 @@ def _coerce_tropical(raw):
     raise SemiringError(f"tropical: bad value {raw!r}")
 
 
+# (or, and) is not the (+, *) of Q, so Boolean values have no image there
 BOOL = Semiring("bool", 0, 1, or_, and_, _coerce_bool,
-                _refuse("bool: no subtraction"), Fraction)
+                _refuse("bool: no subtraction"),
+                _refuse("bool: does not embed in the rationals"))
 INT = Semiring("int", 0, 1, add, mul, _coerce_int, neg, Fraction,
                is_ring=True, is_pid=True)
 RATIONAL = Semiring("rational", Fraction(0), Fraction(1), add, mul, _coerce_rational, neg,

@@ -30,6 +30,7 @@ class WeightedAutomaton(Record):
     final: tuple  # row vector, length n
     state_names: tuple[str, ...] | None = None
     _uncompared = ("state_names",)
+    kind = "weighted"
 
     def __post_init__(self):
         _check_alphabet(self.alphabet, self.mats)
@@ -64,6 +65,7 @@ class RestrictedWA(Record):
     automaton: WeightedAutomaton
     basis: FieldBasis | IntegerBasis
     embedding: Matrix
+    kind = "restricted"
 
     @property
     def dimension(self) -> int:

@@ -6,6 +6,7 @@ from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, equiv_ex
                      iso_check, partition_refinement_minimise, reach, reverse, run)
 from dualmin.automata import (_members, bounded_words, by_rows, explore, mask_names, pair_walk,
                               subset_labels, subset_names, subsets)
+from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.sampling import random_dfa, random_moore
 
 from oracles import (determinise_by_sets, ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths,
@@ -350,7 +351,7 @@ def test_bounded_words_counts_before_listing():
     with pytest.raises(StateGuardError, match="test of the words up to length 2 exceeds 6"):
         bounded_words(("a", "b"), 2, 6, "test")
     with pytest.raises(StateGuardError):
-        bounded_words(("a",), 10**9, None, "test")  # 10**9 + 1 words: refused unlisted
+        bounded_words(("a",), 10**9, DEFAULT_MAX_STATES, "test")  # refused unlisted
 
 
 def test_reverse_nfa_twice_is_identity():

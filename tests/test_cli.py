@@ -140,6 +140,24 @@ def test_equiv_dkm_data_errors(capsys, data_dir, tmp_path):
     assert rc == 1 and out == "" and "alphabet mismatch" in err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("equiv", "ends_with_a.json", "nfa_small.json"),
+     "equiv: files must hold comparable automata"),
+    (("equiv", "wa_swap.json", "wa_tropical.json"), "equiv: semiring mismatch"),
+], ids=["dfa and nfa", "int and tropical"])
+def test_equiv_refuses_files_it_cannot_compare(capsys, data_dir, argv, error):
+    assert invoke(capsys, *_argv(data_dir, argv)) == (1, "", f"error: {error}\n")
+
+
+def test_run_needs_an_initial_state(capsys, data_dir, tmp_path):
+    doc = json.loads((data_dir / "dkm_ends_with_a.json").read_text())
+    del doc["initial"]
+    rootless = tmp_path / "rootless.json"
+    rootless.write_text(json.dumps(doc))
+    rc, out, err = invoke(capsys, "run", str(rootless), "-w", "a")
+    assert (rc, out, err) == (1, "", "error: this model has no initial state\n")
+
+
 def test_run_words(capsys, data_dir):
     rc, out, _ = invoke(capsys, "run", str(data_dir / "ends_with_a.json"), "-w", "ba")
     assert rc == 0 and out.strip() == "accept"
@@ -210,6 +228,20 @@ def test_minimize_brzozowski_and_duality_agree(capsys, data_dir, name):
 def test_hankel(capsys, data_dir):
     rc, out, _ = invoke(capsys, "hankel", str(data_dir / "wa_swap.json"), "-L", "2")
     assert rc == 0 and out.strip() == "1"
+
+
+def test_hankel_refuses_boolean_files(capsys, tmp_path):
+    """The series 0, 1, 1, 1, ... has Hankel rank 2 and a 2-state minimal DFA;
+    read over Q the same matrices count paths, 0, 1, 2, 3, ..., of rank 3."""
+    path = tmp_path / "paths.json"
+    path.write_text(json.dumps({
+        "type": "weighted", "semiring": "bool", "alphabet": ["a"], "states": ["x", "y", "z"],
+        "initial": [0, 0, 1], "final": [1, 0, 0],
+        "transitions": {"a": [[1, 1, 1], [0, 1, 1], [0, 0, 1]]}}))
+    rc, out, err = invoke(capsys, "hankel", str(path), "-L", "4")
+    assert (rc, out, err) == (1, "", "error: bool: does not embed in the rationals\n")
+    rc, out, _ = invoke(capsys, "minimize", str(path))
+    assert rc == 0 and parse(out).n == 2
 
 
 def test_hankel_needs_no_bound_on_its_words(capsys, data_dir):

@@ -336,3 +336,108 @@ def test_parse_reads_weighted_values_in_a_named_semiring(data_dir):
     with pytest.raises(FormatError, match=r"^initial\[1\]: int: bad value 'inf'$"):
         parse((data_dir / "wa_tropical.json").read_bytes().replace(b'[3, "inf"]', b"[3, 4]"),
               "int")
+
+
+DROP = object()  # a field left out of a document
+
+BASES = {
+    "dfa": {"type": "dfa", "alphabet": ["a"], "states": ["x", "y"], "initial": "x",
+            "transitions": {"a": {"x": "y", "y": "x"}}, "finals": ["y"]},
+    "moore": {"type": "moore", "alphabet": ["a"], "states": ["x", "y"], "initial": "x",
+              "transitions": {"a": {"x": "y", "y": "x"}}, "outputs": ["lo", "hi"],
+              "out": {"x": "lo", "y": "hi"}},
+    "nfa": {"type": "nfa", "alphabet": ["a"], "states": ["x", "y"], "initial": ["x"],
+            "transitions": {"a": {"x": ["y"]}}, "finals": ["y"]},
+    "weighted": {"type": "weighted", "semiring": "int", "alphabet": ["a"], "states": ["x", "y"],
+                 "initial": [1, 0], "final": [0, 1], "transitions": {"a": [[0, 1], [1, 0]]}},
+    "afa": {"type": "afa", "alphabet": ["a"], "states": ["x", "y"], "finals": ["y"], "iota": "x",
+            "transitions": {"a": {"x": "y", "y": "x"}}},
+    "dkm": {"type": "dkm", "alphabet": ["a"], "states": ["x", "y"], "obs": ["p"],
+            "gamma": {"y": ["p"]}, "transitions": {"a": {"x": "y", "y": "x"}}, "initial": "x"},
+}
+
+
+def _malformed(kind, **changes) -> str:
+    doc = {**BASES[kind], **changes}
+    return json.dumps({key: value for key, value in doc.items() if value is not DROP})
+
+
+# (file text, the error it gives): every refusal of the parser, with its field path
+MALFORMED = {
+    "not json": ("{", "not valid JSON: Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"),
+    "not an object": ("[]", "top level must be an object"),
+    "missing field": (_malformed("dfa", initial=DROP), "missing field 'initial'"),
+    "wrong field type": (_malformed("dfa", alphabet="a"), "alphabet: expected list, got str"),
+    "unknown type": (_malformed("dfa", type="pda"), "type: unknown type 'pda' (expected one "
+                                                    "of dfa, moore, nfa, weighted, afa, dkm)"),
+    "name not a string": (_malformed("dfa", states=["x", 1]),
+                          "states: expected a list of strings"),
+    "repeated state": (_malformed("dfa", states=["x", "x"]), "states: names must be distinct"),
+    "unknown initial": (_malformed("dfa", initial="z"), "initial: unknown state 'z'"),
+    "unknown letter": (_malformed("dfa", transitions={"b": {"x": "y", "y": "x"}}),
+                       "transitions: letters must match the alphabet exactly"),
+    "row not a map": (_malformed("dfa", transitions={"a": ["y", "x"]}),
+                      "transitions.a: expected a state-to-state map"),
+    "missing successor": (_malformed("dfa", transitions={"a": {"x": "y"}}),
+                          "transitions.a: every state needs a successor"),
+    "unknown target": (_malformed("dfa", transitions={"a": {"x": "y", "y": "z"}}),
+                       "transitions.a.y: unknown state 'z'"),
+    "no outputs": (_malformed("moore", outputs=[]), "outputs: output set must be nonempty"),
+    "missing output": (_malformed("moore", out={"x": "lo"}), "out: every state needs an output"),
+    "unknown output": (_malformed("moore", out={"x": "lo", "y": "mid"}),
+                       "out.y: unknown output 'mid'"),
+    "nfa row not a map": (_malformed("nfa", transitions={"a": ["y"]}),
+                          "transitions.a: expected a state-to-targets map"),
+    "targets not a list": (_malformed("nfa", transitions={"a": {"x": "y"}}),
+                           "transitions.a.x: expected a list of targets"),
+    "unknown semiring field type": (_malformed("weighted", semiring=2),
+                                    "semiring: expected str, got int"),
+    "bad weight": (_malformed("weighted", initial=[1, "1/2"]), "initial[1]: int: bad value '1/2'"),
+    "matrix shape": (_malformed("weighted", transitions={"a": [[0, 1]]}),
+                     "transitions.a: matrix must be 2x2"),
+    "vector length": (_malformed("weighted", final=[1]), "final: final vector must have length 2"),
+    "bad formula": (_malformed("afa", iota="w"), "iota: bad formula 'w': unknown name 'w'"),
+    "subset not a list": (_malformed("afa", iota=["x"]),
+                          "iota[0]: expected a list of state lists"),
+    "unknown subset member": (_malformed("afa", iota=[["z"]]), "iota[0]: unknown state 'z'"),
+    "condition not a formula": (_malformed("afa", iota=1),
+                                "iota: expected a formula string or a list of subsets"),
+    "missing condition": (_malformed("afa", transitions={"a": {"x": "y"}}),
+                          "transitions.a: every state needs a transition condition"),
+    "observations not a list": (_malformed("dkm", gamma={"y": "p"}),
+                                "gamma.y: expected a list of observations"),
+    "unknown observation": (_malformed("dkm", gamma={"y": ["q"]}),
+                            "gamma.y: unknown observation 'q'"),
+    "unknown dkm initial": (_malformed("dkm", initial="z"), "initial: unknown state 'z'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_documents_name_their_field(capsys, tmp_path, case):
+    text, error = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["stats", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def _deep_formula(nots: int) -> str:
+    return _malformed("afa", transitions={"a": {"x": "not " * nots + "x", "y": "x"}})
+
+
+DEEP_FORMULA = "error: transitions.a.x: bad formula 'not not ", ": nested too deeply\n"
+
+
+@pytest.mark.parametrize("text, start, end", [
+    (_deep_formula(1000), *DEEP_FORMULA),
+    (_deep_formula(3000), *DEEP_FORMULA),
+    ('{"type": "dfa", "alphabet": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     "error: not valid JSON: nested too deeply\n", ""),
+], ids=["1000 nots", "3000 nots", "100000 nested arrays"])
+def test_deep_nesting_is_a_data_error(capsys, tmp_path, text, start, end):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["stats", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(start) and err.endswith(end)

@@ -200,7 +200,7 @@ def test_hankel_matches_gauss_on_explicit_blocks():
 
 def test_hankel_basis_matches_the_per_pair_route():
     rng = random.Random(24)
-    for sr in (RATIONAL, INT, BOOL):
+    for sr in (RATIONAL, INT):
         for case in range(20):
             w = random_wa(rng, sr, max_n=3)
             level = case % 4
