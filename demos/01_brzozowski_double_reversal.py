@@ -45,8 +45,12 @@ classical = reach(determinise(reverse(dfa)))
 print("\nClassical reverse-determinise-trim gives the same machine:",
       iso_check(dual, classical))
 
-# A second reversal lands on the minimal automaton.
-minimal = brzozowski_minimise(dfa)
+# A second reversal lands on the minimal automaton.  Its states are sets of
+# dual states, named here by nesting the dual's names.  brzozowski_minimise
+# builds the same automaton (== ignores names) but names it by dual-state
+# index, s1 and s0+s1, so that its names stay short on large inputs.
+minimal = dual_automaton(dual)
+assert minimal == brzozowski_minimise(dfa)
 show("Second reversal: the minimal DFA", minimal)
 print("\n  same language as the start:", equiv_exact(minimal, dfa))
 print("  agrees with partition refinement:",

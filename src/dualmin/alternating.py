@@ -87,28 +87,35 @@ _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.
                   ast.Name, ast.Constant, ast.Load)
 
 
+def _quoted(text: str) -> str:
+    """repr of text, or of its first 60 characters followed by ..., so that
+    an error about a long formula stays short."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
+
+
 def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     """Compile an and/or/not formula over state names into a BoolFun.
 
     A state name evaluates to membership of that state in the argument subset;
     the constants true and false are available.  The syntax tree is evaluated
     once, on whole truth tables.  A formula nested past the parser's or the
-    interpreter's depth limit is a ValueError too.
+    interpreter's depth limit is a ValueError too.  Errors quote at most the
+    first 60 characters of the formula.
     """
     try:
         tree = ast.parse(formula, mode="eval")
     except SyntaxError as exc:
-        raise ValueError(f"bad formula {formula!r}: {exc}") from None
+        raise ValueError(f"bad formula {_quoted(formula)}: {exc}") from None
     except (RecursionError, MemoryError):  # how ast.parse refuses a deep nesting
-        raise ValueError(f"bad formula {formula!r}: nested too deeply") from None
+        raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply") from None
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"bad formula {formula!r}: {type(node).__name__} not allowed")
+            raise ValueError(f"bad formula {_quoted(formula)}: {type(node).__name__} not allowed")
         if isinstance(node, ast.Constant) and not isinstance(node.value, bool):
-            raise ValueError(f"bad formula {formula!r}: only true/false constants")
+            raise ValueError(f"bad formula {_quoted(formula)}: only true/false constants")
         if isinstance(node, ast.Name) and node.id not in state_names \
                 and node.id not in ("true", "false"):
-            raise ValueError(f"bad formula {formula!r}: unknown name {node.id!r}")
+            raise ValueError(f"bad formula {_quoted(formula)}: unknown name {_quoted(node.id)}")
     index = {name: i for i, name in enumerate(state_names)}
     n = len(state_names)
     ones = _ones(n)
@@ -130,7 +137,7 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     try:
         return BoolFun.from_table(n, ev(tree))
     except RecursionError:
-        raise ValueError(f"bad formula {formula!r}: nested too deeply") from None
+        raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply") from None
 
 
 class AlternatingAutomaton(Record):
@@ -189,15 +196,17 @@ def reversed_subsets(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STAT
     return _mask(a.n, a.finals), a.iota.at, partial(_afa_step, a)
 
 
-def _reversed(a: AlternatingAutomaton, every: bool, max_states: int) -> MooreAutomaton:
+def _reversed(a: AlternatingAutomaton, every: bool, max_states: int,
+              named: bool = True) -> MooreAutomaton:
     """The reversed DFA on every subset, or on those reachable from the final
-    set, in BFS order, with the final set as its initial state."""
+    set, in BFS order, with the final set as its initial state; its states
+    are named by their members unless `named` is false."""
     start, key, step = reversed_subsets(a, max_states)
     order, trans = explore(range(1 << a.n) if every else [start], step, a.alphabet,
                            max_states, "reverse_dfa")
     return MooreAutomaton(len(order), a.alphabet, {c: tuple(ts) for c, ts in trans.items()},
                           order.index(start), tuple(map(key, order)), DFA_OUTPUTS,
-                          mask_names(order, a.state_names, a.n))
+                          mask_names(order, a.state_names, a.n) if named else None)
 
 
 def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
@@ -221,6 +230,7 @@ def minimal_dfa_for_afa(a: AlternatingAutomaton,
 
     The reversed DFA already performs the first reversal, so one dual pass
     over its reachable part lands on the reachable and observable automaton
-    for L(A).
+    for L(A).  That part is built unnamed, so the dual names its states by
+    reversed-DFA index (`s0+s3`), as the second pass of a double reversal does.
     """
-    return dual_automaton(reachable_reverse_dfa(a, max_states), max_states)
+    return dual_automaton(_reversed(a, False, max_states, named=False), max_states)

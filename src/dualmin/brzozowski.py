@@ -7,6 +7,11 @@ predicate outputs its value at M's initial state.  The dual accepts the
 reversed language, and applying the construction twice yields the reachable,
 observable (hence minimal) automaton for the original language.
 
+A two-output dual names each state by its members (`x+z`), so `dual` twice
+nests names (`x+z,y+z`).  A double reversal instead runs its first pass
+unnamed, so its states are named by first-pass index (`s0+s3`): the nested
+names would be n labels in each of n members of each of n states.
+
 `explore_predicates` is the one predicate step: from the output map it gives
 the dual, from one 0/1 predicate per observation the definable closure of a
 Kripke model (dkm.py).  Only reachable predicates are stored, each once,
@@ -55,17 +60,19 @@ def _members(order, n: int) -> Iterator[tuple[int, ...]]:
     return (tuple(compress(range(n), phi)) for phi in order)
 
 
-def dual_automaton(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
+def dual_automaton(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES,
+                   named: bool = True) -> MooreAutomaton:
     """The automaton on predicates B^X reachable from the output map.
 
     run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.  For the
-    Boolean case the predicates are subsets, and each state is named by its
-    members' labels, picked out of the labels by the predicate's 0/1 bytes.
+    Boolean case the predicates are subsets, and unless `named` is false each
+    state is named by its members' labels, picked out of the labels by the
+    predicate's 0/1 bytes.
     """
     order, trans = explore_predicates([m.out], m.trans, m.alphabet, max_states)
     out = tuple(phi[m.init] for phi in order)
     names = None
-    if len(m.outputs) == 2:
+    if named and len(m.outputs) == 2:
         labels, sep = subset_labels(m.state_names, m.n)
         names = subset_names((compress(labels, phi) if 1 in phi else () for phi in order), sep)
     return MooreAutomaton(len(order), m.alphabet,
@@ -78,8 +85,10 @@ def brzozowski_minimise(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES)
 
     The first pass is reachable by construction, so the second pass is both
     reachable and observable, i.e. the minimal automaton for m's language.
+    The first pass is unnamed, so the second names its states by first-pass
+    index (`s0+s3`).
     """
-    return dual_automaton(dual_automaton(m, max_states), max_states)
+    return dual_automaton(dual_automaton(m, max_states, named=False), max_states)
 
 
 def duality_minimise(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:

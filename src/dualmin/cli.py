@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A verb's parser, given its file positionals and only the shared
         flags the verb reads."""
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn, files=files, max_states=None, semiring=None)
+        p.set_defaults(fn=fn, files=files, max_states=None, semiring=None, bounded=bound)
         for dest in files:
             p.add_argument(dest)
         if bound:
@@ -339,8 +339,9 @@ def main(argv=None) -> int:
     except StateGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return GUARD_EXIT
-    except MemoryError:
-        print("error: out of memory; lower --max-states", file=sys.stderr)
+    except MemoryError:  # advice only where the verb takes the bound
+        advice = "; lower --max-states" if args.bounded else ""
+        print(f"error: out of memory{advice}", file=sys.stderr)
         return GUARD_EXIT
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

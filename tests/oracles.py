@@ -301,7 +301,9 @@ def emit_json(obj) -> str:
 def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
     """The dual automaton with every predicate a tuple of output indices,
     explored breadth first with letters in alphabet order; states are named
-    by the library's subset-naming rule."""
+    by the library's subset-naming rule.  Applied twice it is `dual` twice,
+    with nested names; applied to the first pass with its names dropped, it
+    is a double reversal, named by first-pass index."""
     index = {tuple(m.out): 0}
     order = [tuple(m.out)]
     trans = {a: [] for a in m.alphabet}

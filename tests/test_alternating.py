@@ -11,7 +11,7 @@ from dualmin.automata import _members, pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
 from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa, formula_holds,
-                     holds, words)
+                     holds, replace, words)
 
 
 def all_subsets(n: int) -> list[frozenset[int]]:
@@ -152,6 +152,17 @@ def test_formula_rejects_bad_syntax():
         compile_formula("__import__('os')", ("x",))
 
 
+def test_formula_errors_quote_at_most_sixty_characters():
+    short = "x and " * 9 + "w"  # 55 characters, quoted whole
+    with pytest.raises(ValueError) as exc:
+        compile_formula(short, ("x",))
+    assert str(exc.value) == f"bad formula {short!r}: unknown name 'w'"
+    long = "x and " * 10 + "w" * 70
+    with pytest.raises(ValueError) as exc:
+        compile_formula(long, ("x",))
+    assert str(exc.value) == f"bad formula {long[:60]!r}...: unknown name {'w' * 60!r}..."
+
+
 def test_guard_refuses_large_powersets():
     n = 25
     empty = BoolFun(n, frozenset())
@@ -226,7 +237,7 @@ def test_reachable_reverse_dfa_is_the_reachable_part_of_reverse_dfa():
         full = reach(reverse_dfa(a))
         part = reachable_reverse_dfa(a)
         assert part == full and part.state_names == full.state_names
-        minimal, expected = minimal_dfa_for_afa(a), dual_automaton(full)
+        minimal, expected = minimal_dfa_for_afa(a), dual_automaton(replace(full, state_names=None))
         assert minimal == expected and minimal.state_names == expected.state_names
 
 

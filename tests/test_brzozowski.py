@@ -3,12 +3,12 @@ import random
 import pytest
 
 from dualmin import (MooreAutomaton, StateGuardError, brzozowski_minimise,
-                     determinise, dual_automaton, dual_state_sets, equiv_exact,
+                     determinise, dual_automaton, dual_state_sets, emit, equiv_exact,
                      iso_check, partition_refinement_minimise, reach, reverse, run)
 from dualmin.brzozowski import duality_minimise
 from dualmin.sampling import random_dfa, random_moore
 
-from oracles import dual_by_tuples, ends_with_a_dfa, is_dfa, run_by_hand, words
+from oracles import dual_by_tuples, ends_with_a_dfa, is_dfa, replace, run_by_hand, words
 
 
 def test_dual_of_ends_with_a():
@@ -52,6 +52,9 @@ def test_brzozowski_expected_minimal():
     assert b.trans["a"] == (1, 1)
     assert b.trans["b"] == (0, 0)
     assert equiv_exact(b, ends_with_a_dfa())
+    # named by the first pass's indices: s0 is {y,z} and s1 is {x,y,z}
+    assert b.state_names == ("s1", "s0+s1")
+    assert dual_automaton(dual_automaton(ends_with_a_dfa())).state_names == ("x+y+z", "y+z,x+y+z")
 
 
 def test_brzozowski_already_minimal():
@@ -153,10 +156,39 @@ def test_dual_predicates_match_the_tuple_route():
     cases += [random_moore(rng, max_n=6) for _ in range(40)]
     cases += [random_dfa(rng, max_n=6) for _ in range(40)]
     for m in cases:
-        d, expected = dual_automaton(m), dual_by_tuples(m)
-        assert d == expected and d.state_names == expected.state_names
-        twice, expected = brzozowski_minimise(m), dual_by_tuples(expected)
+        d, first = dual_automaton(m), dual_by_tuples(m)
+        assert d == first and d.state_names == first.state_names
+        # dual twice nests the member names of the first pass
+        twice, expected = dual_automaton(d), dual_by_tuples(first)
         assert twice == expected and twice.state_names == expected.state_names
+        # a double reversal names its states by first-pass index
+        minimal = brzozowski_minimise(m)
+        expected = dual_by_tuples(replace(first, state_names=None))
+        assert minimal == expected and minimal.state_names == expected.state_names
+
+
+def permuted_chain(n: int, rng) -> MooreAutomaton:
+    """a moves one step along n states in a random order, b goes back to the
+    first, and only the last accepts: all n states are distinguishable."""
+    order = list(range(n))
+    rng.shuffle(order)
+    step = {s: order[min(i + 1, n - 1)] for i, s in enumerate(order)}
+    return MooreAutomaton.dfa(n, ("a", "b"), {"a": tuple(step[s] for s in range(n)),
+                                              "b": (order[0],) * n}, order[0], [order[-1]])
+
+
+def test_double_reversal_names_grow_at_most_quadratically():
+    # names joining first-pass names would come to about 101 M characters here
+    n = 400
+    minimal = brzozowski_minimise(permuted_chain(n, random.Random(31)))
+    assert minimal.n == n
+    assert sum(map(len, minimal.state_names)) < 4 * n * n
+
+
+def test_a_minimised_chain_prints_under_ten_megabytes():
+    minimal = brzozowski_minimise(permuted_chain(600, random.Random(37)))
+    assert minimal.n == 600
+    assert len(emit(minimal).encode()) < 10 * 2 ** 20
 
 
 def test_dual_state_sets_of_one_state():

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from dualmin import MooreAutomaton, emit, iso_check, parse, reverse
+from dualmin import MooreAutomaton, emit, io, iso_check, parse, reverse, selftest
 from dualmin.cli import main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES, resolve_max_states
 
@@ -572,6 +572,19 @@ def test_bad_max_states_env_is_a_usage_error_on_every_verb(monkeypatch, capsys, 
     monkeypatch.setenv("DUALMIN_MAX_STATES", "abc")
     rc, out, err = invoke(capsys, *_argv(data_dir, argv))
     assert rc == 2 and out == "" and "DUALMIN_MAX_STATES" in err
+
+
+@pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+def test_out_of_memory_advises_the_bound_only_where_a_verb_takes_it(monkeypatch, capsys,
+                                                                     data_dir, argv):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(io, "parse", exhausted)
+    monkeypatch.setattr(selftest, "run_selftest", exhausted)
+    rc, out, err = invoke(capsys, *_argv(data_dir, argv))
+    advice = "" if argv[0] in IGNORES_MAX_STATES else "; lower --max-states"
+    assert (rc, out, err) == (3, "", f"error: out of memory{advice}\n")
 
 
 def test_reverse_nfa_file(capsys, data_dir):
