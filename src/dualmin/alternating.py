@@ -8,7 +8,9 @@ and bit `mask` of the table says whether that subset satisfies the function.
 The reversed DFA has state set 2^X, starts at the final set, steps a subset
 A to {s | delta_a(s)(A) = 1}, accepts when iota holds, and recognises
 exactly the reverse of the AFA's language.  `reversed_subsets` gives it as a
-lazy triple, which `equiv` walks without building it.
+lazy triple, which `equiv` walks without building it and which
+`automata.subset_dfa`, the subset construction that also determinises NFAs,
+builds and names by the one subset-naming rule.
 
 A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
 truth table (`BoolFun.from_table`), or by compiling a formula.
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import ast
 from functools import cached_property, partial, reduce
+from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Mapping
 
-from .automata import (DFA_OUTPUTS, MooreAutomaton, _check_alphabet, _mask, _members,
-                       explore, mask_names)
+from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa
 from .brzozowski import dual_automaton
 from .errors import DEFAULT_MAX_STATES, Record, StateGuardError
 
@@ -78,9 +80,9 @@ class BoolFun(Record):
     @property
     def sats(self) -> frozenset[frozenset[int]]:
         """The satisfying subsets, decoded from the table."""
-        bits = bin(self.table)[:1:-1]  # bit 0 first
-        return frozenset(frozenset(_members(mask))
-                         for mask, bit in enumerate(bits) if bit == "1")
+        states = range(self.n)
+        return frozenset(frozenset(compress(states, mask_row(mask)))
+                         for mask in compress(range(1 << self.n), mask_row(self.table)))
 
 
 _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not,
@@ -196,23 +198,10 @@ def reversed_subsets(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STAT
     return _mask(a.n, a.finals), a.iota.at, partial(_afa_step, a)
 
 
-def _reversed(a: AlternatingAutomaton, every: bool, max_states: int,
-              named: bool = True) -> MooreAutomaton:
-    """The reversed DFA on every subset, or on those reachable from the final
-    set, in BFS order, with the final set as its initial state; its states
-    are named by their members unless `named` is false."""
-    start, key, step = reversed_subsets(a, max_states)
-    order, trans = explore(range(1 << a.n) if every else [start], step, a.alphabet,
-                           max_states, "reverse_dfa")
-    return MooreAutomaton(len(order), a.alphabet, {c: tuple(ts) for c, ts in trans.items()},
-                          order.index(start), tuple(map(key, order)), DFA_OUTPUTS,
-                          mask_names(order, a.state_names, a.n) if named else None)
-
-
 def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """The DFA on all of 2^X recognising the reverse of the AFA's language;
     state i is the subset with bitmask i."""
-    return _reversed(a, True, max_states)
+    return subset_dfa(a, reversed_subsets(a, max_states), max_states, range(1 << a.n))
 
 
 def reachable_reverse_dfa(a: AlternatingAutomaton,
@@ -221,7 +210,7 @@ def reachable_reverse_dfa(a: AlternatingAutomaton,
     subsets; the same states in the same order.  State names are decided on
     the reachable subsets alone, so they survive where only an unreachable
     subset would collide."""
-    return _reversed(a, False, max_states)
+    return subset_dfa(a, reversed_subsets(a, max_states), max_states)
 
 
 def minimal_dfa_for_afa(a: AlternatingAutomaton,
@@ -233,4 +222,5 @@ def minimal_dfa_for_afa(a: AlternatingAutomaton,
     for L(A).  That part is built unnamed, so the dual names its states by
     reversed-DFA index (`s0+s3`), as the second pass of a double reversal does.
     """
-    return dual_automaton(_reversed(a, False, max_states, named=False), max_states)
+    return dual_automaton(subset_dfa(a, reversed_subsets(a, max_states), max_states,
+                                     named=False), max_states)

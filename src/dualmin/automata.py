@@ -8,16 +8,21 @@ definable sets, reachable states) behind one state bound; `stable_partition`
 with `quotient_rows` refine and quotient any deterministic transition
 structure whose states carry keys (Moore outputs, or the observation sets of
 a Kripke model); `pair_walk` decides exact equivalence on the reachable pairs
-of two lazy (start, key, step) triples.  NFA and AFA subsets are bitmasks.
+of two lazy (start, key, step) triples.  NFA and AFA subsets are bitmasks,
+and `subset_dfa` is the one subset construction: it builds the DFA of such a
+triple, for NFA determinisation and for AFA reversal alike.
 
 States are dense integer indices 0..n-1; human names only survive as optional
-serialization metadata.  Reachability renumbers states in BFS order with
-letters taken in alphabet order, so two automata are isomorphic exactly when
-their reachable canonical forms compare equal.
+serialization metadata, and an unnamed state i is called s{i}.  One rule,
+`subset_names`, names every subset state from its 0/1 row over the states:
+a dual predicate, or the `mask_row` of a bitmask.  Reachability renumbers
+states in BFS order with letters taken in alphabet order, so two automata are
+isomorphic exactly when their reachable canonical forms compare equal.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DEFAULT_MAX_STATES, NonCongruenceError, Record, StateGuardError
@@ -221,30 +226,32 @@ def explore(starts: Iterable[Hashable], step: Callable, alphabet: Sequence[str],
     return order, trans
 
 
-def subset_labels(names: Sequence[str] | None, n: int) -> tuple[Sequence[str], str]:
-    """(labels, sep) that name the subsets of n states: each state's name, or
-    s0, s1, ... when unnamed, and '+', or ',' when some name already contains
-    '+' (a previous pass), mirroring the {yz, xyz} style of nested subsets."""
-    if not names:
-        return [f"s{i}" for i in range(n)], "+"
-    return names, "," if any("+" in name for name in names) else "+"
+def state_labels(names: Sequence[str] | None, n: int) -> Sequence[str]:
+    """The names of n states, or s0, s1, ... when they have none."""
+    return names or tuple(f"s{i}" for i in range(n))
 
 
-def subset_names(subsets: Iterable[Iterable[str]], sep: str) -> tuple[str, ...] | None:
-    """Names for subset states, each subset given by the labels of its
-    members in ascending order (see subset_labels), an empty subset by an
-    empty sequence: the labels joined with sep, or 'empty'.  Returns None when
-    two names collide (a source state named "empty")."""
-    out = tuple(sep.join(members) if members else "empty" for members in subsets)
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_row(mask: int) -> bytes:
+    """The 0/1 row of a bitmask subset, byte i for state i, up to its top
+    set bit: the binary digits reversed, read as bytes."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
+
+
+def subset_names(rows: Iterable[Sequence[int]], names: Sequence[str] | None,
+                 n: int) -> tuple[str, ...] | None:
+    """Names for subset states, each subset given by its 0/1 row over n
+    states (a dual predicate, or the mask_row of a bitmask): its members'
+    labels (state_labels) in ascending order joined by '+', or by ',' when
+    some label already contains '+' (a previous pass), mirroring the
+    {yz, xyz} style of nested subsets; 'empty' for the empty subset.
+    Returns None when two names collide (a source state named "empty")."""
+    labels = state_labels(names, n)
+    sep = "," if any("+" in label for label in labels) else "+"
+    out = tuple(sep.join(compress(labels, row)) if 1 in row else "empty" for row in rows)
     return out if len(set(out)) == len(out) else None
-
-
-def mask_names(masks: Iterable[int], names: Sequence[str] | None,
-               n: int) -> tuple[str, ...] | None:
-    """subset_names of subsets of n states given as bitmasks."""
-    labels, sep = subset_labels(names, n)
-    return subset_names((map(labels.__getitem__, _members(mask)) if mask else ()
-                         for mask in masks), sep)
 
 
 def _mask(n: int, subset: Iterable[int]) -> int:
@@ -255,16 +262,6 @@ def _mask(n: int, subset: Iterable[int]) -> int:
             raise ValueError("subset mentions an unknown state")
         mask |= 1 << s
     return mask
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The states of a bitmask, ascending, found one set bit at a time."""
-    states = []
-    while mask:
-        low = mask & -mask
-        states.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(states)
 
 
 def subsets(n: Nfa) -> tuple:
@@ -285,17 +282,30 @@ def subsets(n: Nfa) -> tuple:
     return _mask(n.n, n.inits), lambda mask: 1 if mask & finals else 0, step
 
 
+def subset_dfa(x, triple: tuple, max_states: int, starts: Iterable[int] | None = None,
+               named: bool = True) -> MooreAutomaton:
+    """The DFA of a lazy (start, key, step) triple on bitmask subsets of the
+    states of x (an NFA or an AFA): the subsets reachable from `starts`
+    (default: the start alone) in BFS order, the start as initial state,
+    key(mask) as output, and each subset named by its members unless `named`
+    is false.  The one subset construction: NFA determinisation and AFA
+    reversal."""
+    start, key, step = triple
+    order, trans = explore([start] if starts is None else starts, step, x.alphabet,
+                           max_states, "subset construction")
+    return MooreAutomaton(len(order), x.alphabet, {a: tuple(ts) for a, ts in trans.items()},
+                          order.index(start), tuple(map(key, order)), DFA_OUTPUTS,
+                          subset_names(map(mask_row, order), x.state_names, x.n)
+                          if named else None)
+
+
 def determinise(n: Nfa, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """Subset construction restricted to subsets reachable from the initial set.
 
     A subset is accepting iff it meets the final states; empty initial set
     yields the one-state rejecting sink.
     """
-    start, accepts, step = subsets(n)
-    order, trans = explore([start], step, n.alphabet, max_states, "subset construction")
-    return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
-                          0, tuple(map(accepts, order)), DFA_OUTPUTS,
-                          mask_names(order, n.state_names, n.n))
+    return subset_dfa(n, subsets(n), max_states)
 
 
 def reach(m: MooreAutomaton) -> MooreAutomaton:
@@ -407,10 +417,13 @@ def by_rows(start: int, keys: Sequence, rows: Mapping[str, Sequence[int]]) -> tu
 
 def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton,
                 max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """Exact language equivalence: the pair walk over the reachable product."""
+    """Exact language equivalence: the pair walk over the reachable product,
+    each state keyed by its output's label, so the two output sets may be
+    listed in different orders."""
     if m1.alphabet != m2.alphabet:
         raise ValueError("equiv_exact: alphabets differ")
-    if m1.outputs != m2.outputs:
+    if set(m1.outputs) != set(m2.outputs):
         raise ValueError("equiv_exact: output sets differ")
-    return pair_walk(by_rows(m1.init, m1.out, m1.trans), by_rows(m2.init, m2.out, m2.trans),
-                     m1.alphabet, max_states)
+    first, second = (by_rows(m.init, tuple(map(m.outputs.__getitem__, m.out)), m.trans)
+                     for m in (m1, m2))
+    return pair_walk(first, second, m1.alphabet, max_states)

@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter
-from typing import Iterator
 
-from .automata import (MooreAutomaton, Partition, explore, quotient_moore, reach, subset_labels,
-                       subset_names)
+from .automata import MooreAutomaton, Partition, explore, quotient_moore, reach, subset_names
 from .errors import DEFAULT_MAX_STATES
 
 
@@ -55,26 +53,19 @@ def predicate_atoms(starts, trans, alphabet, max_states=DEFAULT_MAX_STATES) -> P
     return Partition.from_signatures(zip(*order) if order else [()] * n)
 
 
-def _members(order, n: int) -> Iterator[tuple[int, ...]]:
-    """0/1 predicates decoded, one at a time, as the ascending states where they hold."""
-    return (tuple(compress(range(n), phi)) for phi in order)
-
-
 def dual_automaton(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES,
                    named: bool = True) -> MooreAutomaton:
     """The automaton on predicates B^X reachable from the output map.
 
     run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.  For the
-    Boolean case the predicates are subsets, and unless `named` is false each
-    state is named by its members' labels, picked out of the labels by the
-    predicate's 0/1 bytes.
+    Boolean case the predicates are the 0/1 rows of subsets, and unless
+    `named` is false each state is named from its row (`subset_names`).
     """
     order, trans = explore_predicates([m.out], m.trans, m.alphabet, max_states)
     out = tuple(phi[m.init] for phi in order)
     names = None
     if named and len(m.outputs) == 2:
-        labels, sep = subset_labels(m.state_names, m.n)
-        names = subset_names((compress(labels, phi) if 1 in phi else () for phi in order), sep)
+        names = subset_names(order, m.state_names, m.n)
     return MooreAutomaton(len(order), m.alphabet,
                           {a: tuple(ts) for a, ts in trans.items()},
                           0, out, m.outputs, names)
@@ -109,7 +100,7 @@ def dual_state_sets(m: MooreAutomaton,
     if len(m.outputs) != 2:
         raise ValueError("dual_state_sets needs a two-element output set")
     order = explore_predicates([m.out], m.trans, m.alphabet, max_states)[0]
-    return frozenset(map(frozenset, _members(order, m.n)))
+    return frozenset(frozenset(compress(range(m.n), phi)) for phi in order)
 
 
 __all__ = ["explore_predicates", "predicate_atoms", "dual_automaton", "brzozowski_minimise",

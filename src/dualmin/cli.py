@@ -201,7 +201,7 @@ def _cmd_trace_eval(args, obj) -> int:
     from .dkm import eval_trace
     k = _as_dkm(obj)
     formula = parse_trace_formula(args.formula)
-    names = io._state_names(k)
+    names = automata.state_labels(k.state_names, k.n)
     sat = eval_trace(k, formula)
     print(" ".join(names[s] for s in sorted(sat)) if sat else "-")
     return 0
@@ -210,7 +210,7 @@ def _cmd_trace_eval(args, obj) -> int:
 def _cmd_closure(args, obj) -> int:
     from .dkm import definable_closure
     k = _as_dkm(obj)
-    names = io._state_names(k)
+    names = automata.state_labels(k.state_names, k.n)
     family = sorted(definable_closure(k, args.max_states), key=lambda s: (len(s), sorted(s)))
     for subset in family:
         print("{" + ",".join(names[s] for s in sorted(subset)) + "}")

@@ -15,11 +15,12 @@ which also minimises Moore automata by duality).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping
 
 from .automata import (MooreAutomaton, Partition, _check_successors, quotient_rows,
                        stable_partition)
-from .brzozowski import _members, explore_predicates, predicate_atoms
+from .brzozowski import explore_predicates, predicate_atoms
 from .errors import DEFAULT_MAX_STATES, Record
 
 
@@ -82,7 +83,7 @@ def definable_closure(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> frozenset
     transition preimages; equals the set of all trace-formula extensions."""
     order = explore_predicates(_observations(k), k.delta, k.alphabet, max_states,
                                "definable closure")[0]
-    return frozenset(map(frozenset, _members(order, k.n)))
+    return frozenset(frozenset(compress(range(k.n), phi)) for phi in order)
 
 
 def boolean_atoms(family: frozenset[frozenset[int]], n: int) -> Partition:

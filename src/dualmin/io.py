@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa
+from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa, state_labels
 from .errors import FormatError
 
 KNOWN_TYPES = ("dfa", "moore", "nfa", "weighted", "afa", "dkm")
@@ -235,12 +235,6 @@ def _parse_dkm(doc, alphabet, names, states):
     return Dkm(len(names), alphabet, obs, tuple(gamma), delta, init, names)
 
 
-def _state_names(obj) -> tuple[str, ...]:
-    if obj.state_names is not None:
-        return obj.state_names
-    return tuple(f"s{i}" for i in range(obj.n))
-
-
 def emit_value(semiring, v):
     # by name, so that writing a value needs no import of the semiring module
     name = semiring.name
@@ -368,7 +362,7 @@ def _pieces(doc):
 
 
 def _emit_moore(m: MooreAutomaton) -> dict:
-    names = _state_names(m)
+    names = state_labels(m.state_names, m.n)
     trans = {a: {names[s]: names[m.trans[a][s]] for s in range(m.n)} for a in m.alphabet}
     if m.outputs == DFA_OUTPUTS:
         return {"type": "dfa", "alphabet": list(m.alphabet), "states": list(names),
@@ -381,7 +375,7 @@ def _emit_moore(m: MooreAutomaton) -> dict:
 
 
 def _emit_nfa(n: Nfa) -> dict:
-    names = _state_names(n)
+    names = state_labels(n.state_names, n.n)
     trans = {a: {names[s]: sorted(names[t] for t in n.trans[a][s])
                  for s in range(n.n) if n.trans[a][s]}
              for a in n.alphabet}
@@ -391,7 +385,7 @@ def _emit_nfa(n: Nfa) -> dict:
 
 
 def _emit_weighted(w: WeightedAutomaton) -> dict:
-    names = _state_names(w)
+    names = state_labels(w.state_names, w.n)
     return {"type": "weighted", "semiring": w.semiring.name,
             "alphabet": list(w.alphabet), "states": list(names),
             "initial": [emit_value(w.semiring, v) for v in w.init],
@@ -407,7 +401,7 @@ def _emit_boolfun(f: BoolFun, names) -> list:
 
 
 def _emit_afa(a: AlternatingAutomaton) -> dict:
-    names = _state_names(a)
+    names = state_labels(a.state_names, a.n)
     return {"type": "afa", "alphabet": list(a.alphabet), "states": list(names),
             "finals": sorted(names[s] for s in a.finals),
             "iota": _emit_boolfun(a.iota, names),
@@ -417,7 +411,7 @@ def _emit_afa(a: AlternatingAutomaton) -> dict:
 
 
 def _emit_dkm(k: Dkm) -> dict:
-    names = _state_names(k)
+    names = state_labels(k.state_names, k.n)
     doc = {"type": "dkm", "alphabet": list(k.alphabet), "states": list(names),
            "obs": list(k.obs),
            "gamma": {names[s]: sorted(k.gamma[s]) for s in range(k.n)},

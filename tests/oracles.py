@@ -7,8 +7,9 @@ ranks and echelon forms by plain Gaussian elimination, Hermite normal
 forms by whole-matrix elimination, determinants by permutation expansion,
 AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
-predicates kept as tuples, the definable closure of a Kripke model by
-frozenset preimages, and emitted text by json.dumps.  Five oracles keep a
+predicates kept as tuples, the names of subset states by joining the sorted
+members of sets, the definable closure of a Kripke model by frozenset
+preimages, and emitted text by json.dumps.  Five oracles keep a
 library route as an explicit second copy: the Kripke quotient by the atoms of
 the definable closure as a set family, the Hankel block one word pair at a
 time, Moore equivalence by a hand-written breadth-first walk over the
@@ -33,7 +34,7 @@ from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix
                      Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
                      mat_vec, quotient_dkm, vec_mat)
 from dualmin.alternating import _ones, _variable
-from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition, subset_labels, subset_names
+from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
 from dualmin.semiring import over_lcm
@@ -298,12 +299,24 @@ def emit_json(obj) -> str:
     return json.dumps(_document(obj), indent=2, sort_keys=True) + "\n"
 
 
+def names_by_sets(subsets, names, n):
+    """The subset-naming rule spelled out on sets of states: the members'
+    labels (their names, or s0, s1, ... without names) in ascending order,
+    joined by "+", or by "," when some label holds a "+"; "empty" for the
+    empty set.  None when two names collide."""
+    labels = list(names) if names else [f"s{i}" for i in range(n)]
+    sep = "," if any("+" in label for label in labels) else "+"
+    out = tuple(sep.join(labels[s] for s in sorted(subset)) if subset else "empty"
+                for subset in subsets)
+    return out if len(set(out)) == len(out) else None
+
+
 def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
     """The dual automaton with every predicate a tuple of output indices,
     explored breadth first with letters in alphabet order; states are named
-    by the library's subset-naming rule.  Applied twice it is `dual` twice,
-    with nested names; applied to the first pass with its names dropped, it
-    is a double reversal, named by first-pass index."""
+    by `names_by_sets`.  Applied twice it is `dual` twice, with nested names;
+    applied to the first pass with its names dropped, it is a double
+    reversal, named by first-pass index."""
     index = {tuple(m.out): 0}
     order = [tuple(m.out)]
     trans = {a: [] for a in m.alphabet}
@@ -316,8 +329,8 @@ def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
             trans[a].append(index[nxt])
     names = None
     if len(m.outputs) == 2:
-        labels, sep = subset_labels(m.state_names, m.n)
-        names = subset_names([[labels[s] for s in range(m.n) if phi[s]] for phi in order], sep)
+        names = names_by_sets([{s for s in range(m.n) if phi[s]} for phi in order],
+                              m.state_names, m.n)
     return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(phi[m.init] for phi in order), m.outputs, names)
 
@@ -408,8 +421,8 @@ def equiv_by_bfs(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
 
 def determinise_by_sets(n: Nfa) -> MooreAutomaton:
     """The subset construction with every subset a frozenset, explored
-    breadth first with letters in alphabet order; states are named by the
-    library's subset-naming rule."""
+    breadth first with letters in alphabet order; states are named by
+    `names_by_sets`."""
     start = frozenset(n.inits)
     index, order = {start: 0}, [start]
     trans = {a: [] for a in n.alphabet}
@@ -420,8 +433,7 @@ def determinise_by_sets(n: Nfa) -> MooreAutomaton:
                 index[nxt] = len(order)
                 order.append(nxt)
             trans[a].append(index[nxt])
-    labels, sep = subset_labels(n.state_names, n.n)
-    names = subset_names([[labels[s] for s in sorted(subset)] for subset in order], sep)
+    names = names_by_sets(order, n.state_names, n.n)
     return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(1 if subset & n.finals else 0 for subset in order),
                           DFA_OUTPUTS, names)

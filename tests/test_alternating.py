@@ -7,7 +7,7 @@ from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts
                      minimal_dfa_for_afa, partition_refinement_minimise, reach,
                      reachable_reverse_dfa, reverse, reverse_dfa, run)
 from dualmin.alternating import reversed_subsets
-from dualmin.automata import _members, pair_walk
+from dualmin.automata import pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
 from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa, formula_holds,
@@ -16,7 +16,7 @@ from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa,
 
 def all_subsets(n: int) -> list[frozenset[int]]:
     """All subsets of {0..n-1} ordered by bitmask value (bit i = state i)."""
-    return [frozenset(_members(mask)) for mask in range(1 << n)]
+    return [frozenset(s for s in range(n) if mask >> s & 1) for mask in range(1 << n)]
 
 
 def conjunctive_afa() -> AlternatingAutomaton:

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, equiv_exact,
-                     iso_check, partition_refinement_minimise, reach, reverse, run)
-from dualmin.automata import (_members, bounded_words, by_rows, explore, mask_names, pair_walk,
-                              subset_labels, subset_names, subsets)
+from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, dual_automaton,
+                     equiv_exact, iso_check, partition_refinement_minimise, reach,
+                     reachable_reverse_dfa, reverse, reverse_dfa, run)
+from dualmin.automata import (bounded_words, by_rows, explore, mask_row, pair_walk, state_labels,
+                              subset_names, subsets)
 from dualmin.errors import DEFAULT_MAX_STATES
-from dualmin.sampling import random_dfa, random_moore
+from dualmin.sampling import random_afa, random_dfa, random_moore
 
-from oracles import (determinise_by_sets, ends_with_a_dfa, equiv_by_bfs, nfa_accepts_paths,
-                     random_nfa, run_by_hand, smallest_equivalent_dfa, words)
+from oracles import (determinise_by_sets, dual_by_tuples, ends_with_a_dfa, equiv_by_bfs, holds,
+                     names_by_sets, nfa_accepts_paths, random_nfa, replace, run_by_hand,
+                     smallest_equivalent_dfa, words)
 
 
 def test_run_examples():
@@ -55,8 +57,11 @@ def test_determinise_full_and_reachable():
     x, y, z = 0, 1, 2
     f = frozenset
     step = subsets(n)[2]
-    closure = {f(_members(mask)): {a: f(_members(step(mask, a))) for a in "ab"}
-               for mask in range(8)}
+
+    def members(mask):
+        return f(s for s in range(3) if mask >> s & 1)
+
+    closure = {members(mask): {a: members(step(mask, a)) for a in "ab"} for mask in range(8)}
     assert len(closure) == 8
     assert {s for s, row in closure.items() if row["a"] == f({y, z})} == {f({y}), f({x, y})}
     assert closure[f({x, z})] == {"a": f({x}), "b": f({x, y, z})}
@@ -382,14 +387,67 @@ def test_explore_guard():
 
 
 def test_subset_names_rule():
-    assert subset_labels(None, 3) == (["s0", "s1", "s2"], "+")
-    assert subset_labels(("x+y", "z"), 2) == (("x+y", "z"), ",")
-    assert mask_names([0, 0b101], None, 3) == ("empty", "s0+s2")
-    assert mask_names([1, 3], ("x", "y"), 2) == ("x", "x+y")
-    assert mask_names([1, 3], ("x+y", "z"), 2) == ("x+y", "x+y,z")
-    assert mask_names([0, 1], ("empty", "z"), 2) is None
+    assert state_labels(None, 3) == ("s0", "s1", "s2")
+    assert state_labels(("x+y", "z"), 2) == ("x+y", "z")
+    assert mask_row(0) == b"\0" and mask_row(0b101) == b"\1\0\1"
+
+    def names(masks, labels, n):
+        return subset_names(map(mask_row, masks), labels, n)
+
+    assert names([1, 2, 4, 7], None, 3) == ("s0", "s1", "s2", "s0+s1+s2")
+    assert names([0, 0b101], None, 3) == ("empty", "s0+s2")
+    assert names([1, 3], ("x", "y"), 2) == ("x", "x+y")
+    assert names([1, 3], ("x+y", "z"), 2) == ("x+y", "x+y,z")
+    assert names([0, 1], ("empty", "z"), 2) is None
+    # a dual predicate is already a row
+    assert subset_names([b"\1\0\1", (0, 1, 1)], ("x", "y", "z"), 3) == ("x+z", "y+z")
     # a state named "" is told apart from the empty subset
-    assert subset_names([(), ("",)], "+") == ("empty", "")
+    assert names([0, 1], ("",), 1) == ("empty", "")
+
+
+# names that test the rule's edges: a "+" forces "," as separator, "" must
+# stay apart from the empty subset, and "empty" collides with it
+NAME_POOL = ("+", "", "empty", "x", "y", "x+y", "s0", "s1", "u")
+
+
+def _random_names(rng, n):
+    return None if rng.random() < 0.25 else tuple(rng.sample(NAME_POOL, n))
+
+
+def test_every_subset_state_is_named_as_the_set_oracle_names_it():
+    rng = random.Random(18)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        names = _random_names(rng, n)
+        # masks 0 and 2^n - 1, and masks with the top state set
+        masks = [0, (1 << n) - 1] + [rng.randrange(1 << (n - 1)) | 1 << (n - 1)
+                                     for _ in range(3)]
+        sets = [{s for s in range(n) if mask >> s & 1} for mask in masks]
+        assert subset_names(map(mask_row, masks), names, n) == names_by_sets(sets, names, n)
+
+        nfa = random_nfa(rng)
+        nfa = replace(nfa, state_names=_random_names(rng, nfa.n))
+        det, expected = determinise(nfa), determinise_by_sets(nfa)
+        assert det == expected and det.state_names == expected.state_names
+
+        m = random_dfa(rng, max_n=6)
+        m = replace(m, state_names=_random_names(rng, m.n))
+        dual, expected = dual_automaton(m), dual_by_tuples(m)
+        assert dual == expected and dual.state_names == expected.state_names
+
+        a = random_afa(rng, max_n=4)
+        a = replace(a, state_names=_random_names(rng, a.n))
+        every = [{s for s in range(a.n) if mask >> s & 1} for mask in range(1 << a.n)]
+        assert reverse_dfa(a).state_names == names_by_sets(every, a.state_names, a.n)
+        # the reachable subsets in BFS order, found by the conditions' truth tables
+        start = frozenset(a.finals)
+        order = [start]
+        for cur in order:
+            for c in a.alphabet:
+                nxt = frozenset(s for s in range(a.n) if holds(a.delta[c][s], cur))
+                if nxt not in order:
+                    order.append(nxt)
+        assert reachable_reverse_dfa(a).state_names == names_by_sets(order, a.state_names, a.n)
 
 
 def test_determinise_joins_plus_names_with_commas():

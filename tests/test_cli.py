@@ -105,6 +105,23 @@ def test_equiv_verdicts(capsys, data_dir):
     assert rc == 1  # output sets differ: reported as an error verdict
 
 
+def test_equiv_moore_reads_outputs_by_label_not_by_position(capsys, tmp_path):
+    def moore(outputs, out):
+        path = tmp_path / f"{''.join(outputs)}_{out['p']}.json"
+        path.write_text(json.dumps({
+            "type": "moore", "alphabet": ["a"], "states": ["p", "q"], "initial": "p",
+            "transitions": {"a": {"p": "q", "q": "p"}}, "outputs": outputs, "out": out}))
+        return str(path)
+
+    xy = moore(["x", "y"], {"p": "x", "q": "y"})
+    # the same machine with its outputs listed in the other order
+    assert invoke(capsys, "equiv", xy, moore(["y", "x"], {"p": "x", "q": "y"})) == \
+        (0, "equivalent\n", "")
+    # the same output indices, but the labels swapped
+    assert invoke(capsys, "equiv", xy, moore(["y", "x"], {"p": "y", "q": "x"})) == \
+        (1, "not equivalent\n", "")
+
+
 def test_equiv_dkm(capsys, data_dir, tmp_path):
     path = data_dir / "dkm_ends_with_a.json"
     rc, out, _ = invoke(capsys, "equiv", str(path), str(path))
