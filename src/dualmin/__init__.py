@@ -15,7 +15,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "alternating": ("AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
-                    "minimal_dfa_for_afa", "reachable_reverse_dfa", "reverse_dfa"),
+                    "minimal_dfa_for_afa", "reverse_dfa"),
     "automata": ("MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact",
                  "iso_check", "partition_refinement_minimise", "reach", "reverse", "run",
                  "words_up_to"),

@@ -204,15 +204,6 @@ def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -
     return subset_dfa(a, reversed_subsets(a, max_states), max_states, range(1 << a.n))
 
 
-def reachable_reverse_dfa(a: AlternatingAutomaton,
-                          max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
-    """reach(reverse_dfa(a)), built from the final set without the unreachable
-    subsets; the same states in the same order.  State names are decided on
-    the reachable subsets alone, so they survive where only an unreachable
-    subset would collide."""
-    return subset_dfa(a, reversed_subsets(a, max_states), max_states)
-
-
 def minimal_dfa_for_afa(a: AlternatingAutomaton,
                         max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """Minimal DFA for the AFA's language.

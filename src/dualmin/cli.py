@@ -14,6 +14,7 @@ runs it, so each call loads the code of the file kind it reads and no more.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -41,6 +42,15 @@ def _word(raw: str, alphabet) -> tuple[str, ...]:
     return tuple(letters)
 
 
+def _shown(name: str) -> str:
+    """A state or observation name as the verbs that list names print it: as
+    is, or as a JSON string when it is empty, is "-" or holds whitespace, ",",
+    "{", "}" or '"', so that no two different lists print alike."""
+    if name in ("", "-") or any(c.isspace() or c in ',{}"' for c in name):
+        return json.dumps(name)
+    return name
+
+
 def _cmd_run(args, obj) -> int:
     word = _word(args.word, obj.alphabet)
     if obj.kind == "moore":
@@ -62,7 +72,7 @@ def _cmd_run(args, obj) -> int:
         s = obj.init
         for a in word:
             s = obj.delta[a][s]
-        print(" ".join(sorted(obj.gamma[s])) or "-")
+        print(" ".join(map(_shown, sorted(obj.gamma[s]))) or "-")
     return 0
 
 
@@ -114,10 +124,13 @@ def _cmd_minimize(args, obj):
         if method == "refine":
             raise ValueError("refine applies to deterministic automata, not weighted ones")
         if obj.semiring.name == "bool":
-            # join-semilattices are not PIDs: determinise classically, then double reversal
+            # join-semilattices are not PIDs: determinise classically, then double
+            # reversal, whose unnamed first pass reads no subset names, so none are built
             from .brzozowski import brzozowski_minimise
             from .weighted import bool_wa_to_nfa
-            return brzozowski_minimise(automata.determinise(bool_wa_to_nfa(obj), bound), bound)
+            nfa = bool_wa_to_nfa(obj)
+            dfa = automata.subset_dfa(nfa, automata.subsets(nfa), bound, named=False)
+            return brzozowski_minimise(dfa, bound)
         from .weighted import minimise_wa
         return minimise_wa(obj)
     if obj.kind == "afa":
@@ -201,7 +214,7 @@ def _cmd_trace_eval(args, obj) -> int:
     from .dkm import eval_trace
     k = _as_dkm(obj)
     formula = parse_trace_formula(args.formula)
-    names = automata.state_labels(k.state_names, k.n)
+    names = list(map(_shown, automata.state_labels(k.state_names, k.n)))
     sat = eval_trace(k, formula)
     print(" ".join(names[s] for s in sorted(sat)) if sat else "-")
     return 0
@@ -210,7 +223,7 @@ def _cmd_trace_eval(args, obj) -> int:
 def _cmd_closure(args, obj) -> int:
     from .dkm import definable_closure
     k = _as_dkm(obj)
-    names = automata.state_labels(k.state_names, k.n)
+    names = list(map(_shown, automata.state_labels(k.state_names, k.n)))
     family = sorted(definable_closure(k, args.max_states), key=lambda s: (len(s), sorted(s)))
     for subset in family:
         print("{" + ",".join(names[s] for s in sorted(subset)) + "}")

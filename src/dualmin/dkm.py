@@ -23,6 +23,8 @@ from .automata import (MooreAutomaton, Partition, _check_successors, quotient_ro
 from .brzozowski import explore_predicates, predicate_atoms
 from .errors import DEFAULT_MAX_STATES, Record
 
+DFA_OBS = "p"  # the one observation of a DFA read as a model: "accepting"
+
 
 class Dkm(Record):
     n: int
@@ -43,11 +45,11 @@ class Dkm(Record):
             raise ValueError("gamma must assign every state a subset of the observations")
 
     @classmethod
-    def from_dfa(cls, m: MooreAutomaton, obs_name: str = "p") -> "Dkm":
-        """A DFA as a single-observation model: the observation holds at accepting states."""
-        gamma = tuple(frozenset({obs_name}) if m.out[s] == 1 else frozenset()
+    def from_dfa(cls, m: MooreAutomaton) -> "Dkm":
+        """A DFA as a single-observation model: DFA_OBS holds at accepting states."""
+        gamma = tuple(frozenset({DFA_OBS}) if m.out[s] == 1 else frozenset()
                       for s in range(m.n))
-        return cls(m.n, m.alphabet, (obs_name,), gamma, dict(m.trans), m.init, m.state_names)
+        return cls(m.n, m.alphabet, (DFA_OBS,), gamma, dict(m.trans), m.init, m.state_names)
 
 
 class TraceFormula(Record):

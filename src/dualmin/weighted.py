@@ -1,7 +1,9 @@
 """Weighted automata over exact semirings: formal power series evaluation, the
-transpose (self-dual) adjunction, restriction to the reachable submodule, and
+transpose (self-dual) adjunction, restriction to the reachable submodule,
 minimisation over the rationals (a field) and over the integers (a principal
-ideal domain).
+ideal domain), and exact equivalence over both.  One walk, `_span`, saturates
+every span: the reachable submodule, the Hankel oracle's two spans, and the
+span of the pairs of forward vectors that decides equivalence.
 
 Matrix convention: t_a acts on column vectors of state weights and entry
 t_a[y][x] is the weight of the transition x -> y on letter a.  The initial
@@ -11,7 +13,6 @@ final * t_ak * ... * t_a1 * init.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -94,14 +95,6 @@ def dual_wa(w: WeightedAutomaton) -> WeightedAutomaton:
                              init=w.final, final=w.init, state_names=w.state_names)
 
 
-def _empty_basis(w: WeightedAutomaton):
-    if w.semiring.is_field:
-        return FieldBasis(w.n)
-    if w.semiring.is_pid:
-        return IntegerBasis(w.n)
-    raise SemiringError(f"reachable restriction needs a field or PID, got {w.semiring.name}")
-
-
 def reach_restrict(w: WeightedAutomaton) -> RestrictedWA:
     """Restrict to the submodule generated by the initial vector under all t_a.
 
@@ -109,19 +102,10 @@ def reach_restrict(w: WeightedAutomaton) -> RestrictedWA:
     returned automaton is the conjugate of w by that basis and recognises the
     same series with dimension rank(basis) <= n.
     """
-    basis = _empty_basis(w)
-    zero = w.semiring.zero()
-    if any(x != zero for x in w.init):
-        basis, _ = basis.insert(w.init)
-        frontier = deque([w.init])
-        while frontier:
-            v = frontier.popleft()
-            for a in w.alphabet:
-                u = mat_vec(w.mats[a], v)
-                basis, changed = basis.insert(u)
-                if changed:
-                    frontier.append(u)
-
+    if not w.semiring.is_pid:  # a field is a PID too
+        raise SemiringError(f"reachable restriction needs a field or PID, got {w.semiring.name}")
+    empty = (FieldBasis if w.semiring.is_field else IntegerBasis)(w.n)
+    basis = _span(empty, w.init, lambda v, a: mat_vec(w.mats[a], v), w.alphabet)
     embedding, r = basis.matrix(), basis.rank
     mats = {}
     for a in w.alphabet:
@@ -156,19 +140,15 @@ def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     """Exact equivalence of two automata over Q or Z with one alphabet
     (Schützenberger; Tzeng, SIAM J. Comput. 1992).
 
-    The block-diagonal difference automaton, with initial vector (i_a, i_b)
-    and final vector (f_a, -f_b), recognises series(a) - series(b), which is
-    zero iff its final vector vanishes on the reachable submodule.
+    At each word, series(a) - series(b) is the linear form f_a.x - f_b.y on
+    the pair (x, y) of the two forward vectors, so the series are equal iff
+    the form vanishes on each basis row of the pairs' span.  The span is taken
+    over Q for Z too: a form vanishes on a Z-span iff it does on its Q-span.
     """
-    sr = a.semiring
-    zero = sr.zero()
-    n = a.n + b.n
-    mats = {x: Matrix(sr, n, n, tuple(row + (zero,) * b.n for row in a.mats[x].entries)
-                      + tuple((zero,) * a.n + row for row in b.mats[x].entries))
-            for x in a.alphabet}
-    diff = WeightedAutomaton(n, a.alphabet, sr, mats, a.init + b.init,
-                             a.final + tuple(sr.neg(x) for x in b.final))
-    return all(x == zero for x in reach_restrict(diff).automaton.final)
+    n, dot = a.n, a.semiring.dot
+    pairs = _span(FieldBasis(n + b.n), a.init + b.init,
+                  lambda v, x: mat_vec(a.mats[x], v[:n]) + mat_vec(b.mats[x], v[n:]), a.alphabet)
+    return all(dot(a.final, row[:n]) == dot(b.final, row[n:]) for row in pairs.nums)
 
 
 def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
@@ -179,19 +159,20 @@ def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     reaches the rank of the full Hankel matrix.
 
     H is the backward vectors times the forward vectors, so its rank is that
-    of the pairing between their two spans.  Each span is built here, apart
-    from the minimiser's reach_restrict, one word length at a time; once a
-    length adds nothing to a span, no longer length does, so the work stops
-    there, after at most n lengths, whatever max_len is.
+    of the pairing between their two spans.  `_span` builds each one length at
+    a time and stops, after at most n lengths whatever max_len is, at the first
+    length that adds nothing.  The pairing is the oracle's own: the tests check
+    it against the block itself (`hankel_basis_by_pairs` and
+    `hankel_basis_by_block` in tests/oracles.py).
     """
     to_q = w.semiring.to_fraction
     mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
             for a, m in w.mats.items()}
     # forward vectors extend at the end, backward vectors at the front
-    forward = _span_by_length(tuple(map(to_q, w.init)), lambda v, a: mat_vec(mats[a], v),
-                              w.alphabet, max_len)
-    backward = _span_by_length(tuple(map(to_q, w.final)), lambda v, a: vec_mat(v, mats[a]),
-                               w.alphabet, max_len)
+    forward = _span(FieldBasis(w.n), tuple(map(to_q, w.init)),
+                    lambda v, a: mat_vec(mats[a], v), w.alphabet, max_len)
+    backward = _span(FieldBasis(w.n), tuple(map(to_q, w.final)),
+                     lambda v, a: vec_mat(v, mats[a]), w.alphabet, max_len)
     # the pairing's matrix, scaled by the two bases' common denominators
     pairing = FieldBasis(forward.rank)
     for b in backward.nums:
@@ -199,13 +180,15 @@ def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     return pairing.rank
 
 
-def _span_by_length(start: tuple, step, alphabet, max_len: int) -> FieldBasis:
-    """The span of the vectors step gives from start along the words up to
-    max_len, one length at a time: each length steps only the vectors that
-    grew the span at the length before, and stops when there are none."""
-    basis, grew = FieldBasis(len(start)).insert(start)
+def _span(basis, start: tuple, step, alphabet, max_len: int = -1):
+    """basis saturated with start and the vectors step gives from it along
+    the words of up to max_len letters (any length when max_len < 0), one
+    length at a time: a length steps, in insertion order, only the vectors
+    that grew the span at the length before, and the walk stops when none did."""
+    basis, grew = basis.insert(start)
     frontier = [start] if grew else []
-    for _ in range(max_len):
+    while frontier and max_len != 0:
+        max_len -= 1
         grown = []
         for v in frontier:
             for a in alphabet:
@@ -213,8 +196,6 @@ def _span_by_length(start: tuple, step, alphabet, max_len: int) -> FieldBasis:
                 basis, grew = basis.insert(u)
                 if grew:
                     grown.append(u)
-        if not grown:
-            break
         frontier = grown
     return basis
 

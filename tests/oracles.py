@@ -9,18 +9,19 @@ AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the names of subset states by joining the sorted
 members of sets, the definable closure of a Kripke model by frozenset
-preimages, and emitted text by json.dumps.  Five oracles keep a
+preimages, and emitted text by json.dumps.  Six oracles keep a
 library route as an explicit second copy: the Kripke quotient by the atoms of
 the definable closure as a set family, the Hankel block one word pair at a
 time, Moore equivalence by a hand-written breadth-first walk over the
-product, Kripke equivalence by refining the disjoint union of two models, and
-the subset construction on frozensets instead of bitmasks.
+product, Kripke equivalence by refining the disjoint union of two models,
+the subset construction on frozensets instead of bitmasks, and weighted
+equivalence through the reachable submodule of the difference automaton.
 
 The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
-functions and their truth-table lookup, the AFA embedding of a DFA, a
-record's copy with fields changed, the DFA-output test, and a random NFA
-generator.
+functions and their truth-table lookup, the AFA embedding of a DFA, the
+reachable part of an AFA's reversed DFA, a record's copy with fields
+changed, the DFA-output test, and a random NFA generator.
 """
 
 import ast
@@ -32,9 +33,10 @@ from operator import mul
 
 from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix, MooreAutomaton,
                      Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
-                     mat_vec, quotient_dkm, vec_mat)
-from dualmin.alternating import _ones, _variable
-from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition
+                     mat_vec, quotient_dkm, reach_restrict, vec_mat)
+from dualmin.alternating import _ones, _variable, reversed_subsets
+from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition, subset_dfa
+from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
 from dualmin.semiring import over_lcm
@@ -439,6 +441,23 @@ def determinise_by_sets(n: Nfa) -> MooreAutomaton:
                           DFA_OUTPUTS, names)
 
 
+def equiv_by_difference(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
+    """Weighted equivalence over Q or Z through the block-diagonal difference
+    automaton, with initial vector (i_a, i_b) and final vector (f_a, -f_b): it
+    recognises series(a) - series(b), which is zero iff its final vector
+    vanishes on the reachable submodule (over Z, the reachable lattice), that
+    is iff the restricted automaton's final vector is zero."""
+    sr = a.semiring
+    zero = sr.zero()
+    n = a.n + b.n
+    mats = {x: Matrix(sr, n, n, tuple(row + (zero,) * b.n for row in a.mats[x].entries)
+                      + tuple((zero,) * a.n + row for row in b.mats[x].entries))
+            for x in a.alphabet}
+    diff = WeightedAutomaton(n, a.alphabet, sr, mats, a.init + b.init,
+                             a.final + tuple(sr.neg(x) for x in b.final))
+    return all(x == zero for x in reach_restrict(diff).automaton.final)
+
+
 def dkm_equiv_by_union(k1, k2) -> bool:
     """Two Kripke models' initial states are bisimilar iff they share a block
     of the coarsest stable partition of the disjoint union of the models
@@ -463,6 +482,15 @@ def zeros(semiring: Semiring, n_rows: int, n_cols: int) -> Matrix:
 def always(n: int, value: bool) -> BoolFun:
     """The constant Boolean function over n states."""
     return BoolFun.from_table(n, _ones(n) if value else 0)
+
+
+def reachable_reverse_dfa(a: AlternatingAutomaton,
+                          max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
+    """reach(reverse_dfa(a)), built from the final set without the unreachable
+    subsets; the same states in the same order.  State names are decided on
+    the reachable subsets alone, so they survive where only an unreachable
+    subset would collide."""
+    return subset_dfa(a, reversed_subsets(a, max_states), max_states)
 
 
 def holds(f: BoolFun, subset) -> bool:

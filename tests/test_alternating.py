@@ -4,14 +4,14 @@ import pytest
 
 from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts,
                      compile_formula, determinise, dual_automaton, equiv_exact, iso_check,
-                     minimal_dfa_for_afa, partition_refinement_minimise, reach,
-                     reachable_reverse_dfa, reverse, reverse_dfa, run)
+                     minimal_dfa_for_afa, partition_refinement_minimise, reach, reverse,
+                     reverse_dfa, run)
 from dualmin.alternating import reversed_subsets
 from dualmin.automata import pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
 from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa, formula_holds,
-                     holds, replace, words)
+                     holds, reachable_reverse_dfa, replace, words)
 
 
 def all_subsets(n: int) -> list[frozenset[int]]:

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, dual_automaton,
-                     equiv_exact, iso_check, partition_refinement_minimise, reach,
-                     reachable_reverse_dfa, reverse, reverse_dfa, run)
+                     equiv_exact, iso_check, partition_refinement_minimise, reach, reverse,
+                     reverse_dfa, run)
 from dualmin.automata import (bounded_words, by_rows, explore, mask_row, pair_walk, state_labels,
                               subset_names, subsets)
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.sampling import random_afa, random_dfa, random_moore
 
 from oracles import (determinise_by_sets, dual_by_tuples, ends_with_a_dfa, equiv_by_bfs, holds,
-                     names_by_sets, nfa_accepts_paths, random_nfa, replace, run_by_hand,
-                     smallest_equivalent_dfa, words)
+                     names_by_sets, nfa_accepts_paths, random_nfa, reachable_reverse_dfa,
+                     replace, run_by_hand, smallest_equivalent_dfa, words)
 
 
 def test_run_examples():

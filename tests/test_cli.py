@@ -485,6 +485,43 @@ def test_trace_eval_and_closure(capsys, data_dir):
     assert out.splitlines() == ["{}", "{y,z}", "{x,y,z}"]
 
 
+def dkm_file(tmp_path, states, gamma, obs) -> str:
+    """A DKM file with one letter that loops on every state."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "type": "dkm", "alphabet": ["a"], "states": states, "obs": obs, "gamma": gamma,
+        "transitions": {"a": {s: s for s in states}}, "initial": states[0]}))
+    return str(path)
+
+
+def test_closure_tells_a_comma_name_from_two_names(capsys, tmp_path):
+    # {the state named "x,y"} and {x, y} printed alike, as {x,y}
+    path = dkm_file(tmp_path, ["x,y", "x", "y"], {"x,y": ["p"], "x": ["q"], "y": ["q"]},
+                    ["p", "q"])
+    assert invoke(capsys, "closure", path) == (0, '{"x,y"}\n{x,y}\n', "")
+    assert invoke(capsys, "trace-eval", path, "-f", "p") == (0, '"x,y"\n', "")
+    assert invoke(capsys, "trace-eval", path, "-f", "q") == (0, "x y\n", "")
+
+
+def test_closure_tells_a_state_named_empty_from_the_empty_set(capsys, tmp_path):
+    # the only definable set, {the state named ""}, printed as {}
+    path = dkm_file(tmp_path, [""], {"": ["p"]}, ["p"])
+    assert invoke(capsys, "closure", path) == (0, '{""}\n', "")
+    assert invoke(capsys, "trace-eval", path, "-f", "p") == (0, '""\n', "")
+
+
+def test_listed_names_that_could_be_misread_print_as_json_strings(capsys, tmp_path):
+    path = dkm_file(tmp_path, ["s", "t u"], {"s": ["-", "p q", "r"], "t u": []},
+                    ["-", "p q", "r"])
+    assert invoke(capsys, "run", path, "-w", "") == (0, '"-" "p q" r\n', "")
+    path = dkm_file(tmp_path, ["t u", "s"], {"s": ["r"]}, ["r"])
+    assert invoke(capsys, "run", path, "-w", "a") == (0, "-\n", "")
+    assert invoke(capsys, "trace-eval", path, "-f", "<a>r") == (0, "s\n", "")
+    closure = dkm_file(tmp_path, ["t u", "{v}", 'w"'], {"t u": ["r"], "{v}": ["r"], 'w"': ["r"]},
+                       ["r"])
+    assert invoke(capsys, "closure", closure) == (0, '{"t u","{v}","w\\""}\n', "")
+
+
 def test_stats(capsys, data_dir):
     rc, out, _ = invoke(capsys, "stats", str(data_dir / "ends_with_a.json"))
     assert rc == 0 and "states=3" in out and "reachable=3" in out

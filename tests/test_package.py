@@ -12,7 +12,7 @@ import dualmin
 # every name the package exports
 EXPORTED = {
     "AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
-    "minimal_dfa_for_afa", "reachable_reverse_dfa", "reverse_dfa",
+    "minimal_dfa_for_afa", "reverse_dfa",
     "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact", "iso_check",
     "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
     "brzozowski_minimise", "dual_automaton", "dual_state_sets",

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from dualmin import (BOOL, INT, RATIONAL, TROPICAL, Matrix, Nfa, SemiringError,
-                     WeightedAutomaton, bool_wa_to_nfa, dual_wa, eval_series,
+                     WeightedAutomaton, bool_wa_to_nfa, dual_wa, equiv_wa, eval_series,
                      hankel_rank_oracle, mat_vec, minimise_wa, reach_restrict, vec_mat)
 from dualmin.io import parse
 from dualmin.sampling import random_wa
 
-from oracles import (gauss_rank, hankel_basis_by_block, hankel_basis_by_pairs,
-                     nfa_accepts_paths, random_nfa, series_by_entries, wa_eval_paths, words)
+from oracles import (equiv_by_difference, gauss_rank, hankel_basis_by_block,
+                     hankel_basis_by_pairs, nfa_accepts_paths, random_nfa, series_by_entries,
+                     wa_eval_paths, words)
 
 
 def nfa_to_bool_wa(n: Nfa) -> WeightedAutomaton:
@@ -318,3 +319,71 @@ def test_restrictions_keep_the_series_of_dense_automata():
                     assert eval_series(result, word) == value
                     if result.n <= 3:
                         assert wa_eval_paths(result, word) == value
+
+
+def _renumbered(rng, w: WeightedAutomaton, pad: int) -> WeightedAutomaton:
+    """w with its states shuffled among `pad` more: the new states start at
+    weight 0 and no old state leads to them, so whatever their own weights
+    out and their final weights, the series is w's."""
+    sr, n = w.semiring, w.n + pad
+    to = list(range(n))
+    rng.shuffle(to)
+    old = {to[x]: x for x in range(w.n)}
+
+    def entry(y, x, m):
+        if x not in old:
+            return sr.coerce(rng.randint(-2, 2))
+        return m.entries[old[y]][old[x]] if y in old else sr.zero()
+
+    mats = {a: Matrix(sr, n, n, tuple(tuple(entry(y, x, m) for x in range(n)) for y in range(n)))
+            for a, m in w.mats.items()}
+    init = tuple(w.init[old[x]] if x in old else sr.zero() for x in range(n))
+    final = tuple(w.final[old[x]] if x in old else sr.coerce(rng.randint(-2, 2))
+                  for x in range(n))
+    return WeightedAutomaton(n, w.alphabet, sr, mats, init, final)
+
+
+def _one_entry_changed(rng, w: WeightedAutomaton) -> WeightedAutomaton:
+    """w with one transition, initial or final weight moved by 1 or -1."""
+    sr, n = w.semiring, w.n
+    d = sr.coerce(rng.choice((-1, 1)))
+    mats, init, final = dict(w.mats), list(w.init), list(w.final)
+    where = rng.randrange(len(w.alphabet) + 2)
+    i = rng.randrange(n)
+    if where == 0:
+        init[i] += d
+    elif where == 1:
+        final[i] += d
+    else:
+        a, j = w.alphabet[where - 2], rng.randrange(n)
+        rows = [list(row) for row in mats[a].entries]
+        rows[i][j] += d
+        mats[a] = Matrix(sr, n, n, tuple(map(tuple, rows)))
+    return WeightedAutomaton(n, w.alphabet, sr, mats, tuple(init), tuple(final))
+
+
+def test_equiv_matches_the_difference_automaton():
+    # renumbered and padded copies of w and of its minimal form (equivalent),
+    # such copies with one weight changed, and independent draws
+    rng = random.Random("equiv-by-pairs")
+    verdicts = {True: 0, False: 0}
+    for i in range(320):
+        sr = (INT, RATIONAL)[i % 2]
+        w = random_wa(rng, sr, max_n=4, max_letters=2)
+        kind = i // 2 % 4
+        if kind == 3:
+            other = random_wa(rng, sr, max_n=4, max_letters=2)
+            while other.alphabet != w.alphabet:
+                other = random_wa(rng, sr, max_n=4, max_letters=2)
+        else:
+            source = minimise_wa(w).automaton if kind == 1 else w
+            other = _renumbered(rng, source, rng.randint(0, 2))
+            if kind == 2:
+                other = _one_entry_changed(rng, other)
+        verdict = equiv_wa(w, other)
+        assert verdict == equiv_by_difference(w, other) == equiv_by_difference(other, w)
+        assert verdict == equiv_wa(other, w)
+        if kind < 2:
+            assert verdict
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 100, verdicts
