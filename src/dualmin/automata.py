@@ -5,9 +5,10 @@ subset construction, partition refinement, isomorphism and exact equivalence.
 Three kernels serve every construction in the package: `explore` builds the
 state space reachable under a step function (dual predicates, subsets,
 definable sets, reachable states) behind one state bound; `stable_partition`
-with `quotient_rows` refine and quotient any deterministic transition
-structure whose states carry keys (Moore outputs, or the observation sets of
-a Kripke model); `pair_walk` decides exact equivalence on the reachable pairs
+(Hopcroft's algorithm, O(kn log n) for n states and k letters) with
+`quotient_rows` refine and quotient any deterministic transition structure
+whose states carry keys (Moore outputs, or the observation sets of a Kripke
+model); `pair_walk` decides exact equivalence on the reachable pairs
 of two lazy (start, key, step) triples.  NFA and AFA subsets are bitmasks,
 and `subset_dfa` is the one subset construction: it builds the DFA of such a
 triple, for NFA determinisation and for AFA reversal alike.
@@ -22,7 +23,8 @@ isomorphic exactly when their reachable canonical forms compare equal.
 
 from __future__ import annotations
 
-from itertools import compress
+from collections import Counter
+from itertools import accumulate, compress
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DEFAULT_MAX_STATES, NonCongruenceError, Record, StateGuardError
@@ -320,19 +322,66 @@ def reach(m: MooreAutomaton) -> MooreAutomaton:
 def stable_partition(keys: Sequence[Hashable], trans: Mapping[str, Sequence[int]],
                      alphabet: Sequence[str]) -> Partition:
     """Coarsest partition that separates different keys and is stable under
-    every letter's successor map (round-based Moore refinement).
+    every letter's successor map, by Hopcroft's algorithm in O(kn log n)
+    (Hopcroft 1971, with the flat arrays of Valmari and Lehtinen 2008).
 
-    Blocks start from equal keys and split on the blocks of the successors
-    until a round splits nothing.
+    Blocks start from equal keys, and every block but the largest is a
+    splitter.  A splitter B splits each block into the states whose
+    a-successor lies in B and the rest, letter by letter.  The smaller part
+    takes a new id and becomes a splitter; the larger keeps the old id, so it
+    is still a splitter exactly when the old block was one.  Blocks are
+    numbered by their first state, as Partition.from_signatures numbers them.
     """
-    rows = [trans[a] for a in alphabet]
-    part = Partition.from_signatures(keys)
-    while True:
-        b = part.block_of
-        refined = Partition.from_signatures(zip(b, *(map(b.__getitem__, row) for row in rows)))
-        if refined.n_blocks == part.n_blocks:
-            return part
-        part = refined
+    n = len(keys)
+    ids: dict = {}
+    block_of = [ids.setdefault(key, len(ids)) for key in keys]
+    # block b holds elems[first[b]:end[b]], and loc[s] is the index of s in
+    # elems; the states a splitter reaches gather at the front, up to mid[b]
+    elems = sorted(range(n), key=block_of.__getitem__)
+    loc = sorted(range(n), key=elems.__getitem__)  # the inverse permutation
+    end = list(accumulate(Counter(block_of).values()))
+    first = [0] + end[:-1]
+    mid = first[:]
+    preimages = []
+    for a in alphabet:
+        pre: list[list[int]] = [[] for _ in range(n)]
+        for s, t in enumerate(trans[a]):
+            pre[t].append(s)
+        preimages.append(pre)
+    todo = sorted(range(len(end)), key=lambda b: end[b] - first[b])[:-1]
+    while todo:
+        b = todo.pop()
+        for pre in preimages:
+            touched = []
+            for t in elems[first[b]:end[b]]:
+                for s in pre[t]:  # move s to the front of its block
+                    c = block_of[s]
+                    j = mid[c]
+                    if j == first[c]:
+                        touched.append(c)
+                    mid[c] = j + 1
+                    i, u = loc[s], elems[j]
+                    elems[i], loc[u] = u, i
+                    elems[j], loc[s] = s, j
+            for c in touched:
+                lo, j, hi = first[c], mid[c], end[c]
+                mid[c] = lo
+                if j == hi:
+                    continue
+                if j - lo <= hi - j:
+                    first.append(lo)
+                    end.append(j)
+                    first[c] = mid[c] = j
+                else:
+                    first.append(j)
+                    end.append(hi)
+                    end[c] = j
+                new = len(mid)
+                mid.append(first[new])
+                for s in elems[first[new]:end[new]]:
+                    block_of[s] = new
+                todo.append(new)
+    return Partition.from_signatures(block_of)
 
 
 def quotient_rows(part: Partition, keys: Sequence, trans: Mapping[str, Sequence[int]],

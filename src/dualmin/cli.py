@@ -268,15 +268,47 @@ def _at_least(low: int):
     return check
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each verb: (its function, its help, its file positionals, whether it takes
+# --max-states and --semiring, and its own flags as add_argument arguments)
+_VERBS = {
+    "run": (_cmd_run, "evaluate a word", ("file",), False, True, [
+        (("-w", "--word"), dict(required=True, help="letters concatenated, or "
+                                "comma-separated for multi-char letters"))]),
+    "reverse": (_cmd_reverse, "reverse the automaton", ("file",), True, True, []),
+    "determinize": (_cmd_determinize, "subset construction", ("file",), True, True, []),
+    "reach": (_cmd_reach, "reachable part / reachable submodule", ("file",), False, True, []),
+    "dual": (_cmd_reverse, "dual automaton", ("file",), True, True, []),
+    "minimize": (_cmd_minimize, "minimise the automaton", ("file",), True, True, [
+        (("--method",), dict(choices=("brzozowski", "refine", "duality"),
+                             default="brzozowski"))]),
+    "equiv": (_cmd_equiv, "compare two automata", ("file1", "file2"), True, True, [
+        (("--max-len",), dict(type=_at_least(0), default=6,
+                              help="word-length bound for tropical weighted comparison"))]),
+    "trace-eval": (_cmd_trace_eval, "evaluate a trace formula on a dkm", ("file",), False,
+                   False, [(("-f", "--formula"), dict(required=True,
+                                                     help="formula like '<a><b>p'"))]),
+    "closure": (_cmd_closure, "trace-definable subsets of a dkm", ("file",), True, False, []),
+    "hankel": (_cmd_hankel, "rank of the truncated Hankel block", ("file",), False, True, [
+        (("-L", "--length"), dict(type=_at_least(0), required=True))]),
+    "stats": (_cmd_stats, "one-line summary of a file", ("file",), False, True, []),
+    "selftest": (_cmd_selftest, "run the differential property suites", (), False, False, [
+        (("--seed",), dict(type=int, default=0)),
+        (("--cases",), dict(type=_at_least(1), default=50))]),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or only of `verb` when it names one: a call
+    parses one verb, and the usage line still lists them all."""
     top = argparse.ArgumentParser(prog="dualmin",
                                   description="duality-based automata minimisation toolkit")
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, files=("file",), bound=False, semiring=False, **kwargs):
-        """A verb's parser, given its file positionals and only the shared
-        flags the verb reads."""
-        p = sub.add_parser(name, **kwargs)
+    one = verb in _VERBS
+    sub = top.add_subparsers(dest="verb", required=True,
+                             metavar="{" + ",".join(_VERBS) + "}" if one else None)
+    for name, (fn, hlp, files, bound, semiring, flags) in _VERBS.items():
+        if one and name != verb:
+            continue
+        p = sub.add_parser(name, help=hlp)
         p.set_defaults(fn=fn, files=files, max_states=None, semiring=None, bounded=bound)
         for dest in files:
             p.add_argument(dest)
@@ -286,46 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
         if semiring:
             p.add_argument("--semiring", default=None,
                            help="override the semiring of a weighted file")
-        return p
-
-    p = add("run", _cmd_run, semiring=True, help="evaluate a word")
-    p.add_argument("-w", "--word", required=True,
-                   help="letters concatenated, or comma-separated for multi-char letters")
-
-    for name, fn, hlp in (("reverse", _cmd_reverse, "reverse the automaton"),
-                          ("determinize", _cmd_determinize, "subset construction"),
-                          ("reach", _cmd_reach, "reachable part / reachable submodule"),
-                          ("dual", _cmd_reverse, "dual automaton")):
-        add(name, fn, bound=name != "reach", semiring=True, help=hlp)
-
-    p = add("minimize", _cmd_minimize, bound=True, semiring=True, help="minimise the automaton")
-    p.add_argument("--method", choices=("brzozowski", "refine", "duality"),
-                   default="brzozowski")
-
-    p = add("equiv", _cmd_equiv, files=("file1", "file2"), bound=True, semiring=True,
-            help="compare two automata")
-    p.add_argument("--max-len", type=_at_least(0), default=6,
-                   help="word-length bound for tropical weighted comparison")
-
-    p = add("trace-eval", _cmd_trace_eval, help="evaluate a trace formula on a dkm")
-    p.add_argument("-f", "--formula", required=True, help="formula like '<a><b>p'")
-
-    add("closure", _cmd_closure, bound=True, help="trace-definable subsets of a dkm")
-
-    p = add("hankel", _cmd_hankel, semiring=True, help="rank of the truncated Hankel block")
-    p.add_argument("-L", "--length", type=_at_least(0), required=True)
-
-    add("stats", _cmd_stats, semiring=True, help="one-line summary of a file")
-
-    p = add("selftest", _cmd_selftest, files=(), help="run the differential property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_at_least(1), default=50)
-
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -352,9 +353,12 @@ def main(argv=None) -> int:
     except StateGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return GUARD_EXIT
-    except MemoryError:  # advice only where the verb takes the bound
+    except (MemoryError, SystemError) as exc:
+        # near an address-space cap CPython may raise SystemError instead;
+        # advice only where the verb takes the bound
+        what = f" ({exc!r})" if isinstance(exc, SystemError) else ""
         advice = "; lower --max-states" if args.bounded else ""
-        print(f"error: out of memory{advice}", file=sys.stderr)
+        print(f"error: out of memory{what}{advice}", file=sys.stderr)
         return GUARD_EXIT
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,13 +9,15 @@ AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the names of subset states by joining the sorted
 members of sets, the definable closure of a Kripke model by frozenset
-preimages, and emitted text by json.dumps.  Six oracles keep a
-library route as an explicit second copy: the Kripke quotient by the atoms of
-the definable closure as a set family, the Hankel block one word pair at a
+preimages, coarsest stable partitions by refinement in rounds (the library
+runs Hopcroft's algorithm), and emitted text by json.dumps.  Six oracles keep
+a library route as an explicit second copy: the Kripke quotient by the atoms
+of the definable closure as a set family, the Hankel block one word pair at a
 time, Moore equivalence by a hand-written breadth-first walk over the
-product, Kripke equivalence by refining the disjoint union of two models,
-the subset construction on frozensets instead of bitmasks, and weighted
-equivalence through the reachable submodule of the difference automaton.
+product, Kripke equivalence by refining the disjoint union of two models in
+rounds, the subset construction on frozensets instead of bitmasks, and
+weighted equivalence through the reachable submodule of the difference
+automaton.
 
 The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
@@ -35,7 +37,7 @@ from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix
                      Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
                      mat_vec, quotient_dkm, reach_restrict, vec_mat)
 from dualmin.alternating import _ones, _variable, reversed_subsets
-from dualmin.automata import DFA_OUTPUTS, _mask, stable_partition, subset_dfa
+from dualmin.automata import DFA_OUTPUTS, Partition, _mask, subset_dfa
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
@@ -458,13 +460,28 @@ def equiv_by_difference(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     return all(x == zero for x in reach_restrict(diff).automaton.final)
 
 
+def stable_partition_rounds(keys, trans, alphabet) -> Partition:
+    """The coarsest partition that separates different keys and is stable
+    under every letter's successor map, refined in rounds: blocks start from
+    equal keys, and each round splits them on the blocks of the successors,
+    until a round splits nothing.  A chain needs one round per state."""
+    rows = [trans[a] for a in alphabet]
+    part = Partition.from_signatures(keys)
+    while True:
+        b = part.block_of
+        refined = Partition.from_signatures(zip(b, *(map(b.__getitem__, row) for row in rows)))
+        if refined.n_blocks == part.n_blocks:
+            return part
+        part = refined
+
+
 def dkm_equiv_by_union(k1, k2) -> bool:
     """Two Kripke models' initial states are bisimilar iff they share a block
     of the coarsest stable partition of the disjoint union of the models
-    (the second model's states shifted by k1.n)."""
+    (the second model's states shifted by k1.n), refined in rounds."""
     gamma = k1.gamma + k2.gamma
     delta = {a: tuple(k1.delta[a]) + tuple(t + k1.n for t in k2.delta[a]) for a in k1.alphabet}
-    block_of = stable_partition(gamma, delta, k1.alphabet).block_of
+    block_of = stable_partition_rounds(gamma, delta, k1.alphabet).block_of
     return block_of[k1.init] == block_of[k1.n + k2.init]
 
 

@@ -5,14 +5,15 @@ import pytest
 from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, dual_automaton,
                      equiv_exact, iso_check, partition_refinement_minimise, reach, reverse,
                      reverse_dfa, run)
-from dualmin.automata import (bounded_words, by_rows, explore, mask_row, pair_walk, state_labels,
-                              subset_names, subsets)
+from dualmin.automata import (bounded_words, by_rows, explore, mask_row, pair_walk,
+                              stable_partition, state_labels, subset_names, subsets)
 from dualmin.errors import DEFAULT_MAX_STATES
-from dualmin.sampling import random_afa, random_dfa, random_moore
+from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore
 
 from oracles import (determinise_by_sets, dual_by_tuples, ends_with_a_dfa, equiv_by_bfs, holds,
                      names_by_sets, nfa_accepts_paths, random_nfa, reachable_reverse_dfa,
-                     replace, run_by_hand, smallest_equivalent_dfa, words)
+                     replace, run_by_hand, smallest_equivalent_dfa, stable_partition_rounds,
+                     words)
 
 
 def test_run_examples():
@@ -220,6 +221,70 @@ def test_refinement_is_minimal_exhaustively():
     for _ in range(40):
         m = random_dfa(rng, max_n=3, max_letters=2)
         assert partition_refinement_minimise(m).n == smallest_equivalent_dfa(m)
+
+
+def _permuted(rng, keys, rows):
+    """The same keyed structure with its states renumbered at random: state i
+    is the old state old[i]."""
+    old = list(range(len(keys)))
+    rng.shuffle(old)
+    new = {s: i for i, s in enumerate(old)}
+    return (tuple(keys[s] for s in old),
+            {a: tuple(new[row[s]] for s in old) for a, row in rows.items()})
+
+
+def _chain(n, b_resets=True):
+    """a steps right, b resets to the start (or stays put); only the last
+    state differs.  All n states are distinguishable, and refinement in
+    rounds splits one block per round."""
+    return (tuple(int(i == n - 1) for i in range(n)),
+            {"a": tuple(min(i + 1, n - 1) for i in range(n)),
+             "b": tuple(0 if b_resets else i for i in range(n))})
+
+
+def _kth_from_end(k, parity=False):
+    """The last k letters read (and, with `parity`, whether the length read is
+    odd, which the key ignores); the key is whether the k-th letter from
+    the end was an a."""
+    mask = (1 << k) - 1
+    states = [(w, p) for p in range(1 + parity) for w in range(1 << k)]
+    index = {s: i for i, s in enumerate(states)}
+    rows = {a: tuple(index[((w << 1 | (a == "a")) & mask, (p + 1) % (1 + parity))]
+                     for w, p in states) for a in "ab"}
+    return tuple(w >> (k - 1) & 1 for w, _ in states), rows
+
+
+def test_hopcroft_matches_refinement_in_rounds():
+    """stable_partition against the round-based oracle, partition by
+    partition: random keyed structures with 1-3 letters, 1-4 keys and every
+    n from 0 to 40 (half of them with successors in a few states, so that
+    blocks merge), random Kripke models, chains and k-th-from-end DFAs."""
+    rng = random.Random(20)
+    cases = []
+    for i in range(369):
+        n = i % 41
+        alphabet = "abc"[:rng.randint(1, 3)]
+        n_keys = rng.randint(1, 4)
+        targets = n if i % 2 else min(n, rng.randint(1, 4))
+        cases.append((tuple(rng.randrange(n_keys) for _ in range(n)),
+                      {a: tuple(rng.randrange(targets) for _ in range(n)) for a in alphabet},
+                      alphabet))
+    for _ in range(100):
+        k = random_dkm(rng, max_n=12, max_letters=3, max_obs=3)
+        cases.append((k.gamma, k.delta, k.alphabet))
+    for n in (1, 2, 3, 40, 200):
+        for b_resets in (True, False):
+            cases.append((*_permuted(rng, *_chain(n, b_resets)), "ab"))
+    for k in range(1, 7):
+        for parity in (False, True):
+            cases.append((*_permuted(rng, *_kth_from_end(k, parity)), "ab"))
+    blocks = set()
+    for keys, rows, alphabet in cases:
+        part = stable_partition(keys, rows, alphabet)
+        assert part == stable_partition_rounds(keys, rows, alphabet), (keys, rows)
+        blocks.add((len(keys), part.n_blocks))
+    assert (0, 0) in blocks and (1, 1) in blocks and (200, 200) in blocks
+    assert (64, 32) in blocks  # the parity twins of the 5th-from-end DFA merge
 
 
 def test_iso_check_basics():

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from dualmin import MooreAutomaton, emit, io, iso_check, parse, reverse, selftest
-from dualmin.cli import main, parse_trace_formula
+from dualmin.cli import build_parser, main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES, resolve_max_states
 
 
@@ -639,6 +639,33 @@ def test_out_of_memory_advises_the_bound_only_where_a_verb_takes_it(monkeypatch,
     rc, out, err = invoke(capsys, *_argv(data_dir, argv))
     advice = "" if argv[0] in IGNORES_MAX_STATES else "; lower --max-states"
     assert (rc, out, err) == (3, "", f"error: out of memory{advice}\n")
+
+
+def test_a_named_verb_builds_only_its_own_parser(capsys):
+    full = build_parser()
+    for verb, *_ in VERBS:
+        one = build_parser(verb)
+        assert one.format_usage() == full.format_usage()  # every verb is listed
+        other = "stats" if verb != "stats" else "run"
+        with pytest.raises(SystemExit):
+            one.parse_args([other, "file.json"])
+        assert "invalid choice" in capsys.readouterr().err
+    assert build_parser("no-such-verb").format_help() == full.format_help()
+
+
+@pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+def test_system_error_is_out_of_memory_on_every_verb(monkeypatch, capsys, data_dir, argv):
+    """Near an address-space cap CPython may raise SystemError where it ran out
+    of memory: the same one line, quoting the SystemError, and exit 3."""
+    def exhausted(*args):
+        raise SystemError("Objects/listobject.c:62: bad argument to internal function")
+
+    monkeypatch.setattr(io, "parse", exhausted)
+    monkeypatch.setattr(selftest, "run_selftest", exhausted)
+    rc, out, err = invoke(capsys, *_argv(data_dir, argv))
+    advice = "" if argv[0] in IGNORES_MAX_STATES else "; lower --max-states"
+    assert (rc, out, err) == (3, "", "error: out of memory (SystemError('Objects/listobject.c:"
+                                     f"62: bad argument to internal function')){advice}\n")
 
 
 def test_reverse_nfa_file(capsys, data_dir):
