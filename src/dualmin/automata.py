@@ -422,8 +422,9 @@ def quotient_moore(m: MooreAutomaton, part: Partition) -> MooreAutomaton:
 def partition_refinement_minimise(m: MooreAutomaton) -> MooreAutomaton:
     """Moore-style partition refinement on the reachable part; the quotient
     is the canonical minimal automaton."""
+    # no outer reach: m is BFS-numbered and blocks by least state, so the quotient is too
     m = reach(m)
-    return reach(quotient_moore(m, stable_partition(m.out, m.trans, m.alphabet)))
+    return quotient_moore(m, stable_partition(m.out, m.trans, m.alphabet))
 
 
 def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:

@@ -16,9 +16,10 @@ names would be n labels in each of n members of each of n states.
 the dual, from one 0/1 predicate per observation the definable closure of a
 Kripke model (dkm.py).  Only reachable predicates are stored, each once,
 behind the configurable state bound that guards the |B|^n worst case.
-`predicate_atoms` reads the atoms of such a closure off its predicates: the
-bisimulation quotient of a Kripke model, and `duality_minimise` for a Moore
-automaton read as a model with one observation per output.
+Minimisation by the atoms of that closure needs no predicates at all: the
+atoms are the coarsest stable partition of the outputs or observations, so
+`automata.partition_refinement_minimise` is the duality route for a Moore
+automaton, and `dkm.minimise_dkm` for a Kripke model.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import itemgetter
 
-from .automata import MooreAutomaton, Partition, explore, quotient_moore, reach, subset_names
+from .automata import MooreAutomaton, explore, subset_names
 from .errors import DEFAULT_MAX_STATES
 
 
@@ -42,15 +43,6 @@ def explore_predicates(starts, trans, alphabet, max_states=DEFAULT_MAX_STATES,
             for a, ts in trans.items()}
     return explore(map(pack, starts), lambda phi, a: pack(gets[a](phi)),
                    alphabet, max_states, what)
-
-
-def predicate_atoms(starts, trans, alphabet, max_states=DEFAULT_MAX_STATES) -> Partition:
-    """The states partitioned by their columns in the predicates explored from
-    the 0/1 predicates `starts`: the atoms of the Boolean algebra the closure
-    generates, blocks numbered by least state (one block without starts)."""
-    order = explore_predicates(starts, trans, alphabet, max_states, "definable closure")[0]
-    n = len(trans[alphabet[0]])
-    return Partition.from_signatures(zip(*order) if order else [()] * n)
 
 
 def dual_automaton(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES,
@@ -82,18 +74,6 @@ def brzozowski_minimise(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES)
     return dual_automaton(dual_automaton(m, max_states, named=False), max_states)
 
 
-def duality_minimise(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
-    """The reachable part quotiented by the atoms of its definable closure.
-
-    The closure starts from one 0/1 predicate per output except the first,
-    whose extension is the complement of the union of the others, so the
-    atoms are those of all the outputs.  The result keeps m's output set.
-    """
-    m = reach(m)
-    starts = [[o == j for o in m.out] for j in range(1, len(m.outputs))]
-    return quotient_moore(m, predicate_atoms(starts, m.trans, m.alphabet, max_states))
-
-
 def dual_state_sets(m: MooreAutomaton,
                     max_states: int = DEFAULT_MAX_STATES) -> frozenset[frozenset[int]]:
     """Dual states of a two-output automaton decoded as subsets of m's states."""
@@ -103,5 +83,4 @@ def dual_state_sets(m: MooreAutomaton,
     return frozenset(frozenset(compress(range(m.n), phi)) for phi in order)
 
 
-__all__ = ["explore_predicates", "predicate_atoms", "dual_automaton", "brzozowski_minimise",
-           "duality_minimise", "dual_state_sets"]
+__all__ = ["explore_predicates", "dual_automaton", "brzozowski_minimise", "dual_state_sets"]

@@ -113,11 +113,8 @@ def _cmd_reach(args, obj):
 def _cmd_minimize(args, obj):
     method, bound = args.method, args.max_states
     if obj.kind == "moore":
-        if method == "refine":
+        if method != "brzozowski":  # the duality atoms are the stable partition
             return automata.partition_refinement_minimise(obj)
-        if method == "duality":
-            from .brzozowski import duality_minimise
-            return duality_minimise(obj, bound)
         from .brzozowski import brzozowski_minimise
         return brzozowski_minimise(obj, bound)
     if obj.kind == "weighted":
@@ -139,10 +136,8 @@ def _cmd_minimize(args, obj):
         from .alternating import minimal_dfa_for_afa
         return minimal_dfa_for_afa(obj, bound)
     if obj.kind == "dkm":
-        from .dkm import bisimulation_oracle, minimise_dkm, quotient_dkm
-        if method == "refine":
-            return quotient_dkm(obj, bisimulation_oracle(obj))
-        return minimise_dkm(obj, bound)
+        from .dkm import minimise_dkm
+        return minimise_dkm(obj)
     raise ValueError("minimize: unsupported file type")
 
 

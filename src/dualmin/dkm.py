@@ -7,10 +7,11 @@ A trace formula is a modality word followed by a single observation,
 preimages of the observation's extension.  A preimage is the dual
 automaton's predicate step, so the closure of all trace-definable subsets is
 the dual pass (`explore_predicates`) from one 0/1 predicate per observation.
-A state's membership signature across the closure is its column in those
-predicates; the signatures partition the states exactly as the coarsest
-bisimulation does, and `minimise_dkm` quotients by them (`predicate_atoms`,
-which also minimises Moore automata by duality).
+The closure can hold exponentially many sets, but it has at most n atoms:
+the coarsest partition that refines the observations and that every
+letter's preimage respects.  `minimise_dkm` therefore quotients by
+`stable_partition`, which is also the coarsest bisimulation, and never lists
+the closure; `definable_closure` lists it, for the `closure` verb.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Mapping
 
 from .automata import (MooreAutomaton, Partition, _check_successors, quotient_rows,
                        stable_partition)
-from .brzozowski import explore_predicates, predicate_atoms
+from .brzozowski import explore_predicates
 from .errors import DEFAULT_MAX_STATES, Record
 
 DFA_OBS = "p"  # the one observation of a DFA read as a model: "accepting"
@@ -75,16 +76,12 @@ def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:
     return current
 
 
-def _observations(k: Dkm) -> list[list[bool]]:
-    """One 0/1 predicate per observation: the states where it holds."""
-    return [[w in g for g in k.gamma] for w in k.obs]
-
-
 def definable_closure(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> frozenset[frozenset[int]]:
     """Least family containing every observation extension and closed under
-    transition preimages; equals the set of all trace-formula extensions."""
-    order = explore_predicates(_observations(k), k.delta, k.alphabet, max_states,
-                               "definable closure")[0]
+    transition preimages; equals the set of all trace-formula extensions.
+    It starts from one 0/1 predicate per observation: the states where it holds."""
+    starts = [[w in g for g in k.gamma] for w in k.obs]
+    order = explore_predicates(starts, k.delta, k.alphabet, max_states, "definable closure")[0]
     return frozenset(frozenset(compress(range(k.n), phi)) for phi in order)
 
 
@@ -109,14 +106,15 @@ def quotient_dkm(k: Dkm, part: Partition) -> Dkm:
     return Dkm(part.n_blocks, k.alphabet, k.obs, gamma, delta, init)
 
 
-def minimise_dkm(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> Dkm:
-    """Bisimulation quotient via duality: atoms of the definable closure, read
-    as the states' columns in its predicates (one block without observations)."""
-    return quotient_dkm(k, predicate_atoms(_observations(k), k.delta, k.alphabet, max_states))
+def minimise_dkm(k: Dkm) -> Dkm:
+    """Bisimulation quotient via duality: the atoms of the definable closure,
+    found by refinement without listing the closure."""
+    return quotient_dkm(k, bisimulation_oracle(k))
 
 
 def bisimulation_oracle(k: Dkm) -> Partition:
     """Coarsest partition refining the observation partition and stable under
-    every transition (partition refinement; an oracle independent of the
-    closure route of minimise_dkm)."""
+    every transition, i.e. the atoms of the definable closure.  It is the
+    route of minimise_dkm, not an oracle independent of it; the name stays
+    because bench/tracing.py wraps it by name."""
     return stable_partition(k.gamma, k.delta, k.alphabet)

@@ -10,10 +10,11 @@ interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the names of subset states by joining the sorted
 members of sets, the definable closure of a Kripke model by frozenset
 preimages, coarsest stable partitions by refinement in rounds (the library
-runs Hopcroft's algorithm), and emitted text by json.dumps.  Six oracles keep
-a library route as an explicit second copy: the Kripke quotient by the atoms
-of the definable closure as a set family, the Hankel block one word pair at a
-time, Moore equivalence by a hand-written breadth-first walk over the
+runs Hopcroft's algorithm), and emitted text by json.dumps.  Seven oracles
+keep a library route as an explicit second copy: the Kripke quotient by the
+atoms of the definable closure as a set family, the Moore quotient by the same
+atoms of the model with one observation per output, the Hankel block one word
+pair at a time, Moore equivalence by a hand-written breadth-first walk over the
 product, Kripke equivalence by refining the disjoint union of two models in
 rounds, the subset construction on frozensets instead of bitmasks, and
 weighted equivalence through the reachable submodule of the difference
@@ -33,11 +34,11 @@ from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
 
-from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, FieldBasis, Matrix, MooreAutomaton,
-                     Nfa, Semiring, WeightedAutomaton, boolean_atoms, definable_closure,
-                     mat_vec, quotient_dkm, reach_restrict, vec_mat)
+from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, Dkm, FieldBasis, Matrix,
+                     MooreAutomaton, Nfa, Semiring, WeightedAutomaton, boolean_atoms,
+                     definable_closure, mat_vec, quotient_dkm, reach, reach_restrict, vec_mat)
 from dualmin.alternating import _ones, _variable, reversed_subsets
-from dualmin.automata import DFA_OUTPUTS, Partition, _mask, subset_dfa
+from dualmin.automata import DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
@@ -360,6 +361,16 @@ def minimise_dkm_by_atoms(k):
     """The Kripke quotient by the Boolean atoms of the definable closure,
     through the closure decoded as a family of frozensets."""
     return quotient_dkm(k, boolean_atoms(definable_closure(k), k.n))
+
+
+def duality_minimise_by_atoms(m):
+    """The reachable part of a Moore automaton quotiented by the Boolean atoms
+    of its definable closure, read as a Kripke model with one observation per
+    output: the duality route that lists the whole closure."""
+    m = reach(m)
+    obs = tuple(map(str, range(len(m.outputs))))
+    k = Dkm(m.n, m.alphabet, obs, tuple(frozenset({obs[o]}) for o in m.out), dict(m.trans))
+    return quotient_moore(m, boolean_atoms(definable_closure(k), m.n))
 
 
 def hankel_basis_by_pairs(w: WeightedAutomaton, max_len: int) -> FieldBasis:
