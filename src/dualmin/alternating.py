@@ -2,80 +2,60 @@
 powerset of states, and language-level minimisation through the dual pipeline.
 
 A transition condition delta_a(s) and the acceptance condition iota are
-Boolean functions 2^X -> 2, stored as truth tables of 2^n bits: a subset is
-the bitmask with bit i set for state i, as for NFA subsets in automata.py,
-and bit `mask` of the table says whether that subset satisfies the function.
-The reversed DFA has state set 2^X, starts at the final set, steps a subset
-A to {s | delta_a(s)(A) = 1}, accepts when iota holds, and recognises
-exactly the reverse of the AFA's language.  `reversed_subsets` gives it as a
-lazy triple, which `equiv` walks without building it and which
+Boolean functions 2^X -> 2 held as functions on bitmasks: a subset is the
+bitmask with bit i set for state i, as for NFA subsets in automata.py, and
+at(mask) is 1 iff that subset satisfies the function.  The reversed DFA has
+state set 2^X, starts at the final set, steps a subset A to
+{s | delta_a(s)(A) = 1}, accepts when iota holds, and recognises exactly the
+reverse of the AFA's language.  `reversed_subsets` gives it as a lazy
+triple, which `equiv` walks without building it and which
 `automata.subset_dfa`, the subset construction that also determinises NFAs,
-builds and names by the one subset-naming rule.
+builds and names by the one subset-naming rule; each stores only the
+reachable subsets or pairs, behind the state bound.
 
 A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
-truth table (`BoolFun.from_table`), or by compiling a formula.
-"""
+truth table (`BoolFun.from_table`), or by compiling a formula.  Only ==,
+hash and `sats` ask it about all 2^n subsets."""
 
 from __future__ import annotations
 
 import ast
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from itertools import compress
-from operator import and_, or_
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping
 
 from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa
 from .brzozowski import dual_automaton
 from .errors import DEFAULT_MAX_STATES, Record, StateGuardError
 
 
-def _ones(n: int) -> int:
-    """The truth table of the constant true over n states."""
-    return (1 << (1 << n)) - 1
-
-
-def _variable(n: int, i: int) -> int:
-    """The truth table of "state i is in the subset": in every run of 2^(i+1)
-    masks, the upper 2^i have bit i set."""
-    half = 1 << i
-    table, width = ((1 << half) - 1) << half, half << 1
-    while width < 1 << n:
-        table |= table << width
-        width <<= 1
-    return table
-
-
 class BoolFun(Record):
-    """A function 2^X -> 2 as a truth table: bit `mask` of `table` is set iff
-    the subset with that bitmask satisfies the function."""
+    """A function 2^X -> 2 on bitmasks: at(mask) is 1 if the subset with that
+    bitmask satisfies the function, else 0.  == and hash read the truth table
+    (bit `mask` is at(mask)), which is built only when they or `sats` ask."""
 
     n: int
-    table: int
+    at: Callable[[int], int]
+    _compared = attrgetter("n", "table")
 
     def __init__(self, n: int, sats: Iterable[Iterable[int]]):
         """The function whose satisfying subsets are `sats`."""
-        table = 0
-        for subset in sats:
-            table |= 1 << _mask(n, subset)
-        self.__dict__.update(n=n, table=table)
+        masks = frozenset(_mask(n, subset) for subset in sats)
+        self.__dict__.update(n=n, at=lambda mask: 1 if mask in masks else 0)
 
     @classmethod
     def from_table(cls, n: int, table: int) -> "BoolFun":
         if table < 0 or table >> (1 << n):
             raise ValueError(f"truth table wider than 2^{n} bits")
         f = cls.__new__(cls)
-        f.__dict__.update(n=n, table=table)
+        f.__dict__.update(n=n, at=lambda mask: table >> mask & 1, table=table)
         return f
 
     @cached_property
-    def bits(self) -> bytes:
-        """The table as little-endian bytes, built once: bit `mask` is bit
-        mask & 7 of byte mask >> 3, so testing it costs O(1), not O(2^n)."""
-        return self.table.to_bytes(((1 << self.n) + 7) >> 3, "little")
-
-    def at(self, mask: int) -> int:
-        """1 if the subset with bitmask `mask` satisfies the function, else 0."""
-        return self.bits[mask >> 3] >> (mask & 7) & 1
+    def table(self) -> int:
+        """The truth table, from `at` on all 2^n masks."""
+        return int("".join(map(str, map(self.at, reversed(range(1 << self.n))))), 2)
 
     @property
     def sats(self) -> frozenset[frozenset[int]]:
@@ -87,6 +67,7 @@ class BoolFun(Record):
 
 _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not,
                   ast.Name, ast.Constant, ast.Load)
+_AT = {"lineno": 1, "col_offset": 0}  # compile asks each node it is given for a position
 
 
 def _quoted(text: str) -> str:
@@ -99,10 +80,13 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     """Compile an and/or/not formula over state names into a BoolFun.
 
     A state name evaluates to membership of that state in the argument subset;
-    the constants true and false are available.  The syntax tree is evaluated
-    once, on whole truth tables.  A formula nested past the parser's or the
-    interpreter's depth limit is a ValueError too.  Errors quote at most the
-    first 60 characters of the formula.
+    the constants true and false (True and False) are available, and a state
+    named like one of them, or None, shadows it.  The checked syntax tree is
+    rewritten so that state i reads `m >> i & 1`, then compiled once into a
+    function on masks that runs without builtins; no text of the formula is
+    evaluated.  A formula nested past the parser's or the interpreter's depth
+    limit is a ValueError too.  Errors quote at most the first 60 characters
+    of the formula.
     """
     try:
         tree = ast.parse(formula, mode="eval")
@@ -110,36 +94,44 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
         raise ValueError(f"bad formula {_quoted(formula)}: {exc}") from None
     except (RecursionError, MemoryError):  # how ast.parse refuses a deep nesting
         raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply") from None
+    index = {name: i for i, name in enumerate(state_names)}
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"bad formula {_quoted(formula)}: {type(node).__name__} not allowed")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, bool):
+        if isinstance(node, ast.Constant) and not isinstance(node.value, bool) \
+                and not (node.value is None and "None" in index):
             raise ValueError(f"bad formula {_quoted(formula)}: only true/false constants")
-        if isinstance(node, ast.Name) and node.id not in state_names \
+        if isinstance(node, ast.Name) and node.id not in index \
                 and node.id not in ("true", "false"):
             raise ValueError(f"bad formula {_quoted(formula)}: unknown name {_quoted(node.id)}")
-    index = {name: i for i, name in enumerate(state_names)}
-    n = len(state_names)
-    ones = _ones(n)
 
-    def ev(node) -> int:
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
+    def rewrite(node) -> ast.expr:
         if isinstance(node, ast.BoolOp):
-            op = and_ if isinstance(node.op, ast.And) else or_
-            return reduce(op, map(ev, node.values))
-        if isinstance(node, ast.UnaryOp):
-            return ev(node.operand) ^ ones
-        if isinstance(node, ast.Constant):
-            return ones if node.value else 0
-        if node.id in index:  # state names shadow the true/false constants
-            return _variable(n, index[node.id])
-        return ones if node.id == "true" else 0
+            node.values = [rewrite(value) for value in node.values]
+            return node
+        if isinstance(node, ast.UnaryOp):  # not is 1 ^, and not not cancels
+            inner = rewrite(node.operand)
+            if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.BitXor):
+                return inner.right
+            return ast.BinOp(ast.Constant(1, **_AT), ast.BitXor(), inner, **_AT)
+        # the keywords True, False and None parse as constants
+        name = str(node.value) if isinstance(node, ast.Constant) else node.id
+        if name in index:  # state names shadow the constants
+            shifted = ast.BinOp(ast.Name("m", ast.Load(), **_AT), ast.RShift(),
+                                ast.Constant(index[name], **_AT), **_AT)
+            return ast.BinOp(shifted, ast.BitAnd(), ast.Constant(1, **_AT), **_AT)
+        return ast.Constant(1 if name in ("true", "True") else 0, **_AT)
 
     try:
-        return BoolFun.from_table(n, ev(tree))
+        args = ast.arguments(posonlyargs=[], args=[ast.arg("m", **_AT)], kwonlyargs=[],
+                             kw_defaults=[], defaults=[])
+        function = ast.Expression(ast.Lambda(args, rewrite(tree.body), **_AT))
+        at = eval(compile(function, "<formula>", "eval"), {"__builtins__": {}})
     except RecursionError:
         raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply") from None
+    f = BoolFun.__new__(BoolFun)
+    f.__dict__.update(n=len(state_names), at=at)
+    return f
 
 
 class AlternatingAutomaton(Record):
@@ -168,12 +160,7 @@ class AlternatingAutomaton(Record):
 
 def _afa_step(a: AlternatingAutomaton, mask: int, letter: str) -> int:
     """The mask of the states whose condition on `letter` holds on `mask`."""
-    step = 0
-    byte, bit = mask >> 3, mask & 7
-    for s, f in enumerate(a.delta[letter]):
-        if f.bits[byte] >> bit & 1:
-            step |= 1 << s
-    return step
+    return sum(f.at(mask) << s for s, f in enumerate(a.delta[letter]))
 
 
 def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
@@ -188,20 +175,20 @@ def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
     return bool(a.iota.at(mask))
 
 
-def reversed_subsets(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -> tuple:
-    """The reversed DFA as a lazy (start, key, step) triple on bitmasks.
-    Refuses up front when 2^n exceeds the state bound, however few subsets
-    are reachable, so the bound does not depend on the formulas."""
-    if 1 << a.n > max_states:
-        raise StateGuardError(
-            f"the AFA's 2^{a.n} subsets exceed the bound of {max_states}; raise --max-states")
+def reversed_subsets(a: AlternatingAutomaton) -> tuple:
+    """The reversed DFA as a lazy (start, key, step) triple on bitmasks.  The
+    walk that reads it bounds the subsets or pairs it stores."""
     return _mask(a.n, a.finals), a.iota.at, partial(_afa_step, a)
 
 
 def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """The DFA on all of 2^X recognising the reverse of the AFA's language;
-    state i is the subset with bitmask i."""
-    return subset_dfa(a, reversed_subsets(a, max_states), max_states, range(1 << a.n))
+    state i is the subset with bitmask i.  Refuses up front when the 2^n
+    subsets it builds exceed the state bound."""
+    if 1 << a.n > max_states:
+        raise StateGuardError(
+            f"the AFA's 2^{a.n} subsets exceed the bound of {max_states}; raise --max-states")
+    return subset_dfa(a, reversed_subsets(a), max_states, range(1 << a.n))
 
 
 def minimal_dfa_for_afa(a: AlternatingAutomaton,
@@ -213,5 +200,5 @@ def minimal_dfa_for_afa(a: AlternatingAutomaton,
     for L(A).  That part is built unnamed, so the dual names its states by
     reversed-DFA index (`s0+s3`), as the second pass of a double reversal does.
     """
-    return dual_automaton(subset_dfa(a, reversed_subsets(a, max_states), max_states,
+    return dual_automaton(subset_dfa(a, reversed_subsets(a), max_states,
                                      named=False), max_states)

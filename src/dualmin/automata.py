@@ -422,7 +422,8 @@ def quotient_moore(m: MooreAutomaton, part: Partition) -> MooreAutomaton:
 def partition_refinement_minimise(m: MooreAutomaton) -> MooreAutomaton:
     """Moore-style partition refinement on the reachable part; the quotient
     is the canonical minimal automaton."""
-    # no outer reach: m is BFS-numbered and blocks by least state, so the quotient is too
+    # the quotient needs no reach of its own: m is BFS-numbered and the blocks
+    # are numbered in the order of their least states, so the quotient is too
     m = reach(m)
     return quotient_moore(m, stable_partition(m.out, m.trans, m.alphabet))
 

@@ -171,7 +171,7 @@ def _cmd_equiv(args, a, b) -> int:
             first, second = map(automata.subsets, (a, b))
         elif a.kind == "afa":
             from .alternating import reversed_subsets
-            first, second = (reversed_subsets(k, args.max_states) for k in (a, b))
+            first, second = map(reversed_subsets, (a, b))
         else:
             for k, path in ((a, args.file1), (b, args.file2)):
                 if k.init is None:

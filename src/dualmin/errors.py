@@ -59,9 +59,10 @@ class Record:
     and a field's default is its value in the class body.  The constructor
     takes the fields by position or by keyword, then calls __post_init__;
     assigning or deleting an attribute raises AttributeError.  == and hash
-    read every field but those the class names in `_uncompared`, and repr
-    lists every field.  Instances keep a __dict__, so cached_property works.
-    Nothing is generated or exec'd when a class is defined."""
+    read every field but those the class names in `_uncompared`, or what its
+    own `_compared` getter reads, and repr lists every field.  Instances keep
+    a __dict__, so cached_property works.  Nothing is generated or exec'd
+    when a class is defined."""
 
     _fields: tuple[str, ...] = ()
     _uncompared: tuple[str, ...] = ()
@@ -70,7 +71,8 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = fields = cls._fields + tuple(cls.__annotations__)
         cls._defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
-        cls._compared = attrgetter(*(f for f in fields if f not in cls._uncompared))
+        if "_compared" not in vars(cls):
+            cls._compared = attrgetter(*(f for f in fields if f not in cls._uncompared))
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):

@@ -396,6 +396,7 @@ def _emit_weighted(w: WeightedAutomaton) -> dict:
 
 
 def _emit_boolfun(f: BoolFun, names) -> list:
+    """f's satisfying subsets, asked of all 2^n masks (no verb emits an AFA)."""
     return sorted(([names[s] for s in sorted(subset)] for subset in f.sats),
                   key=lambda xs: (len(xs), xs))
 

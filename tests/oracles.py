@@ -10,19 +10,21 @@ interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the names of subset states by joining the sorted
 members of sets, the definable closure of a Kripke model by frozenset
 preimages, coarsest stable partitions by refinement in rounds (the library
-runs Hopcroft's algorithm), and emitted text by json.dumps.  Seven oracles
+runs Hopcroft's algorithm), and emitted text by json.dumps.  Nine oracles
 keep a library route as an explicit second copy: the Kripke quotient by the
 atoms of the definable closure as a set family, the Moore quotient by the same
 atoms of the model with one observation per output, the Hankel block one word
 pair at a time, Moore equivalence by a hand-written breadth-first walk over the
 product, Kripke equivalence by refining the disjoint union of two models in
-rounds, the subset construction on frozensets instead of bitmasks, and
-weighted equivalence through the reachable submodule of the difference
-automaton.
+rounds, the subset construction on frozensets instead of bitmasks, weighted
+equivalence through the reachable submodule of the difference automaton, a
+formula's truth table evaluated on whole tables of 2^n bits, and the reversed
+DFA of an AFA stepped through truth tables (the library evaluates each
+condition on one bitmask).
 
 The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
-functions and their truth-table lookup, the AFA embedding of a DFA, the
+functions and their lookup on one subset, the AFA embedding of a DFA, the
 reachable part of an AFA's reversed DFA, a record's copy with fields
 changed, the DFA-output test, and a random NFA generator.
 """
@@ -31,13 +33,14 @@ import ast
 import json
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations, product
-from operator import mul
+from operator import and_, mul, or_
 
 from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, Dkm, FieldBasis, Matrix,
                      MooreAutomaton, Nfa, Semiring, WeightedAutomaton, boolean_atoms,
                      definable_closure, mat_vec, quotient_dkm, reach, reach_restrict, vec_mat)
-from dualmin.alternating import _ones, _variable, reversed_subsets
+from dualmin.alternating import reversed_subsets
 from dualmin.automata import DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
@@ -135,9 +138,16 @@ def afa_accepts_recursive(a: AlternatingAutomaton, word) -> bool:
     return holds(a.iota, delta_prime(tuple(word), a.finals))
 
 
+def _leaf_name(node) -> str:
+    """The name a leaf of a formula's tree spells: the keywords True, False
+    and None parse as constants, yet read as states of those names."""
+    return str(node.value) if isinstance(node, ast.Constant) else node.id
+
+
 def formula_holds(formula: str, state_names, subset) -> bool:
     """Interpret an and/or/not formula on one subset of state indices; a state
-    name is membership in the subset and shadows the constants true/false."""
+    name is membership in the subset and shadows the constants true/false,
+    True/False and None."""
     index = {name: i for i, name in enumerate(state_names)}
 
     def ev(node) -> bool:
@@ -148,11 +158,57 @@ def formula_holds(formula: str, state_names, subset) -> bool:
             return op(ev(v) for v in node.values)
         if isinstance(node, ast.UnaryOp):
             return not ev(node.operand)
-        if isinstance(node, ast.Constant):
-            return node.value
-        if node.id in index:
-            return index[node.id] in subset
-        return node.id == "true"
+        name = _leaf_name(node)
+        if name in index:
+            return index[name] in subset
+        return name in ("true", "True")
+
+    return ev(ast.parse(formula, mode="eval"))
+
+
+def _ones(n: int) -> int:
+    """The truth table of the constant true over n states."""
+    return (1 << (1 << n)) - 1
+
+
+def _variable(n: int, i: int) -> int:
+    """The truth table of "state i is in the subset": in every run of 2^(i+1)
+    masks, the upper 2^i have bit i set."""
+    half = 1 << i
+    table, width = ((1 << half) - 1) << half, half << 1
+    while width < 1 << n:
+        table |= table << width
+        width <<= 1
+    return table
+
+
+def formula_table_by_tables(formula: str, state_names) -> int:
+    """The truth table of an and/or/not formula, evaluated once on whole
+    tables of 2^n bits: a state name is the table of its bit and shadows the
+    constants as in formula_holds.  A chain of nots is walked in a loop, one
+    complement per not, so that chains past the recursion limit evaluate."""
+    index = {name: i for i, name in enumerate(state_names)}
+    n = len(state_names)
+    ones = _ones(n)
+
+    def ev(node) -> int:
+        if isinstance(node, ast.Expression):
+            return ev(node.body)
+        if isinstance(node, ast.BoolOp):
+            op = and_ if isinstance(node.op, ast.And) else or_
+            return reduce(op, map(ev, node.values))
+        if isinstance(node, ast.UnaryOp):
+            nots = 0
+            while isinstance(node, ast.UnaryOp):
+                node, nots = node.operand, nots + 1
+            table = ev(node)
+            for _ in range(nots):
+                table ^= ones
+            return table
+        name = _leaf_name(node)
+        if name in index:
+            return _variable(n, index[name])
+        return ones if name in ("true", "True") else 0
 
     return ev(ast.parse(formula, mode="eval"))
 
@@ -518,11 +574,23 @@ def reachable_reverse_dfa(a: AlternatingAutomaton,
     subsets; the same states in the same order.  State names are decided on
     the reachable subsets alone, so they survive where only an unreachable
     subset would collide."""
-    return subset_dfa(a, reversed_subsets(a, max_states), max_states)
+    return subset_dfa(a, reversed_subsets(a), max_states)
+
+
+def reverse_dfa_by_tables(n: int, alphabet, tables, iota: int, finals) -> MooreAutomaton:
+    """The reversed DFA on all 2^n subsets of an AFA whose conditions are
+    given as truth tables, tables[a][s] and iota: state `mask` is the subset
+    with that bitmask, and its step on a collects the states whose table has
+    bit `mask` set."""
+    trans = {a: tuple(sum(1 << s for s, table in enumerate(tables[a]) if table >> mask & 1)
+                      for mask in range(1 << n))
+             for a in alphabet}
+    out = tuple(iota >> mask & 1 for mask in range(1 << n))
+    return MooreAutomaton(1 << n, tuple(alphabet), trans, _mask(n, finals), out, DFA_OUTPUTS)
 
 
 def holds(f: BoolFun, subset) -> bool:
-    """Whether the subset satisfies f, looked up in its truth table."""
+    """Whether the subset satisfies f, asked of f on the subset's bitmask."""
     try:
         return bool(f.at(_mask(f.n, subset)))
     except ValueError:  # a subset with an unknown state satisfies nothing

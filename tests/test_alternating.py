@@ -1,17 +1,19 @@
+import json
 import random
 
 import pytest
 
 from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts,
                      compile_formula, determinise, dual_automaton, equiv_exact, iso_check,
-                     minimal_dfa_for_afa, partition_refinement_minimise, reach, reverse,
-                     reverse_dfa, run)
+                     minimal_dfa_for_afa, parse, partition_refinement_minimise, reach,
+                     reverse, reverse_dfa, run)
 from dualmin.alternating import reversed_subsets
 from dualmin.automata import pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
 from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa, formula_holds,
-                     holds, reachable_reverse_dfa, replace, words)
+                     formula_table_by_tables, holds, reachable_reverse_dfa, replace,
+                     reverse_dfa_by_tables, words)
 
 
 def all_subsets(n: int) -> list[frozenset[int]]:
@@ -74,12 +76,13 @@ def test_reverse_dfa_one_state_embedding():
 
 
 def test_reverse_dfa_bound_is_the_powerset_size():
-    a = afa_of_dfa(ends_with_a_dfa())  # 3 states, 8 subsets
+    a = afa_of_dfa(ends_with_a_dfa())  # 3 states, 8 subsets, 3 of them reachable
     assert reverse_dfa(a, max_states=8).n == 8
     with pytest.raises(StateGuardError):
         reverse_dfa(a, max_states=7)
-    with pytest.raises(StateGuardError):
-        minimal_dfa_for_afa(a, max_states=7)
+    # minimisation stores the reachable subsets alone
+    assert reachable_reverse_dfa(a).n == 3
+    assert minimal_dfa_for_afa(a, max_states=7).n == 2
 
 
 def test_reverse_dfa_state_count_is_powerset():
@@ -169,13 +172,13 @@ def test_guard_refuses_large_powersets():
     a = AlternatingAutomaton(n, ("a",), {"a": (empty,) * n}, empty, frozenset())
     with pytest.raises(StateGuardError):
         reverse_dfa(a)
-    with pytest.raises(StateGuardError):
-        minimal_dfa_for_afa(a)
+    minimal = minimal_dfa_for_afa(a)  # the one reachable subset is the empty one
+    assert minimal.n == 1 and minimal.out == (0,)
 
 
 def random_formula(rng, names, depth=3) -> str:
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice(names + ("true", "false"))
+        return rng.choice(names + ("true", "false", "True", "False"))
     if rng.random() < 0.3:
         return f"not {random_formula(rng, names, depth - 1)}"
     op = rng.choice((" and ", " or "))
@@ -199,10 +202,40 @@ def test_truth_tables_match_the_per_subset_interpreter():
             assert (f.table >> mask & 1) == formula_holds(formula, names, subset)
 
 
+def test_compiled_tables_match_the_table_route():
+    """compile_formula's function on masks, tabulated, against the formula
+    evaluated on whole truth tables; states may shadow true, false and the
+    keywords True, False and None."""
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        names = [f"x{i}" for i in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            names[rng.randrange(n)] = rng.choice(("true", "false", "True", "False", "None"))
+        names = tuple(dict.fromkeys(names))  # a shadowing name drawn twice counts once
+        formula = random_formula(rng, names)
+        assert compile_formula(formula, names).table == \
+            formula_table_by_tables(formula, names), (formula, names)
+    # a chain of nots folds to its parity; the rewrite recurses once per not,
+    # so at pytest's stack depth a chain of about 960 is refused
+    for nots in (300, 301, 900, 901):
+        formula = "not " * nots + "(x and not y)"
+        assert compile_formula(formula, ("x", "y")).table == \
+            formula_table_by_tables(formula, ("x", "y"))
+
+
 def test_state_named_true_shadows_the_constant():
     f = compile_formula("true", ("false", "true"))
     assert f.sats == frozenset({frozenset({1}), frozenset({0, 1})})
     assert compile_formula("not false", ("false", "true")) == BoolFun(2, [(), {1}])
+    # the keywords True, False and None parse as constants, yet name states too
+    names = ("x", "True", "None", "False")
+    assert compile_formula("True", names) == BoolFun(4, [s for s in all_subsets(4) if 1 in s])
+    assert compile_formula("None and not False", names) == \
+        BoolFun(4, [s for s in all_subsets(4) if 2 in s and 3 not in s])
+    assert compile_formula("True or False", ("x",)) == always(1, True)
+    with pytest.raises(ValueError, match="only true/false constants"):
+        compile_formula("None", ("x",))
 
 
 def test_boolfun_constructors_agree():
@@ -270,6 +303,56 @@ def test_reversal_and_acceptance_match_the_per_subset_interpreter():
             for c in reversed(w):
                 subset = steps[c][subsets.index(subset)]
             assert afa_accepts(a, w) == accepts[subsets.index(subset)]
+
+
+def test_reverse_dfa_matches_the_truth_table_step():
+    """reverse_dfa, which asks each condition about one mask at a time,
+    against the reversed DFA stepped through truth tables, on AFAs whose
+    conditions mix formulas and lists of satisfying subsets."""
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        names = tuple(f"x{i}" for i in range(n))
+
+        def condition():  # a BoolFun and its truth table, built apart
+            if rng.random() < 0.5:
+                formula = random_formula(rng, names)
+                return compile_formula(formula, names), formula_table_by_tables(formula, names)
+            sats = [frozenset(s for s in range(n) if rng.random() < 0.5)
+                    for _ in range(rng.randint(0, 4))]
+            return BoolFun(n, sats), sum({1 << sum(1 << s for s in subset) for subset in sats})
+
+        rows = {c: [condition() for _ in range(n)] for c in "ab"}
+        iota, iota_table = condition()
+        finals = frozenset(s for s in range(n) if rng.random() < 0.5)
+        a = AlternatingAutomaton(n, ("a", "b"), {c: tuple(f for f, _ in row)
+                                                 for c, row in rows.items()},
+                                 iota, finals, names)
+        tables = {c: [table for _, table in row] for c, row in rows.items()}
+        assert reverse_dfa(a) == reverse_dfa_by_tables(n, "ab", tables, iota_table, finals)
+
+
+def counter_family(n: int, order=None) -> dict:
+    """An n-state AFA file whose reversed DFA reaches few of its 2^n subsets:
+    s_i steps on a to s(i+1) or s(i+2) and on b to s(i+1) and not s0.  `order`
+    lists the states in another order, which renumbers them."""
+    names = [f"s{i}" for i in range(n)]
+    return {"type": "afa", "alphabet": ["a", "b"], "states": order or names,
+            "finals": [names[-1]], "iota": "s0 and not s1",
+            "transitions": {
+                "a": {f"s{i}": f"s{(i + 1) % n} or s{(i + 2) % n}" for i in range(n)},
+                "b": {f"s{i}": f"s{(i + 1) % n} and not s0" for i in range(n)}}}
+
+
+def test_minimize_and_equiv_of_40_states_store_reachable_subsets_only():
+    a = parse(json.dumps(counter_family(40)))
+    b = parse(json.dumps(counter_family(40, [f"s{i}" for i in reversed(range(40))])))
+    with pytest.raises(StateGuardError):
+        reverse_dfa(a)
+    assert minimal_dfa_for_afa(a).n == 711
+    assert pair_walk(reversed_subsets(a), reversed_subsets(b), a.alphabet)
+    with pytest.raises(StateGuardError):
+        pair_walk(reversed_subsets(a), reversed_subsets(b), a.alphabet, max_states=100)
 
 
 def _padded(rng, a: AlternatingAutomaton) -> AlternatingAutomaton:

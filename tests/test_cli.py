@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from dualmin import MooreAutomaton, emit, io, iso_check, parse, reverse, selftest
+from dualmin import MooreAutomaton, emit, io, iso_check, parse, reverse, run, selftest
 from dualmin.cli import build_parser, main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES, resolve_max_states
 
@@ -301,8 +301,27 @@ def test_equiv_afa_is_exact_beyond_max_len(capsys, tmp_path):
     assert rc == 1 and out.strip() == "not equivalent"
     rc, out, _ = invoke(capsys, "equiv", str(paths[0]), str(paths[0]))
     assert rc == 0 and out.strip() == "equivalent"
-    rc, _, err = invoke(capsys, "equiv", *map(str, paths), "--max-states", "64")
-    assert rc == 3 and "max-states" in err
+    # the bound counts the stored pairs of reachable subsets, not the 2^7 subsets
+    rc, out, _ = invoke(capsys, "equiv", *map(str, paths), "--max-states", "64")
+    assert rc == 1 and out.strip() == "not equivalent"
+    rc, _, err = invoke(capsys, "equiv", *map(str, paths), "--max-states", "2")
+    assert rc == 3 and err == "error: the pair walk stores more than 2 pairs; raise --max-states\n"
+
+
+def test_states_named_like_keywords_are_read_as_states(capsys, tmp_path):
+    # "True" is a state here, not the constant: the AFA accepts the odd-length words
+    doc = {"type": "afa", "alphabet": ["a"], "states": ["True", "x"], "finals": ["x"],
+           "iota": "True", "transitions": {"a": {"True": "x", "x": "True"}}}
+    path = tmp_path / "keyword.json"
+    for keyword in ("True", "None"):
+        path.write_text(json.dumps(doc).replace('"True"', f'"{keyword}"'))
+        for length in range(5):
+            rc, out, _ = invoke(capsys, "run", str(path), "-w", "a" * length)
+            assert rc == 0 and out.strip() == ("accept" if length % 2 else "reject")
+        rc, out, _ = invoke(capsys, "minimize", str(path))
+        minimal = parse(out)
+        assert rc == 0 and minimal.n == 2
+        assert [run(minimal, ("a",) * length) for length in range(5)] == [0, 1, 0, 1, 0]
 
 
 def _shift_chain(semiring, weight):

@@ -80,4 +80,4 @@ def test_every_record_is_frozen_compares_by_value_and_caches(cls, kwargs):
     if cls is Matrix:
         assert obj.transpose() is obj.transpose() and obj.transpose().transpose() is obj
     if cls is BoolFun:
-        assert obj.bits is obj.bits == b"\x02"
+        assert obj.table == 0b10
