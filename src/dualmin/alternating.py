@@ -1,5 +1,5 @@
 """Alternating finite automata: direct tree semantics, the reversed DFA on the
-powerset of states, and language-level minimisation through the dual pipeline.
+powerset of states, and language-level minimisation by the dual taken twice.
 
 A transition condition delta_a(s) and the acceptance condition iota are
 Boolean functions 2^X -> 2 held as functions on bitmasks: a subset is the
@@ -8,10 +8,11 @@ at(mask) is 1 iff that subset satisfies the function.  The reversed DFA has
 state set 2^X, starts at the final set, steps a subset A to
 {s | delta_a(s)(A) = 1}, accepts when iota holds, and recognises exactly the
 reverse of the AFA's language.  `reversed_subsets` gives it as a lazy
-triple, which `equiv` walks without building it and which
-`automata.subset_dfa`, the subset construction that also determinises NFAs,
-builds and names by the one subset-naming rule; each stores only the
-reachable subsets or pairs, behind the state bound.
+triple, which `equiv` walks without building it.  Its reachable part, built
+by `automata.subset_dfa` (the subset construction that also determinises
+NFAs) behind the state bound, is the AFA's dual (`brzozowski.dual_automaton`),
+and the dual of that dual is the minimal DFA.  `reverse_dfa`, the output of
+the `reverse` and `dual` verbs, builds all 2^n subsets.
 
 A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
 truth table (`BoolFun.from_table`), or by compiling a formula.  Only ==,
@@ -26,7 +27,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa
-from .brzozowski import dual_automaton
+from .brzozowski import brzozowski_minimise
 from .errors import DEFAULT_MAX_STATES, Record, StateGuardError
 
 
@@ -68,6 +69,9 @@ class BoolFun(Record):
 _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp, ast.Not,
                   ast.Name, ast.Constant, ast.Load)
 _AT = {"lineno": 1, "col_offset": 0}  # compile asks each node it is given for a position
+# the most and/or/not operators a formula may nest: a fixed cap, whatever the
+# caller's stack, that keeps the rewrite well inside the recursion limit
+MAX_FORMULA_DEPTH = 500
 
 
 def _quoted(text: str) -> str:
@@ -84,9 +88,9 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     named like one of them, or None, shadows it.  The checked syntax tree is
     rewritten so that state i reads `m >> i & 1`, then compiled once into a
     function on masks that runs without builtins; no text of the formula is
-    evaluated.  A formula nested past the parser's or the interpreter's depth
-    limit is a ValueError too.  Errors quote at most the first 60 characters
-    of the formula.
+    evaluated.  A formula that nests more than MAX_FORMULA_DEPTH operators, or
+    that the parser cannot nest, is a ValueError too.  Errors quote at most
+    the first 60 characters of the formula.
     """
     try:
         tree = ast.parse(formula, mode="eval")
@@ -95,7 +99,12 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     except (RecursionError, MemoryError):  # how ast.parse refuses a deep nesting
         raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply") from None
     index = {name: i for i, name in enumerate(state_names)}
-    for node in ast.walk(tree):
+    todo = [(tree, 0)]
+    for node, depth in todo:  # breadth first: the queue grows while it is read
+        depth += isinstance(node, (ast.BoolOp, ast.UnaryOp))
+        if depth > MAX_FORMULA_DEPTH:
+            raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply")
+        todo.extend((child, depth) for child in ast.iter_child_nodes(node))
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"bad formula {_quoted(formula)}: {type(node).__name__} not allowed")
         if isinstance(node, ast.Constant) and not isinstance(node.value, bool) \
@@ -107,7 +116,8 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
 
     def rewrite(node) -> ast.expr:
         if isinstance(node, ast.BoolOp):
-            node.values = [rewrite(value) for value in node.values]
+            for i, value in enumerate(node.values):  # no comprehension frame
+                node.values[i] = rewrite(value)
             return node
         if isinstance(node, ast.UnaryOp):  # not is 1 ^, and not not cancels
             inner = rewrite(node.operand)
@@ -193,12 +203,6 @@ def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -
 
 def minimal_dfa_for_afa(a: AlternatingAutomaton,
                         max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
-    """Minimal DFA for the AFA's language.
-
-    The reversed DFA already performs the first reversal, so one dual pass
-    over its reachable part lands on the reachable and observable automaton
-    for L(A).  That part is built unnamed, so the dual names its states by
-    reversed-DFA index (`s0+s3`), as the second pass of a double reversal does.
-    """
-    return dual_automaton(subset_dfa(a, reversed_subsets(a), max_states,
-                                     named=False), max_states)
+    """Minimal DFA for the AFA's language: the dual taken twice, whose first
+    pass is the reachable part of the reversed DFA."""
+    return brzozowski_minimise(a, max_states)

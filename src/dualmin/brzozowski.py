@@ -1,11 +1,14 @@
-"""Brzozowski-style minimisation of Moore automata through the dual automaton.
+"""Brzozowski minimisation: the dual automaton, taken twice.
 
-The dual automaton of M lives on predicates over M's states (total functions
-X -> B, stored as value vectors).  Reading a letter precomposes a predicate
-with the transition map, the initial predicate is M's output map, and a
-predicate outputs its value at M's initial state.  The dual accepts the
-reversed language, and applying the construction twice yields the reachable,
-observable (hence minimal) automaton for the original language.
+The dual of an automaton is a reachable DFA for its reversed language.  Of a
+Moore automaton M (a DFA included) it lives on predicates over M's states
+(value vectors X -> B): it starts at the output map, reading a letter
+precomposes a predicate with the transition map, and a predicate outputs its
+value at M's initial state.  Of an NFA it is the subset DFA of the reversal
+(for a DFA the same automaton, names included), and of an AFA the reachable
+part of its reversed DFA (alternating.py).  Each stores only reachable
+states, behind the state bound, and a dual is reachable, so the dual of the
+dual is reachable and observable: the minimal automaton.
 
 A two-output dual names each state by its members (`x+z`), so `dual` twice
 nests names (`x+z,y+z`).  A double reversal instead runs its first pass
@@ -14,12 +17,10 @@ names would be n labels in each of n members of each of n states.
 
 `explore_predicates` is the one predicate step: from the output map it gives
 the dual, from one 0/1 predicate per observation the definable closure of a
-Kripke model (dkm.py).  Only reachable predicates are stored, each once,
-behind the configurable state bound that guards the |B|^n worst case.
-Minimisation by the atoms of that closure needs no predicates at all: the
-atoms are the coarsest stable partition of the outputs or observations, so
-`automata.partition_refinement_minimise` is the duality route for a Moore
-automaton, and `dkm.minimise_dkm` for a Kripke model.
+Kripke model (dkm.py).  Minimisation by the atoms of that closure needs no
+predicates at all: the atoms are the coarsest stable partition of the outputs
+or observations, so `automata.partition_refinement_minimise` is the duality
+route for a Moore automaton, and `dkm.minimise_dkm` for a Kripke model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import itemgetter
 
-from .automata import MooreAutomaton, explore, subset_names
+from .automata import MooreAutomaton, explore, reverse, subset_dfa, subset_names, subsets
 from .errors import DEFAULT_MAX_STATES
 
 
@@ -45,33 +46,35 @@ def explore_predicates(starts, trans, alphabet, max_states=DEFAULT_MAX_STATES,
                    alphabet, max_states, what)
 
 
-def dual_automaton(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES,
+def dual_automaton(x, max_states: int = DEFAULT_MAX_STATES,
                    named: bool = True) -> MooreAutomaton:
-    """The automaton on predicates B^X reachable from the output map.
-
-    run(dual_automaton(m), w) = run(m, reversed(w)) for every word w.  For the
-    Boolean case the predicates are the 0/1 rows of subsets, and unless
-    `named` is false each state is named from its row (`subset_names`).
-    """
-    order, trans = explore_predicates([m.out], m.trans, m.alphabet, max_states)
-    out = tuple(phi[m.init] for phi in order)
+    """The dual of a Moore automaton, an NFA or an AFA (module docstring):
+    run(dual_automaton(x), w) is x's verdict on reversed(w).  Unless `named`
+    is false a two-output dual names each state by its members."""
+    if x.kind == "afa":
+        from .alternating import reversed_subsets  # alternating imports this module
+        return subset_dfa(x, reversed_subsets(x), max_states, named=named)
+    if x.kind == "nfa":
+        return subset_dfa(x, subsets(reverse(x)), max_states, named=named)
+    order, trans = explore_predicates([x.out], x.trans, x.alphabet, max_states)
+    out = tuple(phi[x.init] for phi in order)
     names = None
-    if named and len(m.outputs) == 2:
-        names = subset_names(order, m.state_names, m.n)
-    return MooreAutomaton(len(order), m.alphabet,
+    if named and len(x.outputs) == 2:
+        names = subset_names(order, x.state_names, x.n)
+    return MooreAutomaton(len(order), x.alphabet,
                           {a: tuple(ts) for a, ts in trans.items()},
-                          0, out, m.outputs, names)
+                          0, out, x.outputs, names)
 
 
-def brzozowski_minimise(m: MooreAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
-    """Double reversal: the dual applied twice.
+def brzozowski_minimise(x, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
+    """Double reversal of a Moore automaton, an NFA or an AFA.
 
     The first pass is reachable by construction, so the second pass is both
-    reachable and observable, i.e. the minimal automaton for m's language.
+    reachable and observable, i.e. the minimal automaton for x's language.
     The first pass is unnamed, so the second names its states by first-pass
     index (`s0+s3`).
     """
-    return dual_automaton(dual_automaton(m, max_states, named=False), max_states)
+    return dual_automaton(dual_automaton(x, max_states, named=False), max_states)
 
 
 def dual_state_sets(m: MooreAutomaton,

@@ -84,12 +84,12 @@ def _cmd_reverse(args, obj):
     if obj.kind == "afa":
         from .alternating import reverse_dfa
         return reverse_dfa(obj, args.max_states)
-    if args.verb == "reverse" and obj.kind in ("moore", "nfa"):
+    if obj.kind not in ("moore", "nfa"):
+        raise ValueError(f"{args.verb}: unsupported file type")
+    if args.verb == "reverse":
         return automata.reverse(obj)
-    if args.verb == "dual" and obj.kind == "moore":
-        from .brzozowski import dual_automaton
-        return dual_automaton(obj, args.max_states)
-    raise ValueError(f"{args.verb}: unsupported file type")
+    from .brzozowski import dual_automaton
+    return dual_automaton(obj, args.max_states)
 
 
 def _cmd_determinize(args, obj):
@@ -111,34 +111,22 @@ def _cmd_reach(args, obj):
 
 
 def _cmd_minimize(args, obj):
-    method, bound = args.method, args.max_states
-    if obj.kind == "moore":
-        if method != "brzozowski":  # the duality atoms are the stable partition
-            return automata.partition_refinement_minimise(obj)
-        from .brzozowski import brzozowski_minimise
-        return brzozowski_minimise(obj, bound)
-    if obj.kind == "weighted":
-        if method == "refine":
-            raise ValueError("refine applies to deterministic automata, not weighted ones")
-        if obj.semiring.name == "bool":
-            # join-semilattices are not PIDs: determinise classically, then double
-            # reversal, whose unnamed first pass reads no subset names, so none are built
-            from .brzozowski import brzozowski_minimise
-            from .weighted import bool_wa_to_nfa
-            nfa = bool_wa_to_nfa(obj)
-            dfa = automata.subset_dfa(nfa, automata.subsets(nfa), bound, named=False)
-            return brzozowski_minimise(dfa, bound)
-        from .weighted import minimise_wa
-        return minimise_wa(obj)
-    if obj.kind == "afa":
-        if method == "refine":
-            raise ValueError("refine applies to deterministic automata, not alternating ones")
-        from .alternating import minimal_dfa_for_afa
-        return minimal_dfa_for_afa(obj, bound)
     if obj.kind == "dkm":
         from .dkm import minimise_dkm
         return minimise_dkm(obj)
-    raise ValueError("minimize: unsupported file type")
+    if obj.kind == "moore" and args.method != "brzozowski":
+        return automata.partition_refinement_minimise(obj)  # the duality atoms
+    if args.method == "refine":
+        kind = {"weighted": "weighted", "afa": "alternating"}.get(obj.kind, "nondeterministic")
+        raise ValueError(f"refine applies to deterministic automata, not {kind} ones")
+    if obj.kind == "weighted":
+        if obj.semiring.name != "bool":
+            from .weighted import minimise_wa
+            return minimise_wa(obj)
+        from .weighted import bool_wa_to_nfa
+        obj = bool_wa_to_nfa(obj)
+    from .brzozowski import brzozowski_minimise
+    return brzozowski_minimise(obj, args.max_states)
 
 
 def _cmd_equiv(args, a, b) -> int:

@@ -10,7 +10,7 @@ interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the names of subset states by joining the sorted
 members of sets, the definable closure of a Kripke model by frozenset
 preimages, coarsest stable partitions by refinement in rounds (the library
-runs Hopcroft's algorithm), and emitted text by json.dumps.  Nine oracles
+runs Hopcroft's algorithm), and emitted text by json.dumps.  Eleven oracles
 keep a library route as an explicit second copy: the Kripke quotient by the
 atoms of the definable closure as a set family, the Moore quotient by the same
 atoms of the model with one observation per output, the Hankel block one word
@@ -20,7 +20,10 @@ rounds, the subset construction on frozensets instead of bitmasks, weighted
 equivalence through the reachable submodule of the difference automaton, a
 formula's truth table evaluated on whole tables of 2^n bits, and the reversed
 DFA of an AFA stepped through truth tables (the library evaluates each
-condition on one bitmask).
+condition on one bitmask), Boolean minimisation by determinising first and
+then taking the dual twice (the library takes the dual of the NFA), and an
+AFA's minimal DFA as one dual pass over its unnamed reachable reversed DFA
+(the library calls `brzozowski_minimise`).
 
 The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
@@ -39,9 +42,10 @@ from operator import and_, mul, or_
 
 from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, Dkm, FieldBasis, Matrix,
                      MooreAutomaton, Nfa, Semiring, WeightedAutomaton, boolean_atoms,
-                     definable_closure, mat_vec, quotient_dkm, reach, reach_restrict, vec_mat)
+                     brzozowski_minimise, definable_closure, dual_automaton, mat_vec,
+                     quotient_dkm, reach, reach_restrict, vec_mat)
 from dualmin.alternating import reversed_subsets
-from dualmin.automata import DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa
+from dualmin.automata import DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa, subsets
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
@@ -508,6 +512,21 @@ def determinise_by_sets(n: Nfa) -> MooreAutomaton:
     return MooreAutomaton(len(order), n.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(1 if subset & n.finals else 0 for subset in order),
                           DFA_OUTPUTS, names)
+
+
+def minimise_by_determinising(n: Nfa, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
+    """Boolean minimisation in three passes: the subset DFA of the NFA, built
+    unnamed, then the dual taken twice."""
+    return brzozowski_minimise(subset_dfa(n, subsets(n), max_states, named=False), max_states)
+
+
+def minimal_dfa_for_afa_by_composition(a: AlternatingAutomaton,
+                                       max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
+    """An AFA's minimal DFA as one dual pass over the reachable part of its
+    reversed DFA, built unnamed, so that the dual names its states by
+    reversed-DFA index (`s0+s3`)."""
+    return dual_automaton(subset_dfa(a, reversed_subsets(a), max_states, named=False),
+                          max_states)
 
 
 def equiv_by_difference(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -7,13 +8,13 @@ from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts
                      compile_formula, determinise, dual_automaton, equiv_exact, iso_check,
                      minimal_dfa_for_afa, parse, partition_refinement_minimise, reach,
                      reverse, reverse_dfa, run)
-from dualmin.alternating import reversed_subsets
+from dualmin.alternating import MAX_FORMULA_DEPTH, reversed_subsets
 from dualmin.automata import pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
 from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa, formula_holds,
-                     formula_table_by_tables, holds, reachable_reverse_dfa, replace,
-                     reverse_dfa_by_tables, words)
+                     formula_table_by_tables, holds, minimal_dfa_for_afa_by_composition,
+                     reachable_reverse_dfa, replace, reverse_dfa_by_tables, words)
 
 
 def all_subsets(n: int) -> list[frozenset[int]]:
@@ -134,7 +135,9 @@ def test_minimal_dfa_matches_oracle_route():
     for _ in range(60):
         a = random_afa(rng)
         oracle = partition_refinement_minimise(determinise(reverse(reverse_dfa(a))))
-        assert iso_check(minimal_dfa_for_afa(a), oracle)
+        minimal, composed = minimal_dfa_for_afa(a), minimal_dfa_for_afa_by_composition(a)
+        assert iso_check(minimal, oracle)
+        assert minimal == composed and minimal.state_names == composed.state_names
 
 
 def test_formula_compilation():
@@ -216,12 +219,32 @@ def test_compiled_tables_match_the_table_route():
         formula = random_formula(rng, names)
         assert compile_formula(formula, names).table == \
             formula_table_by_tables(formula, names), (formula, names)
-    # a chain of nots folds to its parity; the rewrite recurses once per not,
-    # so at pytest's stack depth a chain of about 960 is refused
-    for nots in (300, 301, 900, 901):
+    # a chain of nots folds to its parity, up to the deepest formula accepted
+    # (the two operators of `x and not y` count too)
+    for nots in (300, 301, MAX_FORMULA_DEPTH - 3, MAX_FORMULA_DEPTH - 2):
         formula = "not " * nots + "(x and not y)"
         assert compile_formula(formula, ("x", "y")).table == \
             formula_table_by_tables(formula, ("x", "y"))
+
+
+def _nested(frames: int, call):
+    """call() from `frames` more frames down the stack."""
+    return call() if frames == 0 else _nested(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_formula_depth_cap_does_not_depend_on_the_callers_stack(frames):
+    names = ("x", "y")
+    deepest = "not " * (MAX_FORMULA_DEPTH - 1) + "(x and y)"
+    # operators nested in parentheses count alike (the tokenizer allows 200 levels)
+    bracketed = "not " * (MAX_FORMULA_DEPTH - 200) + "(x and not " * 100 + "y" + ")" * 100
+    for formula in (deepest, "not " * MAX_FORMULA_DEPTH + "x", bracketed):
+        got = _nested(frames, lambda: compile_formula(formula, names))
+        assert got.table == formula_table_by_tables(formula, names)
+    for formula in ("not " + deepest, "not " * (MAX_FORMULA_DEPTH + 1) + "x",
+                    bracketed.replace("y", "(x or y)")):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            _nested(frames, lambda: compile_formula(formula, names))
 
 
 def test_state_named_true_shadows_the_constant():
@@ -384,3 +407,31 @@ def test_lazy_equiv_matches_the_built_reversed_dfas():
             assert verdict
         verdicts.append(verdict)
     assert verdicts.count(False) >= 50 and verdicts.count(True) >= 150
+
+
+# call -> the message of the ValueError it raises
+REFUSALS = {
+    "short delta row": (
+        lambda: AlternatingAutomaton(2, ("a",), {"a": (always(2, True),)}, always(2, True),
+                                     frozenset()),
+        "bad delta row for letter 'a'"),
+    "a condition over other states": (
+        lambda: AlternatingAutomaton(2, ("a",), {"a": (always(2, True), always(3, True))},
+                                     always(2, True), frozenset()),
+        "bad delta row for letter 'a'"),
+    "iota over other states": (
+        lambda: AlternatingAutomaton(1, ("a",), {"a": (always(1, True),)}, always(2, True),
+                                     frozenset()),
+        "iota is over the wrong state count"),
+    "final state out of range": (
+        lambda: AlternatingAutomaton(1, ("a",), {"a": (always(1, True),)}, always(1, True),
+                                     frozenset({1})),
+        "final state out of range"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,13 +1,15 @@
 import random
+import re
 
 import pytest
 
 from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, dual_automaton,
                      equiv_exact, iso_check, partition_refinement_minimise, reach, reverse,
                      reverse_dfa, run)
-from dualmin.automata import (bounded_words, by_rows, explore, mask_row, pair_walk,
-                              stable_partition, state_labels, subset_names, subsets)
-from dualmin.errors import DEFAULT_MAX_STATES
+from dualmin.automata import (Partition, bounded_words, by_rows, explore, mask_row, pair_walk,
+                              quotient_rows, stable_partition, state_labels, subset_names,
+                              subsets)
+from dualmin.errors import DEFAULT_MAX_STATES, NonCongruenceError
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore
 
 from oracles import (determinise_by_sets, dual_by_tuples, ends_with_a_dfa, equiv_by_bfs, holds,
@@ -560,3 +562,58 @@ def test_every_automaton_type_checks_its_transition_letters():
     # an extra letter is refused, not read past: its target 5 is no state of this NFA
     with pytest.raises(ValueError, match="transitions must cover exactly the alphabet"):
         Nfa(1, ("a",), {"a": (frozenset(),), "z": (frozenset({5}),)}, frozenset(), frozenset())
+
+
+# call -> (the error it raises, its message); the constructors check their
+# fields, and quotient_rows its partition
+REFUSALS = {
+    "short successor row": (
+        lambda: MooreAutomaton(2, ("a",), {"a": (0,)}, 0, (0, 1)),
+        ValueError, "bad successor row for letter 'a'"),
+    "successor out of range": (
+        lambda: MooreAutomaton(2, ("a",), {"a": (0, 2)}, 0, (0, 1)),
+        ValueError, "bad successor row for letter 'a'"),
+    "initial state out of range": (
+        lambda: MooreAutomaton(2, ("a",), {"a": (0, 1)}, 2, (0, 1)),
+        ValueError, "initial state out of range"),
+    "output index out of range": (
+        lambda: MooreAutomaton(2, ("a",), {"a": (0, 1)}, 0, (0, 2)),
+        ValueError, "output map must assign every state a valid output"),
+    "short output map": (
+        lambda: MooreAutomaton(2, ("a",), {"a": (0, 1)}, 0, (0,)),
+        ValueError, "output map must assign every state a valid output"),
+    "state names of the wrong length": (
+        lambda: MooreAutomaton(2, ("a",), {"a": (0, 1)}, 0, (0, 1), state_names=("x",)),
+        ValueError, "state_names length mismatch"),
+    "short nfa row": (
+        lambda: Nfa(2, ("a",), {"a": (frozenset(),)}, frozenset(), frozenset()),
+        ValueError, "bad transition row for letter 'a'"),
+    "nfa target out of range": (
+        lambda: Nfa(2, ("a",), {"a": (frozenset({2}), frozenset())}, frozenset(), frozenset()),
+        ValueError, "bad transition row for letter 'a'"),
+    "nfa initial state out of range": (
+        lambda: Nfa(1, ("a",), {"a": (frozenset(),)}, frozenset({1}), frozenset()),
+        ValueError, "initial/final state out of range"),
+    "nfa final state out of range": (
+        lambda: Nfa(1, ("a",), {"a": (frozenset(),)}, frozenset(), frozenset({-1})),
+        ValueError, "initial/final state out of range"),
+    "block ids with a gap": (
+        lambda: Partition((0, 2), 2), ValueError, "block ids must be dense 0..k-1 and all used"),
+    "a block id unused": (
+        lambda: Partition((0, 0), 2), ValueError, "block ids must be dense 0..k-1 and all used"),
+    "quotient by a partition of other states": (
+        lambda: quotient_rows(Partition((0, 0), 1), (0,), {"a": (0,)}, ("a",)),
+        ValueError, "partition is over the wrong state count"),
+    "quotient by a block whose states step apart": (
+        lambda: quotient_rows(Partition((0, 0, 1), 2), (0, 0, 1), {"a": (0, 2, 2)}, ("a",)),
+        NonCongruenceError, "states 0 and 1 share a block but step to different blocks on 'a'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        call()
+    if error is NonCongruenceError:
+        assert caught.value.witness == (0, 1)

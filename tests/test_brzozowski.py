@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from dualmin import (MooreAutomaton, StateGuardError, brzozowski_minimise,
-                     determinise, dual_automaton, dual_state_sets, emit, equiv_exact,
-                     iso_check, partition_refinement_minimise, reach, reverse, run)
-from dualmin.sampling import random_dfa, random_moore
+from dualmin import (BOOL, MooreAutomaton, Nfa, StateGuardError, bool_wa_to_nfa,
+                     brzozowski_minimise, determinise, dual_automaton, dual_state_sets, emit,
+                     equiv_exact, iso_check, parse, partition_refinement_minimise, reach,
+                     reverse, reverse_dfa, run)
+from dualmin.cli import main
+from dualmin.sampling import random_afa, random_dfa, random_moore, random_wa
 
-from oracles import (dual_by_tuples, duality_minimise_by_atoms, ends_with_a_dfa, is_dfa, replace,
+from oracles import (determinise_by_sets, dual_by_tuples, duality_minimise_by_atoms,
+                     ends_with_a_dfa, is_dfa, minimise_by_determinising, random_nfa, replace,
                      run_by_hand, words)
 
 
@@ -196,3 +199,73 @@ def test_dual_state_sets_of_one_state():
     for m in one_state_automata():
         if is_dfa(m):
             assert dual_state_sets(m) == {frozenset(m.accepting())}
+
+
+def renumbered(n: Nfa, rng) -> Nfa:
+    """A copy of n with its states in a random order, state s named q{s}."""
+    new = rng.sample(range(n.n), n.n)  # state s becomes new[s]
+    rows = {a: [frozenset()] * n.n for a in n.alphabet}
+    names = [""] * n.n
+    for s in range(n.n):
+        names[new[s]] = f"q{s}"
+        for a in n.alphabet:
+            rows[a][new[s]] = frozenset(new[t] for t in n.trans[a][s])
+    return Nfa(n.n, n.alphabet, {a: tuple(row) for a, row in rows.items()},
+               frozenset(new[s] for s in n.inits), frozenset(new[s] for s in n.finals),
+               tuple(names))
+
+
+def padded(n: Nfa, rng, extra: int = 3) -> Nfa:
+    """n with `extra` states appended that no initial state reaches: they step
+    to random states of the whole and some are final, so the reversal reaches
+    them while the language stays n's."""
+    size = n.n + extra
+    trans = {a: row + tuple(frozenset(t for t in range(size) if rng.random() < 0.3)
+                            for _ in range(extra))
+             for a, row in n.trans.items()}
+    finals = n.finals | {s for s in range(n.n, size) if rng.random() < 0.5}
+    return Nfa(size, n.alphabet, trans, n.inits, frozenset(finals))
+
+
+def test_the_dual_of_each_boolean_kind_is_the_subset_dfa_of_its_reversal():
+    """dual_automaton is determinise(reverse(x)) for DFAs and NFAs and the
+    reachable part of reverse_dfa for AFAs, state names included; renumbered
+    and padded copies of an NFA minimise to one automaton."""
+    rng = random.Random(83)
+    for i in range(150):
+        m = random_dfa(rng, max_n=6)
+        if i % 2:
+            m = replace(m, state_names=tuple(f"x{s}" for s in range(m.n)))
+        n = random_nfa(rng, max_n=7)
+        copies = (n, renumbered(n, rng), padded(n, rng))
+        a = random_afa(rng, max_n=4)
+        for x, expected in [(m, determinise(reverse(m))), (a, reach(reverse_dfa(a)))] + \
+                [(c, determinise(reverse(c))) for c in copies]:
+            dual = dual_automaton(x)
+            assert dual == expected and dual.state_names == expected.state_names
+        minimal = [brzozowski_minimise(c) for c in copies]
+        assert minimal[0] == minimal[1] == minimal[2]
+
+
+def test_nfa_minimisation_matches_determinising_first():
+    rng = random.Random(84)
+    for _ in range(200):
+        n = random_nfa(rng, max_n=7)
+        minimal = brzozowski_minimise(n)
+        assert iso_check(minimal, partition_refinement_minimise(determinise_by_sets(n)))
+        assert iso_check(minimal, minimise_by_determinising(n))
+        # named by the index of their members in the unnamed first pass
+        expected = dual_automaton(replace(determinise(reverse(n)), state_names=None))
+        assert minimal == expected and minimal.state_names == expected.state_names
+
+
+def test_boolean_minimize_matches_determinising_first(capsys, tmp_path):
+    rng = random.Random(85)
+    path = tmp_path / "bool.json"
+    for _ in range(60):
+        w = random_wa(rng, BOOL, max_n=5)
+        path.write_text(emit(w))
+        assert main(["minimize", str(path)]) == 0
+        minimal, n = parse(capsys.readouterr().out), bool_wa_to_nfa(w)
+        assert iso_check(minimal, partition_refinement_minimise(determinise_by_sets(n)))
+        assert iso_check(minimal, minimise_by_determinising(n))

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from dualmin import MooreAutomaton, emit, io, iso_check, parse, reverse, run, selftest
+from dualmin import (MooreAutomaton, determinise, emit, io, iso_check, parse, reverse, run,
+                     selftest)
 from dualmin.cli import build_parser, main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES, resolve_max_states
 
@@ -593,6 +594,7 @@ BUILDS_NOTHING_LARGER = {
     ("reverse", "afa_ends_with_a.json"),
     ("dual", "afa_ends_with_a.json"),
     ("minimize", "afa_ends_with_a.json"),
+    ("minimize", "nfa_small.json"),
     ("closure", "dkm_ends_with_a.json"),
     ("minimize", "dkm_ends_with_a.json"),
     ("minimize", "ends_with_a.json", "--method", "duality"),
@@ -707,8 +709,11 @@ def test_reverse_nfa_file(capsys, data_dir):
     flipped, original = parse(out), parse(path.read_bytes())
     assert flipped.inits == original.finals and flipped.finals == original.inits
     assert reverse(flipped) == original
-    rc, _, err = invoke(capsys, "dual", str(path))
-    assert rc == 1 and "dual: unsupported file type" in err
+    # the dual of an NFA is the subset DFA of its reversal, names included
+    rc, out, _ = invoke(capsys, "dual", str(path))
+    dual = parse(out)
+    assert rc == 0 and dual == determinise(flipped)
+    assert dual.state_names == determinise(flipped).state_names
 
 
 def test_semiring_override(capsys, data_dir):

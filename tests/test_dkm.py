@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -287,3 +288,27 @@ def test_pair_walk_matches_the_disjoint_union_oracle():
             assert verdict
         verdicts.append(verdict)
     assert verdicts.count(False) > 100 and verdicts.count(True) > 200
+
+
+# call -> the message of the ValueError it raises
+REFUSALS = {
+    "repeated observation": (
+        lambda: Dkm(1, ("a",), ("p", "p"), (frozenset(),), {"a": (0,)}),
+        "observations must be distinct"),
+    "short gamma": (
+        lambda: Dkm(2, ("a",), ("p",), (frozenset(),), {"a": (0, 1)}),
+        "gamma must assign every state a subset of the observations"),
+    "unknown observation in gamma": (
+        lambda: Dkm(1, ("a",), ("p",), (frozenset({"q"}),), {"a": (0,)}),
+        "gamma must assign every state a subset of the observations"),
+    "atoms of a family over other states": (
+        lambda: boolean_atoms(frozenset({frozenset({0, 2})}), 2),
+        "family mentions a state out of range"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from io import StringIO
@@ -443,3 +444,18 @@ def test_deep_nesting_is_a_data_error(capsys, tmp_path, text, start, end):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(start) and err.endswith(end)
     assert len(err.encode()) < 200  # the formula quoted in part
+
+
+# an object that is no automaton -> the message of the TypeError emit raises
+NOT_AUTOMATA = {
+    "a plain object": (object(), "cannot emit object"),
+    "a string": ("dfa", "cannot emit str"),
+    "None": (None, "cannot emit NoneType"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_AUTOMATA)
+def test_emit_refuses_what_is_no_automaton(case):
+    obj, message = NOT_AUTOMATA[case]
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        emit(obj)

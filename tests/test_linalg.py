@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from dualmin import (INT, DimensionError, FieldBasis, IntegerBasis, Matrix, det_int, hnf,
-                     is_hnf_shape, mat_mul)
+from dualmin import (INT, RATIONAL, DimensionError, FieldBasis, IntegerBasis, Matrix, det_int,
+                     hnf, is_hnf_shape, mat_mul)
 from dualmin.sampling import random_int_matrix
 
 from oracles import det_perm, gauss_rank, hnf_batch, identity, rref, zeros
@@ -304,3 +305,39 @@ def test_field_basis_dimension_mismatch_raises():
         basis.coordinates((1,))
     with pytest.raises(DimensionError):
         FieldBasis(2).coordinates((1,))
+
+
+def _int(*rows) -> Matrix:
+    return Matrix(INT, len(rows), len(rows[0]), rows)
+
+
+# call -> what it returns, or the error it raises; the is_hnf_shape cases
+# reach each of its refusals, as the selftest's own HNF check relies on them
+CASES = {
+    "basis row of the wrong length": (
+        lambda: IntegerBasis(2, ((1, 0, 0),)), DimensionError("basis row of 3 in ambient 2")),
+    "hnf of a rational matrix": (
+        lambda: hnf(Matrix(RATIONAL, 1, 1, ((Fraction(1, 2),),))),
+        DimensionError("hnf expects an integer matrix")),
+    "determinant of a non-square matrix": (
+        lambda: det_int(_int((1, 2))), DimensionError("determinant of a non-square matrix")),
+    "determinant of a singular matrix": (lambda: det_int(_int((0, 1), (0, 2))), 0),
+    "determinant after a row swap": (lambda: det_int(_int((0, 1), (1, 0))), -1),
+    "hnf shape: a zero row": (lambda: is_hnf_shape(((0, 0),)), False),
+    "hnf shape: pivots out of order": (lambda: is_hnf_shape(((0, 1), (1, 0))), False),
+    "hnf shape: two pivots in one column": (lambda: is_hnf_shape(((1, 0), (2, 0))), False),
+    "hnf shape: a negative pivot": (lambda: is_hnf_shape(((-1, 0),)), False),
+    "hnf shape: an entry above a pivot too large": (lambda: is_hnf_shape(((1, 2), (0, 2))), False),
+    "hnf shape: an entry above a pivot negative": (lambda: is_hnf_shape(((1, -1), (0, 2))), False),
+    "hnf shape: canonical": (lambda: is_hnf_shape(((1, 1), (0, 2))), True),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_refusals_and_edge_values(case):
+    call, expected = CASES[case]
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            call()
+    else:
+        assert call() == expected

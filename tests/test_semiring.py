@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,3 +269,21 @@ def test_transpose_is_built_once():
     assert t is m.transpose()
     assert t.entries == ((1, 4), (2, 5), (3, 6)) and (t.n_rows, t.n_cols) == (3, 2)
     assert zeros(INT, 0, 3).transpose() == zeros(INT, 3, 0)
+
+
+# raw value -> what the tropical semiring reads it as, or the error it raises
+TROPICAL_COERCIONS = {
+    "a numeral": ("5", 5),
+    "a negative numeral": ("-1", SemiringError("tropical: bad value '-1'")),
+    "a Boolean": (True, SemiringError("tropical: bad value True")),
+}
+
+
+@pytest.mark.parametrize("case", TROPICAL_COERCIONS)
+def test_tropical_coercion(case):
+    raw, expected = TROPICAL_COERCIONS[case]
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            TROPICAL.coerce(raw)
+    else:
+        assert TROPICAL.coerce(raw) == expected

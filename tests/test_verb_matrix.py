@@ -130,10 +130,11 @@ MATRIX = {
         "reverse": (0, "nfa 3"),
         "determinize": (0, "dfa 4"),
         "reach": (1, UNSUPPORTED.format("reach")),
-        "dual": (1, UNSUPPORTED.format("dual")),
-        "brzozowski": (1, UNSUPPORTED.format("minimize")),
-        "refine": (1, UNSUPPORTED.format("minimize")),
-        "duality": (1, UNSUPPORTED.format("minimize")),
+        "dual": (0, "dfa 4"),
+        "brzozowski": (0, "dfa 4"),
+        "refine": (1, "error: refine applies to deterministic automata, "
+                      "not nondeterministic ones\n"),
+        "duality": (0, "dfa 4"),
         "equiv": (0, "equivalent\n"),
         "trace-eval": (1, NOT_DKM),
         "closure": (1, NOT_DKM),

@@ -1,10 +1,11 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from dualmin import (BOOL, INT, RATIONAL, TROPICAL, Matrix, Nfa, SemiringError,
+from dualmin import (BOOL, INT, RATIONAL, TROPICAL, DimensionError, Matrix, Nfa, SemiringError,
                      WeightedAutomaton, bool_wa_to_nfa, dual_wa, equiv_wa, eval_series,
                      hankel_rank_oracle, mat_vec, minimise_wa, reach_restrict, vec_mat)
 from dualmin.io import parse
@@ -387,3 +388,31 @@ def test_equiv_matches_the_difference_automaton():
             assert verdict
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def _two_states(mat: Matrix, init=(0, 0), final=(0, 0)) -> WeightedAutomaton:
+    return WeightedAutomaton(2, ("a",), INT, {"a": mat}, init, final)
+
+
+# call -> (the error it raises, its message)
+REFUSALS = {
+    "matrix of the wrong shape": (
+        lambda: _two_states(Matrix(INT, 1, 1, ((0,),))),
+        DimensionError, "matrix for 'a' is 1x1, want 2x2"),
+    "matrix over another semiring": (
+        lambda: _two_states(Matrix(RATIONAL, 2, 2, ((0, 0), (0, 0)))),
+        SemiringError, "matrix for 'a' uses rational"),
+    "short initial vector": (
+        lambda: _two_states(Matrix(INT, 2, 2, ((0, 0), (0, 0))), init=(0,)),
+        DimensionError, "initial/final vectors must have length n"),
+    "long final vector": (
+        lambda: _two_states(Matrix(INT, 2, 2, ((0, 0), (0, 0))), final=(0, 0, 0)),
+        DimensionError, "initial/final vectors must have length n"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
