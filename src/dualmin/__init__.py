@@ -8,14 +8,16 @@ Kripke models through trace-definable subsets.
 
 Importing the package loads none of its modules: each name below is looked
 up in its module when it is first read (PEP 562), so a program pays only for
-the constructions it uses.
+the constructions it uses.  The package's own modules read a name of another
+module's construction the same way, as `dualmin.<name>`, so `_EXPORTS` is the
+one place that says where a lazily loaded name lives.
 """
 
 from importlib import import_module
 
 _EXPORTS = {
     "alternating": ("AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
-                    "minimal_dfa_for_afa", "reverse_dfa"),
+                    "minimal_dfa_for_afa", "reverse_dfa", "reversed_subsets"),
     "automata": ("MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact",
                  "iso_check", "partition_refinement_minimise", "reach", "reverse", "run",
                  "words_up_to"),
@@ -26,6 +28,7 @@ _EXPORTS = {
                "StateGuardError"),
     "io": ("emit", "parse"),
     "linalg": ("FieldBasis", "IntegerBasis", "det_int", "hnf", "is_hnf_shape"),
+    "selftest": ("run_selftest",),
     "semiring": ("BOOL", "INT", "RATIONAL", "SEMIRINGS", "TROPICAL", "TROPICAL_INF",
                  "Matrix", "Semiring", "mat_mul", "mat_vec", "semiring_by_name", "vec_mat"),
     "weighted": ("RestrictedWA", "WeightedAutomaton", "bool_wa_to_nfa", "dual_wa",

@@ -28,6 +28,8 @@ from __future__ import annotations
 from itertools import compress
 from operator import itemgetter
 
+import dualmin
+
 from .automata import MooreAutomaton, explore, reverse, subset_dfa, subset_names, subsets
 from .errors import DEFAULT_MAX_STATES
 
@@ -52,8 +54,7 @@ def dual_automaton(x, max_states: int = DEFAULT_MAX_STATES,
     run(dual_automaton(x), w) is x's verdict on reversed(w).  Unless `named`
     is false a two-output dual names each state by its members."""
     if x.kind == "afa":
-        from .alternating import reversed_subsets  # alternating imports this module
-        return subset_dfa(x, reversed_subsets(x), max_states, named=named)
+        return subset_dfa(x, dualmin.reversed_subsets(x), max_states, named=named)
     if x.kind == "nfa":
         return subset_dfa(x, subsets(reverse(x)), max_states, named=named)
     order, trans = explore_predicates([x.out], x.trans, x.alphabet, max_states)

@@ -7,8 +7,8 @@ verb that prints lines returns its exit code.  Exit codes: 0 success (or
 "equivalent"), 1 negative verdicts and data errors, 2 usage errors, 3
 state-bound guards.  `main` also resolves the state bound, once: the
 library's constructions take it as an argument and read no environment.
-A verb imports the library module of a construction only on the branch that
-runs it, so each call loads the code of the file kind it reads and no more.
+A verb reads a construction as `dualmin.<name>`, loaded on first use by the
+package's name table, so a call loads the code of its file kind and no more.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 import os
 import re
 import sys
+
+import dualmin
 
 from . import automata, io
 from .errors import FormatError, StateGuardError, resolve_max_states
@@ -32,10 +34,11 @@ def _load(path: str, semiring: str | None = None):
 
 
 def _word(raw: str, alphabet) -> tuple[str, ...]:
-    """Single-character letters concatenate; multi-character letters use commas."""
+    """A word that is itself a letter is that one letter; otherwise letters are
+    comma-separated, or without a comma each character is a letter."""
     if raw == "":
         return ()
-    letters = raw.split(",") if "," in raw else list(raw)
+    letters = [raw] if raw in alphabet else raw.split(",") if "," in raw else list(raw)
     for a in letters:
         if a not in alphabet:
             raise ValueError(f"letter {a!r} is not in the alphabet")
@@ -61,11 +64,9 @@ def _cmd_run(args, obj) -> int:
             cur = step(cur, a)
         print("accept" if accepts(cur) else "reject")
     elif obj.kind == "weighted":
-        from .weighted import eval_series
-        print(io.emit_value(obj.semiring, eval_series(obj, word)))
+        print(io.emit_value(obj.semiring, dualmin.eval_series(obj, word)))
     elif obj.kind == "afa":
-        from .alternating import afa_accepts
-        print("accept" if afa_accepts(obj, word) else "reject")
+        print("accept" if dualmin.afa_accepts(obj, word) else "reject")
     else:  # a dkm
         if obj.init is None:
             raise ValueError("this model has no initial state")
@@ -79,23 +80,19 @@ def _cmd_run(args, obj) -> int:
 def _cmd_reverse(args, obj):
     """reverse and dual: the two verbs differ only on Moore and NFA files."""
     if obj.kind == "weighted":
-        from .weighted import dual_wa
-        return dual_wa(obj)
+        return dualmin.dual_wa(obj)
     if obj.kind == "afa":
-        from .alternating import reverse_dfa
-        return reverse_dfa(obj, args.max_states)
+        return dualmin.reverse_dfa(obj, args.max_states)
     if obj.kind not in ("moore", "nfa"):
         raise ValueError(f"{args.verb}: unsupported file type")
     if args.verb == "reverse":
         return automata.reverse(obj)
-    from .brzozowski import dual_automaton
-    return dual_automaton(obj, args.max_states)
+    return dualmin.dual_automaton(obj, args.max_states)
 
 
 def _cmd_determinize(args, obj):
     if obj.kind == "weighted" and obj.semiring.name == "bool":
-        from .weighted import bool_wa_to_nfa
-        obj = bool_wa_to_nfa(obj)
+        obj = dualmin.bool_wa_to_nfa(obj)
     if obj.kind != "nfa":
         raise ValueError("determinize expects an nfa (or a Boolean weighted automaton)")
     return automata.determinise(obj, args.max_states)
@@ -105,15 +102,13 @@ def _cmd_reach(args, obj):
     if obj.kind == "moore":
         return automata.reach(obj)
     if obj.kind == "weighted":
-        from .weighted import reach_restrict
-        return reach_restrict(obj)
+        return dualmin.reach_restrict(obj)
     raise ValueError("reach: unsupported file type")
 
 
 def _cmd_minimize(args, obj):
     if obj.kind == "dkm":
-        from .dkm import minimise_dkm
-        return minimise_dkm(obj)
+        return dualmin.minimise_dkm(obj)
     if obj.kind == "moore" and args.method != "brzozowski":
         return automata.partition_refinement_minimise(obj)  # the duality atoms
     if args.method == "refine":
@@ -121,12 +116,9 @@ def _cmd_minimize(args, obj):
         raise ValueError(f"refine applies to deterministic automata, not {kind} ones")
     if obj.kind == "weighted":
         if obj.semiring.name != "bool":
-            from .weighted import minimise_wa
-            return minimise_wa(obj)
-        from .weighted import bool_wa_to_nfa
-        obj = bool_wa_to_nfa(obj)
-    from .brzozowski import brzozowski_minimise
-    return brzozowski_minimise(obj, args.max_states)
+            return dualmin.minimise_wa(obj)
+        obj = dualmin.bool_wa_to_nfa(obj)
+    return dualmin.brzozowski_minimise(obj, args.max_states)
 
 
 def _cmd_equiv(args, a, b) -> int:
@@ -139,27 +131,23 @@ def _cmd_equiv(args, a, b) -> int:
         if a.semiring is not b.semiring:
             raise ValueError("equiv: semiring mismatch")
         if a.semiring.name == "bool":
-            from .weighted import bool_wa_to_nfa
-            a, b = bool_wa_to_nfa(a), bool_wa_to_nfa(b)
+            a, b = map(dualmin.bool_wa_to_nfa, (a, b))
     if a.kind == "moore":
         verdict = automata.equiv_exact(a, b, args.max_states)
     elif a.kind == "weighted" and a.semiring.is_ring:
-        from .weighted import equiv_wa
-        verdict = equiv_wa(a, b)
+        verdict = dualmin.equiv_wa(a, b)
     elif a.kind == "weighted":
         # tropical equivalence is undecidable (Krob 1994): compare short words only
-        from .weighted import eval_series
         bound = args.max_len
         words = automata.bounded_words(a.alphabet, bound, args.max_states, "tropical comparison")
-        verdict = all(eval_series(a, w) == eval_series(b, w) for w in words)
+        verdict = all(dualmin.eval_series(a, w) == dualmin.eval_series(b, w) for w in words)
     else:
         # one walk over reachable pairs: of NFA subsets, of AFA reversed-DFA
         # subsets (equal languages have equal reversals), or of DKM states
         if a.kind == "nfa":
             first, second = map(automata.subsets, (a, b))
         elif a.kind == "afa":
-            from .alternating import reversed_subsets
-            first, second = map(reversed_subsets, (a, b))
+            first, second = map(dualmin.reversed_subsets, (a, b))
         else:
             for k, path in ((a, args.file1), (b, args.file2)):
                 if k.init is None:
@@ -176,39 +164,35 @@ _FORMULA_RE = re.compile(r"^((?:<[^<>]+>)*)([^<>]+)$")
 
 def parse_trace_formula(raw: str):
     """The TraceFormula of `<a><b>obs`."""
-    from .dkm import TraceFormula
     m = _FORMULA_RE.match(raw.strip())
     if not m:
         raise ValueError(f"bad trace formula {raw!r} (expected <a><b>obs)")
     word = tuple(re.findall(r"<([^<>]+)>", m.group(1)))
-    return TraceFormula(word, m.group(2).strip())
+    return dualmin.TraceFormula(word, m.group(2).strip())
 
 
 def _as_dkm(obj):
-    from .dkm import Dkm
     if obj.kind == "dkm":
         return obj
     if obj.kind == "moore" and len(obj.outputs) == 2:
-        return Dkm.from_dfa(obj)
+        return dualmin.Dkm.from_dfa(obj)
     raise ValueError("expected a dkm (or dfa) file")
 
 
 def _cmd_trace_eval(args, obj) -> int:
-    from .dkm import eval_trace
     k = _as_dkm(obj)
     formula = parse_trace_formula(args.formula)
     names = list(map(_shown, automata.state_labels(k.state_names, k.n)))
-    sat = eval_trace(k, formula)
+    sat = dualmin.eval_trace(k, formula)
     print(" ".join(names[s] for s in sorted(sat)) if sat else "-")
     return 0
 
 
 def _cmd_closure(args, obj) -> int:
-    from .dkm import definable_closure
     k = _as_dkm(obj)
     names = list(map(_shown, automata.state_labels(k.state_names, k.n)))
-    family = sorted(definable_closure(k, args.max_states), key=lambda s: (len(s), sorted(s)))
-    for subset in family:
+    closure = dualmin.definable_closure(k, args.max_states)
+    for subset in sorted(closure, key=lambda s: (len(s), sorted(s))):
         print("{" + ",".join(names[s] for s in sorted(subset)) + "}")
     return 0
 
@@ -216,8 +200,7 @@ def _cmd_closure(args, obj) -> int:
 def _cmd_hankel(args, obj) -> int:
     if obj.kind != "weighted":
         raise ValueError("hankel expects a weighted file")
-    from .weighted import hankel_rank_oracle
-    print(hankel_rank_oracle(obj, args.length))
+    print(dualmin.hankel_rank_oracle(obj, args.length))
     return 0
 
 
@@ -237,8 +220,7 @@ def _cmd_stats(args, obj) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-    return 0 if run_selftest(args.seed, args.cases) else 1
+    return 0 if dualmin.run_selftest(args.seed, args.cases) else 1
 
 
 def _at_least(low: int):

@@ -12,14 +12,16 @@ it in bounded batches.
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
 
-A file kind's module is imported only when a file or an object of that kind
-turns up, so reading a DFA loads no weighted, alternating or Kripke code.
+A file kind's classes are read through the package's name table, as
+`dualmin.<name>`, so reading a DFA loads no weighted, alternating or Kripke code.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+
+import dualmin
 
 from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa, state_labels
 from .errors import FormatError
@@ -161,17 +163,15 @@ def _parse_value(semiring, raw, path):
 
 
 def _parse_weighted(doc, alphabet, names, override):
-    from .semiring import Matrix, semiring_by_name
-    from .weighted import WeightedAutomaton
-    semiring = semiring_by_name(_require(doc, "semiring", str, ""))
-    semiring = semiring_by_name(override) if override else semiring
+    semiring = dualmin.semiring_by_name(_require(doc, "semiring", str, ""))
+    semiring = dualmin.semiring_by_name(override) if override else semiring
     n = len(names)
     mats = {}
     for a, rows in _transitions(doc, alphabet).items():
         if not isinstance(rows, list) or len(rows) != n \
                 or any(not isinstance(r, list) or len(r) != n for r in rows):
             raise FormatError(f"matrix must be {n}x{n}", f"transitions.{a}")
-        mats[a] = Matrix(semiring, n, n, tuple(
+        mats[a] = dualmin.Matrix(semiring, n, n, tuple(
             tuple(_parse_value(semiring, v, f"transitions.{a}[{y}][{x}]")
                   for x, v in enumerate(row)) for y, row in enumerate(rows)))
     vectors = []
@@ -181,16 +181,14 @@ def _parse_weighted(doc, alphabet, names, override):
             raise FormatError(f"{key} vector must have length {n}", key)
         vectors.append(tuple(_parse_value(semiring, v, f"{key}[{i}]")
                              for i, v in enumerate(raw_vector)))
-    return WeightedAutomaton(n, alphabet, semiring, mats, *vectors, names)
+    return dualmin.WeightedAutomaton(n, alphabet, semiring, mats, *vectors, names)
 
 
 def _parse_afa(doc, alphabet, names, states):
-    from .alternating import AlternatingAutomaton, BoolFun, compile_formula
-
-    def boolfun(raw, path) -> BoolFun:
+    def boolfun(raw, path) -> dualmin.BoolFun:
         if isinstance(raw, str):
             try:
-                return compile_formula(raw, names)
+                return dualmin.compile_formula(raw, names)
             except ValueError as exc:
                 raise FormatError(str(exc), path) from None
         if isinstance(raw, list):
@@ -200,7 +198,7 @@ def _parse_afa(doc, alphabet, names, states):
                     raise FormatError("expected a list of state lists", f"{path}[{i}]")
                 subsets.append(frozenset(_state_index(s, states, f"{path}[{i}]")
                                          for s in subset))
-            return BoolFun(len(names), subsets)
+            return dualmin.BoolFun(len(names), subsets)
         raise FormatError("expected a formula string or a list of subsets", path)
 
     delta = {}
@@ -210,11 +208,10 @@ def _parse_afa(doc, alphabet, names, states):
         delta[a] = tuple(boolfun(row[name], f"transitions.{a}.{name}") for name in names)
     iota = boolfun(_require(doc, "iota", None, ""), "iota")
     finals = frozenset(_state_indices(doc, "finals", states))
-    return AlternatingAutomaton(len(names), alphabet, delta, iota, finals, names)
+    return dualmin.AlternatingAutomaton(len(names), alphabet, delta, iota, finals, names)
 
 
 def _parse_dkm(doc, alphabet, names, states):
-    from .dkm import Dkm
     obs = _name_list(_require(doc, "obs", list, ""), "obs")
     raw_gamma = _require(doc, "gamma", dict, "")
     for name in raw_gamma:
@@ -232,7 +229,7 @@ def _parse_dkm(doc, alphabet, names, states):
     init = None
     if doc.get("initial") is not None:
         init = _state_index(doc["initial"], states, "initial")
-    return Dkm(len(names), alphabet, obs, tuple(gamma), delta, init, names)
+    return dualmin.Dkm(len(names), alphabet, obs, tuple(gamma), delta, init, names)
 
 
 def emit_value(semiring, v):

@@ -103,7 +103,19 @@ def test_equiv_verdicts(capsys, data_dir):
     assert rc == 0 and out.strip() == "equivalent"
     rc, out, _ = invoke(capsys, "equiv", str(data_dir / "ends_with_a.json"),
                         str(data_dir / "moore3.json"))
-    assert rc == 1  # output sets differ: reported as an error verdict
+    assert rc == 1  # a 3-output Moore file: its reachable outputs differ, "not equivalent"
+
+
+def test_equiv_moore_ignores_outputs_no_reachable_state_shows(capsys, data_dir, tmp_path):
+    path = tmp_path / "ends_with_a_moore.json"
+    doc = json.loads((data_dir / "ends_with_a.json").read_text())
+    del doc["finals"]
+    path.write_text(json.dumps(dict(doc, type="moore", outputs=["reject", "accept", "never"],
+                                    out={"x": "reject", "y": "accept", "z": "accept"})))
+    assert invoke(capsys, "equiv", str(data_dir / "ends_with_a.json"), str(path)) == \
+        (0, "equivalent\n", "")
+    assert invoke(capsys, "equiv", str(path), str(data_dir / "ends_with_a_min.json")) == \
+        (0, "equivalent\n", "")
 
 
 def test_equiv_moore_reads_outputs_by_label_not_by_position(capsys, tmp_path):
@@ -176,7 +188,7 @@ def test_run_needs_an_initial_state(capsys, data_dir, tmp_path):
     assert (rc, out, err) == (1, "", "error: this model has no initial state\n")
 
 
-def test_run_words(capsys, data_dir):
+def test_run_words(capsys, data_dir, tmp_path):
     rc, out, _ = invoke(capsys, "run", str(data_dir / "ends_with_a.json"), "-w", "ba")
     assert rc == 0 and out.strip() == "accept"
     rc, out, _ = invoke(capsys, "run", str(data_dir / "ends_with_a.json"), "-w", "")
@@ -185,6 +197,19 @@ def test_run_words(capsys, data_dir):
     assert rc == 0 and out.strip() == "accept"
     rc, out, _ = invoke(capsys, "run", str(data_dir / "wa_swap.json"), "-w", "aa")
     assert rc == 0 and out.strip() == "1"
+    # over multi-character letters: a word that is itself a letter is that letter
+    path = tmp_path / "go_up.json"
+    path.write_text(json.dumps({
+        "type": "dfa", "alphabet": ["go", "up"], "states": ["home", "out"], "initial": "home",
+        "transitions": {"go": {"home": "out", "out": "out"},
+                        "up": {"home": "home", "out": "home"}},
+        "finals": ["out"]}))
+    for word, expected in [("go", (0, "accept\n", "")), ("up", (0, "reject\n", "")),
+                           ("go,up", (0, "reject\n", "")), ("up,go", (0, "accept\n", "")),
+                           ("", (0, "reject\n", "")),
+                           ("goup", (1, "", "error: letter 'g' is not in the alphabet\n")),
+                           ("go,", (1, "", "error: letter '' is not in the alphabet\n"))]:
+        assert invoke(capsys, "run", str(path), "-w", word) == expected, word
 
 
 def test_reverse_and_determinize(capsys, data_dir):

@@ -1,5 +1,6 @@
 """The package's public names: `import dualmin` loads them on first use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import dualmin
 # every name the package exports
 EXPORTED = {
     "AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
-    "minimal_dfa_for_afa", "reverse_dfa",
+    "minimal_dfa_for_afa", "reverse_dfa", "reversed_subsets",
     "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact", "iso_check",
     "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
     "brzozowski_minimise", "dual_automaton", "dual_state_sets",
@@ -21,6 +22,7 @@ EXPORTED = {
     "DimensionError", "FormatError", "NonCongruenceError", "SemiringError", "StateGuardError",
     "emit", "parse",
     "FieldBasis", "IntegerBasis", "det_int", "hnf", "is_hnf_shape",
+    "run_selftest",
     "BOOL", "INT", "RATIONAL", "SEMIRINGS", "TROPICAL", "TROPICAL_INF",
     "Matrix", "Semiring", "mat_mul", "mat_vec", "semiring_by_name", "vec_mat",
     "RestrictedWA", "WeightedAutomaton", "bool_wa_to_nfa", "dual_wa", "equiv_wa",
@@ -62,3 +64,26 @@ def test_importing_the_package_loads_none_of_its_modules():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "dualmin").glob("*.py"))
+
+
+def test_no_module_imports_inside_a_function():
+    """A module reads another module's construction as `dualmin.<name>`, so
+    only the package's name table says where a lazily loaded name lives."""
+    found = {f"{path.name}:{node.lineno}" for path in SOURCES
+             for fn in ast.walk(ast.parse(path.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert not found, sorted(found)
+
+
+def test_every_dualmin_attribute_read_in_the_package_is_exported():
+    read = {(path.name, node.attr) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "dualmin"}
+    assert read, "no module reads a name through the package"
+    unexported = sorted(pair for pair in read if pair[1] not in dualmin.__all__)
+    assert not unexported, unexported
