@@ -8,11 +8,12 @@ at(mask) is 1 iff that subset satisfies the function.  The reversed DFA has
 state set 2^X, starts at the final set, steps a subset A to
 {s | delta_a(s)(A) = 1}, accepts when iota holds, and recognises exactly the
 reverse of the AFA's language.  `reversed_subsets` gives it as a lazy
-triple, which `equiv` walks without building it.  Its reachable part, built
+triple, the AFA's `view()`, which `equiv_exact` walks without building it
+and `afa_accepts` walks along the reversed word.  Its reachable part, built
 by `automata.subset_dfa` (the subset construction that also determinises
-NFAs) behind the state bound, is the AFA's dual (`brzozowski.dual_automaton`),
-and the dual of that dual is the minimal DFA.  `reverse_dfa`, the output of
-the `reverse` and `dual` verbs, builds all 2^n subsets.
+NFAs) behind the state bound, is the AFA's dual (`brzozowski.dual_automaton`,
+the `dual` verb's output), and the dual of that dual is the minimal DFA.
+`reverse_dfa`, only the `reverse` verb's output, builds all 2^n subsets.
 
 A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
 truth table (`BoolFun.from_table`), or by compiling a formula.  Only ==,
@@ -26,7 +27,7 @@ from itertools import compress
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
-from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa
+from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa, walk
 from .brzozowski import brzozowski_minimise
 from .errors import DEFAULT_MAX_STATES, Record, StateGuardError
 
@@ -167,6 +168,10 @@ class AlternatingAutomaton(Record):
         if any(not 0 <= s < self.n for s in self.finals):
             raise ValueError("final state out of range")
 
+    def view(self) -> tuple:
+        """The reversed DFA's triple (`reversed_subsets`): it reads words reversed."""
+        return reversed_subsets(self)
+
 
 def _afa_step(a: AlternatingAutomaton, mask: int, letter: str) -> int:
     """The mask of the states whose condition on `letter` holds on `mask`."""
@@ -174,15 +179,8 @@ def _afa_step(a: AlternatingAutomaton, mask: int, letter: str) -> int:
 
 
 def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
-    """Tree semantics: propagate the final set backwards through the word."""
-    word = tuple(word)
-    for letter in word:
-        if letter not in a.delta:
-            raise ValueError(f"unknown letter {letter!r}")
-    mask = _mask(a.n, a.finals)
-    for letter in reversed(word):
-        mask = _afa_step(a, mask, letter)
-    return bool(a.iota.at(mask))
+    """Tree semantics: the AFA's view walked on the reversed word."""
+    return bool(walk(a.view(), tuple(word)[::-1], a.alphabet))
 
 
 def reversed_subsets(a: AlternatingAutomaton) -> tuple:

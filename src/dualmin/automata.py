@@ -9,8 +9,11 @@ definable sets, reachable states) behind one state bound; `stable_partition`
 `quotient_rows` refine and quotient any deterministic transition structure
 whose states carry keys (Moore outputs, or the observation sets of a Kripke
 model); `pair_walk` decides exact equivalence on the reachable pairs
-of two lazy (start, key, step) triples.  NFA and AFA subsets are bitmasks,
-and `subset_dfa` is the one subset construction: it builds the DFA of such a
+of two lazy (start, key, step) triples, and `walk` follows one along a word.
+Each Boolean kind's `view()` is such a triple: Moore states keyed by output
+label, NFA subsets, the subsets of an AFA's reversed DFA, or Kripke states
+keyed by observation set.  NFA and AFA subsets are bitmasks, and
+`subset_dfa` is the one subset construction: it builds the DFA of such a
 triple, for NFA determinisation and for AFA reversal alike.
 
 States are dense integer indices 0..n-1; human names only survive as optional
@@ -92,11 +95,9 @@ class MooreAutomaton(Record):
             raise ValueError("accepting states need a two-element output set")
         return frozenset(s for s in range(self.n) if self.out[s] == 1)
 
-    def step(self, s: int, a: str) -> int:
-        try:
-            return self.trans[a][s]
-        except KeyError:
-            raise ValueError(f"unknown letter {a!r}") from None
+    def view(self) -> tuple:
+        """The (start, key, step) triple, each state keyed by its output's label."""
+        return by_rows(self.init, tuple(map(self.outputs.__getitem__, self.out)), self.trans)
 
 
 class Nfa(Record):
@@ -118,6 +119,10 @@ class Nfa(Record):
         for s in self.inits | self.finals:
             if not 0 <= s < self.n:
                 raise ValueError("initial/final state out of range")
+
+    def view(self) -> tuple:
+        """The subset construction's triple (`subsets`)."""
+        return subsets(self)
 
 
 class Partition(Record):
@@ -171,12 +176,20 @@ def bounded_words(alphabet: tuple[str, ...], max_len: int, max_states: int,
     return words_up_to(alphabet, max_len)
 
 
+def walk(view: tuple, word: Iterable[str], alphabet: Sequence[str]):
+    """The key of the state that a (start, key, step) triple reaches by the
+    word; a letter outside the alphabet is a ValueError."""
+    state, key, step = view
+    for a in word:
+        if a not in alphabet:
+            raise ValueError(f"unknown letter {a!r}")
+        state = step(state, a)
+    return key(state)
+
+
 def run(m: MooreAutomaton, word: Iterable[str]) -> int:
     """Output (index into m.outputs) of the state reached from init by the word."""
-    s = m.init
-    for a in word:
-        s = m.step(s, a)
-    return m.out[s]
+    return walk(by_rows(m.init, m.out, m.trans), word, m.alphabet)
 
 
 def reverse(m: MooreAutomaton | Nfa) -> Nfa:
@@ -466,13 +479,13 @@ def by_rows(start: int, keys: Sequence, rows: Mapping[str, Sequence[int]]) -> tu
     return start, keys.__getitem__, lambda s, a: rows[a][s]
 
 
-def equiv_exact(m1: MooreAutomaton, m2: MooreAutomaton,
-                max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """Exact language equivalence: the pair walk over the reachable product,
-    each state keyed by its output's label, so the two output lists may differ
-    in order and in outputs that no reachable state shows."""
-    if m1.alphabet != m2.alphabet:
+def equiv_exact(x1, x2, max_states: int = DEFAULT_MAX_STATES) -> bool:
+    """Exact equivalence of two automata of one Boolean kind (Moore, NFA, AFA,
+    Kripke model): one pair walk of their views.  Moore states are keyed by
+    output label, so output lists may differ in order and in unshown outputs;
+    AFA views read words reversed, as equal languages have equal reversals."""
+    if x1.kind != x2.kind:
+        raise ValueError("equiv_exact: kinds differ")
+    if x1.alphabet != x2.alphabet:
         raise ValueError("equiv_exact: alphabets differ")
-    first, second = (by_rows(m.init, tuple(map(m.outputs.__getitem__, m.out)), m.trans)
-                     for m in (m1, m2))
-    return pair_walk(first, second, m1.alphabet, max_states)
+    return pair_walk(x1.view(), x2.view(), x1.alphabet, max_states)

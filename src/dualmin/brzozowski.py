@@ -28,9 +28,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import itemgetter
 
-import dualmin
-
-from .automata import MooreAutomaton, explore, reverse, subset_dfa, subset_names, subsets
+from .automata import MooreAutomaton, explore, reverse, subset_dfa, subset_names
 from .errors import DEFAULT_MAX_STATES
 
 
@@ -53,10 +51,9 @@ def dual_automaton(x, max_states: int = DEFAULT_MAX_STATES,
     """The dual of a Moore automaton, an NFA or an AFA (module docstring):
     run(dual_automaton(x), w) is x's verdict on reversed(w).  Unless `named`
     is false a two-output dual names each state by its members."""
-    if x.kind == "afa":
-        return subset_dfa(x, dualmin.reversed_subsets(x), max_states, named=named)
-    if x.kind == "nfa":
-        return subset_dfa(x, subsets(reverse(x)), max_states, named=named)
+    if x.kind in ("nfa", "afa"):  # an AFA's view already reads words from their end
+        return subset_dfa(x, (reverse(x) if x.kind == "nfa" else x).view(), max_states,
+                          named=named)
     order, trans = explore_predicates([x.out], x.trans, x.alphabet, max_states)
     out = tuple(phi[x.init] for phi in order)
     names = None

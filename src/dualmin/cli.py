@@ -56,38 +56,29 @@ def _shown(name: str) -> str:
 
 def _cmd_run(args, obj) -> int:
     word = _word(args.word, obj.alphabet)
-    if obj.kind == "moore":
-        print(obj.outputs[automata.run(obj, word)])
-    elif obj.kind == "nfa":
-        cur, accepts, step = automata.subsets(obj)
-        for a in word:
-            cur = step(cur, a)
-        print("accept" if accepts(cur) else "reject")
-    elif obj.kind == "weighted":
+    if obj.kind == "weighted":
         print(io.emit_value(obj.semiring, dualmin.eval_series(obj, word)))
-    elif obj.kind == "afa":
-        print("accept" if dualmin.afa_accepts(obj, word) else "reject")
-    else:  # a dkm
-        if obj.init is None:
-            raise ValueError("this model has no initial state")
-        s = obj.init
-        for a in word:
-            s = obj.delta[a][s]
-        print(" ".join(map(_shown, sorted(obj.gamma[s]))) or "-")
+        return 0
+    key = (dualmin.afa_accepts(obj, word) if obj.kind == "afa"
+           else automata.walk(obj.view(), word, obj.alphabet))
+    if obj.kind == "dkm":  # the observation set of the state reached
+        print(" ".join(map(_shown, sorted(key))) or "-")
+    else:  # an output label, or whether the word is accepted
+        print(key if obj.kind == "moore" else "accept" if key else "reject")
     return 0
 
 
 def _cmd_reverse(args, obj):
-    """reverse and dual: the two verbs differ only on Moore and NFA files."""
+    """reverse and dual: the two verbs differ on Moore, NFA and AFA files."""
     if obj.kind == "weighted":
         return dualmin.dual_wa(obj)
+    if obj.kind not in ("moore", "nfa", "afa"):
+        raise ValueError(f"{args.verb}: unsupported file type")
+    if args.verb == "dual":
+        return dualmin.dual_automaton(obj, args.max_states)
     if obj.kind == "afa":
         return dualmin.reverse_dfa(obj, args.max_states)
-    if obj.kind not in ("moore", "nfa"):
-        raise ValueError(f"{args.verb}: unsupported file type")
-    if args.verb == "reverse":
-        return automata.reverse(obj)
-    return dualmin.dual_automaton(obj, args.max_states)
+    return automata.reverse(obj)
 
 
 def _cmd_determinize(args, obj):
@@ -126,34 +117,24 @@ def _cmd_equiv(args, a, b) -> int:
         raise ValueError("equiv: files must hold comparable automata")
     if a.alphabet != b.alphabet:
         raise ValueError("equiv: alphabet mismatch")
+    for k, path in ((a, args.file1), (b, args.file2)):
+        if k.kind == "dkm" and k.init is None:
+            raise ValueError(f"equiv: {path} has no initial state")
     bound = None
     if a.kind == "weighted":
         if a.semiring is not b.semiring:
             raise ValueError("equiv: semiring mismatch")
         if a.semiring.name == "bool":
             a, b = map(dualmin.bool_wa_to_nfa, (a, b))
-    if a.kind == "moore":
-        verdict = automata.equiv_exact(a, b, args.max_states)
-    elif a.kind == "weighted" and a.semiring.is_ring:
+    if a.kind == "weighted" and a.semiring.is_ring:
         verdict = dualmin.equiv_wa(a, b)
     elif a.kind == "weighted":
         # tropical equivalence is undecidable (Krob 1994): compare short words only
         bound = args.max_len
         words = automata.bounded_words(a.alphabet, bound, args.max_states, "tropical comparison")
         verdict = all(dualmin.eval_series(a, w) == dualmin.eval_series(b, w) for w in words)
-    else:
-        # one walk over reachable pairs: of NFA subsets, of AFA reversed-DFA
-        # subsets (equal languages have equal reversals), or of DKM states
-        if a.kind == "nfa":
-            first, second = map(automata.subsets, (a, b))
-        elif a.kind == "afa":
-            first, second = map(dualmin.reversed_subsets, (a, b))
-        else:
-            for k, path in ((a, args.file1), (b, args.file2)):
-                if k.init is None:
-                    raise ValueError(f"equiv: {path} has no initial state")
-            first, second = (automata.by_rows(k.init, k.gamma, k.delta) for k in (a, b))
-        verdict = automata.pair_walk(first, second, a.alphabet, args.max_states)
+    else:  # every Boolean kind: one pair walk of the two files' views
+        verdict = automata.equiv_exact(a, b, args.max_states)
     suffix = "" if bound is None else f" up to length {bound}"
     print(f"equivalent{suffix}" if verdict else "not equivalent")
     return 0 if verdict else 1

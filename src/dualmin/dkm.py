@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Mapping
 
-from .automata import (MooreAutomaton, Partition, _check_successors, quotient_rows,
+from .automata import (MooreAutomaton, Partition, _check_successors, by_rows, quotient_rows,
                        stable_partition)
 from .brzozowski import explore_predicates
 from .errors import DEFAULT_MAX_STATES, Record
@@ -44,6 +44,12 @@ class Dkm(Record):
             raise ValueError("observations must be distinct")
         if len(self.gamma) != self.n or any(not g <= set(self.obs) for g in self.gamma):
             raise ValueError("gamma must assign every state a subset of the observations")
+
+    def view(self) -> tuple:
+        """The (start, key, step) triple, each state keyed by its observation set."""
+        if self.init is None:
+            raise ValueError("this model has no initial state")
+        return by_rows(self.init, self.gamma, self.delta)
 
     @classmethod
     def from_dfa(cls, m: MooreAutomaton) -> "Dkm":

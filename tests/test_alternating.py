@@ -156,6 +156,9 @@ def test_formula_rejects_bad_syntax():
         compile_formula("w", ("x", "y"))
     with pytest.raises(ValueError):
         compile_formula("__import__('os')", ("x",))
+    # a formula that does not parse; the parser's own message varies by version
+    with pytest.raises(ValueError, match=r"^bad formula 'x and': "):
+        compile_formula("x and", ("x",))
 
 
 def test_formula_errors_quote_at_most_sixty_characters():

@@ -3,19 +3,19 @@ import re
 
 import pytest
 
-from dualmin import (MooreAutomaton, Nfa, StateGuardError, determinise, dual_automaton,
-                     equiv_exact, iso_check, partition_refinement_minimise, reach, reverse,
-                     reverse_dfa, run)
+from dualmin import (AlternatingAutomaton, BoolFun, Dkm, MooreAutomaton, Nfa, StateGuardError,
+                     determinise, dual_automaton, equiv_exact, iso_check,
+                     partition_refinement_minimise, reach, reverse, reverse_dfa, run)
 from dualmin.automata import (Partition, bounded_words, by_rows, explore, mask_row, pair_walk,
                               quotient_rows, stable_partition, state_labels, subset_names,
-                              subsets)
+                              subsets, walk)
 from dualmin.errors import DEFAULT_MAX_STATES, NonCongruenceError
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore
 
-from oracles import (determinise_by_sets, dual_by_tuples, ends_with_a_dfa, equiv_by_bfs, holds,
-                     names_by_sets, nfa_accepts_paths, random_nfa, reachable_reverse_dfa,
-                     replace, run_by_hand, smallest_equivalent_dfa, stable_partition_rounds,
-                     words)
+from oracles import (determinise_by_sets, dkm_equiv_by_union, dual_by_tuples, ends_with_a_dfa,
+                     equiv_by_bfs, holds, names_by_sets, nfa_accepts_paths, random_nfa,
+                     reachable_reverse_dfa, replace, reverse_dfa_by_tables, run_by_hand,
+                     smallest_equivalent_dfa, stable_partition_rounds, words)
 
 
 def test_run_examples():
@@ -109,7 +109,7 @@ def test_determinise_matches_path_search():
         n = random_nfa(rng)
         det = determinise(n)
         for w in words(n.alphabet, 6):
-            assert (run(det, w) == 1) == nfa_accepts_paths(n, w)
+            assert (run(det, w) == 1) == nfa_accepts_paths(n, w) == walk(n.view(), w, n.alphabet)
 
 
 def _named(rng, n: Nfa) -> Nfa:
@@ -340,6 +340,8 @@ def test_equiv_exact_mismatch_errors():
     other = MooreAutomaton.dfa(1, ("c",), {"c": (0,)}, 0, [0])
     with pytest.raises(ValueError):
         equiv_exact(m, other)
+    with pytest.raises(ValueError, match="^equiv_exact: kinds differ$"):
+        equiv_exact(m, reverse(m))
     # output labels that differ are a verdict, not an error
     moore = MooreAutomaton(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, (0,), ("u", "v", "w"))
     assert equiv_exact(m, moore) is False
@@ -404,6 +406,81 @@ def test_equiv_exact_matches_the_bfs_oracle():
             assert verdict
         verdicts.append(verdict)
     assert verdicts.count(False) > 100 and verdicts.count(True) > 300
+
+
+def _perm(rng, n: int) -> tuple[list[int], dict[int, int]]:
+    """A random renumbering of n states (old state s becomes perm[s]) and its inverse."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm, {p: s for s, p in enumerate(perm)}
+
+
+def _afa_renumbered(rng, a: AlternatingAutomaton) -> AlternatingAutomaton:
+    perm, inv = _perm(rng, a.n)
+
+    def moved(f: BoolFun) -> BoolFun:  # f read on the renumbered masks
+        old = [sum(1 << s for s in range(a.n) if mask >> perm[s] & 1) for mask in range(1 << a.n)]
+        return BoolFun.from_table(a.n, sum(f.at(m) << mask for mask, m in enumerate(old)))
+
+    delta = {c: tuple(moved(row[inv[p]]) for p in range(a.n)) for c, row in a.delta.items()}
+    return AlternatingAutomaton(a.n, a.alphabet, delta, moved(a.iota),
+                                frozenset(perm[s] for s in a.finals))
+
+
+def _dkm_renumbered(rng, k: Dkm) -> Dkm:
+    perm, inv = _perm(rng, k.n)
+    return Dkm(k.n, k.alphabet, k.obs, tuple(k.gamma[inv[p]] for p in range(k.n)),
+               {a: tuple(perm[row[inv[p]]] for p in range(k.n)) for a, row in k.delta.items()},
+               perm[k.init])
+
+
+def _dkm_flipped(rng, k: Dkm) -> Dkm:
+    """k with one observation flipped at one state."""
+    s = rng.randrange(k.n)
+    gamma = list(k.gamma)
+    gamma[s] ^= {rng.choice(k.obs)}
+    return replace(k, gamma=tuple(gamma))
+
+
+def _afa_by_tables(a: AlternatingAutomaton) -> MooreAutomaton:
+    tables = {c: [f.table for f in row] for c, row in a.delta.items()}
+    return reverse_dfa_by_tables(a.n, a.alphabet, tables, a.iota.table, a.finals)
+
+
+# kind -> (a random file, a renumbered copy, a copy with one final state or
+# observation flipped, the oracle's verdict on two files)
+EQUIV_KINDS = {
+    "nfa": (random_nfa, _nfa_renumbered,
+            lambda rng, n: replace(n, finals=n.finals ^ {rng.randrange(n.n)}),
+            lambda n1, n2: equiv_by_bfs(determinise_by_sets(n1), determinise_by_sets(n2))),
+    "afa": (random_afa, _afa_renumbered,
+            lambda rng, a: replace(a, finals=a.finals ^ {rng.randrange(a.n)}),
+            lambda a1, a2: equiv_by_bfs(_afa_by_tables(a1), _afa_by_tables(a2))),
+    "dkm": (random_dkm, _dkm_renumbered, _dkm_flipped, dkm_equiv_by_union),
+}
+
+
+@pytest.mark.parametrize("kind", EQUIV_KINDS)
+def test_equiv_exact_matches_the_oracle_of_each_boolean_kind(kind):
+    draw, renumbered, flipped, oracle = EQUIV_KINDS[kind]
+    rng = random.Random(f"equiv-{kind}")
+    verdicts = []
+    for i in range(450):
+        x = draw(rng)
+        if i % 3 == 0:
+            y = renumbered(rng, x)
+        elif i % 3 == 1:  # a flip that may not matter
+            y = flipped(rng, x)
+        else:  # an independent draw over the same letters
+            y = draw(rng)
+            if y.alphabet != x.alphabet:
+                continue
+        verdict = equiv_exact(x, y)
+        assert verdict == oracle(x, y) == equiv_exact(y, x)
+        if i % 3 == 0:
+            assert verdict
+        verdicts.append(verdict)
+    assert verdicts.count(False) >= 75 and verdicts.count(True) >= 150
 
 
 def test_pair_walk_obeys_the_state_bound():

@@ -49,6 +49,8 @@ RECORDS = [
 def test_every_record_is_frozen_compares_by_value_and_caches(cls, kwargs):
     obj = cls(**kwargs)
     assert cls(*kwargs.values()) == obj or cls is Semiring
+    # == with another class defers to it, so the two compare unequal
+    assert obj.__eq__(object()) is NotImplemented and obj != object()
     for name in (*cls._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)

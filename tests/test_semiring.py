@@ -123,6 +123,8 @@ def test_coerce_rejects_junk():
         RATIONAL.coerce("x/y")
     with pytest.raises(SemiringError):
         TROPICAL.coerce(-1)
+    with pytest.raises(SemiringError, match="^tropical: bad value 'abc'$"):
+        TROPICAL.coerce("abc")
 
 
 def test_tropical_infinity_is_absorbing_and_neutral():
@@ -169,6 +171,8 @@ def test_dimension_and_semiring_mismatch():
         mat_vec(a, (1, 2, 3))
     with pytest.raises(DimensionError):
         Matrix(INT, 2, 2, ((1, 2),))
+    with pytest.raises(DimensionError, match="^cannot infer column count of an empty matrix$"):
+        Matrix.from_rows(INT, [])
 
 
 def test_mat_mul_associative_sampled():

@@ -39,7 +39,7 @@ MATRIX = {
         "reverse": (0, "dfa 4"),
         "determinize": (1, NOT_NFA),
         "reach": (1, UNSUPPORTED.format("reach")),
-        "dual": (0, "dfa 4"),
+        "dual": (0, "dfa 1"),
         "brzozowski": (0, "dfa 1"),
         "refine": (1, "error: refine applies to deterministic automata, not alternating ones\n"),
         "duality": (0, "dfa 1"),
@@ -54,7 +54,7 @@ MATRIX = {
         "reverse": (0, "dfa 8"),
         "determinize": (1, NOT_NFA),
         "reach": (1, UNSUPPORTED.format("reach")),
-        "dual": (0, "dfa 8"),
+        "dual": (0, "dfa 3"),
         "brzozowski": (0, "dfa 2"),
         "refine": (1, "error: refine applies to deterministic automata, not alternating ones\n"),
         "duality": (0, "dfa 2"),

@@ -61,6 +61,8 @@ def test_boolean_wa_encodes_nfa_acceptance():
         for word in words(n.alphabet, 4):
             assert (eval_series(w, word) == 1) == nfa_accepts_paths(n, word)
         assert bool_wa_to_nfa(w) == n
+    with pytest.raises(SemiringError, match="^expected a Boolean weighted automaton$"):
+        bool_wa_to_nfa(WeightedAutomaton.build(("a",), INT, {"a": [[1]]}, [1], [1]))
 
 
 def test_eval_unknown_letter():
