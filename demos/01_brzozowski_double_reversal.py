@@ -5,8 +5,8 @@ The running example is the 3-state automaton for (a+b)*a: from state x, an
 behave identically, which is exactly the redundancy minimisation removes.
 """
 
-from dualmin import (MooreAutomaton, brzozowski_minimise, determinise, dual_automaton,
-                     dual_state_sets, equiv_exact, iso_check,
+from dualmin import (Dkm, MooreAutomaton, brzozowski_minimise, definable_closure, determinise,
+                     dual_automaton, equiv_exact, iso_check,
                      partition_refinement_minimise, reach, reverse, run)
 
 
@@ -31,12 +31,14 @@ for w in ("", "a", "ab", "ba", "bba"):
     print(f"  run {w or '(empty)'}: {verdict}")
 
 # The dual automaton lives on predicates over the states.  For a DFA these
-# decode to subsets, and only three of the eight are ever reached:
+# decode to subsets, and only three of the eight are ever reached.  They are
+# the definable sets of the DFA read as a Kripke model with one observation,
+# "accepting": the sets that the trace formulas <a1>...<ak>p pick out.
 dual = dual_automaton(dfa)
 show("First reversal: the dual automaton (accepts the reversed language)", dual)
-print("  dual states decode to:",
+print("  dual states = definable closure of the DFA as a Kripke model:",
       sorted("{" + ",".join(sorted("xyz"[s] for s in subset)) + "}"
-             for subset in dual_state_sets(dfa)))
+             for subset in definable_closure(Dkm.from_dfa(dfa))))
 print("  check: dual on 'ab' =", run(dual, ("a", "b")),
       " original on 'ba' =", run(dfa, ("b", "a")))
 

@@ -21,7 +21,7 @@ _EXPORTS = {
     "automata": ("MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact",
                  "iso_check", "partition_refinement_minimise", "reach", "reverse", "run",
                  "words_up_to"),
-    "brzozowski": ("brzozowski_minimise", "dual_automaton", "dual_state_sets"),
+    "brzozowski": ("brzozowski_minimise", "dual_automaton"),
     "dkm": ("Dkm", "TraceFormula", "bisimulation_oracle", "boolean_atoms",
             "definable_closure", "eval_trace", "minimise_dkm", "quotient_dkm"),
     "errors": ("DimensionError", "FormatError", "NonCongruenceError", "SemiringError",

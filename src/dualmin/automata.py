@@ -1,6 +1,7 @@
-"""Finite deterministic Moore automata (a DFA is the two-output case), NFAs for
-classical reversal, and the baseline operations: evaluation, reachability,
-subset construction, partition refinement, isomorphism and exact equivalence.
+"""Finite deterministic Moore automata (a DFA is the one whose outputs are
+DFA_OUTPUTS, reject and accept), NFAs for classical reversal, and the baseline
+operations: evaluation, reachability, subset construction, partition
+refinement, isomorphism and exact equivalence.
 
 Three kernels serve every construction in the package: `explore` builds the
 state space reachable under a step function (dual predicates, subsets,
@@ -91,8 +92,9 @@ class MooreAutomaton(Record):
                    init, out, DFA_OUTPUTS, tuple(state_names) if state_names else None)
 
     def accepting(self) -> frozenset[int]:
-        if len(self.outputs) != 2:
-            raise ValueError("accepting states need a two-element output set")
+        """The states whose output is "accept", in a DFA alone: the one reading of acceptance."""
+        if self.outputs != DFA_OUTPUTS:
+            raise ValueError("accepting states need the outputs reject and accept")
         return frozenset(s for s in range(self.n) if self.out[s] == 1)
 
     def view(self) -> tuple:
@@ -198,7 +200,7 @@ def reverse(m: MooreAutomaton | Nfa) -> Nfa:
         succ, inits, finals = m.trans, m.finals, m.inits
     else:
         succ = {a: [(t,) for t in row] for a, row in m.trans.items()}
-        inits = m.accepting()  # demands a two-element output set
+        inits = m.accepting()  # refuses a Moore automaton that is not a DFA
         finals = frozenset({m.init})
     rev: dict[str, list[set[int]]] = {a: [set() for _ in range(m.n)] for a in m.alphabet}
     for a in m.alphabet:

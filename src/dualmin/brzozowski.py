@@ -25,7 +25,6 @@ route for a Moore automaton, and `dkm.minimise_dkm` for a Kripke model.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import itemgetter
 
 from .automata import MooreAutomaton, explore, reverse, subset_dfa, subset_names
@@ -75,13 +74,4 @@ def brzozowski_minimise(x, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomat
     return dual_automaton(dual_automaton(x, max_states, named=False), max_states)
 
 
-def dual_state_sets(m: MooreAutomaton,
-                    max_states: int = DEFAULT_MAX_STATES) -> frozenset[frozenset[int]]:
-    """Dual states of a two-output automaton decoded as subsets of m's states."""
-    if len(m.outputs) != 2:
-        raise ValueError("dual_state_sets needs a two-element output set")
-    order = explore_predicates([m.out], m.trans, m.alphabet, max_states)[0]
-    return frozenset(frozenset(compress(range(m.n), phi)) for phi in order)
-
-
-__all__ = ["explore_predicates", "dual_automaton", "brzozowski_minimise", "dual_state_sets"]
+__all__ = ["explore_predicates", "dual_automaton", "brzozowski_minimise"]

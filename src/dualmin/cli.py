@@ -155,7 +155,7 @@ def parse_trace_formula(raw: str):
 def _as_dkm(obj):
     if obj.kind == "dkm":
         return obj
-    if obj.kind == "moore" and len(obj.outputs) == 2:
+    if obj.kind == "moore" and obj.outputs == automata.DFA_OUTPUTS:
         return dualmin.Dkm.from_dfa(obj)
     raise ValueError("expected a dkm (or dfa) file")
 

@@ -54,7 +54,8 @@ class Dkm(Record):
     @classmethod
     def from_dfa(cls, m: MooreAutomaton) -> "Dkm":
         """A DFA as a single-observation model: DFA_OBS holds at accepting states."""
-        gamma = tuple(frozenset({DFA_OBS}) if m.out[s] == 1 else frozenset()
+        accepting = m.accepting()  # refuses a Moore automaton that is not a DFA
+        gamma = tuple(frozenset({DFA_OBS}) if s in accepting else frozenset()
                       for s in range(m.n))
         return cls(m.n, m.alphabet, (DFA_OBS,), gamma, dict(m.trans), m.init, m.state_names)
 
@@ -64,9 +65,6 @@ class TraceFormula(Record):
 
     word: tuple[str, ...]
     obs: str
-
-    def __str__(self):
-        return "".join(f"<{a}>" for a in self.word) + self.obs
 
 
 def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:

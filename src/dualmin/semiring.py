@@ -139,6 +139,11 @@ def _coerce_tropical(raw):
     raise SemiringError(f"tropical: bad value {raw!r}")
 
 
+def _tropical_times(x, y):
+    # inf absorbs without the float sum, which overflows beyond 2**1024
+    return TROPICAL_INF if x == TROPICAL_INF or y == TROPICAL_INF else x + y
+
+
 # (or, and) is not the (+, *) of Q, so Boolean values have no image there
 BOOL = Semiring("bool", 0, 1, or_, and_, _coerce_bool,
                 _refuse("bool: no subtraction"),
@@ -149,7 +154,7 @@ RATIONAL = Semiring("rational", Fraction(0), Fraction(1), add, mul, _coerce_rati
                     Fraction,
                     is_ring=True, is_field=True, is_pid=True)
 # (N u {inf}, min, +): addition is min with identity inf, product is + with identity 0
-TROPICAL = Semiring("tropical", TROPICAL_INF, 0, min, add, _coerce_tropical,
+TROPICAL = Semiring("tropical", TROPICAL_INF, 0, min, _tropical_times, _coerce_tropical,
                     _refuse("tropical: no subtraction"),
                     _refuse("tropical: does not embed in the rationals"))
 

@@ -29,7 +29,8 @@ The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
 functions and their lookup on one subset, the AFA embedding of a DFA, the
 reachable part of an AFA's reversed DFA, a record's copy with fields
-changed, the DFA-output test, and a random NFA generator.
+changed, the DFA-output test, the closure of a DFA named as the dual names
+its states, the one-state automata, and a random NFA generator.
 """
 
 import ast
@@ -45,7 +46,8 @@ from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, Dkm, FieldBasis, M
                      brzozowski_minimise, definable_closure, dual_automaton, mat_vec,
                      quotient_dkm, reach, reach_restrict, vec_mat)
 from dualmin.alternating import reversed_subsets
-from dualmin.automata import DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa, subsets
+from dualmin.automata import (DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa,
+                              subset_names, subsets)
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
@@ -632,6 +634,25 @@ def replace(obj, **changes):
 
 def is_dfa(m: MooreAutomaton) -> bool:
     return m.outputs == DFA_OUTPUTS
+
+
+def closure_names(m: MooreAutomaton) -> set[str]:
+    """The definable closure of a DFA read as a model, each set named by its
+    members as the dual names its states."""
+    closure = definable_closure(Dkm.from_dfa(m))
+    return set(subset_names([bytes(s in c for s in range(m.n)) for c in closure],
+                            m.state_names, m.n))
+
+
+def one_state_automata():
+    """One-state automata: DFAs over one and three letters, accepting or not,
+    and Moore automata with three and with 300 outputs."""
+    for letters in (("a",), ("a", "b", "c")):
+        for accepting in ([], [0]):
+            yield MooreAutomaton.dfa(1, letters, {a: (0,) for a in letters}, 0, accepting,
+                                     state_names=("only",))
+    yield MooreAutomaton(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, (2,), ("u", "v", "w"))
+    yield MooreAutomaton(1, ("a",), {"a": (0,)}, 0, (299,), tuple(f"o{i}" for i in range(300)))
 
 
 def random_nfa(rng, max_n: int = 6, max_letters: int = 2) -> Nfa:

@@ -8,14 +8,14 @@ import time
 
 from dualmin import (INT, RATIONAL, Dkm, IntegerBasis, bisimulation_oracle,
                      boolean_atoms, brzozowski_minimise, definable_closure, det_int,
-                     determinise, dual_automaton, dual_state_sets, equiv_exact,
+                     determinise, dual_automaton, equiv_exact,
                      hankel_rank_oracle, hnf, is_hnf_shape, iso_check, mat_mul,
                      mat_vec, minimal_dfa_for_afa, minimise_dkm, minimise_wa,
                      partition_refinement_minimise, parse, reverse, reverse_dfa, run)
 from dualmin.sampling import (random_afa, random_dfa, random_dkm, random_int_matrix,
                               random_moore, random_wa)
 
-from oracles import afa_accepts_recursive, ends_with_a_dfa, words
+from oracles import afa_accepts_recursive, closure_names, ends_with_a_dfa, words
 
 
 def _moore_sample(count):
@@ -31,9 +31,9 @@ def test_criterion_1_golden_ends_with_a(data_dir):
     dual = dual_automaton(m)
     assert dual.n == 3
     x, y, z = 0, 1, 2
-    assert dual_state_sets(m) == frozenset({frozenset({y, z}),
-                                            frozenset({x, y, z}),
-                                            frozenset()})
+    assert definable_closure(Dkm.from_dfa(m)) == frozenset({frozenset({y, z}),
+                                                            frozenset({x, y, z}),
+                                                            frozenset()})
 
     minimal = brzozowski_minimise(m)
     expected_minimal = parse((data_dir / "ends_with_a_min.json").read_bytes())
@@ -179,7 +179,7 @@ def test_criterion_9_cross_module_coherence():
     rng = random.Random("acceptance-cross")
     for _ in range(100):
         m = random_dfa(rng, max_n=6, max_letters=2)
-        assert definable_closure(Dkm.from_dfa(m)) == dual_state_sets(m)
+        assert closure_names(m) == set(dual_automaton(m).state_names)
     elapsed = time.monotonic() - t0
     print(f"\nPASS criterion 9: 100/100 DFAs, definable closure == dual states "
           f"({elapsed:.1f}s)")

@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from dualmin import (BOOL, MooreAutomaton, Nfa, StateGuardError, bool_wa_to_nfa,
-                     brzozowski_minimise, determinise, dual_automaton, dual_state_sets, emit,
+from dualmin import (BOOL, Dkm, MooreAutomaton, Nfa, StateGuardError, bool_wa_to_nfa,
+                     brzozowski_minimise, definable_closure, determinise, dual_automaton, emit,
                      equiv_exact, iso_check, parse, partition_refinement_minimise, reach,
                      reverse, reverse_dfa, run)
 from dualmin.cli import main
 from dualmin.sampling import random_afa, random_dfa, random_moore, random_wa
 
 from oracles import (determinise_by_sets, dual_by_tuples, duality_minimise_by_atoms,
-                     ends_with_a_dfa, is_dfa, minimise_by_determinising, random_nfa, replace,
-                     run_by_hand, words)
+                     ends_with_a_dfa, is_dfa, minimise_by_determinising, one_state_automata,
+                     random_nfa, replace, run_by_hand, words)
 
 
 def test_dual_of_ends_with_a():
@@ -107,19 +107,13 @@ def test_dual_of_reachable_is_observable():
 
 
 def test_dual_state_sets_ends_with_a():
-    sets = dual_state_sets(ends_with_a_dfa())
+    sets = definable_closure(Dkm.from_dfa(ends_with_a_dfa()))
     assert sets == frozenset({frozenset({1, 2}), frozenset({0, 1, 2}), frozenset()})
 
 
 def test_dual_state_sets_accept_nothing():
     m = MooreAutomaton.dfa(2, ("a",), {"a": (1, 0)}, 0, [])
-    assert dual_state_sets(m) == frozenset({frozenset()})
-
-
-def test_dual_state_sets_needs_two_outputs():
-    moore = MooreAutomaton(1, ("a",), {"a": (0,)}, 0, (0,), ("u", "v", "w"))
-    with pytest.raises(ValueError):
-        dual_state_sets(moore)
+    assert definable_closure(Dkm.from_dfa(m)) == frozenset({frozenset()})
 
 
 def test_state_guard():
@@ -128,15 +122,6 @@ def test_state_guard():
         dual_automaton(m, max_states=2)
     with pytest.raises(StateGuardError):
         brzozowski_minimise(m, max_states=1)
-
-
-def one_state_automata():
-    for letters in (("a",), ("a", "b", "c")):
-        for accepting in ([], [0]):
-            yield MooreAutomaton.dfa(1, letters, {a: (0,) for a in letters}, 0, accepting,
-                                     state_names=("only",))
-    yield MooreAutomaton(1, ("a", "b"), {"a": (0,), "b": (0,)}, 0, (2,), ("u", "v", "w"))
-    yield MooreAutomaton(1, ("a",), {"a": (0,)}, 0, (299,), tuple(f"o{i}" for i in range(300)))
 
 
 def many_output_automata(rng):
@@ -196,9 +181,8 @@ def test_a_minimised_chain_prints_under_ten_megabytes():
 
 
 def test_dual_state_sets_of_one_state():
-    for m in one_state_automata():
-        if is_dfa(m):
-            assert dual_state_sets(m) == {frozenset(m.accepting())}
+    for m in filter(is_dfa, one_state_automata()):
+        assert definable_closure(Dkm.from_dfa(m)) == {frozenset(m.accepting())}
 
 
 def renumbered(n: Nfa, rng) -> Nfa:

@@ -825,6 +825,18 @@ def test_selftest_small(capsys):
     assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
 
 
+def test_selftest_reports_a_failing_suite(capsys, monkeypatch):
+    monkeypatch.setitem(selftest.SUITES, "closure-vs-dual",
+                        lambda rng, failures: failures.append("planted failure"))
+    lines = []
+    assert selftest.run_selftest(cases=1, report=lines.append) is False
+    assert lines[-1] == "FAIL closure-vs-dual: planted failure"
+    assert all(line.startswith("PASS") for line in lines[:-1])
+    rc, out, _ = invoke(capsys, "selftest", "--cases", "1")
+    assert rc == 1
+    assert out.splitlines()[-1] == "FAIL closure-vs-dual: planted failure"
+
+
 def test_parse_trace_formula():
     f = parse_trace_formula("<a><b>p")
     assert f.word == ("a", "b") and f.obs == "p"

@@ -5,14 +5,13 @@ import pytest
 
 from dualmin import (Dkm, MooreAutomaton, NonCongruenceError, Partition, TraceFormula,
                      bisimulation_oracle, boolean_atoms, definable_closure,
-                     dual_automaton, dual_state_sets, eval_trace, minimise_dkm,
-                     quotient_dkm)
+                     dual_automaton, eval_trace, minimise_dkm, quotient_dkm)
 from dualmin.sampling import random_dfa, random_dkm
 
 from dualmin.automata import DFA_OUTPUTS, by_rows, pair_walk
 
-from oracles import (closure_by_preimages, dkm_equiv_by_union, ends_with_a_dfa,
-                     minimise_dkm_by_atoms, replace, words)
+from oracles import (closure_by_preimages, closure_names, dkm_equiv_by_union, ends_with_a_dfa,
+                     is_dfa, minimise_dkm_by_atoms, one_state_automata, replace, words)
 
 
 def ends_with_a_dkm() -> Dkm:
@@ -86,10 +85,13 @@ def test_closure_is_stable_and_small():
 
 
 def test_closure_matches_dual_state_sets():
+    """The dual's states are the definable sets of the DFA read as a model."""
     rng = random.Random(7)
-    for _ in range(50):
-        m = random_dfa(rng, max_n=6)
-        assert definable_closure(Dkm.from_dfa(m)) == dual_state_sets(m)
+    cases = [random_dfa(rng, max_n=6) for _ in range(50)]
+    cases += [ends_with_a_dfa(), MooreAutomaton.dfa(2, ("a",), {"a": (1, 0)}, 0, [])]
+    cases += filter(is_dfa, one_state_automata())
+    for m in cases:
+        assert closure_names(m) == set(dual_automaton(m).state_names)
 
 
 def _closure_case(rng, i):
@@ -301,6 +303,13 @@ REFUSALS = {
     "unknown observation in gamma": (
         lambda: Dkm(1, ("a",), ("p",), (frozenset({"q"}),), {"a": (0,)}),
         "gamma must assign every state a subset of the observations"),
+    "a three-output Moore automaton as a model": (
+        lambda: Dkm.from_dfa(MooreAutomaton(1, ("a",), {"a": (0,)}, 0, (0,), ("u", "v", "w"))),
+        "accepting states need the outputs reject and accept"),
+    "a two-output Moore automaton that is not a DFA as a model": (
+        lambda: Dkm.from_dfa(MooreAutomaton(1, ("a",), {"a": (0,)}, 0, (0,),
+                                            ("accept", "reject"))),
+        "accepting states need the outputs reject and accept"),
     "atoms of a family over other states": (
         lambda: boolean_atoms(frozenset({frozenset({0, 2})}), 2),
         "family mentions a state out of range"),

@@ -16,7 +16,7 @@ EXPORTED = {
     "minimal_dfa_for_afa", "reverse_dfa", "reversed_subsets",
     "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact", "iso_check",
     "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
-    "brzozowski_minimise", "dual_automaton", "dual_state_sets",
+    "brzozowski_minimise", "dual_automaton",
     "Dkm", "TraceFormula", "bisimulation_oracle", "boolean_atoms", "definable_closure",
     "eval_trace", "minimise_dkm", "quotient_dkm",
     "DimensionError", "FormatError", "NonCongruenceError", "SemiringError", "StateGuardError",

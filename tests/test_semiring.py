@@ -131,6 +131,10 @@ def test_tropical_infinity_is_absorbing_and_neutral():
     assert TROPICAL.add(TROPICAL_INF, 5) == 5
     assert TROPICAL.mul(TROPICAL_INF, 5) == TROPICAL_INF
     assert TROPICAL.coerce("inf") == TROPICAL_INF
+    # past 2**1024 an integer has no float, so inf must absorb without a sum
+    assert TROPICAL.mul(10 ** 400, TROPICAL_INF) == TROPICAL_INF
+    assert TROPICAL.mul(TROPICAL_INF, 10 ** 400) == TROPICAL_INF
+    assert TROPICAL.mul(10 ** 400, 1) == 10 ** 400 + 1
 
 
 def test_mat_mul_identity():

@@ -29,6 +29,7 @@ UNSUPPORTED = "error: {}: unsupported file type\n"
 NOT_NFA = "error: determinize expects an nfa (or a Boolean weighted automaton)\n"
 NOT_DKM = "error: expected a dkm (or dfa) file\n"
 NOT_WEIGHTED = "error: hankel expects a weighted file\n"
+NOT_DFA = "error: accepting states need the outputs reject and accept\n"
 NO_REFINE = "error: refine applies to deterministic automata, not weighted ones\n"
 
 # fixture -> column -> (exit code, what the call shows): the stderr line of an
@@ -110,9 +111,24 @@ MATRIX = {
         "hankel": (1, NOT_WEIGHTED),
         "stats": (0, "moore states=2 letters=2 outputs=2 reachable=2\n"),
     },
+    "moore2_accept_first.json": {  # two outputs, but not the DFA's
+        "run": (0, "reject\n"),
+        "reverse": (1, NOT_DFA),
+        "determinize": (1, NOT_NFA),
+        "reach": (0, "moore 2"),
+        "dual": (0, "moore 2"),
+        "brzozowski": (0, "moore 2"),
+        "refine": (0, "moore 2"),
+        "duality": (0, "moore 2"),
+        "equiv": (0, "equivalent\n"),
+        "trace-eval": (1, NOT_DKM),
+        "closure": (1, NOT_DKM),
+        "hankel": (1, NOT_WEIGHTED),
+        "stats": (0, "moore states=2 letters=1 outputs=2 reachable=2\n"),
+    },
     "moore3.json": {
         "run": (0, "high\n"),
-        "reverse": (1, "error: accepting states need a two-element output set\n"),
+        "reverse": (1, NOT_DFA),
         "determinize": (1, NOT_NFA),
         "reach": (0, "moore 4"),
         "dual": (0, "moore 12"),
