@@ -7,12 +7,12 @@ bitmask with bit i set for state i, as for NFA subsets in automata.py, and
 at(mask) is 1 iff that subset satisfies the function.  The reversed DFA has
 state set 2^X, starts at the final set, steps a subset A to
 {s | delta_a(s)(A) = 1}, accepts when iota holds, and recognises exactly the
-reverse of the AFA's language.  `reversed_subsets` gives it as a lazy
-triple, the AFA's `view()`, which `equiv_exact` walks without building it
-and `afa_accepts` walks along the reversed word.  Its reachable part, built
-by `automata.subset_dfa` (the subset construction that also determinises
-NFAs) behind the state bound, is the AFA's dual (`brzozowski.dual_automaton`,
-the `dual` verb's output), and the dual of that dual is the minimal DFA.
+reverse of the AFA's language.  The AFA's `view()` is it as a lazy triple,
+which `equiv_exact` walks without building it and `afa_accepts` walks along
+the reversed word.  Its reachable part, built from the view by
+`automata.subset_dfa` (which also determinises NFAs) behind the state bound,
+is the AFA's dual (`brzozowski.dual_automaton`, the `dual` verb's output),
+and the dual of that dual is the minimal DFA.
 `reverse_dfa`, only the `reverse` verb's output, builds all 2^n subsets.
 
 A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
@@ -22,13 +22,14 @@ hash and `sats` ask it about all 2^n subsets."""
 from __future__ import annotations
 
 import ast
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
+import dualmin
+
 from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa, walk
-from .brzozowski import brzozowski_minimise
 from .errors import DEFAULT_MAX_STATES, Record, StateGuardError
 
 
@@ -169,24 +170,16 @@ class AlternatingAutomaton(Record):
             raise ValueError("final state out of range")
 
     def view(self) -> tuple:
-        """The reversed DFA's triple (`reversed_subsets`): it reads words reversed."""
-        return reversed_subsets(self)
-
-
-def _afa_step(a: AlternatingAutomaton, mask: int, letter: str) -> int:
-    """The mask of the states whose condition on `letter` holds on `mask`."""
-    return sum(f.at(mask) << s for s, f in enumerate(a.delta[letter]))
+        """The reversed DFA's lazy triple on bitmasks (it reads words reversed): a
+        subset steps to the states whose condition on the letter holds on it."""
+        delta = self.delta
+        return (_mask(self.n, self.finals), self.iota.at,
+                lambda mask, a: sum(f.at(mask) << s for s, f in enumerate(delta[a])))
 
 
 def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:
     """Tree semantics: the AFA's view walked on the reversed word."""
     return bool(walk(a.view(), tuple(word)[::-1], a.alphabet))
-
-
-def reversed_subsets(a: AlternatingAutomaton) -> tuple:
-    """The reversed DFA as a lazy (start, key, step) triple on bitmasks.  The
-    walk that reads it bounds the subsets or pairs it stores."""
-    return _mask(a.n, a.finals), a.iota.at, partial(_afa_step, a)
 
 
 def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
@@ -196,11 +189,11 @@ def reverse_dfa(a: AlternatingAutomaton, max_states: int = DEFAULT_MAX_STATES) -
     if 1 << a.n > max_states:
         raise StateGuardError(
             f"the AFA's 2^{a.n} subsets exceed the bound of {max_states}; raise --max-states")
-    return subset_dfa(a, reversed_subsets(a), max_states, range(1 << a.n))
+    return subset_dfa(a, max_states, range(1 << a.n))
 
 
 def minimal_dfa_for_afa(a: AlternatingAutomaton,
                         max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """Minimal DFA for the AFA's language: the dual taken twice, whose first
     pass is the reachable part of the reversed DFA."""
-    return brzozowski_minimise(a, max_states)
+    return dualmin.brzozowski_minimise(a, max_states)

@@ -11,11 +11,11 @@ definable sets, reachable states) behind one state bound; `stable_partition`
 whose states carry keys (Moore outputs, or the observation sets of a Kripke
 model); `pair_walk` decides exact equivalence on the reachable pairs
 of two lazy (start, key, step) triples, and `walk` follows one along a word.
-Each Boolean kind's `view()` is such a triple: Moore states keyed by output
-label, NFA subsets, the subsets of an AFA's reversed DFA, or Kripke states
-keyed by observation set.  NFA and AFA subsets are bitmasks, and
-`subset_dfa` is the one subset construction: it builds the DFA of such a
-triple, for NFA determinisation and for AFA reversal alike.
+Each Boolean kind's `view()` is its one lazy form, such a triple: Moore
+states keyed by output label, NFA subsets, the subsets of an AFA's reversed
+DFA, or Kripke states keyed by observation set.  NFA and AFA subsets are
+bitmasks, and `subset_dfa`, the one subset construction, builds the DFA of
+an NFA's or an AFA's view: NFA determinisation and AFA reversal alike.
 
 States are dense integer indices 0..n-1; human names only survive as optional
 serialization metadata, and an unnamed state i is called s{i}.  One rule,
@@ -123,8 +123,20 @@ class Nfa(Record):
                 raise ValueError("initial/final state out of range")
 
     def view(self) -> tuple:
-        """The subset construction's triple (`subsets`)."""
-        return subsets(self)
+        """The subset construction's lazy triple on bitmasks: a subset's key is 1
+        if it meets the final states, and it steps to its members' successors."""
+        succ = {a: [_mask(self.n, ts) for ts in row] for a, row in self.trans.items()}
+        finals = _mask(self.n, self.finals)
+
+        def step(mask: int, a: str) -> int:
+            row, out = succ[a], 0
+            while mask:
+                low = mask & -mask
+                out |= row[low.bit_length() - 1]
+                mask ^= low
+            return out
+
+        return _mask(self.n, self.inits), lambda mask: 1 if mask & finals else 0, step
 
 
 class Partition(Record):
@@ -281,33 +293,15 @@ def _mask(n: int, subset: Iterable[int]) -> int:
     return mask
 
 
-def subsets(n: Nfa) -> tuple:
-    """The subset construction as a lazy (start, key, step) triple on bitmasks:
-    the initial set, 1 for a subset that meets the final states (else 0), and
-    the step that joins the successor masks of a subset's members."""
-    succ = {a: [_mask(n.n, ts) for ts in row] for a, row in n.trans.items()}
-    finals = _mask(n.n, n.finals)
-
-    def step(mask: int, a: str) -> int:
-        row, out = succ[a], 0
-        while mask:
-            low = mask & -mask
-            out |= row[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    return _mask(n.n, n.inits), lambda mask: 1 if mask & finals else 0, step
-
-
-def subset_dfa(x, triple: tuple, max_states: int, starts: Iterable[int] | None = None,
+def subset_dfa(x, max_states: int, starts: Iterable[int] | None = None,
                named: bool = True) -> MooreAutomaton:
-    """The DFA of a lazy (start, key, step) triple on bitmask subsets of the
-    states of x (an NFA or an AFA): the subsets reachable from `starts`
-    (default: the start alone) in BFS order, the start as initial state,
-    key(mask) as output, and each subset named by its members unless `named`
-    is false.  The one subset construction: NFA determinisation and AFA
-    reversal."""
-    start, key, step = triple
+    """The DFA of x's view (x an NFA or an AFA), a lazy (start, key, step)
+    triple on bitmask subsets of x's states: the subsets reachable from
+    `starts` (default: the start alone) in BFS order, the start as initial
+    state, key(mask) as output, and each subset named by its members unless
+    `named` is false.  The one subset construction: NFA determinisation and
+    AFA reversal."""
+    start, key, step = x.view()
     order, trans = explore([start] if starts is None else starts, step, x.alphabet,
                            max_states, "subset construction")
     return MooreAutomaton(len(order), x.alphabet, {a: tuple(ts) for a, ts in trans.items()},
@@ -322,13 +316,13 @@ def determinise(n: Nfa, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     A subset is accepting iff it meets the final states; empty initial set
     yields the one-state rejecting sink.
     """
-    return subset_dfa(n, subsets(n), max_states)
+    return subset_dfa(n, max_states)
 
 
 def reach(m: MooreAutomaton) -> MooreAutomaton:
     """Restriction to states reachable from init, renumbered in BFS order."""
-    rows = m.trans
-    order, trans = explore([m.init], lambda s, a: rows[a][s], m.alphabet, m.n, "reach")
+    start, _, step = by_rows(m.init, m.out, m.trans)
+    order, trans = explore([start], step, m.alphabet, m.n, "reach")
     names = tuple(m.state_names[s] for s in order) if m.state_names else None
     return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(m.out[s] for s in order), m.outputs, names)

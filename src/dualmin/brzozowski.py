@@ -10,14 +10,16 @@ part of its reversed DFA (alternating.py).  Each stores only reachable
 states, behind the state bound, and a dual is reachable, so the dual of the
 dual is reachable and observable: the minimal automaton.
 
-A two-output dual names each state by its members (`x+z`), so `dual` twice
-nests names (`x+z,y+z`).  A double reversal instead runs its first pass
-unnamed, so its states are named by first-pass index (`s0+s3`): the nested
-names would be n labels in each of n members of each of n states.
+A DFA's, an NFA's or an AFA's dual names each state by its members (`x+z`),
+so `dual` twice nests names (`x+z,y+z`); other Moore duals are unnamed.  A
+double reversal runs its first pass unnamed, so its states are named by
+first-pass index (`s0+s3`): nested names would be n labels in each of n
+members of each of n states.
 
-`explore_predicates` is the one predicate step: from the output map it gives
-the dual, from one 0/1 predicate per observation the definable closure of a
-Kripke model (dkm.py).  Minimisation by the atoms of that closure needs no
+`predicates` gives the one predicate step.  Explored from the output map it
+gives the dual, from one 0/1 predicate per observation a Kripke model's
+definable closure, and walked along a reversed word a trace formula's
+extension (dkm.py).  Minimisation by the atoms of that closure needs no
 predicates at all: the atoms are the coarsest stable partition of the outputs
 or observations, so `automata.partition_refinement_minimise` is the duality
 route for a Moore automaton, and `dkm.minimise_dkm` for a Kripke model.
@@ -27,40 +29,38 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .automata import MooreAutomaton, explore, reverse, subset_dfa, subset_names
+import dualmin
+
+from .automata import DFA_OUTPUTS, MooreAutomaton, explore, subset_dfa, subset_names
 from .errors import DEFAULT_MAX_STATES
 
 
-def explore_predicates(starts, trans, alphabet, max_states=DEFAULT_MAX_STATES,
-                       what="dual automaton"):
-    """Closure of the predicates `starts` (value vectors over the states) under
-    phi -> phi . trans[a] for every letter a, as explore's (order, trans).
-    Predicates are `bytes`, one byte per state, unless a value exceeds 255."""
+def predicates(starts, trans) -> tuple:
+    """The predicates `starts` (value vectors over the states), packed, and
+    the step phi -> phi . trans[a]: explore's starts and step.  Predicates
+    are `bytes`, one byte per state, unless a value exceeds 255."""
     starts = list(starts)
     pack = bytes if all(v < 256 for phi in starts for v in phi) else tuple
     # itemgetter(t) returns a scalar; with n <= 1 states every step is phi[0:n]
     gets = {a: itemgetter(*ts) if len(ts) > 1 else itemgetter(slice(0, len(ts)))
             for a, ts in trans.items()}
-    return explore(map(pack, starts), lambda phi, a: pack(gets[a](phi)),
-                   alphabet, max_states, what)
+    return list(map(pack, starts)), lambda phi, a: pack(gets[a](phi))
 
 
 def dual_automaton(x, max_states: int = DEFAULT_MAX_STATES,
                    named: bool = True) -> MooreAutomaton:
     """The dual of a Moore automaton, an NFA or an AFA (module docstring):
     run(dual_automaton(x), w) is x's verdict on reversed(w).  Unless `named`
-    is false a two-output dual names each state by its members."""
+    is false a DFA's, an NFA's or an AFA's dual names states by members."""
     if x.kind in ("nfa", "afa"):  # an AFA's view already reads words from their end
-        return subset_dfa(x, (reverse(x) if x.kind == "nfa" else x).view(), max_states,
-                          named=named)
-    order, trans = explore_predicates([x.out], x.trans, x.alphabet, max_states)
-    out = tuple(phi[x.init] for phi in order)
+        return subset_dfa(dualmin.reverse(x) if x.kind == "nfa" else x, max_states, named=named)
+    order, trans = explore(*predicates([x.out], x.trans), x.alphabet, max_states,
+                           "dual automaton")
     names = None
-    if named and len(x.outputs) == 2:
+    if named and x.outputs == DFA_OUTPUTS:
         names = subset_names(order, x.state_names, x.n)
-    return MooreAutomaton(len(order), x.alphabet,
-                          {a: tuple(ts) for a, ts in trans.items()},
-                          0, out, x.outputs, names)
+    return MooreAutomaton(len(order), x.alphabet, {a: tuple(ts) for a, ts in trans.items()},
+                          0, tuple(phi[x.init] for phi in order), x.outputs, names)
 
 
 def brzozowski_minimise(x, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
@@ -74,4 +74,4 @@ def brzozowski_minimise(x, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomat
     return dual_automaton(dual_automaton(x, max_states, named=False), max_states)
 
 
-__all__ = ["explore_predicates", "dual_automaton", "brzozowski_minimise"]
+__all__ = ["predicates", "dual_automaton", "brzozowski_minimise"]

@@ -5,8 +5,10 @@ quotient obtained from those atoms.
 A trace formula is a modality word followed by a single observation,
 <a1>...<ak> w; its extension is computed right to left by taking transition
 preimages of the observation's extension.  A preimage is the dual
-automaton's predicate step, so the closure of all trace-definable subsets is
-the dual pass (`explore_predicates`) from one 0/1 predicate per observation.
+automaton's predicate step (`brzozowski.predicates`): a trace formula walks
+it from the observation's 0/1 predicate along the reversed word, and the
+closure of all trace-definable subsets is the dual pass that explores it
+from one 0/1 predicate per observation.
 The closure can hold exponentially many sets, but it has at most n atoms:
 the coarsest partition that refines the observations and that every
 letter's preimage respects.  `minimise_dkm` therefore quotients by
@@ -19,9 +21,9 @@ from __future__ import annotations
 from itertools import compress
 from typing import Mapping
 
-from .automata import (MooreAutomaton, Partition, _check_successors, by_rows, quotient_rows,
-                       stable_partition)
-from .brzozowski import explore_predicates
+from .automata import (MooreAutomaton, Partition, _check_successors, by_rows, explore,
+                       quotient_rows, stable_partition, walk)
+from .brzozowski import predicates
 from .errors import DEFAULT_MAX_STATES, Record
 
 DFA_OBS = "p"  # the one observation of a DFA read as a model: "accepting"
@@ -68,16 +70,13 @@ class TraceFormula(Record):
 
 
 def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:
-    """Extension of a trace formula, evaluated right to left by preimages."""
+    """Extension of a trace formula: the observation's 0/1 predicate walked
+    by the predicate step (the preimage) along the reversed word."""
     if formula.obs not in k.obs:
         raise ValueError(f"unknown observation {formula.obs!r}")
-    current = frozenset(s for s in range(k.n) if formula.obs in k.gamma[s])
-    for a in reversed(formula.word):
-        if a not in k.delta:
-            raise ValueError(f"unknown letter {a!r}")
-        row = k.delta[a]
-        current = frozenset(s for s in range(k.n) if row[s] in current)
-    return current
+    (start,), step = predicates([[formula.obs in g for g in k.gamma]], k.delta)
+    return walk((start, lambda phi: frozenset(compress(range(k.n), phi)), step),
+                reversed(formula.word), k.alphabet)
 
 
 def definable_closure(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> frozenset[frozenset[int]]:
@@ -85,7 +84,7 @@ def definable_closure(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> frozenset
     transition preimages; equals the set of all trace-formula extensions.
     It starts from one 0/1 predicate per observation: the states where it holds."""
     starts = [[w in g for g in k.gamma] for w in k.obs]
-    order = explore_predicates(starts, k.delta, k.alphabet, max_states, "definable closure")[0]
+    order = explore(*predicates(starts, k.delta), k.alphabet, max_states, "definable closure")[0]
     return frozenset(frozenset(compress(range(k.n), phi)) for phi in order)
 
 

@@ -8,9 +8,10 @@ forms by whole-matrix elimination, determinants by permutation expansion,
 AFA acceptance by the literal recursive definition, AFA formulas by
 interpreting their syntax tree on one subset at a time, the dual automaton on
 predicates kept as tuples, the names of subset states by joining the sorted
-members of sets, the definable closure of a Kripke model by frozenset
-preimages, coarsest stable partitions by refinement in rounds (the library
-runs Hopcroft's algorithm), and emitted text by json.dumps.  Eleven oracles
+members of sets, trace-formula extensions and the definable closure of a
+Kripke model by frozenset preimages (the library walks and explores the
+dual's predicate step), coarsest stable partitions by refinement in rounds
+(the library runs Hopcroft's algorithm), and emitted text by json.dumps.  Eleven oracles
 keep a library route as an explicit second copy: the Kripke quotient by the
 atoms of the definable closure as a set family, the Moore quotient by the same
 atoms of the model with one observation per output, the Hankel block one word
@@ -45,9 +46,8 @@ from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, Dkm, FieldBasis, M
                      MooreAutomaton, Nfa, Semiring, WeightedAutomaton, boolean_atoms,
                      brzozowski_minimise, definable_closure, dual_automaton, mat_vec,
                      quotient_dkm, reach, reach_restrict, vec_mat)
-from dualmin.alternating import reversed_subsets
 from dualmin.automata import (DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa,
-                              subset_names, subsets)
+                              subset_names)
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
@@ -381,7 +381,8 @@ def names_by_sets(subsets, names, n):
 def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
     """The dual automaton with every predicate a tuple of output indices,
     explored breadth first with letters in alphabet order; states are named
-    by `names_by_sets`.  Applied twice it is `dual` twice, with nested names;
+    by `names_by_sets` when m is a DFA (its outputs are DFA_OUTPUTS), and
+    unnamed otherwise.  Applied twice it is `dual` twice, with nested names;
     applied to the first pass with its names dropped, it is a double
     reversal, named by first-pass index."""
     index = {tuple(m.out): 0}
@@ -395,11 +396,27 @@ def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
                 order.append(nxt)
             trans[a].append(index[nxt])
     names = None
-    if len(m.outputs) == 2:
+    if m.outputs == DFA_OUTPUTS:
         names = names_by_sets([{s for s in range(m.n) if phi[s]} for phi in order],
                               m.state_names, m.n)
     return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
                           0, tuple(phi[m.init] for phi in order), m.outputs, names)
+
+
+def eval_trace_by_preimages(k, formula) -> frozenset:
+    """A trace formula's extension, right to left: the observation's
+    extension as a frozenset, then the frozenset preimage under each letter
+    of the reversed word.  An unknown observation or letter is a ValueError
+    with the library's message."""
+    if formula.obs not in k.obs:
+        raise ValueError(f"unknown observation {formula.obs!r}")
+    current = frozenset(s for s in range(k.n) if formula.obs in k.gamma[s])
+    for a in reversed(formula.word):
+        if a not in k.delta:
+            raise ValueError(f"unknown letter {a!r}")
+        row = k.delta[a]
+        current = frozenset(s for s in range(k.n) if row[s] in current)
+    return current
 
 
 def closure_by_preimages(k) -> frozenset:
@@ -519,7 +536,7 @@ def determinise_by_sets(n: Nfa) -> MooreAutomaton:
 def minimise_by_determinising(n: Nfa, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
     """Boolean minimisation in three passes: the subset DFA of the NFA, built
     unnamed, then the dual taken twice."""
-    return brzozowski_minimise(subset_dfa(n, subsets(n), max_states, named=False), max_states)
+    return brzozowski_minimise(subset_dfa(n, max_states, named=False), max_states)
 
 
 def minimal_dfa_for_afa_by_composition(a: AlternatingAutomaton,
@@ -527,8 +544,7 @@ def minimal_dfa_for_afa_by_composition(a: AlternatingAutomaton,
     """An AFA's minimal DFA as one dual pass over the reachable part of its
     reversed DFA, built unnamed, so that the dual names its states by
     reversed-DFA index (`s0+s3`)."""
-    return dual_automaton(subset_dfa(a, reversed_subsets(a), max_states, named=False),
-                          max_states)
+    return dual_automaton(subset_dfa(a, max_states, named=False), max_states)
 
 
 def equiv_by_difference(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
@@ -595,7 +611,7 @@ def reachable_reverse_dfa(a: AlternatingAutomaton,
     subsets; the same states in the same order.  State names are decided on
     the reachable subsets alone, so they survive where only an unreachable
     subset would collide."""
-    return subset_dfa(a, reversed_subsets(a), max_states)
+    return subset_dfa(a, max_states)
 
 
 def reverse_dfa_by_tables(n: int, alphabet, tables, iota: int, finals) -> MooreAutomaton:

@@ -8,7 +8,7 @@ from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts
                      compile_formula, determinise, dual_automaton, equiv_exact, iso_check,
                      minimal_dfa_for_afa, parse, partition_refinement_minimise, reach,
                      reverse, reverse_dfa, run)
-from dualmin.alternating import MAX_FORMULA_DEPTH, reversed_subsets
+from dualmin.alternating import MAX_FORMULA_DEPTH
 from dualmin.automata import pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
@@ -376,9 +376,9 @@ def test_minimize_and_equiv_of_40_states_store_reachable_subsets_only():
     with pytest.raises(StateGuardError):
         reverse_dfa(a)
     assert minimal_dfa_for_afa(a).n == 711
-    assert pair_walk(reversed_subsets(a), reversed_subsets(b), a.alphabet)
+    assert pair_walk(a.view(), b.view(), a.alphabet)
     with pytest.raises(StateGuardError):
-        pair_walk(reversed_subsets(a), reversed_subsets(b), a.alphabet, max_states=100)
+        pair_walk(a.view(), b.view(), a.alphabet, max_states=100)
 
 
 def _padded(rng, a: AlternatingAutomaton) -> AlternatingAutomaton:
@@ -404,7 +404,7 @@ def test_lazy_equiv_matches_the_built_reversed_dfas():
             b = random_afa(rng, max_n=4)
             if b.alphabet != a.alphabet or b.n == a.n:
                 continue
-        verdict = pair_walk(reversed_subsets(a), reversed_subsets(b), a.alphabet)
+        verdict = pair_walk(a.view(), b.view(), a.alphabet)
         assert verdict == equiv_exact(reachable_reverse_dfa(a), reachable_reverse_dfa(b))
         if i % 2:
             assert verdict

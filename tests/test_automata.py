@@ -8,7 +8,7 @@ from dualmin import (AlternatingAutomaton, BoolFun, Dkm, MooreAutomaton, Nfa, St
                      partition_refinement_minimise, reach, reverse, reverse_dfa, run)
 from dualmin.automata import (Partition, bounded_words, by_rows, explore, mask_row, pair_walk,
                               quotient_rows, stable_partition, state_labels, subset_names,
-                              subsets, walk)
+                              walk)
 from dualmin.errors import DEFAULT_MAX_STATES, NonCongruenceError
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore
 
@@ -59,7 +59,7 @@ def test_determinise_full_and_reachable():
     # full subset closure over all 8 subsets of {x,y,z}
     x, y, z = 0, 1, 2
     f = frozenset
-    step = subsets(n)[2]
+    step = n.view()[2]
 
     def members(mask):
         return f(s for s in range(3) if mask >> s & 1)
@@ -169,9 +169,9 @@ def test_nfa_pair_walk_matches_the_determinised_oracle():
             other = random_nfa(rng)
             if other.alphabet != n.alphabet:
                 continue
-        verdict = pair_walk(subsets(n), subsets(other), n.alphabet)
+        verdict = pair_walk(n.view(), other.view(), n.alphabet)
         assert verdict == equiv_by_bfs(determinise_by_sets(n), determinise_by_sets(other))
-        assert verdict == pair_walk(subsets(other), subsets(n), n.alphabet)
+        assert verdict == pair_walk(other.view(), n.view(), n.alphabet)
         if kind < 2:
             assert verdict
         verdicts.append(verdict)

@@ -156,6 +156,22 @@ def test_dual_predicates_match_the_tuple_route():
         assert minimal == expected and minimal.state_names == expected.state_names
 
 
+def test_only_a_dfa_dual_names_states_by_their_members(capsys, data_dir):
+    """Naming a dual state by its members reads output 1 as accepting, which
+    holds of a DFA alone.  Here output 1 is reject, so the dual's accepting
+    state would be named y after the file's rejecting state."""
+    path = data_dir / "moore2_accept_first.json"
+    m = parse(path.read_text())
+    assert dual_automaton(m).state_names is None
+    for verb in ("dual", "minimize"):
+        assert main([verb, str(path)]) == 0
+        d = parse(capsys.readouterr().out)
+        assert d.state_names == ("s0", "s1")
+        assert [d.outputs[o] for o in d.out] == ["accept", "reject"]
+    as_dfa = MooreAutomaton.dfa(m.n, m.alphabet, m.trans, m.init, [0], m.state_names)
+    assert dual_automaton(as_dfa).state_names == ("x", "empty")
+
+
 def permuted_chain(n: int, rng) -> MooreAutomaton:
     """a moves one step along n states in a random order, b goes back to the
     first, and only the last accepts: all n states are distinguishable."""

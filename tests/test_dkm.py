@@ -11,7 +11,8 @@ from dualmin.sampling import random_dfa, random_dkm
 from dualmin.automata import DFA_OUTPUTS, by_rows, pair_walk
 
 from oracles import (closure_by_preimages, closure_names, dkm_equiv_by_union, ends_with_a_dfa,
-                     is_dfa, minimise_dkm_by_atoms, one_state_automata, replace, words)
+                     eval_trace_by_preimages, is_dfa, minimise_dkm_by_atoms, one_state_automata,
+                     replace, words)
 
 
 def ends_with_a_dkm() -> Dkm:
@@ -46,6 +47,32 @@ def test_eval_trace_unknowns():
         eval_trace(k, TraceFormula((), "q"))
     with pytest.raises(ValueError):
         eval_trace(k, TraceFormula(("c",), "p"))
+
+
+def test_eval_trace_matches_the_preimage_oracle():
+    """eval_trace walks the dual's predicate step, the oracle takes frozenset
+    preimages: every word up to length 4 on seeded models of 0 to 6 states,
+    each with an observation that holds nowhere, and the same refusals."""
+    rng = random.Random(41)
+    obs = ("p", "q", "nowhere")
+    for n in range(7):
+        for _ in range(8):
+            alphabet = ("a", "b")[:rng.randint(1, 2)]
+            gamma = tuple(frozenset(w for w in obs[:2] if rng.random() < 0.5) for _ in range(n))
+            delta = {a: tuple(rng.randrange(n) for _ in range(n)) for a in alphabet}
+            k = Dkm(n, alphabet, obs, gamma, delta)
+            for w in words(alphabet, 4):
+                for p in obs:
+                    formula = TraceFormula(tuple(w), p)
+                    assert eval_trace(k, formula) == eval_trace_by_preimages(k, formula)
+            for formula, message in [(TraceFormula(("a",), "r"), "unknown observation 'r'"),
+                                     (TraceFormula(("c", "a"), "r"), "unknown observation 'r'"),
+                                     (TraceFormula(("a", "c", "a"), "p"), "unknown letter 'c'"),
+                                     (TraceFormula(("c",), "nowhere"), "unknown letter 'c'")]:
+                for evaluate in (eval_trace, eval_trace_by_preimages):
+                    with pytest.raises(ValueError) as refused:
+                        evaluate(k, formula)
+                    assert str(refused.value) == message
 
 
 def test_definable_closure_ends_with_a():

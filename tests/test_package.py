@@ -13,7 +13,7 @@ import dualmin
 # every name the package exports
 EXPORTED = {
     "AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
-    "minimal_dfa_for_afa", "reverse_dfa", "reversed_subsets",
+    "minimal_dfa_for_afa", "reverse_dfa",
     "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact", "iso_check",
     "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
     "brzozowski_minimise", "dual_automaton",
@@ -62,6 +62,36 @@ def test_importing_the_package_loads_none_of_its_modules():
         [sys.executable, "-c",
          "import sys, dualmin; print(sorted(m for m in sys.modules if m.startswith('dualmin.')))"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# one empty traced round of bench/tracing.py after importing the modules named
+# on the command line; prints each dualmin attribute still holding a wrapper
+TRACED_ROUND = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+import tracing
+with tracing.Tracer().installed():
+    pass
+print(sorted(f"{name}.{key}" for name, module in list(sys.modules.items())
+             if name.startswith("dualmin") for key, value in vars(module).items()
+             if hasattr(value, "__wrapped__")))
+"""
+
+
+@pytest.mark.parametrize("preloaded", [["dualmin.cli", "dualmin.brzozowski", "dualmin.weighted"],
+                                       ["dualmin.cli"]])
+def test_no_module_keeps_a_wrapper_after_a_traced_round(preloaded):
+    """A module first imported during a traced round binds no wrapped name:
+    it reads other modules' constructions as `dualmin.<name>` when called."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_ROUND, str(root / "bench"), *preloaded],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+        timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
