@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping
 import dualmin
 
 from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa, walk
-from .errors import DEFAULT_MAX_STATES, Record, StateGuardError
+from .errors import DEFAULT_MAX_STATES, Record, StateGuardError, quoted
 
 
 class BoolFun(Record):
@@ -76,12 +76,6 @@ _AT = {"lineno": 1, "col_offset": 0}  # compile asks each node it is given for a
 MAX_FORMULA_DEPTH = 500
 
 
-def _quoted(text: str) -> str:
-    """repr of text, or of its first 60 characters followed by ..., so that
-    an error about a long formula stays short."""
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
-
-
 def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     """Compile an and/or/not formula over state names into a BoolFun.
 
@@ -97,24 +91,24 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
     try:
         tree = ast.parse(formula, mode="eval")
     except SyntaxError as exc:
-        raise ValueError(f"bad formula {_quoted(formula)}: {exc}") from None
+        raise ValueError(f"bad formula {quoted(formula)}: {exc}") from None
     except (RecursionError, MemoryError):  # how ast.parse refuses a deep nesting
-        raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply") from None
+        raise ValueError(f"bad formula {quoted(formula)}: nested too deeply") from None
     index = {name: i for i, name in enumerate(state_names)}
     todo = [(tree, 0)]
     for node, depth in todo:  # breadth first: the queue grows while it is read
         depth += isinstance(node, (ast.BoolOp, ast.UnaryOp))
         if depth > MAX_FORMULA_DEPTH:
-            raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply")
+            raise ValueError(f"bad formula {quoted(formula)}: nested too deeply")
         todo.extend((child, depth) for child in ast.iter_child_nodes(node))
         if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"bad formula {_quoted(formula)}: {type(node).__name__} not allowed")
+            raise ValueError(f"bad formula {quoted(formula)}: {type(node).__name__} not allowed")
         if isinstance(node, ast.Constant) and not isinstance(node.value, bool) \
                 and not (node.value is None and "None" in index):
-            raise ValueError(f"bad formula {_quoted(formula)}: only true/false constants")
+            raise ValueError(f"bad formula {quoted(formula)}: only true/false constants")
         if isinstance(node, ast.Name) and node.id not in index \
                 and node.id not in ("true", "false"):
-            raise ValueError(f"bad formula {_quoted(formula)}: unknown name {_quoted(node.id)}")
+            raise ValueError(f"bad formula {quoted(formula)}: unknown name {quoted(node.id)}")
 
     def rewrite(node) -> ast.expr:
         if isinstance(node, ast.BoolOp):
@@ -140,7 +134,7 @@ def compile_formula(formula: str, state_names: tuple[str, ...]) -> BoolFun:
         function = ast.Expression(ast.Lambda(args, rewrite(tree.body), **_AT))
         at = eval(compile(function, "<formula>", "eval"), {"__builtins__": {}})
     except RecursionError:
-        raise ValueError(f"bad formula {_quoted(formula)}: nested too deeply") from None
+        raise ValueError(f"bad formula {quoted(formula)}: nested too deeply") from None
     f = BoolFun.__new__(BoolFun)
     f.__dict__.update(n=len(state_names), at=at)
     return f

@@ -36,6 +36,15 @@ class FormatError(ValueError):
         self.path = path
 
 
+def quoted(value) -> str:
+    """repr of a string, or of its first 60 characters followed by ..., so that
+    an error about a long value stays short; any other value's repr is cut so."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 60 else f"{value[:60]!r}..."
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}..."
+
+
 def resolve_max_states(value=None):
     """Effective state bound: explicit argument (--max-states), else
     DUALMIN_MAX_STATES, else default; a ValueError names a bad one's source."""

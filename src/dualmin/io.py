@@ -236,12 +236,23 @@ def emit_value(semiring, v):
     # by name, so that writing a value needs no import of the semiring module
     name = semiring.name
     if name == "rational":
-        return f"{v.numerator}/{v.denominator}"
+        return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
     if name == "tropical":
         return "inf" if v == float("inf") else v
     if name == "int" and not -2**53 <= v <= 2**53:
-        return str(v)
+        return _digits(v)
     return v
+
+
+def _digits(v: int) -> str:
+    """str(v) past the interpreter's limit on the digits of an int turned into
+    text, which guards parsing: a longer value is written as two halves."""
+    try:
+        return str(v)
+    except ValueError:
+        k = v.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        high, low = divmod(abs(v), 10 ** k)
+        return "-" * (v < 0) + _digits(high) + _digits(low).zfill(k)
 
 
 # batched: one write per piece made the dfa benchmark's wall_s 7-12 % worse (2 vCPUs)

@@ -1,7 +1,8 @@
 """Exact semirings and dense vector/matrix arithmetic over them.
 
 A semiring is a value: one frozen `Semiring` record holds its name, its two
-units, its operations and its flags.  Four instances are provided: `BOOL`,
+units, its operations and two flags, `is_ring` and `is_field`, which the
+weighted constructions check.  Four instances are provided: `BOOL`,
 `INT` (arbitrary-precision integers), `RATIONAL` (exact rationals) and
 `TROPICAL` (min, +).  Everything is computed exactly; no floating point
 enters any arithmetic path (the tropical infinity is a distinguished
@@ -27,10 +28,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
-from operator import add, and_, mul, neg, or_
+from operator import add, and_, mul, or_
 from typing import Any, Callable
 
-from .errors import DimensionError, Record, SemiringError
+from .errors import DimensionError, Record, SemiringError, quoted
 
 TROPICAL_INF = float("inf")
 
@@ -47,32 +48,20 @@ def over_lcm(v) -> tuple[list[int], int]:
 class Semiring(Record):
     """A semiring (S, +, *, 0, 1) with exact arithmetic on plain Python values.
 
-    `coerce` validates and normalises an externally supplied value; `neg` and
-    `to_fraction` raise SemiringError where the semiring has no subtraction
-    or does not embed in the rationals.  Flags describe the extra structure
-    available:
-      is_ring   subtraction exists
-      is_field  division by nonzero elements exists
-      is_pid    exact gcd-style division exists (Z; fields trivially qualify)
+    `coerce` validates and normalises an externally supplied value.  Flags:
+      is_ring   Z and Q: subtraction exists and values are rationals as they
+                are; `dual_wa`, `reach_restrict` and `hankel_rank_oracle` check it
+      is_field  Q: division exists; `reach_restrict` spans over Q with it, else Z
     """
 
     name: str
-    zero_element: Any
-    one_element: Any
+    zero: Any
+    one: Any
     add: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
     coerce: Callable[[Any], Any]
-    neg: Callable[[Any], Any]
-    to_fraction: Callable[[Any], Fraction]
     is_ring: bool = False
     is_field: bool = False
-    is_pid: bool = False
-
-    def zero(self):
-        return self.zero_element
-
-    def one(self):
-        return self.one_element
 
     def dot(self, u, v):
         """The sum of u[i] * v[i]: `mat_vec`'s row kernel on the one row u."""
@@ -88,17 +77,10 @@ class Semiring(Record):
         return f"<semiring {self.name}>"
 
 
-def _refuse(message: str):
-    """An operation that always raises SemiringError(message)."""
-    def refuse(a):
-        raise SemiringError(message)
-    return refuse
-
-
 def _coerce_bool(raw):
     if raw in (0, 1, False, True):
         return int(raw)
-    raise SemiringError(f"bool: bad value {raw!r}")
+    raise SemiringError(f"bool: bad value {quoted(raw)}")
 
 
 def _coerce_int(raw):
@@ -109,7 +91,7 @@ def _coerce_int(raw):
             pass
     elif isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    raise SemiringError(f"int: bad value {raw!r}")
+    raise SemiringError(f"int: bad value {quoted(raw)}")
 
 
 def _coerce_rational(raw):
@@ -119,14 +101,14 @@ def _coerce_rational(raw):
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):  # from a string only
             pass
-    raise SemiringError(f"rational: bad value {raw!r}")
+    raise SemiringError(f"rational: bad value {quoted(raw)}")
 
 
 def _coerce_tropical(raw):
     if raw == TROPICAL_INF or raw == "inf":
         return TROPICAL_INF
     if isinstance(raw, bool):
-        raise SemiringError(f"tropical: bad value {raw!r}")
+        raise SemiringError(f"tropical: bad value {quoted(raw)}")
     if isinstance(raw, int) and raw >= 0:
         return raw
     if isinstance(raw, str):
@@ -136,7 +118,7 @@ def _coerce_tropical(raw):
             v = -1
         if v >= 0:
             return v
-    raise SemiringError(f"tropical: bad value {raw!r}")
+    raise SemiringError(f"tropical: bad value {quoted(raw)}")
 
 
 def _tropical_times(x, y):
@@ -144,19 +126,12 @@ def _tropical_times(x, y):
     return TROPICAL_INF if x == TROPICAL_INF or y == TROPICAL_INF else x + y
 
 
-# (or, and) is not the (+, *) of Q, so Boolean values have no image there
-BOOL = Semiring("bool", 0, 1, or_, and_, _coerce_bool,
-                _refuse("bool: no subtraction"),
-                _refuse("bool: does not embed in the rationals"))
-INT = Semiring("int", 0, 1, add, mul, _coerce_int, neg, Fraction,
-               is_ring=True, is_pid=True)
-RATIONAL = Semiring("rational", Fraction(0), Fraction(1), add, mul, _coerce_rational, neg,
-                    Fraction,
-                    is_ring=True, is_field=True, is_pid=True)
+BOOL = Semiring("bool", 0, 1, or_, and_, _coerce_bool)
+INT = Semiring("int", 0, 1, add, mul, _coerce_int, is_ring=True)
+RATIONAL = Semiring("rational", Fraction(0), Fraction(1), add, mul, _coerce_rational,
+                    is_ring=True, is_field=True)
 # (N u {inf}, min, +): addition is min with identity inf, product is + with identity 0
-TROPICAL = Semiring("tropical", TROPICAL_INF, 0, min, _tropical_times, _coerce_tropical,
-                    _refuse("tropical: no subtraction"),
-                    _refuse("tropical: does not embed in the rationals"))
+TROPICAL = Semiring("tropical", TROPICAL_INF, 0, min, _tropical_times, _coerce_tropical)
 
 SEMIRINGS = {s.name: s for s in (BOOL, INT, RATIONAL, TROPICAL)}
 
@@ -179,7 +154,7 @@ def _row_product(sr: Semiring, den: int, v):
         nums, d = over_lcm(v)
         den *= d
         return lambda row: Fraction(sum(map(mul, row, nums)), den)
-    plus, times, zero = sr.add, sr.mul, sr.zero_element
+    plus, times, zero = sr.add, sr.mul, sr.zero
     return lambda row: reduce(plus, map(times, row, v), zero)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from .automata import Nfa, _check_alphabet
 from .errors import DimensionError, Record, SemiringError
 from .linalg import FieldBasis, IntegerBasis
-from .semiring import BOOL, RATIONAL, Matrix, Semiring, mat_vec, vec_mat
+from .semiring import BOOL, Matrix, Semiring, mat_vec, vec_mat
 
 
 class WeightedAutomaton(Record):
@@ -102,7 +102,7 @@ def reach_restrict(w: WeightedAutomaton) -> RestrictedWA:
     returned automaton is the conjugate of w by that basis and recognises the
     same series with dimension rank(basis) <= n.
     """
-    if not w.semiring.is_pid:  # a field is a PID too
+    if not w.semiring.is_ring:
         raise SemiringError(f"reachable restriction needs a field or PID, got {w.semiring.name}")
     empty = (FieldBasis if w.semiring.is_field else IntegerBasis)(w.n)
     basis = _span(empty, w.init, lambda v, a: mat_vec(w.mats[a], v), w.alphabet)
@@ -154,9 +154,9 @@ def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
 def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     """Rank over Q of the finite Hankel block H[u][v] = series(u.v), |u|,|v| <= max_len.
 
-    Independent minimality oracle for series over semirings that embed in the
-    rationals; for an automaton with n states any max_len >= n - 1 already
-    reaches the rank of the full Hankel matrix.
+    Independent minimality oracle for series over Z and Q, read as rationals as
+    they are (any other semiring is a SemiringError); for an automaton with n
+    states any max_len >= n - 1 already reaches the rank of the full Hankel matrix.
 
     H is the backward vectors times the forward vectors, so its rank is that
     of the pairing between their two spans.  `_span` builds each one length at
@@ -165,14 +165,14 @@ def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     it against the block itself (`hankel_basis_by_pairs` and
     `hankel_basis_by_block` in tests/oracles.py).
     """
-    to_q = w.semiring.to_fraction
-    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
-            for a, m in w.mats.items()}
+    # a Boolean automaton read over Q would count its accepting paths
+    if not w.semiring.is_ring:
+        raise SemiringError(f"{w.semiring.name}: does not embed in the rationals")
     # forward vectors extend at the end, backward vectors at the front
-    forward = _span(FieldBasis(w.n), tuple(map(to_q, w.init)),
-                    lambda v, a: mat_vec(mats[a], v), w.alphabet, max_len)
-    backward = _span(FieldBasis(w.n), tuple(map(to_q, w.final)),
-                     lambda v, a: vec_mat(v, mats[a]), w.alphabet, max_len)
+    forward = _span(FieldBasis(w.n), w.init,
+                    lambda v, a: mat_vec(w.mats[a], v), w.alphabet, max_len)
+    backward = _span(FieldBasis(w.n), w.final,
+                     lambda v, a: vec_mat(v, w.mats[a]), w.alphabet, max_len)
     # the pairing's matrix, scaled by the two bases' common denominators
     pairing = FieldBasis(forward.rank)
     for b in backward.nums:

@@ -90,7 +90,7 @@ def nfa_accepts_paths(n: Nfa, word) -> bool:
 def wa_eval_paths(w: WeightedAutomaton, word):
     """Sum over all state paths of init * weights * final."""
     sr = w.semiring
-    total = sr.zero()
+    total = sr.zero
     word = tuple(word)
     for path in product(range(w.n), repeat=len(word) + 1):
         value = w.init[path[0]]
@@ -104,7 +104,7 @@ def dot_by_entries(sr, u, v):
     """Dot product with one sr.mul and one sr.add per entry, in a Python loop."""
     if len(u) != len(v):
         raise ValueError(f"dot: {len(u)} vs {len(v)}")
-    acc = sr.zero()
+    acc = sr.zero
     for a, b in zip(u, v):
         acc = sr.add(acc, sr.mul(a, b))
     return acc
@@ -456,12 +456,11 @@ def hankel_basis_by_pairs(w: WeightedAutomaton, max_len: int) -> FieldBasis:
     """Echelon basis of the Hankel block H[u][v] = series(u.v), |u|,|v| <=
     max_len, with each entry a Fraction dot product of the backward vector of
     v and the forward vector of u, and the rows inserted in word order."""
-    to_q = w.semiring.to_fraction
-    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
+    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(Fraction, row)) for row in m.entries))
             for a, m in w.mats.items()}
     ws = words(w.alphabet, max_len)
-    forward = {(): tuple(map(to_q, w.init))}
-    backward = {(): tuple(map(to_q, w.final))}
+    forward = {(): tuple(map(Fraction, w.init))}
+    backward = {(): tuple(map(Fraction, w.final))}
     for word in ws[1:]:
         forward[word] = mat_vec_by_entries(mats[word[-1]], forward[word[:-1]])
         backward[word] = vec_mat_by_entries(backward[word[1:]], mats[word[0]])
@@ -478,11 +477,10 @@ def hankel_basis_by_block(w: WeightedAutomaton, max_len: int) -> FieldBasis:
     ones over one common denominator and each forward one over its own, so
     that row u is H's row u times a nonzero integer."""
     ws = words(w.alphabet, max_len)
-    to_q = w.semiring.to_fraction
-    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(to_q, row)) for row in m.entries))
+    mats = {a: Matrix(RATIONAL, w.n, w.n, tuple(tuple(map(Fraction, row)) for row in m.entries))
             for a, m in w.mats.items()}
-    forward = {(): tuple(map(to_q, w.init))}
-    backward = {(): tuple(map(to_q, w.final))}
+    forward = {(): tuple(map(Fraction, w.init))}
+    backward = {(): tuple(map(Fraction, w.final))}
     for word in ws[1:]:
         forward[word] = mat_vec(mats[word[-1]], forward[word[:-1]])
         backward[word] = vec_mat(backward[word[1:]], mats[word[0]])
@@ -554,13 +552,13 @@ def equiv_by_difference(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     vanishes on the reachable submodule (over Z, the reachable lattice), that
     is iff the restricted automaton's final vector is zero."""
     sr = a.semiring
-    zero = sr.zero()
+    zero = sr.zero
     n = a.n + b.n
     mats = {x: Matrix(sr, n, n, tuple(row + (zero,) * b.n for row in a.mats[x].entries)
                       + tuple((zero,) * a.n + row for row in b.mats[x].entries))
             for x in a.alphabet}
     diff = WeightedAutomaton(n, a.alphabet, sr, mats, a.init + b.init,
-                             a.final + tuple(sr.neg(x) for x in b.final))
+                             a.final + tuple(-x for x in b.final))
     return all(x == zero for x in reach_restrict(diff).automaton.final)
 
 
@@ -590,13 +588,13 @@ def dkm_equiv_by_union(k1, k2) -> bool:
 
 
 def identity(semiring: Semiring, n: int) -> Matrix:
-    one, zero = semiring.one(), semiring.zero()
+    one, zero = semiring.one, semiring.zero
     rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
     return Matrix(semiring, n, n, rows)
 
 
 def zeros(semiring: Semiring, n_rows: int, n_cols: int) -> Matrix:
-    zero = semiring.zero()
+    zero = semiring.zero
     return Matrix(semiring, n_rows, n_cols, tuple((zero,) * n_cols for _ in range(n_rows)))
 
 

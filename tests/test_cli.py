@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -275,7 +276,9 @@ def test_hankel(capsys, data_dir):
 
 def test_hankel_refuses_boolean_files(capsys, tmp_path):
     """The series 0, 1, 1, 1, ... has Hankel rank 2 and a 2-state minimal DFA;
-    read over Q the same matrices count paths, 0, 1, 2, 3, ..., of rank 3."""
+    read over Q the same matrices count paths, 0, 1, 2, 3, ..., of rank 3.
+    A file with no states is refused too: the refusal reads the semiring,
+    not a value."""
     path = tmp_path / "paths.json"
     path.write_text(json.dumps({
         "type": "weighted", "semiring": "bool", "alphabet": ["a"], "states": ["x", "y", "z"],
@@ -285,6 +288,13 @@ def test_hankel_refuses_boolean_files(capsys, tmp_path):
     assert (rc, out, err) == (1, "", "error: bool: does not embed in the rationals\n")
     rc, out, _ = invoke(capsys, "minimize", str(path))
     assert rc == 0 and parse(out).n == 2
+    for semiring in ("bool", "tropical"):
+        empty = tmp_path / f"empty_{semiring}.json"
+        empty.write_text(json.dumps({
+            "type": "weighted", "semiring": semiring, "alphabet": ["a"], "states": [],
+            "initial": [], "final": [], "transitions": {"a": []}}))
+        rc, out, err = invoke(capsys, "hankel", str(empty), "-L", "2")
+        assert (rc, out, err) == (1, "", f"error: {semiring}: does not embed in the rationals\n")
 
 
 def test_hankel_needs_no_bound_on_its_words(capsys, data_dir):
@@ -348,6 +358,21 @@ def test_states_named_like_keywords_are_read_as_states(capsys, tmp_path):
         minimal = parse(out)
         assert rc == 0 and minimal.n == 2
         assert [run(minimal, ("a",) * length) for length in range(5)] == [0, 1, 0, 1, 0]
+
+
+def test_run_writes_exact_values_of_any_length(capsys, tmp_path):
+    """2**15000 has 4,516 digits, past the interpreter's limit on converting
+    an int to text, which guards parsing only: a computed value is written in
+    full."""
+    for semiring, weight, prefix in (("int", 2, ""), ("rational", "1/2", "1/")):
+        path = tmp_path / f"{semiring}.json"
+        path.write_text(json.dumps({
+            "type": "weighted", "semiring": semiring, "alphabet": ["a"], "states": ["q"],
+            "initial": [1], "final": [1], "transitions": {"a": [[weight]]}}))
+        rc, out, err = invoke(capsys, "run", str(path), "-w", "a" * 15000)
+        assert (rc, err) == (0, "") and out.startswith(prefix) and out.endswith("\n")
+        digits = out[len(prefix):-1]
+        assert len(digits) == 4516 and Decimal(digits) == 2 ** 15000
 
 
 def _shift_chain(semiring, weight):
@@ -912,7 +937,8 @@ def test_a_call_loads_only_the_modules_of_its_file_kind(data_dir, argv, unloaded
 def test_a_process_loads_neither_dataclasses_nor_inspect(data_dir):
     """The records are plain classes: a DFA and a weighted minimisation in one
     fresh interpreter leave `dataclasses` and `inspect` (which it would
-    import) unloaded."""
+    import) unloaded.  The child runs without `site` (-S), so that a module a
+    site .pth file imports is not counted against the package."""
     script = ("import contextlib, io, json, sys\n"
               "from dualmin.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -920,7 +946,7 @@ def test_a_process_loads_neither_dataclasses_nor_inspect(data_dir):
               "print(json.dumps([codes, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))\n")
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", script, str(data_dir / "ends_with_a.json"),
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(data_dir / "ends_with_a.json"),
                            str(data_dir / "wa_rational.json")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -396,6 +396,12 @@ MALFORMED = {
     "unknown semiring field type": (_malformed("weighted", semiring=2),
                                     "semiring: expected str, got int"),
     "bad weight": (_malformed("weighted", initial=[1, "1/2"]), "initial[1]: int: bad value '1/2'"),
+    # past the interpreter's limit on the digits of an int read from text
+    "5000-digit weight": (_malformed("weighted", initial=[1, "1" * 5000]),
+                          f"initial[1]: int: bad value '{'1' * 60}'..."),
+    "long list weight": (_malformed("weighted", initial=[1, list(range(100))]),
+                         "initial[1]: int: bad value "
+                         "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1..."),
     "matrix shape": (_malformed("weighted", transitions={"a": [[0, 1]]}),
                      "transitions.a: matrix must be 2x2"),
     "vector length": (_malformed("weighted", final=[1]), "final: final vector must have length 2"),

@@ -1,6 +1,5 @@
 """The frozen records: every automaton, matrix, basis and semiring class."""
 
-from fractions import Fraction
 from functools import cached_property
 from operator import and_, xor
 
@@ -27,8 +26,7 @@ RECORDS = [
     (Nfa, dict(n=2, alphabet=("a",), trans=FrozenMap(a=(frozenset({1}), frozenset())),
                inits=frozenset({0}), finals=frozenset({1}))),
     (Partition, dict(block_of=(0, 1, 0), n_blocks=2)),
-    (Semiring, dict(name="mod2", zero_element=0, one_element=1, add=xor, mul=and_, coerce=int,
-                    neg=int, to_fraction=Fraction)),
+    (Semiring, dict(name="mod2", zero=0, one=1, add=xor, mul=and_, coerce=int)),
     (Matrix, dict(semiring=INT, n_rows=1, n_cols=2, entries=((1, 2),))),
     (IntegerBasis, dict(ambient=2, rows=((2, 1),))),
     (FieldBasis, dict(ambient=2, nums=((1, 1),), den=1)),

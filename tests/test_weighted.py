@@ -336,11 +336,11 @@ def _renumbered(rng, w: WeightedAutomaton, pad: int) -> WeightedAutomaton:
     def entry(y, x, m):
         if x not in old:
             return sr.coerce(rng.randint(-2, 2))
-        return m.entries[old[y]][old[x]] if y in old else sr.zero()
+        return m.entries[old[y]][old[x]] if y in old else sr.zero
 
     mats = {a: Matrix(sr, n, n, tuple(tuple(entry(y, x, m) for x in range(n)) for y in range(n)))
             for a, m in w.mats.items()}
-    init = tuple(w.init[old[x]] if x in old else sr.zero() for x in range(n))
+    init = tuple(w.init[old[x]] if x in old else sr.zero for x in range(n))
     final = tuple(w.final[old[x]] if x in old else sr.coerce(rng.randint(-2, 2))
                   for x in range(n))
     return WeightedAutomaton(n, w.alphabet, sr, mats, init, final)
