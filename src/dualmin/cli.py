@@ -5,8 +5,8 @@ reads the files a verb names and hands it the automata; a verb that builds
 an automaton returns it, and `main` writes it as JSON on stdout, while a
 verb that prints lines returns its exit code.  Exit codes: 0 success (or
 "equivalent"), 1 negative verdicts and data errors, 2 usage errors, 3
-state-bound guards.  `main` also resolves the state bound, once: the
-library's constructions take it as an argument and read no environment.
+state-bound guards.  The state bound is `--max-states`, checked like every
+numeric flag by argparse; the library's constructions take it as an argument.
 A verb reads a construction as `dualmin.<name>`, loaded on first use by the
 package's name table, so a call loads the code of its file kind and no more.
 """
@@ -22,9 +22,8 @@ import sys
 import dualmin
 
 from . import automata, io
-from .errors import FormatError, StateGuardError, resolve_max_states
+from .errors import DEFAULT_MAX_STATES, FormatError, StateGuardError
 
-USAGE_EXIT = 2
 GUARD_EXIT = 3
 
 
@@ -255,11 +254,11 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         if one and name != verb:
             continue
         p = sub.add_parser(name, help=hlp)
-        p.set_defaults(fn=fn, files=files, max_states=None, semiring=None, bounded=bound)
+        p.set_defaults(fn=fn, files=files, semiring=None, bounded=bound)
         for dest in files:
             p.add_argument(dest)
         if bound:
-            p.add_argument("--max-states", type=int, default=None,
+            p.add_argument("--max-states", type=_at_least(1), default=DEFAULT_MAX_STATES,
                            help="abort constructions beyond this many states")
         if semiring:
             p.add_argument("--semiring", default=None,
@@ -277,11 +276,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    try:
-        args.max_states = resolve_max_states(args.max_states)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     try:
         result = args.fn(args, *(_load(getattr(args, dest), args.semiring)
                                  for dest in args.files))

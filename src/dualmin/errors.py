@@ -1,11 +1,9 @@
-"""Shared exception types, the state-explosion guard and the frozen `Record`
-base of every automaton, matrix and basis class."""
+"""Shared exception types, the default state bound, `quoted` for long values in
+messages, and the frozen `Record` base of every automaton, matrix and basis class."""
 
-import os
 from operator import attrgetter
 
 DEFAULT_MAX_STATES = 1_000_000
-MAX_STATES_ENV = "DUALMIN_MAX_STATES"
 
 
 class DimensionError(ValueError):
@@ -43,24 +41,6 @@ def quoted(value) -> str:
         return repr(value) if len(value) <= 60 else f"{value[:60]!r}..."
     text = repr(value)
     return text if len(text) <= 60 else f"{text[:60]}..."
-
-
-def resolve_max_states(value=None):
-    """Effective state bound: explicit argument (--max-states), else
-    DUALMIN_MAX_STATES, else default; a ValueError names a bad one's source."""
-    source = "--max-states"
-    if value is None:
-        env = os.environ.get(MAX_STATES_ENV)
-        if env is None:
-            return DEFAULT_MAX_STATES
-        source = MAX_STATES_ENV
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{MAX_STATES_ENV} must be an integer, not {env!r}") from None
-    if value < 1:
-        raise ValueError(f"{source} must be at least 1, not {value}")
-    return value
 
 
 class Record:

@@ -24,18 +24,17 @@ from json.encoder import encode_basestring_ascii
 import dualmin
 
 from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa, state_labels
-from .errors import FormatError
+from .errors import FormatError, quoted
 
 KNOWN_TYPES = ("dfa", "moore", "nfa", "weighted", "afa", "dkm")
 
 
-def _require(doc: dict, key: str, kind, path: str):
+def _require(doc: dict, key: str, kind):
     if key not in doc:
-        raise FormatError(f"missing field {key!r}", path)
+        raise FormatError(f"missing field {key!r}")
     value = doc[key]
     if kind is not None and not isinstance(value, kind):
-        raise FormatError(f"expected {kind.__name__}, got {type(value).__name__}",
-                          f"{path}.{key}" if path else key)
+        raise FormatError(f"expected {kind.__name__}, got {type(value).__name__}", key)
     return value
 
 
@@ -53,18 +52,18 @@ def _name_list(raw, path: str) -> tuple[str, ...]:
 
 def _state_index(name, states: dict[str, int], path: str) -> int:
     if not isinstance(name, str) or name not in states:
-        raise FormatError(f"unknown state {name!r}", path)
+        raise FormatError(f"unknown state {quoted(name)}", path)
     return states[name]
 
 
 def _state_indices(doc, key: str, states: dict[str, int]) -> list[int]:
     """The states of the list doc[key], each named once."""
-    return _distinct([_state_index(s, states, key) for s in _require(doc, key, list, "")], key)
+    return _distinct([_state_index(s, states, key) for s in _require(doc, key, list)], key)
 
 
 def _transitions(doc, alphabet) -> dict:
     """The "transitions" object, its letters checked against the alphabet."""
-    raw = _require(doc, "transitions", dict, "")
+    raw = _require(doc, "transitions", dict)
     if set(raw) != set(alphabet):
         raise FormatError("letters must match the alphabet exactly", "transitions")
     return raw
@@ -96,12 +95,12 @@ def parse(data: bytes | str, semiring: str | None = None):
         raise FormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
-    kind = _require(doc, "type", str, "")
+    kind = _require(doc, "type", str)
     if kind not in KNOWN_TYPES:
-        raise FormatError(f"unknown type {kind!r} (expected one of {', '.join(KNOWN_TYPES)})",
-                          "type")
-    alphabet = _name_list(_require(doc, "alphabet", list, ""), "alphabet")
-    names = _name_list(_require(doc, "states", list, ""), "states")
+        raise FormatError(f"unknown type {quoted(kind)} "
+                          f"(expected one of {', '.join(KNOWN_TYPES)})", "type")
+    alphabet = _name_list(_require(doc, "alphabet", list), "alphabet")
+    names = _name_list(_require(doc, "states", list), "states")
     states = {name: i for i, name in enumerate(names)}
     if kind == "weighted":
         return _parse_weighted(doc, alphabet, names, semiring)
@@ -112,25 +111,25 @@ def parse(data: bytes | str, semiring: str | None = None):
 
 def _parse_dfa(doc, alphabet, names, states):
     trans = _det_transitions(doc, alphabet, states)
-    init = _state_index(_require(doc, "initial", str, ""), states, "initial")
+    init = _state_index(_require(doc, "initial", str), states, "initial")
     return MooreAutomaton.dfa(len(names), alphabet, trans, init,
                               _state_indices(doc, "finals", states), names)
 
 
 def _parse_moore(doc, alphabet, names, states):
     trans = _det_transitions(doc, alphabet, states)
-    init = _state_index(_require(doc, "initial", str, ""), states, "initial")
-    outputs = _name_list(_require(doc, "outputs", list, ""), "outputs")
+    init = _state_index(_require(doc, "initial", str), states, "initial")
+    outputs = _name_list(_require(doc, "outputs", list), "outputs")
     if not outputs:
         raise FormatError("output set must be nonempty", "outputs")
-    raw_out = _require(doc, "out", dict, "")
+    raw_out = _require(doc, "out", dict)
     if set(raw_out) != set(names):
         raise FormatError("every state needs an output", "out")
     out = []
     for name in names:
         label = raw_out[name]
         if label not in outputs:
-            raise FormatError(f"unknown output {label!r}", f"out.{name}")
+            raise FormatError(f"unknown output {quoted(label)}", f"out.{name}")
         out.append(outputs.index(label))
     return MooreAutomaton(len(names), alphabet, trans, init, tuple(out), outputs, names)
 
@@ -163,7 +162,7 @@ def _parse_value(semiring, raw, path):
 
 
 def _parse_weighted(doc, alphabet, names, override):
-    semiring = dualmin.semiring_by_name(_require(doc, "semiring", str, ""))
+    semiring = dualmin.semiring_by_name(_require(doc, "semiring", str))
     semiring = dualmin.semiring_by_name(override) if override else semiring
     n = len(names)
     mats = {}
@@ -176,7 +175,7 @@ def _parse_weighted(doc, alphabet, names, override):
                   for x, v in enumerate(row)) for y, row in enumerate(rows)))
     vectors = []
     for key in ("initial", "final"):
-        raw_vector = _require(doc, key, list, "")
+        raw_vector = _require(doc, key, list)
         if len(raw_vector) != n:
             raise FormatError(f"{key} vector must have length {n}", key)
         vectors.append(tuple(_parse_value(semiring, v, f"{key}[{i}]")
@@ -206,14 +205,14 @@ def _parse_afa(doc, alphabet, names, states):
         if not isinstance(row, dict) or set(row) != set(names):
             raise FormatError("every state needs a transition condition", f"transitions.{a}")
         delta[a] = tuple(boolfun(row[name], f"transitions.{a}.{name}") for name in names)
-    iota = boolfun(_require(doc, "iota", None, ""), "iota")
+    iota = boolfun(_require(doc, "iota", None), "iota")
     finals = frozenset(_state_indices(doc, "finals", states))
     return dualmin.AlternatingAutomaton(len(names), alphabet, delta, iota, finals, names)
 
 
 def _parse_dkm(doc, alphabet, names, states):
-    obs = _name_list(_require(doc, "obs", list, ""), "obs")
-    raw_gamma = _require(doc, "gamma", dict, "")
+    obs = _name_list(_require(doc, "obs", list), "obs")
+    raw_gamma = _require(doc, "gamma", dict)
     for name in raw_gamma:
         _state_index(name, states, f"gamma.{name}")
     gamma = []
@@ -223,7 +222,7 @@ def _parse_dkm(doc, alphabet, names, states):
             raise FormatError("expected a list of observations", f"gamma.{name}")
         for w in seen:
             if w not in obs:
-                raise FormatError(f"unknown observation {w!r}", f"gamma.{name}")
+                raise FormatError(f"unknown observation {quoted(w)}", f"gamma.{name}")
         gamma.append(frozenset(_distinct(seen, f"gamma.{name}")))
     delta = _det_transitions(doc, alphabet, states)
     init = None
@@ -234,14 +233,11 @@ def _parse_dkm(doc, alphabet, names, states):
 
 def emit_value(semiring, v):
     # by name, so that writing a value needs no import of the semiring module
-    name = semiring.name
-    if name == "rational":
+    if semiring.name == "rational":
         return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
-    if name == "tropical":
-        return "inf" if v == float("inf") else v
-    if name == "int" and not -2**53 <= v <= 2**53:
-        return _digits(v)
-    return v
+    if v == float("inf"):  # the tropical zero
+        return "inf"
+    return v if -2**53 <= v <= 2**53 else _digits(v)
 
 
 def _digits(v: int) -> str:

@@ -5,7 +5,8 @@ an independent route: double reversal against partition refinement, dual
 evaluation against reversed words, minimised dimensions against Hankel ranks,
 Hermite forms against their defining equations, the definable-subset atoms
 against plain partition refinement, and the definable closure against the
-subsets that determinising the reversal reaches.
+subsets that determinising the reversal reaches.  A suite checks one instance
+per call and returns what failed, or None.
 """
 
 from __future__ import annotations
@@ -25,101 +26,89 @@ from .semiring import INT, RATIONAL, mat_mul
 from .weighted import eval_series, hankel_rank_oracle, minimise_wa
 
 
-def _check_moore(rng, failures):
+def _check_moore(rng):
     m = sampling.random_moore(rng)
     brz = brzozowski_minimise(m)
-    ref = partition_refinement_minimise(m)
-    if not iso_check(brz, ref):
-        failures.append(f"double reversal vs refinement differ on {m}")
-    elif not equiv_exact(brz, m):
-        failures.append(f"double reversal changed the language of {m}")
+    if not iso_check(brz, partition_refinement_minimise(m)):
+        return f"double reversal vs refinement differ on {m}"
+    if not equiv_exact(brz, m):
+        return f"double reversal changed the language of {m}"
 
 
-def _check_reversal(rng, failures):
+def _check_reversal(rng):
     m = sampling.random_moore(rng, max_n=6)
     dual = dual_automaton(m)
     for w in words_up_to(m.alphabet, 6):
         if run(dual, w) != run(m, tuple(reversed(w))):
-            failures.append(f"dual disagrees on {w} for {m}")
-            return
+            return f"dual disagrees on {w} for {m}"
 
 
-def _check_weighted_field(rng, failures):
+def _check_weighted_field(rng):
     w = sampling.random_wa(rng, RATIONAL)
     minimal = minimise_wa(w)
     if minimal.dimension != hankel_rank_oracle(w, w.n):
-        failures.append(f"field dimension is not the Hankel rank for {w}")
-        return
+        return f"field dimension is not the Hankel rank for {w}"
     for word in words_up_to(w.alphabet, 4):
         if eval_series(minimal.automaton, word) != eval_series(w, word):
-            failures.append(f"field minimisation changed the series at {word} for {w}")
-            return
+            return f"field minimisation changed the series at {word} for {w}"
 
 
-def _check_weighted_int(rng, failures):
+def _check_weighted_int(rng):
     w = sampling.random_wa(rng, INT)
     minimal = minimise_wa(w)
     if minimal.dimension > w.n:
-        failures.append(f"integer minimisation grew {w}")
-        return
+        return f"integer minimisation grew {w}"
     if hankel_rank_oracle(w, w.n) > minimal.dimension:
-        failures.append(f"integer dimension below the rational rank for {w}")
-        return
-    again = minimise_wa(minimal.automaton)
-    if again.dimension != minimal.dimension:
-        failures.append(f"integer minimisation is not idempotent in dimension for {w}")
-        return
+        return f"integer dimension below the rational rank for {w}"
+    if minimise_wa(minimal.automaton).dimension != minimal.dimension:
+        return f"integer minimisation is not idempotent in dimension for {w}"
     for word in words_up_to(w.alphabet, 4):
         if eval_series(minimal.automaton, word) != eval_series(w, word):
-            failures.append(f"integer minimisation changed the series at {word} for {w}")
-            return
+            return f"integer minimisation changed the series at {word} for {w}"
 
 
-def _check_hnf(rng, failures):
+def _check_hnf(rng):
     a = sampling.random_int_matrix(rng, 4, 4)
     h, u = hnf(a)
     if mat_mul(u, a) != h:
-        failures.append(f"u*a != h for {a.entries}")
-    elif abs(det_int(u)) != 1:
-        failures.append(f"u not unimodular for {a.entries}")
-    elif not is_hnf_shape(tuple(r for r in h.entries if any(r))):
-        failures.append(f"h not canonical for {a.entries}")
-    else:
-        basis = IntegerBasis(4, tuple(r for r in h.entries if any(r)))
-        if any(basis.coordinates(row) is None for row in a.entries):
-            failures.append(f"row of a outside the lattice of h for {a.entries}")
+        return f"u*a != h for {a.entries}"
+    if abs(det_int(u)) != 1:
+        return f"u not unimodular for {a.entries}"
+    rows = tuple(r for r in h.entries if any(r))
+    if not is_hnf_shape(rows):
+        return f"h not canonical for {a.entries}"
+    if any(IntegerBasis(4, rows).coordinates(row) is None for row in a.entries):
+        return f"row of a outside the lattice of h for {a.entries}"
 
 
-def _check_afa(rng, failures):
+def _check_afa(rng):
     a = sampling.random_afa(rng)
     rev = reverse_dfa(a)
     for w in words_up_to(a.alphabet, 6):
         if (run(rev, w) == 1) != afa_accepts(a, tuple(reversed(w))):
-            failures.append(f"reversal theorem fails at {w} for {a}")
-            return
+            return f"reversal theorem fails at {w} for {a}"
     oracle = partition_refinement_minimise(determinise(reverse(reverse_dfa(a))))
     if not iso_check(minimal_dfa_for_afa(a), oracle):
-        failures.append(f"afa minimisation differs from the oracle for {a}")
+        return f"afa minimisation differs from the oracle for {a}"
 
 
-def _check_dkm(rng, failures):
+def _check_dkm(rng):
     k = sampling.random_dkm(rng)
     atoms = boolean_atoms(definable_closure(k), k.n)
     if atoms != bisimulation_oracle(k):
-        failures.append(f"definable atoms differ from bisimulation on {k}")
-        return
+        return f"definable atoms differ from bisimulation on {k}"
     minimal = minimise_dkm(k)
     if minimal != quotient_dkm(k, atoms) or minimise_dkm(minimal) != minimal:
-        failures.append(f"dkm minimisation is not the atoms' quotient or not idempotent on {k}")
+        return f"dkm minimisation is not the atoms' quotient or not idempotent on {k}"
 
 
-def _check_cross(rng, failures):
+def _check_cross(rng):
     m = sampling.random_dfa(rng, max_n=6)
     closure = definable_closure(Dkm.from_dfa(m))
     names = subset_names([bytes(s in c for s in range(m.n)) for c in closure],
                          m.state_names, m.n)
     if set(names) != set(determinise(reverse(m)).state_names):
-        failures.append(f"definable closure differs from the determinised reversal on {m}")
+        return f"definable closure differs from the determinised reversal on {m}"
 
 
 SUITES: dict[str, Callable] = {
@@ -134,19 +123,13 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def run_selftest(seed: int = 0, cases: int = 50, report=print) -> bool:
-    """Run every suite on `cases` fresh instances; report one line per suite."""
+def run_selftest(seed: int = 0, cases: int = 50) -> bool:
+    """Run every suite on `cases` fresh instances, up to its first failure;
+    print one line per suite."""
     all_ok = True
     for name, check in SUITES.items():
         rng = random.Random(f"{seed}:{name}")
-        failures: list[str] = []
-        for _ in range(cases):
-            check(rng, failures)
-            if failures:
-                break
-        if failures:
-            all_ok = False
-            report(f"FAIL {name}: {failures[0]}")
-        else:
-            report(f"PASS {name} ({cases} cases)")
+        failure = next(filter(None, (check(rng) for _ in range(cases))), None)
+        print(f"FAIL {name}: {failure}" if failure else f"PASS {name} ({cases} cases)")
+        all_ok = all_ok and failure is None
     return all_ok

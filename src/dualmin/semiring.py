@@ -140,7 +140,7 @@ def semiring_by_name(name: str) -> Semiring:
     try:
         return SEMIRINGS[name]
     except KeyError:
-        raise SemiringError(f"unknown semiring {name!r}") from None
+        raise SemiringError(f"unknown semiring {quoted(name)}") from None
 
 
 def _row_product(sr: Semiring, den: int, v):

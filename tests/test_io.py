@@ -90,6 +90,14 @@ def test_big_integers_become_strings():
     assert parse(text) == w
 
 
+def test_big_tropical_values_become_strings():
+    big = 2 ** 60
+    w = WeightedAutomaton.build(("a",), TROPICAL, {"a": [[big]]}, [0], [TROPICAL_INF])
+    text = emit(w)
+    assert f'"{big}"' in text and '"inf"' in text
+    assert parse(text) == w
+
+
 def test_afa_formula_and_subset_forms_agree(data_dir):
     by_formula = parse((data_dir / "afa_ends_with_a.json").read_bytes())
     assert isinstance(by_formula, AlternatingAutomaton)
@@ -377,6 +385,12 @@ MALFORMED = {
                           "states: expected a list of strings"),
     "repeated state": (_malformed("dfa", states=["x", "x"]), "states: names must be distinct"),
     "unknown initial": (_malformed("dfa", initial="z"), "initial: unknown state 'z'"),
+    # a long value from the file is quoted in part
+    "long initial": (_malformed("dfa", initial="z" * 5000),
+                     f"initial: unknown state '{'z' * 60}'..."),
+    "long type": (_malformed("dfa", type="p" * 5000), f"type: unknown type '{'p' * 60}'... "
+                                                      "(expected one of dfa, moore, nfa, "
+                                                      "weighted, afa, dkm)"),
     "unknown letter": (_malformed("dfa", transitions={"b": {"x": "y", "y": "x"}}),
                        "transitions: letters must match the alphabet exactly"),
     "row not a map": (_malformed("dfa", transitions={"a": ["y", "x"]}),

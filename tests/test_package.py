@@ -117,3 +117,16 @@ def test_every_dualmin_attribute_read_in_the_package_is_exported():
     assert read, "no module reads a name through the package"
     unexported = sorted(pair for pair in read if pair[1] not in dualmin.__all__)
     assert not unexported, unexported
+
+
+def test_no_module_reads_the_environment():
+    """Every setting is a flag or an argument: the state bound, for one, is
+    `--max-states` alone."""
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = {f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in reads
+             or isinstance(node, ast.Name) and node.id in reads
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name in reads for alias in node.names)}
+    assert not found, sorted(found)

@@ -1,8 +1,8 @@
 """A robustness probe: seeded structural mutations of the files of tests/data,
 each run in process through every verb.  A mutation deletes a key, puts in a
 value of the wrong type, a huge integer, NaN or a `not` chain 600 deep, or
-repeats a name.  Whatever the file, no exception escapes `main` and the exit
-code is one of 0-3."""
+repeats a name.  Whatever the file, no exception escapes `main`, the exit
+code is one of 0-3, and no line of a refusal runs past 200 characters."""
 
 import copy
 import json
@@ -118,7 +118,9 @@ def test_mutated_files_exit_0_to_3(capsys, tmp_path, name):
                 rc = main(args)
             except Exception as exc:  # an escape fails the test with its call
                 pytest.fail(f"{' '.join(args)} raised {exc!r} on {mutate.__name__}")
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert rc in (0, 1, 2, 3), (args, mutate.__name__, rc)
+            # a refusal quotes a long value from the file in part
+            assert all(len(line) <= 200 for line in err.splitlines()), (args, err[:300])
             codes.add(rc)
     assert 1 in codes  # some mutation was refused, so the probe reached the checks
