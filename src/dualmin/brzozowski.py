@@ -16,10 +16,12 @@ double reversal runs its first pass unnamed, so its states are named by
 first-pass index (`s0+s3`): nested names would be n labels in each of n
 members of each of n states.
 
-`predicates` gives the one predicate step.  Explored from the output map it
-gives the dual, from one 0/1 predicate per observation a Kripke model's
-definable closure, and walked along a reversed word a trace formula's
-extension (dkm.py).  Minimisation by the atoms of that closure needs no
+`predicates` gives the one predicate step, in C: with at most 256 states a
+`bytes.translate` of the letter's successor row through the predicate, past
+that an `itemgetter` gather.  Explored from the output map it gives the
+dual, from one 0/1 predicate per observation a Kripke model's definable
+closure, and walked along a reversed word a trace formula's extension
+(dkm.py).  Minimisation by the atoms of that closure needs no
 predicates at all: the atoms are the coarsest stable partition of the outputs
 or observations, so `automata.partition_refinement_minimise` is the duality
 route for a Moore automaton, and `dkm.minimise_dkm` for a Kripke model.
@@ -38,9 +40,15 @@ from .errors import DEFAULT_MAX_STATES
 def predicates(starts, trans) -> tuple:
     """The predicates `starts` (value vectors over the states), packed, and
     the step phi -> phi . trans[a]: explore's starts and step.  Predicates
-    are `bytes`, one byte per state, unless a value exceeds 255."""
+    are `bytes`, one byte per state, unless a value exceeds 255.  With at
+    most 256 states, a letter's successor row is itself a byte string, and
+    the step is one `translate` of it through phi (padded to the 256 bytes
+    of a table); with more, the step gathers phi's bytes by `itemgetter`."""
     starts = list(starts)
     pack = bytes if all(v < 256 for phi in starts for v in phi) else tuple
+    if pack is bytes and all(len(ts) <= 256 for ts in trans.values()):
+        rows = {a: bytes(ts) for a, ts in trans.items()}
+        return list(map(bytes, starts)), lambda phi, a: rows[a].translate(phi.ljust(256, b"\0"))
     # itemgetter(t) returns a scalar; with n <= 1 states every step is phi[0:n]
     gets = {a: itemgetter(*ts) if len(ts) > 1 else itemgetter(slice(0, len(ts)))
             for a, ts in trans.items()}

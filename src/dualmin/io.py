@@ -4,10 +4,15 @@ A file is one JSON object with a "type" of dfa, moore, nfa, weighted, afa or
 dkm, an "alphabet", a list of "states" (names fix the index order), and
 type-specific fields.  Parse errors carry the path of the offending field.
 Emission is canonical: keys are sorted and states are listed in index order,
-so parse(emit(x)) reproduces x exactly.  The text is that of
-json.dumps(doc, indent=2, sort_keys=True), produced piece by piece with a
-string escaped, once, only when json must escape it, and emit(x, fp) writes
-it in bounded batches.
+so parse(emit(x)) reproduces x exactly, except for an integer past the
+interpreter's limit on the digits it reads (a weight, or a rational's
+numerator or denominator): emit writes it in full and parse refuses it.
+The text is that of json.dumps(doc, indent=2, sort_keys=True), produced
+piece by piece with a string escaped, once, only when json must escape it.
+A DFA or Moore document is written straight from the automaton's arrays,
+its lists and maps as chunks of rows (_moore_pieces); other kinds go through
+a document of names (_pieces).  emit(x, fp) writes short pieces in batches
+of about 1 MiB, and a long piece, such as a long name or a chunk, as it is.
 
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
@@ -19,6 +24,7 @@ A file kind's classes are read through the package's name table, as
 from __future__ import annotations
 
 import json
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 import dualmin
@@ -251,23 +257,35 @@ def _digits(v: int) -> str:
         return "-" * (v < 0) + _digits(high) + _digits(low).zfill(k)
 
 
-# batched: one write per piece made the dfa benchmark's wall_s 7-12 % worse (2 vCPUs)
+# Short pieces are batched, since one write per piece made the dfa
+# benchmark's wall_s 7-12 % worse on 2 vCPUs (FOUND 19).  A piece of
+# _COPY_CHARS or more, an entry with a long name or a chunk of about
+# _BATCH_CHARS of Moore rows, is written as it is after the pending batch, so
+# that no batch holds a second copy of it.
 _BATCH_CHARS = 1 << 20
+_COPY_CHARS = 256
 
 
 def emit(obj, fp=None) -> str | None:
     """Canonical JSON for any supported automaton (sorted keys, index order).
 
-    Without `fp` the text is returned; with `fp` it is written to fp.write in
-    batches of about 1 MiB (more only by the length of one string) and None is
-    returned.
+    Without `fp` the text is returned; with `fp` it is written to fp.write,
+    short pieces in batches of about 1 MiB and long ones as they are, and
+    None is returned.
     """
-    pieces = _pieces(_document(obj))
+    pieces = _moore_pieces(obj) if getattr(obj, "kind", None) == "moore" \
+        else _pieces(_document(obj))
     if fp is None:
         return "".join(pieces)
     batch: list[str] = []
     size = 0
     for piece in pieces:
+        if len(piece) >= _COPY_CHARS:
+            if batch:
+                fp.write("".join(batch))
+                batch, size = [], 0
+            fp.write(piece)
+            continue
         batch.append(piece)
         size += len(piece)
         if size >= _BATCH_CHARS:
@@ -278,23 +296,24 @@ def emit(obj, fp=None) -> str | None:
 
 
 def _document(obj) -> dict:
-    """The JSON document of an automaton, before it is written as text: each
-    automaton class names its kind in its `kind` attribute."""
+    """The JSON document of an automaton other than a Moore automaton, before
+    it is written as text: each automaton class names its kind in its `kind`
+    attribute."""
     kind = getattr(obj, "kind", None)
     if kind == "restricted":
         obj, kind = obj.automaton, "weighted"
-    document = {"moore": _emit_moore, "nfa": _emit_nfa, "weighted": _emit_weighted,
-                "afa": _emit_afa, "dkm": _emit_dkm}.get(kind)
+    document = {"nfa": _emit_nfa, "weighted": _emit_weighted, "afa": _emit_afa,
+                "dkm": _emit_dkm}.get(kind)
     if document is None:
         raise TypeError(f"cannot emit {type(obj).__name__}")
     return document(obj)
 
 
-# the ASCII characters json escapes; it escapes all non-ASCII ones too
-_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'
-# an entry whose strings are shorter than this is copied into one piece; a
-# longer string is a piece of its own, so that a batch holds no copy of it
-_COPY_CHARS = 256
+def _body(s: str) -> str:
+    """s as json writes it between its quotes: s itself unless json must
+    escape a character of it (all but printable ASCII, quote and backslash)."""
+    clean = s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+    return s if clean else encode_basestring_ascii(s)[1:-1]
 
 
 def _pieces(doc):
@@ -302,18 +321,15 @@ def _pieces(doc):
 
     Each distinct string is tested once for whether json must escape it; the
     memo keeps escaped copies of those only and maps a clean string to itself.
-    An entry whose strings are short is one piece, and a long string is a
-    piece of its own, so the long nested subset names that recur in every
-    transition row are copied neither into the memo nor into a batch.  Other
-    scalars go to json.dumps.
+    A string entry of a list or map is one piece, so one with a long name is
+    a long piece, which emit writes as it is.  Other scalars go to json.dumps.
     """
     memo: dict[str, str] = {}
 
     def body(s: str) -> str:  # s as json writes it between its quotes
         b = memo.get(s)
         if b is None:
-            clean = s.isascii() and len(s.encode("ascii").translate(None, _ESCAPED)) == len(s)
-            b = memo[s] = s if clean else encode_basestring_ascii(s)[1:-1]
+            b = memo[s] = _body(s)
         return b
 
     def value(o, indent: str):
@@ -325,18 +341,10 @@ def _pieces(doc):
             sep = "{" + inner
             for k in sorted(o):
                 v = o[k]
-                kb = body(k)
                 if isinstance(v, str):
-                    vb = body(v)
-                    if len(kb) + len(vb) < _COPY_CHARS:
-                        yield f'{sep}"{kb}": "{vb}"'
-                    else:
-                        yield from (f'{sep}"', kb, '": "', vb, '"')
+                    yield f'{sep}"{body(k)}": "{body(v)}"'
                 else:
-                    if len(kb) < _COPY_CHARS:
-                        yield f'{sep}"{kb}": '
-                    else:
-                        yield from (f'{sep}"', kb, '": ')
+                    yield f'{sep}"{body(k)}": '
                     yield from value(v, inner)
                 sep = "," + inner
             yield indent + "}"
@@ -348,11 +356,7 @@ def _pieces(doc):
             sep = "[" + inner
             for v in o:
                 if isinstance(v, str):
-                    b = body(v)
-                    if len(b) < _COPY_CHARS:
-                        yield f'{sep}"{b}"'
-                    else:
-                        yield from (f'{sep}"', b, '"')
+                    yield f'{sep}"{body(v)}"'
                 else:
                     yield sep
                     yield from value(v, inner)
@@ -365,17 +369,58 @@ def _pieces(doc):
     yield "\n"
 
 
-def _emit_moore(m: MooreAutomaton) -> dict:
-    names = state_labels(m.state_names, m.n)
-    trans = {a: {names[s]: names[m.trans[a][s]] for s in range(m.n)} for a in m.alphabet}
-    if m.outputs == DFA_OUTPUTS:
-        return {"type": "dfa", "alphabet": list(m.alphabet), "states": list(names),
-                "initial": names[m.init], "transitions": trans,
-                "finals": [names[s] for s in range(m.n) if m.out[s] == 1]}
-    return {"type": "moore", "alphabet": list(m.alphabet), "states": list(names),
-            "initial": names[m.init], "transitions": trans,
-            "outputs": list(m.outputs),
-            "out": {names[s]: m.outputs[m.out[s]] for s in range(m.n)}}
+def _moore_pieces(m: MooreAutomaton):
+    """The text of m's DFA document (outputs reject and accept) or Moore
+    document, as _pieces writes it, in pieces made straight from m's arrays.
+
+    Each name is escaped once, one sort of the names orders `out` and every
+    letter's transition map, and the rows of a list or map are joined into
+    chunks of about _BATCH_CHARS characters.
+    """
+    labels = state_labels(m.state_names, m.n)
+    names, outs, letters = (list(map(_body, xs)) for xs in (labels, m.outputs, m.alphabet))
+    by_name = sorted(range(m.n), key=labels.__getitem__)
+    per = max(1, _BATCH_CHARS // (2 * max(map(len, names + outs + letters)) + 16))
+
+    def block(items, rows, indent: str, brackets: str):
+        """A list or map at `indent` with one row per item; rows(chunk) formats a chunk's rows."""
+        if not items:
+            yield brackets
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        yield brackets[0] + inner
+        for i in range(0, len(items), per):
+            if i:
+                yield sep
+            yield sep.join(rows(items[i:i + per]))
+        yield indent + brackets[1]
+
+    def quoted(strings):
+        return lambda chunk: [f'"{strings[i]}"' for i in chunk]
+
+    def mapped(targets, values):  # the row of state s is "s": "values[targets[s]]"
+        return lambda chunk: [f'"{names[s]}": "{values[targets[s]]}"' for s in chunk]
+
+    dfa = m.outputs == DFA_OUTPUTS
+    yield '{\n  "alphabet": '
+    yield from block(range(len(letters)), quoted(letters), "\n  ", "[]")
+    if dfa:
+        yield ',\n  "finals": '
+        yield from block(list(compress(range(m.n), m.out)), quoted(names), "\n  ", "[]")
+    yield f',\n  "initial": "{names[m.init]}"'
+    if not dfa:
+        yield ',\n  "out": '
+        yield from block(by_name, mapped(m.out, outs), "\n  ", "{}")
+        yield ',\n  "outputs": '
+        yield from block(range(len(outs)), quoted(outs), "\n  ", "[]")
+    yield ',\n  "states": '
+    yield from block(range(m.n), quoted(names), "\n  ", "[]")
+    yield ',\n  "transitions": {'
+    for i, a in enumerate(sorted(m.alphabet)):
+        yield f'{"," if i else ""}\n    "{_body(a)}": '
+        yield from block(by_name, mapped(m.trans[a], names), "\n    ", "{}")
+    yield f'\n  }},\n  "type": "{"dfa" if dfa else "moore"}"\n}}\n'
 
 
 def _emit_nfa(n: Nfa) -> dict:

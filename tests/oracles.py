@@ -11,7 +11,9 @@ predicates kept as tuples, the names of subset states by joining the sorted
 members of sets, trace-formula extensions and the definable closure of a
 Kripke model by frozenset preimages (the library walks and explores the
 dual's predicate step), coarsest stable partitions by refinement in rounds
-(the library runs Hopcroft's algorithm), and emitted text by json.dumps.  Eleven oracles
+(the library runs Hopcroft's algorithm), and emitted text by json.dumps (of a
+DFA or Moore document built here: the library writes those from the
+automaton's arrays).  Eleven oracles
 keep a library route as an explicit second copy: the Kripke quotient by the
 atoms of the definable closure as a set family, the Moore quotient by the same
 atoms of the model with one observation per output, the Hankel block one word
@@ -360,10 +362,28 @@ def smallest_equivalent_dfa(m: MooreAutomaton, probe_len: int = 8) -> int:
     return m.n
 
 
+def moore_document(m: MooreAutomaton) -> dict:
+    """The DFA or Moore document of m as a dict of names: emit writes these
+    documents straight from m's arrays and builds no dict."""
+    names = list(m.state_names or (f"s{i}" for i in range(m.n)))
+    trans = {a: {names[s]: names[m.trans[a][s]] for s in range(m.n)} for a in m.alphabet}
+    if m.outputs == DFA_OUTPUTS:
+        return {"type": "dfa", "alphabet": list(m.alphabet), "states": names,
+                "initial": names[m.init], "transitions": trans,
+                "finals": [names[s] for s in range(m.n) if m.out[s] == 1]}
+    return {"type": "moore", "alphabet": list(m.alphabet), "states": names,
+            "initial": names[m.init], "transitions": trans,
+            "outputs": list(m.outputs),
+            "out": {names[s]: m.outputs[m.out[s]] for s in range(m.n)}}
+
+
 def emit_json(obj) -> str:
     """The canonical text through json.dumps, as emit wrote it before it
-    streamed: the same document, serialised in one piece."""
-    return json.dumps(_document(obj), indent=2, sort_keys=True) + "\n"
+    streamed: the same document, serialised in one piece.  A DFA or Moore
+    document is built here (`moore_document`), so for those kinds the
+    reference shares no code with the writer it checks."""
+    doc = moore_document(obj) if isinstance(obj, MooreAutomaton) else _document(obj)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def names_by_sets(subsets, names, n):

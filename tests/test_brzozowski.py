@@ -139,9 +139,32 @@ def many_output_automata(rng):
             yield MooreAutomaton(m.n, m.alphabet, m.trans, m.init, out, outputs)
 
 
+def byte_step_boundary_automata():
+    """Automata on both sides of the byte-table step, which takes at most 256
+    states and outputs up to index 255."""
+    def rotation(n):  # a rotates the states, b is the identity
+        return {"a": tuple((s + 1) % n for s in range(n)), "b": tuple(range(n))}
+
+    for n in (1, 255, 256, 257):
+        yield MooreAutomaton.dfa(n, ("a", "b"), rotation(n), 0, [n - 1])
+    for n in (256, 257):  # output n - 1 is 255, packed as a byte, or 256, in a tuple
+        yield MooreAutomaton(n, ("a", "b"), rotation(n), 0, tuple(range(n)),
+                             tuple(f"o{i}" for i in range(n)))
+    # "the 9th letter is a", states 0-8 counting letters, then 9 accepting
+    # and 10 rejecting for good: its dual, the first pass of a double
+    # reversal, is the DFA of "the 9th letter from the end is a", 512 states
+    k = 9
+    m = MooreAutomaton.dfa(k + 2, ("a", "b"),
+                           {c: tuple(range(1, k)) + (k if c == "a" else k + 1, k, k + 1)
+                            for c in "ab"}, 0, [k])
+    assert dual_automaton(m, named=False).n > 256
+    yield m
+
+
 def test_dual_predicates_match_the_tuple_route():
     rng = random.Random(23)
     cases = list(one_state_automata()) + list(many_output_automata(rng))
+    cases += byte_step_boundary_automata()
     cases += [random_moore(rng, max_n=6) for _ in range(40)]
     cases += [random_dfa(rng, max_n=6) for _ in range(40)]
     for m in cases:

@@ -336,6 +336,22 @@ def test_emit_holds_a_document_under_one_batch_once():
     assert emit_peak(minimal) < size * 5 // 4
 
 
+def test_emit_of_a_large_dual_peaks_below_half_its_text():
+    """The dual of a random 30-state DFA has 19,946 states and 6.8 million
+    characters of text, mostly subset names in the transition maps: emit
+    copies no clean name and builds no map of names per letter, so it holds
+    a chunk of rows at a time."""
+    rng = random.Random(0)
+    n = 30
+    m = MooreAutomaton.dfa(n, ("a", "b"), {a: tuple(rng.randrange(n) for _ in range(n))
+                                           for a in "ab"},
+                           0, [s for s in range(n) if rng.random() < 0.5])
+    dual = dual_automaton(m)
+    assert dual.n > 10_000
+    size = len(emit(dual))
+    assert emit_peak(dual) < size // 2
+
+
 def test_parse_reads_weighted_values_in_a_named_semiring(data_dir):
     data = (data_dir / "wa_swap.json").read_bytes()
     w = parse(data, "rational")
