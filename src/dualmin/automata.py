@@ -47,6 +47,11 @@ def _check_alphabet(alphabet, rows: Mapping):
         raise ValueError("transitions must cover exactly the alphabet")
 
 
+def _within(values: Sequence[int], n: int) -> bool:
+    """Every value lies in 0..n-1, by one C-level min and max."""
+    return not values or (min(values) >= 0 and max(values) < n)
+
+
 def _check_successors(n: int, alphabet, rows: Mapping[str, Sequence[int]], init: int | None):
     """Successor rows cover exactly the alphabet, each maps all n states into
     0..n-1, and init (None where a structure may have no initial state) is a
@@ -54,7 +59,7 @@ def _check_successors(n: int, alphabet, rows: Mapping[str, Sequence[int]], init:
     _check_alphabet(alphabet, rows)
     for a in alphabet:
         row = rows[a]
-        if len(row) != n or any(not 0 <= t < n for t in row):
+        if len(row) != n or not _within(row, n):
             raise ValueError(f"bad successor row for letter {a!r}")
     if init is not None and not 0 <= init < n:
         raise ValueError("initial state out of range")
@@ -79,7 +84,7 @@ class MooreAutomaton(Record):
 
     def __post_init__(self):
         _check_successors(self.n, self.alphabet, self.trans, self.init)
-        if len(self.out) != self.n or any(not 0 <= o < len(self.outputs) for o in self.out):
+        if len(self.out) != self.n or not _within(self.out, len(self.outputs)):
             raise ValueError("output map must assign every state a valid output")
         if self.state_names is not None and len(self.state_names) != self.n:
             raise ValueError("state_names length mismatch")
@@ -272,14 +277,20 @@ def mask_row(mask: int) -> bytes:
 def subset_names(rows: Iterable[Sequence[int]], names: Sequence[str] | None,
                  n: int) -> tuple[str, ...] | None:
     """Names for subset states, each subset given by its 0/1 row over n
-    states (a dual predicate, or the mask_row of a bitmask): its members'
-    labels (state_labels) in ascending order joined by '+', or by ',' when
-    some label already contains '+' (a previous pass), mirroring the
-    {yz, xyz} style of nested subsets; 'empty' for the empty subset.
-    Returns None when two names collide (a source state named "empty")."""
+    states (a dual predicate, or the mask_row of a bitmask), no two rows with
+    the same members: its members' labels (state_labels) in ascending order
+    joined by '+', or by ',' when some label already contains '+' (a previous
+    pass), mirroring the {yz, xyz} style of nested subsets; 'empty' for the
+    empty subset.  Returns None when two names collide.  When the n labels
+    are distinct, none is "empty" and none holds the separator, a name splits
+    back into its members, so the names are checked for collisions only
+    otherwise (a state named "empty", or a label holding the ',' that joins)."""
     labels = state_labels(names, n)
     sep = "," if any("+" in label for label in labels) else "+"
     out = tuple(sep.join(compress(labels, row)) if 1 in row else "empty" for row in rows)
+    if len(set(labels)) == n and "empty" not in labels \
+            and not any(sep in label for label in labels):
+        return out
     return out if len(set(out)) == len(out) else None
 
 
@@ -304,10 +315,11 @@ def subset_dfa(x, max_states: int, starts: Iterable[int] | None = None,
     start, key, step = x.view()
     order, trans = explore([start] if starts is None else starts, step, x.alphabet,
                            max_states, "subset construction")
-    return MooreAutomaton(len(order), x.alphabet, {a: tuple(ts) for a, ts in trans.items()},
-                          order.index(start), tuple(map(key, order)), DFA_OUTPUTS,
-                          subset_names(map(mask_row, order), x.state_names, x.n)
-                          if named else None)
+    init, out = order.index(start), tuple(map(key, order))
+    names = subset_names(map(mask_row, order), x.state_names, x.n) if named else None
+    del order  # the masks go before the successor tuples are built
+    return MooreAutomaton(len(out), x.alphabet, {a: tuple(ts) for a, ts in trans.items()},
+                          init, out, DFA_OUTPUTS, names)
 
 
 def determinise(n: Nfa, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:

@@ -67,8 +67,10 @@ def dual_automaton(x, max_states: int = DEFAULT_MAX_STATES,
     names = None
     if named and x.outputs == DFA_OUTPUTS:
         names = subset_names(order, x.state_names, x.n)
-    return MooreAutomaton(len(order), x.alphabet, {a: tuple(ts) for a, ts in trans.items()},
-                          0, tuple(phi[x.init] for phi in order), x.outputs, names)
+    out = tuple(phi[x.init] for phi in order)
+    del order  # the predicates go before the successor tuples are built
+    return MooreAutomaton(len(out), x.alphabet, {a: tuple(ts) for a, ts in trans.items()},
+                          0, out, x.outputs, names)
 
 
 def brzozowski_minimise(x, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:

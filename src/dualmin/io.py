@@ -10,9 +10,10 @@ numerator or denominator): emit writes it in full and parse refuses it.
 The text is that of json.dumps(doc, indent=2, sort_keys=True), produced
 piece by piece with a string escaped, once, only when json must escape it.
 A DFA or Moore document is written straight from the automaton's arrays,
-its lists and maps as chunks of rows (_moore_pieces); other kinds go through
-a document of names (_pieces).  emit(x, fp) writes short pieces in batches
-of about 1 MiB, and a long piece, such as a long name or a chunk, as it is.
+its lists and maps as rows in chunks of about 64 KiB (_moore_pieces); other
+kinds go through a document of names (_pieces).  emit(x, fp) writes short
+pieces in batches of about 1 MiB, and a long piece, such as a long name or a
+chunk of rows, as it is.
 
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
@@ -24,7 +25,7 @@ A file kind's classes are read through the package's name table, as
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
 
 import dualmin
@@ -82,8 +83,11 @@ def _det_transitions(doc, alphabet, states):
             raise FormatError("expected a state-to-state map", f"transitions.{a}")
         if set(row) != set(states):
             raise FormatError("every state needs a successor", f"transitions.{a}")
-        trans[a] = tuple(_state_index(row[name], states, f"transitions.{a}.{name}")
-                         for name in states)
+        try:  # one C pass; a target that is no state name takes the checked route
+            trans[a] = tuple(map(states.__getitem__, map(row.__getitem__, states)))
+        except (KeyError, TypeError):
+            trans[a] = tuple(_state_index(row[name], states, f"transitions.{a}.{name}")
+                             for name in states)
     return trans
 
 
@@ -260,9 +264,11 @@ def _digits(v: int) -> str:
 # Short pieces are batched, since one write per piece made the dfa
 # benchmark's wall_s 7-12 % worse on 2 vCPUs (FOUND 19).  A piece of
 # _COPY_CHARS or more, an entry with a long name or a chunk of about
-# _BATCH_CHARS of Moore rows, is written as it is after the pending batch, so
-# that no batch holds a second copy of it.
+# _ROWS_CHARS of Moore rows, is written as it is after the pending batch, so
+# that no batch holds a second copy of it.  A chunk's rows, its text and the
+# encoded text are alive together, so chunks are kept short.
 _BATCH_CHARS = 1 << 20
+_ROWS_CHARS = 1 << 16
 _COPY_CHARS = 256
 
 
@@ -373,27 +379,31 @@ def _moore_pieces(m: MooreAutomaton):
     """The text of m's DFA document (outputs reject and accept) or Moore
     document, as _pieces writes it, in pieces made straight from m's arrays.
 
-    Each name is escaped once, one sort of the names orders `out` and every
-    letter's transition map, and the rows of a list or map are joined into
-    chunks of about _BATCH_CHARS characters.
+    Each name is escaped once (the labels serve as they are when none needs
+    it), one sort of the names orders `out` and every letter's transition
+    map, and the rows of a list or map are joined into chunks of about
+    _ROWS_CHARS characters, read from their items as the chunks are made.
     """
     labels = state_labels(m.state_names, m.n)
-    names, outs, letters = (list(map(_body, xs)) for xs in (labels, m.outputs, m.alphabet))
+    names = labels if all(_body(s) is s for s in labels) else list(map(_body, labels))
+    outs, letters = (list(map(_body, xs)) for xs in (m.outputs, m.alphabet))
     by_name = sorted(range(m.n), key=labels.__getitem__)
-    per = max(1, _BATCH_CHARS // (2 * max(map(len, names + outs + letters)) + 16))
+    per = max(1, _ROWS_CHARS // (2 * max(map(len, chain(names, outs, letters))) + 16))
 
     def block(items, rows, indent: str, brackets: str):
         """A list or map at `indent` with one row per item; rows(chunk) formats a chunk's rows."""
-        if not items:
+        items = iter(items)
+        chunk = list(islice(items, per))
+        if not chunk:
             yield brackets
             return
         inner = indent + "  "
         sep = "," + inner
         yield brackets[0] + inner
-        for i in range(0, len(items), per):
-            if i:
-                yield sep
-            yield sep.join(rows(items[i:i + per]))
+        yield sep.join(rows(chunk))
+        while chunk := list(islice(items, per)):
+            yield sep
+            yield sep.join(rows(chunk))
         yield indent + brackets[1]
 
     def quoted(strings):
@@ -407,7 +417,7 @@ def _moore_pieces(m: MooreAutomaton):
     yield from block(range(len(letters)), quoted(letters), "\n  ", "[]")
     if dfa:
         yield ',\n  "finals": '
-        yield from block(list(compress(range(m.n), m.out)), quoted(names), "\n  ", "[]")
+        yield from block(compress(range(m.n), m.out), quoted(names), "\n  ", "[]")
     yield f',\n  "initial": "{names[m.init]}"'
     if not dfa:
         yield ',\n  "out": '

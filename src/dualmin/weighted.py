@@ -108,12 +108,14 @@ def reach_restrict(w: WeightedAutomaton) -> RestrictedWA:
     basis = _span(empty, w.init, lambda v, a: mat_vec(w.mats[a], v), w.alphabet)
     embedding, r = basis.matrix(), basis.rank
     mats = {}
-    for a in w.alphabet:
+    for a in w.alphabet:  # the invariants are raised, not asserted, so python -O keeps them
         cols = tuple(basis.coordinates(mat_vec(w.mats[a], b)) for b in embedding.entries)
-        assert None not in cols, "closure left the reachable submodule"
+        if None in cols:
+            raise AssertionError("closure left the reachable submodule")
         mats[a] = Matrix(w.semiring, r, r, cols).transpose()
     init = basis.coordinates(w.init)
-    assert init is not None
+    if init is None:
+        raise AssertionError("initial vector left the reachable submodule")
     restricted = WeightedAutomaton(r, w.alphabet, w.semiring, mats, init,
                                    mat_vec(embedding, w.final))
     return RestrictedWA(restricted, basis, embedding)

@@ -543,6 +543,8 @@ def test_subset_names_rule():
     assert names([1, 3], ("x", "y"), 2) == ("x", "x+y")
     assert names([1, 3], ("x+y", "z"), 2) == ("x+y", "x+y,z")
     assert names([0, 1], ("empty", "z"), 2) is None
+    # a label holding the separator "," makes distinct rows collide
+    assert names([2, 12], ("a+", "b,c", "b", "c"), 4) is None
     # a dual predicate is already a row
     assert subset_names([b"\1\0\1", (0, 1, 1)], ("x", "y", "z"), 3) == ("x+z", "y+z")
     # a state named "" is told apart from the empty subset
@@ -563,9 +565,10 @@ def test_every_subset_state_is_named_as_the_set_oracle_names_it():
     for _ in range(150):
         n = rng.randint(1, 6)
         names = _random_names(rng, n)
-        # masks 0 and 2^n - 1, and masks with the top state set
-        masks = [0, (1 << n) - 1] + [rng.randrange(1 << (n - 1)) | 1 << (n - 1)
-                                     for _ in range(3)]
+        # masks 0 and 2^n - 1, and masks with the top state set; subset_names
+        # takes distinct rows, as every caller passes them
+        masks = list(dict.fromkeys([0, (1 << n) - 1] + [rng.randrange(1 << (n - 1))
+                                                        | 1 << (n - 1) for _ in range(3)]))
         sets = [{s for s in range(n) if mask >> s & 1} for mask in masks]
         assert subset_names(map(mask_row, masks), names, n) == names_by_sets(sets, names, n)
 

@@ -336,20 +336,39 @@ def test_emit_holds_a_document_under_one_batch_once():
     assert emit_peak(minimal) < size * 5 // 4
 
 
-def test_emit_of_a_large_dual_peaks_below_half_its_text():
-    """The dual of a random 30-state DFA has 19,946 states and 6.8 million
-    characters of text, mostly subset names in the transition maps: emit
-    copies no clean name and builds no map of names per letter, so it holds
-    a chunk of rows at a time."""
+def random_30_state_dfa() -> MooreAutomaton:
+    """A random 30-state DFA whose dual has 19,946 states and 6.8 million
+    characters of text, mostly subset names in the transition maps."""
     rng = random.Random(0)
     n = 30
-    m = MooreAutomaton.dfa(n, ("a", "b"), {a: tuple(rng.randrange(n) for _ in range(n))
-                                           for a in "ab"},
-                           0, [s for s in range(n) if rng.random() < 0.5])
-    dual = dual_automaton(m)
+    return MooreAutomaton.dfa(n, ("a", "b"), {a: tuple(rng.randrange(n) for _ in range(n))
+                                              for a in "ab"},
+                              0, [s for s in range(n) if rng.random() < 0.5])
+
+
+def test_emit_of_a_large_dual_peaks_below_half_its_text():
+    """emit copies no clean name and builds neither a map of names per
+    letter nor a list of the finals, so it holds a chunk of rows at a time:
+    below a quarter of the text."""
+    dual = dual_automaton(random_30_state_dfa())
     assert dual.n > 10_000
     size = len(emit(dual))
-    assert emit_peak(dual) < size // 2
+    assert emit_peak(dual) < size // 4
+
+
+def test_a_named_dual_peaks_at_what_it_stores():
+    """The named dual of the same DFA peaks while it names its states, with
+    its predicates, its names and its successor lists alive, but no set of
+    the names: under 280 bytes a state."""
+    m = random_30_state_dfa()
+    tracemalloc.start()
+    try:
+        dual = dual_automaton(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dual.n > 10_000
+    assert peak < 280 * dual.n
 
 
 def test_parse_reads_weighted_values_in_a_named_semiring(data_dir):
