@@ -5,6 +5,8 @@ The running example is the 3-state automaton for (a+b)*a: from state x, an
 behave identically, which is exactly the redundancy minimisation removes.
 """
 
+from itertools import compress
+
 from dualmin import (Dkm, MooreAutomaton, brzozowski_minimise, definable_closure, determinise,
                      dual_automaton, equiv_exact, iso_check,
                      partition_refinement_minimise, reach, reverse, run)
@@ -33,12 +35,13 @@ for w in ("", "a", "ab", "ba", "bba"):
 # The dual automaton lives on predicates over the states.  For a DFA these
 # decode to subsets, and only three of the eight are ever reached.  They are
 # the definable sets of the DFA read as a Kripke model with one observation,
-# "accepting": the sets that the trace formulas <a1>...<ak>p pick out.
+# "accepting": the sets that the trace formulas <a1>...<ak>p pick out.  The
+# closure lists each as a 0/1 row over x, y, z, decoded here to be printed.
 dual = dual_automaton(dfa)
 show("First reversal: the dual automaton (accepts the reversed language)", dual)
 print("  dual states = definable closure of the DFA as a Kripke model:",
-      sorted("{" + ",".join(sorted("xyz"[s] for s in subset)) + "}"
-             for subset in definable_closure(Dkm.from_dfa(dfa))))
+      sorted("{" + ",".join(compress("xyz", row)) + "}"
+             for row in definable_closure(Dkm.from_dfa(dfa))))
 print("  check: dual on 'ab' =", run(dual, ("a", "b")),
       " original on 'ba' =", run(dfa, ("b", "a")))
 

@@ -7,6 +7,8 @@ precisely the bisimulation classes, so the quotient needs no explicit
 partner-matching at all.
 """
 
+from itertools import compress
+
 from dualmin import (Dkm, TraceFormula, bisimulation_oracle, boolean_atoms,
                      definable_closure, eval_trace, minimise_dkm, quotient_dkm)
 
@@ -26,10 +28,13 @@ for formula in (TraceFormula((), "light"),
     sat = eval_trace(model, formula)
     print(f"  [[{formula}]] = {{{', '.join(names[s] for s in sorted(sat))}}}")
 
+# The closure is listed as 0/1 rows, byte s of a row being 1 iff state s is
+# a member; they are decoded into member lists only to be printed.
 closure = definable_closure(model)
 print(f"\nDefinable closure has {len(closure)} subsets:")
-for subset in sorted(closure, key=lambda s: (len(s), sorted(s))):
-    print("  {" + ", ".join(names[s] for s in sorted(subset)) + "}")
+members = (list(compress(range(model.n), row)) for row in closure)
+for subset in sorted(members, key=lambda m: (len(m), m)):
+    print("  {" + ", ".join(names[s] for s in subset) + "}")
 
 atoms = boolean_atoms(closure, model.n)
 print(f"\nBoolean atoms partition the states into {atoms.n_blocks} blocks:")

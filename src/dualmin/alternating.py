@@ -29,7 +29,8 @@ from typing import Callable, Iterable, Mapping
 
 import dualmin
 
-from .automata import MooreAutomaton, _check_alphabet, _mask, mask_row, subset_dfa, walk
+from .automata import (MooreAutomaton, _check_alphabet, _check_names, _mask, mask_row,
+                       subset_dfa, walk)
 from .errors import DEFAULT_MAX_STATES, Record, StateGuardError, quoted
 
 
@@ -162,6 +163,7 @@ class AlternatingAutomaton(Record):
             raise ValueError("iota is over the wrong state count")
         if any(not 0 <= s < self.n for s in self.finals):
             raise ValueError("final state out of range")
+        _check_names(self.state_names, self.n)
 
     def view(self) -> tuple:
         """The reversed DFA's lazy triple on bitmasks (it reads words reversed): a

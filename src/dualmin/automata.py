@@ -47,6 +47,12 @@ def _check_alphabet(alphabet, rows: Mapping):
         raise ValueError("transitions must cover exactly the alphabet")
 
 
+def _check_names(names: Sequence[str] | None, n: int):
+    """No state names, or one for each of the n states."""
+    if names is not None and len(names) != n:
+        raise ValueError("state_names length mismatch")
+
+
 def _within(values: Sequence[int], n: int) -> bool:
     """Every value lies in 0..n-1, by one C-level min and max."""
     return not values or (min(values) >= 0 and max(values) < n)
@@ -86,8 +92,7 @@ class MooreAutomaton(Record):
         _check_successors(self.n, self.alphabet, self.trans, self.init)
         if len(self.out) != self.n or not _within(self.out, len(self.outputs)):
             raise ValueError("output map must assign every state a valid output")
-        if self.state_names is not None and len(self.state_names) != self.n:
-            raise ValueError("state_names length mismatch")
+        _check_names(self.state_names, self.n)
 
     @classmethod
     def dfa(cls, n, alphabet, trans, init, accepting, state_names=None) -> "MooreAutomaton":
@@ -126,6 +131,7 @@ class Nfa(Record):
         for s in self.inits | self.finals:
             if not 0 <= s < self.n:
                 raise ValueError("initial/final state out of range")
+        _check_names(self.state_names, self.n)
 
     def view(self) -> tuple:
         """The subset construction's lazy triple on bitmasks: a subset's key is 1

@@ -13,16 +13,20 @@ The closure can hold exponentially many sets, but it has at most n atoms:
 the coarsest partition that refines the observations and that every
 letter's preimage respects.  `minimise_dkm` therefore quotients by
 `stable_partition`, which is also the coarsest bisimulation, and never lists
-the closure; `definable_closure` lists it, for the `closure` verb.
+the closure; `definable_closure` lists it, for the `closure` verb.  It lists
+each set as the exploration stores it, a 0/1 `bytes` row over the states
+(about 70 bytes a set of 30 states; a frozenset of its members takes about
+1,200), and `boolean_atoms` reads the atoms off the rows' columns; only the
+verb's printing turns a row into names.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .automata import (MooreAutomaton, Partition, _check_successors, by_rows, explore,
-                       quotient_rows, stable_partition, walk)
+from .automata import (MooreAutomaton, Partition, _check_names, _check_successors, by_rows,
+                       explore, quotient_rows, stable_partition, walk)
 from .brzozowski import predicates
 from .errors import DEFAULT_MAX_STATES, Record
 
@@ -46,6 +50,7 @@ class Dkm(Record):
             raise ValueError("observations must be distinct")
         if len(self.gamma) != self.n or any(not g <= set(self.obs) for g in self.gamma):
             raise ValueError("gamma must assign every state a subset of the observations")
+        _check_names(self.state_names, self.n)
 
     def view(self) -> tuple:
         """The (start, key, step) triple, each state keyed by its observation set."""
@@ -79,27 +84,27 @@ def eval_trace(k: Dkm, formula: TraceFormula) -> frozenset[int]:
                 reversed(formula.word), k.alphabet)
 
 
-def definable_closure(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> frozenset[frozenset[int]]:
+def definable_closure(k: Dkm, max_states: int = DEFAULT_MAX_STATES) -> list[bytes]:
     """Least family containing every observation extension and closed under
     transition preimages; equals the set of all trace-formula extensions.
-    It starts from one 0/1 predicate per observation: the states where it holds."""
+    It starts from one 0/1 predicate per observation: the states where it holds.
+    Each set comes once, as the 0/1 row the exploration stores: a `bytes`
+    whose byte s is 1 iff state s is a member."""
     starts = [[w in g for g in k.gamma] for w in k.obs]
-    order = explore(*predicates(starts, k.delta), k.alphabet, max_states, "definable closure")[0]
-    return frozenset(frozenset(compress(range(k.n), phi)) for phi in order)
+    return explore(*predicates(starts, k.delta), k.alphabet, max_states, "definable closure")[0]
 
 
-def boolean_atoms(family: frozenset[frozenset[int]], n: int) -> Partition:
-    """Atoms of the Boolean algebra generated by the family, as a state partition.
+def boolean_atoms(rows: Sequence[Sequence[int]], n: int) -> Partition:
+    """Atoms of the Boolean algebra generated by a family of 0/1 rows over n
+    states (definable_closure's form), as a state partition.
 
-    Two states share an atom iff they have the same membership signature
-    across every set of the family.  Blocks are numbered by their least
-    state, so any fixed order of the family gives the same partition.
+    Two states share an atom iff they have the same membership signature,
+    their column of the rows.  Blocks are numbered by their least state, so
+    any fixed order of the rows gives the same partition.
     """
-    for subset in family:
-        if any(not 0 <= s < n for s in subset):
-            raise ValueError("family mentions a state out of range")
-    return Partition.from_signatures(
-        tuple(s in subset for subset in family) for s in range(n))
+    if any(len(row) != n for row in rows):
+        raise ValueError("family row length mismatch")
+    return Partition.from_signatures(zip(*rows) if rows else [()] * n)
 
 
 def quotient_dkm(k: Dkm, part: Partition) -> Dkm:

@@ -104,9 +104,7 @@ def _check_dkm(rng):
 
 def _check_cross(rng):
     m = sampling.random_dfa(rng, max_n=6)
-    closure = definable_closure(Dkm.from_dfa(m))
-    names = subset_names([bytes(s in c for s in range(m.n)) for c in closure],
-                         m.state_names, m.n)
+    names = subset_names(definable_closure(Dkm.from_dfa(m)), m.state_names, m.n)
     if set(names) != set(determinise(reverse(m)).state_names):
         return f"definable closure differs from the determinised reversal on {m}"
 

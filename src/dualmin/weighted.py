@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, Mapping
 
-from .automata import Nfa, _check_alphabet
+from .automata import Nfa, _check_alphabet, _check_names
 from .errors import DimensionError, Record, SemiringError
 from .linalg import FieldBasis, IntegerBasis
 from .semiring import BOOL, Matrix, Semiring, mat_vec, vec_mat
@@ -42,6 +42,7 @@ class WeightedAutomaton(Record):
                 raise SemiringError(f"matrix for {a!r} uses {mat.semiring.name}")
         if len(self.init) != self.n or len(self.final) != self.n:
             raise DimensionError("initial/final vectors must have length n")
+        _check_names(self.state_names, self.n)
 
     @classmethod
     def build(cls, alphabet, semiring: Semiring, mats, init, final, state_names=None):

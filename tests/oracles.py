@@ -11,11 +11,13 @@ predicates kept as tuples, the names of subset states by joining the sorted
 members of sets, trace-formula extensions and the definable closure of a
 Kripke model by frozenset preimages (the library walks and explores the
 dual's predicate step), coarsest stable partitions by refinement in rounds
-(the library runs Hopcroft's algorithm), and emitted text by json.dumps (of a
+(the library runs Hopcroft's algorithm), emitted text by json.dumps (of a
 DFA or Moore document built here: the library writes those from the
-automaton's arrays).  Eleven oracles
+automaton's arrays), and the `closure` verb's lines by sorting the closure
+as frozensets by (size, members) (the library sorts its 0/1 rows as bytes).
+Eleven oracles
 keep a library route as an explicit second copy: the Kripke quotient by the
-atoms of the definable closure as a set family, the Moore quotient by the same
+atoms of the definable closure as listed, the Moore quotient by the same
 atoms of the model with one observation per output, the Hankel block one word
 pair at a time, Moore equivalence by a hand-written breadth-first walk over the
 product, Kripke equivalence by refining the disjoint union of two models in
@@ -32,8 +34,9 @@ The module also holds the small builders that several test modules share and
 the package does not ship: identity and zero matrices, constant Boolean
 functions and their lookup on one subset, the AFA embedding of a DFA, the
 reachable part of an AFA's reversed DFA, a record's copy with fields
-changed, the DFA-output test, the closure of a DFA named as the dual names
-its states, the one-state automata, and a random NFA generator.
+changed, the DFA-output test, the decoding of 0/1 rows into sets, the
+closure of a DFA named as the dual names its states, the one-state automata,
+and a random NFA generator.
 """
 
 import ast
@@ -50,6 +53,7 @@ from dualmin import (RATIONAL, AlternatingAutomaton, BoolFun, Dkm, FieldBasis, M
                      quotient_dkm, reach, reach_restrict, vec_mat)
 from dualmin.automata import (DFA_OUTPUTS, Partition, _mask, quotient_moore, subset_dfa,
                               subset_names)
+from dualmin.cli import _shown
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _document
 from dualmin.sampling import _alphabet
@@ -456,9 +460,23 @@ def closure_by_preimages(k) -> frozenset:
     return frozenset(found)
 
 
+def row_sets(rows) -> frozenset:
+    """A family of 0/1 rows (definable_closure's form) decoded into a
+    frozenset of member sets: row r gives the states s with r[s] nonzero."""
+    return frozenset(frozenset(s for s, member in enumerate(row) if member) for row in rows)
+
+
+def closure_text_by_sets(family, labels) -> str:
+    """The `closure` verb's output from a family of frozensets: one line per
+    set, sorted by (size, sorted members), each the set's members' shown
+    labels in ascending order between braces."""
+    return "".join("{" + ",".join(_shown(labels[s]) for s in sorted(subset)) + "}\n"
+                   for subset in sorted(family, key=lambda s: (len(s), sorted(s))))
+
+
 def minimise_dkm_by_atoms(k):
     """The Kripke quotient by the Boolean atoms of the definable closure,
-    through the closure decoded as a family of frozensets."""
+    through the closure listed as rows."""
     return quotient_dkm(k, boolean_atoms(definable_closure(k), k.n))
 
 
@@ -673,9 +691,7 @@ def is_dfa(m: MooreAutomaton) -> bool:
 def closure_names(m: MooreAutomaton) -> set[str]:
     """The definable closure of a DFA read as a model, each set named by its
     members as the dual names its states."""
-    closure = definable_closure(Dkm.from_dfa(m))
-    return set(subset_names([bytes(s in c for s in range(m.n)) for c in closure],
-                            m.state_names, m.n))
+    return set(subset_names(definable_closure(Dkm.from_dfa(m)), m.state_names, m.n))
 
 
 def one_state_automata():

@@ -9,10 +9,14 @@ from decimal import Decimal
 
 import pytest
 
-from dualmin import (MooreAutomaton, determinise, emit, io, iso_check, parse, reverse, run,
-                     selftest)
-from dualmin.cli import build_parser, main, parse_trace_formula
+from dualmin import (Dkm, MooreAutomaton, bisimulation_oracle, boolean_atoms, definable_closure,
+                     determinise, emit, io, iso_check, parse, reverse, run, selftest)
+from dualmin.automata import state_labels
+from dualmin.cli import _CHUNK_CHARS, build_parser, main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES
+from dualmin.sampling import random_dfa, random_dkm
+
+from oracles import closure_by_preimages, closure_text_by_sets, replace, row_sets
 
 
 def invoke(capsys, *argv):
@@ -590,6 +594,76 @@ def test_listed_names_that_could_be_misread_print_as_json_strings(capsys, tmp_pa
     closure = dkm_file(tmp_path, ["t u", "{v}", 'w"'], {"t u": ["r"], "{v}": ["r"], 'w"': ["r"]},
                        ["r"])
     assert invoke(capsys, "closure", closure) == (0, '{"t u","{v}","w\\""}\n', "")
+
+
+def _few_targets_model(rng, n, state_names=None) -> Dkm:
+    """A random model of n states whose successors all lie among six of them,
+    so that its closure stays small: a preimage depends on those six alone."""
+    targets = rng.sample(range(n), 6)
+    gamma = tuple(frozenset(w for w in ("p", "q") if rng.random() < 0.5) for _ in range(n))
+    delta = {a: tuple(rng.choice(targets) for _ in range(n)) for a in ("a", "b")}
+    return Dkm(n, ("a", "b"), ("p", "q"), gamma, delta, 0, state_names)
+
+
+def _closure_cases():
+    """Models for the closure verb: two of 0 states, one without
+    observations, random ones, two past 256 states (the predicate step's
+    itemgetter route) and ones whose state names the verb must quote."""
+    rng = random.Random(32)
+    yield Dkm(0, ("a",), ("p", "q"), (), {"a": ()})
+    yield Dkm(0, ("a",), (), (), {"a": ()})
+    k = random_dkm(rng)
+    yield replace(k, obs=(), gamma=(frozenset(),) * k.n)
+    for _ in range(60):
+        yield random_dkm(rng, max_n=7, max_letters=3, max_obs=3)
+    yield _few_targets_model(rng, 257)
+    yield _few_targets_model(rng, 300, tuple(f"q {i}" if i % 7 else f"{{{i}}}" for i in range(300)))
+    loop = {"a": (0, 1, 2)}
+    yield Dkm(3, ("a",), ("p", "q"), (frozenset("p"), frozenset("q"), frozenset("q")), loop, 0,
+              ("x,y", "x", "y"))
+    yield Dkm(1, ("a",), ("p",), (frozenset("p"),), {"a": (0,)}, 0, ("",))
+    yield Dkm(3, ("a",), ("p",), (frozenset("p"), frozenset(), frozenset("p")), {"a": (1, 2, 0)},
+              0, ("empty", "-", 'w"'))
+    yield Dkm(3, ("a",), ("r",), (frozenset("r"),) * 3, loop, 0, ("t u", "{v}", 'w"'))
+
+
+def test_closure_matches_the_route_through_sets(capsys, tmp_path):
+    """The closure verb sorts and prints 0/1 rows; the oracle decodes them
+    into frozensets and sorts those by (size, members).  The rows are the
+    preimage worklist's sets, each once, and their atoms are the
+    bisimulation classes."""
+    rng = random.Random(33)
+    files = [(k, k) for k in _closure_cases()]
+    files += [(m, Dkm.from_dfa(m)) for m in (random_dfa(rng) for _ in range(20))]
+    for obj, k in files:
+        path = tmp_path / "model.json"
+        path.write_text(emit(obj))
+        rows = definable_closure(k)
+        family = row_sets(rows)
+        assert family == closure_by_preimages(k) and len(rows) == len(family)
+        assert all(type(row) is bytes and len(row) == k.n for row in rows)
+        labels = state_labels(k.state_names, k.n)
+        assert invoke(capsys, "closure", str(path)) == (0, closure_text_by_sets(family, labels), "")
+        assert boolean_atoms(rows, k.n) == bisimulation_oracle(k)
+
+
+def test_closure_writes_its_lines_in_chunks(monkeypatch, tmp_path):
+    """Not one write per line: writes of about _CHUNK_CHARS characters.  The
+    closure of a 300-state chain is its 300 suffixes, about 220 KB of text."""
+    n = 300
+    k = Dkm(n, ("a",), ("p",), (frozenset(),) * (n - 1) + (frozenset("p"),),
+            {"a": tuple(min(s + 1, n - 1) for s in range(n))})
+    path = tmp_path / "model.json"
+    path.write_text(emit(k))
+    class Writes(list):
+        write = list.append
+
+    writes = Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(["closure", str(path)]) == 0
+    lines = "".join(writes).splitlines()
+    assert len(lines) == n and 2 < len(writes) < 10
+    assert all(len(text) >= _CHUNK_CHARS for text in writes[:-1])
 
 
 def test_stats(capsys, data_dir):

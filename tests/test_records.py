@@ -81,3 +81,16 @@ def test_every_record_is_frozen_compares_by_value_and_caches(cls, kwargs):
         assert obj.transpose() is obj.transpose() and obj.transpose().transpose() is obj
     if cls is BoolFun:
         assert obj.table == 0b10
+
+
+NAMED = [(cls, kwargs) for cls, kwargs in RECORDS if "state_names" in cls._fields]
+
+
+@pytest.mark.parametrize("cls, kwargs", NAMED, ids=[cls.__name__ for cls, _ in NAMED])
+def test_state_names_name_every_state(cls, kwargs):
+    """A record with state names has one for each state: a name tuple one
+    short would leave a state unnamed, and one too long names no state."""
+    n = cls(**kwargs).n
+    for names in (("x",) * (n - 1), ("x",) * (n + 1), ("",) * (n + 1)):
+        with pytest.raises(ValueError, match="^state_names length mismatch$"):
+            cls(**kwargs, state_names=names)
