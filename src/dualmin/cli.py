@@ -27,7 +27,6 @@ from . import automata, io
 from .errors import DEFAULT_MAX_STATES, FormatError, StateGuardError
 
 GUARD_EXIT = 3
-_CHUNK_CHARS = 1 << 16  # the size of closure's writes
 
 
 def _load(path: str, semiring: str | None = None):
@@ -174,22 +173,14 @@ def _cmd_trace_eval(args, obj) -> int:
 def _cmd_closure(args, obj) -> int:
     """The definable sets by size, then by members: of two rows of one size,
     the one holding the first state where they differ comes first, which is
-    descending byte order.  Lines go out in writes of about _CHUNK_CHARS
-    characters, since with stdout unbuffered each print is a system call."""
+    descending byte order.  Lines go out through io.write_chunks, since with
+    stdout unbuffered each print is a system call."""
     k = _as_dkm(obj)
     names = list(map(_shown, automata.state_labels(k.state_names, k.n)))
     rows = dualmin.definable_closure(k, args.max_states)
     rows.sort(reverse=True)
     rows.sort(key=methodcaller("count", 1))
-    chunk: list[str] = []
-    size = 0
-    for row in rows:
-        chunk.append("{" + ",".join(compress(names, row)) + "}\n")
-        size += len(chunk[-1])
-        if size >= _CHUNK_CHARS:
-            sys.stdout.write("".join(chunk))
-            chunk, size = [], 0
-    sys.stdout.write("".join(chunk))
+    io.write_chunks(("{" + ",".join(compress(names, row)) + "}\n" for row in rows), sys.stdout)
     return 0
 
 

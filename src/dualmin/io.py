@@ -7,13 +7,12 @@ Emission is canonical: keys are sorted and states are listed in index order,
 so parse(emit(x)) reproduces x exactly, except for an integer past the
 interpreter's limit on the digits it reads (a weight, or a rational's
 numerator or denominator): emit writes it in full and parse refuses it.
-The text is that of json.dumps(doc, indent=2, sort_keys=True), produced
-piece by piece with a string escaped, once, only when json must escape it.
-A DFA or Moore document is written straight from the automaton's arrays,
-its lists and maps as rows in chunks of about 64 KiB (_moore_pieces); other
-kinds go through a document of names (_pieces).  emit(x, fp) writes short
-pieces in batches of about 1 MiB, and a long piece, such as a long name or a
-chunk of rows, as it is.
+The text is that of json.dumps(doc, indent=2, sort_keys=True) + "\n".  A
+DFA or Moore document is written straight from the automaton's arrays, its
+lists and maps as rows in chunks of about 64 KiB (_moore_pieces); other
+kinds go through a document of names and the json module's own encoder.
+emit(x, fp) streams either text through write_chunks, which joins its pieces
+in writes of about 64 KiB.
 
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
@@ -261,43 +260,40 @@ def _digits(v: int) -> str:
         return "-" * (v < 0) + _digits(high) + _digits(low).zfill(k)
 
 
-# Short pieces are batched, since one write per piece made the dfa
-# benchmark's wall_s 7-12 % worse on 2 vCPUs (FOUND 19).  A piece of
-# _COPY_CHARS or more, an entry with a long name or a chunk of about
-# _ROWS_CHARS of Moore rows, is written as it is after the pending batch, so
-# that no batch holds a second copy of it.  A chunk's rows, its text and the
-# encoded text are alive together, so chunks are kept short.
-_BATCH_CHARS = 1 << 20
-_ROWS_CHARS = 1 << 16
-_COPY_CHARS = 256
+# With stdout unbuffered (PYTHONUNBUFFERED) each write is a system call, and
+# the encoder's pieces are a few characters each, so pieces go out joined in
+# chunks; _moore_pieces makes its chunks of rows the same size.
+_CHUNK_CHARS = 1 << 16
+
+
+def write_chunks(pieces, fp) -> None:
+    """Write the strings `pieces` to fp.write joined in chunks: each chunk but
+    the last holds at least _CHUNK_CHARS characters."""
+    chunk: list[str] = []
+    size = 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            fp.write("".join(chunk))
+            chunk, size = [], 0
+    fp.write("".join(chunk))
 
 
 def emit(obj, fp=None) -> str | None:
     """Canonical JSON for any supported automaton (sorted keys, index order).
 
-    Without `fp` the text is returned; with `fp` it is written to fp.write,
-    short pieces in batches of about 1 MiB and long ones as they are, and
-    None is returned.
+    Without `fp` the text is returned; with `fp` it is written to fp.write
+    by write_chunks, and None is returned.
     """
-    pieces = _moore_pieces(obj) if getattr(obj, "kind", None) == "moore" \
-        else _pieces(_document(obj))
+    if getattr(obj, "kind", None) == "moore":
+        pieces = _moore_pieces(obj)
+    else:
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        pieces = chain(encoder.iterencode(_document(obj)), ("\n",))
     if fp is None:
         return "".join(pieces)
-    batch: list[str] = []
-    size = 0
-    for piece in pieces:
-        if len(piece) >= _COPY_CHARS:
-            if batch:
-                fp.write("".join(batch))
-                batch, size = [], 0
-            fp.write(piece)
-            continue
-        batch.append(piece)
-        size += len(piece)
-        if size >= _BATCH_CHARS:
-            fp.write("".join(batch))
-            batch, size = [], 0
-    fp.write("".join(batch))
+    write_chunks(pieces, fp)
     return None
 
 
@@ -322,73 +318,20 @@ def _body(s: str) -> str:
     return s if clean else encode_basestring_ascii(s)[1:-1]
 
 
-def _pieces(doc):
-    """The text of json.dumps(doc, indent=2, sort_keys=True) + "\n" in pieces.
-
-    Each distinct string is tested once for whether json must escape it; the
-    memo keeps escaped copies of those only and maps a clean string to itself.
-    A string entry of a list or map is one piece, so one with a long name is
-    a long piece, which emit writes as it is.  Other scalars go to json.dumps.
-    """
-    memo: dict[str, str] = {}
-
-    def body(s: str) -> str:  # s as json writes it between its quotes
-        b = memo.get(s)
-        if b is None:
-            b = memo[s] = _body(s)
-        return b
-
-    def value(o, indent: str):
-        if isinstance(o, dict):
-            if not o:
-                yield "{}"
-                return
-            inner = indent + "  "
-            sep = "{" + inner
-            for k in sorted(o):
-                v = o[k]
-                if isinstance(v, str):
-                    yield f'{sep}"{body(k)}": "{body(v)}"'
-                else:
-                    yield f'{sep}"{body(k)}": '
-                    yield from value(v, inner)
-                sep = "," + inner
-            yield indent + "}"
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                yield "[]"
-                return
-            inner = indent + "  "
-            sep = "[" + inner
-            for v in o:
-                if isinstance(v, str):
-                    yield f'{sep}"{body(v)}"'
-                else:
-                    yield sep
-                    yield from value(v, inner)
-                sep = "," + inner
-            yield indent + "]"
-        else:
-            yield json.dumps(o)
-
-    yield from value(doc, "\n")
-    yield "\n"
-
-
 def _moore_pieces(m: MooreAutomaton):
     """The text of m's DFA document (outputs reject and accept) or Moore
-    document, as _pieces writes it, in pieces made straight from m's arrays.
+    document, as json.dumps writes it, in pieces made straight from m's arrays.
 
     Each name is escaped once (the labels serve as they are when none needs
     it), one sort of the names orders `out` and every letter's transition
     map, and the rows of a list or map are joined into chunks of about
-    _ROWS_CHARS characters, read from their items as the chunks are made.
+    _CHUNK_CHARS characters, read from their items as the chunks are made.
     """
     labels = state_labels(m.state_names, m.n)
     names = labels if all(_body(s) is s for s in labels) else list(map(_body, labels))
     outs, letters = (list(map(_body, xs)) for xs in (m.outputs, m.alphabet))
     by_name = sorted(range(m.n), key=labels.__getitem__)
-    per = max(1, _ROWS_CHARS // (2 * max(map(len, chain(names, outs, letters))) + 16))
+    per = max(1, _CHUNK_CHARS // (2 * max(map(len, chain(names, outs, letters))) + 16))
 
     def block(items, rows, indent: str, brackets: str):
         """A list or map at `indent` with one row per item; rows(chunk) formats a chunk's rows."""

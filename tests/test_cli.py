@@ -12,8 +12,9 @@ import pytest
 from dualmin import (Dkm, MooreAutomaton, bisimulation_oracle, boolean_atoms, definable_closure,
                      determinise, emit, io, iso_check, parse, reverse, run, selftest)
 from dualmin.automata import state_labels
-from dualmin.cli import _CHUNK_CHARS, build_parser, main, parse_trace_formula
+from dualmin.cli import build_parser, main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES
+from dualmin.io import _CHUNK_CHARS
 from dualmin.sampling import random_dfa, random_dkm
 
 from oracles import closure_by_preimages, closure_text_by_sets, replace, row_sets
@@ -647,14 +648,18 @@ def test_closure_matches_the_route_through_sets(capsys, tmp_path):
         assert boolean_atoms(rows, k.n) == bisimulation_oracle(k)
 
 
+def chain_model(n) -> Dkm:
+    """An n-state chain whose last state alone sees p: its closure is its n
+    suffixes, about 220 KB of text for n = 300."""
+    return Dkm(n, ("a",), ("p",), (frozenset(),) * (n - 1) + (frozenset("p"),),
+               {"a": tuple(min(s + 1, n - 1) for s in range(n))})
+
+
 def test_closure_writes_its_lines_in_chunks(monkeypatch, tmp_path):
-    """Not one write per line: writes of about _CHUNK_CHARS characters.  The
-    closure of a 300-state chain is its 300 suffixes, about 220 KB of text."""
+    """Not one write per line: writes of about _CHUNK_CHARS characters."""
     n = 300
-    k = Dkm(n, ("a",), ("p",), (frozenset(),) * (n - 1) + (frozenset("p"),),
-            {"a": tuple(min(s + 1, n - 1) for s in range(n))})
     path = tmp_path / "model.json"
-    path.write_text(emit(k))
+    path.write_text(emit(chain_model(n)))
     class Writes(list):
         write = list.append
 
@@ -927,23 +932,29 @@ def test_parse_trace_formula():
         parse_trace_formula("<a>")
 
 
-def test_closed_stdout_exits_quietly(tmp_path):
+@pytest.mark.parametrize("verb", ["reach", "reverse", "closure"])
+def test_closed_stdout_exits_quietly(tmp_path, verb):
     """A reader that stops early (`dualmin reach big.json | head -c 50`)
-    gets exit 0 and nothing on stderr, as with one unbatched write."""
-    n = 2000
-    names = [f"state{'-' * 100}{s}" for s in range(n)]
-    doc = {"type": "dfa", "alphabet": ["a", "b"], "states": names, "initial": names[0],
-           "finals": names[::2],
-           "transitions": {"a": {x: names[(s + 1) % n] for s, x in enumerate(names)},
-                           "b": {x: names[s // 2] for s, x in enumerate(names)}}}
+    gets exit 0 and nothing on stderr, as with one unbatched write: a DFA
+    document written from its arrays (reach, about 1 MB), an NFA document
+    through the json encoder (reverse) and closure's lines (about 220 KB)."""
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
+    if verb == "closure":
+        path.write_text(emit(chain_model(300)))
+    else:
+        n = 2000
+        names = [f"state{'-' * 100}{s}" for s in range(n)]
+        doc = {"type": "dfa", "alphabet": ["a", "b"], "states": names, "initial": names[0],
+               "finals": names[::2],
+               "transitions": {"a": {x: names[(s + 1) % n] for s, x in enumerate(names)},
+                               "b": {x: names[s // 2] for s, x in enumerate(names)}}}
+        path.write_text(json.dumps(doc))
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.Popen([sys.executable, "-m", "dualmin.cli", "reach", str(path)],
+    proc = subprocess.Popen([sys.executable, "-m", "dualmin.cli", verb, str(path)],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert proc.stdout.read(50).startswith(b"{")  # the output is about 1 MB
+        assert proc.stdout.read(50).startswith(b"{")
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""

@@ -9,9 +9,9 @@ import pytest
 
 from dualmin import (BOOL, INT, RATIONAL, TROPICAL, TROPICAL_INF,
                      AlternatingAutomaton, BoolFun, Dkm, FormatError, MooreAutomaton, Nfa,
-                     WeightedAutomaton, dual_automaton, emit, parse, run)
+                     WeightedAutomaton, dual_automaton, emit, parse, reverse, run)
 from dualmin.cli import main
-from dualmin.io import _BATCH_CHARS
+from dualmin.io import _CHUNK_CHARS
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore, random_wa
 
 from oracles import (afa_of_dfa, always, emit_json, ends_with_a_dfa, is_dfa, random_nfa,
@@ -205,10 +205,10 @@ def test_emitted_states_keep_index_order():
 # names that json must escape: quote, backslash, control characters, DEL,
 # non-ASCII letters, the line separator and an astral character (a surrogate
 # pair under ensure_ascii), one of them long; and clean ones: the ends of the
-# printable range, and one longer than a batch
+# printable range, and one of over 1 MiB, longer than a chunk
 ODD = ('q"uote', "back\\slash", "ctl\x01\x1f", "new\nline", "tab\t", "\x7f", "café", "Straße",
        "\u2028", "astral \U0001d504", "", " ", "~", "+", "empty", "Zed", "ab",
-       "é" * 300, "n" * (_BATCH_CHARS + 1))
+       "é" * 300, "n" * ((1 << 20) + 1))
 
 
 def odd_names(rng, n):
@@ -323,16 +323,16 @@ def emit_peak(obj) -> int:
 def test_emit_keeps_no_copy_of_clean_names():
     minimal = kth_from_end_minimal(10)  # 1,024 names of about 18 MB in all
     total = sum(map(len, minimal.state_names))
-    assert total > 16 * _BATCH_CHARS
-    # a batch of pieces and its joined text, but no second copy of the names
-    assert emit_peak(minimal) < total // 2 + 2 * _BATCH_CHARS
+    assert total > 16 << 20
+    # a chunk of pieces and its joined text, but no second copy of the names
+    assert emit_peak(minimal) < total // 2 + 2 * _CHUNK_CHARS
 
 
 def test_emit_holds_a_document_under_one_batch_once():
     minimal = kth_from_end_minimal(6)  # names of about 600 characters each
     size = len(emit(minimal))
-    assert size < _BATCH_CHARS
-    # the long names are pieces of their own, not copied into their entries
+    assert size < 1 << 20
+    # rows go out a chunk at a time, and no copy of the whole text is made
     assert emit_peak(minimal) < size * 5 // 4
 
 
@@ -354,6 +354,25 @@ def test_emit_of_a_large_dual_peaks_below_half_its_text():
     assert dual.n > 10_000
     size = len(emit(dual))
     assert emit_peak(dual) < size // 4
+
+
+def test_emit_of_an_nfa_streams_its_text():
+    """The json encoder's pieces go out as they are made, joined in chunks
+    of about _CHUNK_CHARS characters: the reversal of a random 20,000-state
+    DFA, 1.75 MB of text, peaks below five times its text, most of it the
+    document of names."""
+    rng = random.Random(20000)
+    n = 20000
+    m = MooreAutomaton.dfa(n, ("a", "b"), {a: tuple(rng.randrange(n) for _ in range(n))
+                                           for a in "ab"},
+                           0, [s for s in range(n) if rng.random() < 0.5])
+    nfa = reverse(m)
+    text = emit(nfa)
+    assert emit_peak(nfa) < 5 * len(text)
+    out = Recorder()
+    emit(nfa, out)
+    assert "".join(out.writes) == text
+    assert max(map(len, out.writes)) <= 2 * _CHUNK_CHARS
 
 
 def test_a_named_dual_peaks_at_what_it_stores():
