@@ -13,14 +13,12 @@ module's construction the same way, as `dualmin.<name>`, so `_EXPORTS` is the
 one place that says where a lazily loaded name lives.
 """
 
-from importlib import import_module
-
 _EXPORTS = {
     "alternating": ("AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
                     "minimal_dfa_for_afa", "reverse_dfa"),
-    "automata": ("MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact",
-                 "iso_check", "partition_refinement_minimise", "reach", "reverse", "run",
-                 "words_up_to"),
+    "automata": ("MooreAutomaton", "Nfa", "Partition", "bounded_words", "determinise",
+                 "equiv_exact", "iso_check", "partition_refinement_minimise", "reach", "reverse",
+                 "run", "walk", "words_up_to"),
     "brzozowski": ("brzozowski_minimise", "dual_automaton"),
     "dkm": ("Dkm", "TraceFormula", "bisimulation_oracle", "boolean_atoms",
             "definable_closure", "eval_trace", "minimise_dkm", "quotient_dkm"),
@@ -47,7 +45,10 @@ def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    # __import__ rather than importlib.import_module: it takes the interpreter's
+    # own import path, which -X importtime reports, so a lazily loaded module
+    # shows in a call's import profile
+    return getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
 
 
 def __dir__():

@@ -17,21 +17,23 @@ and the dual of that dual is the minimal DFA.
 
 A BoolFun is built from its satisfying subsets (`BoolFun(n, sats)`), from a
 truth table (`BoolFun.from_table`), or by compiling a formula.  Only ==,
-hash and `sats` ask it about all 2^n subsets."""
+hash and `sats` ask it about all 2^n subsets.  An AlternatingAutomaton reads
+and writes its own file document (`from_document`, `document`)."""
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
 
 import dualmin
 
-from .automata import (MooreAutomaton, _check_alphabet, _check_names, _mask, mask_row,
-                       subset_dfa, walk)
-from .errors import DEFAULT_MAX_STATES, Record, StateGuardError, quoted
+from .automata import MooreAutomaton, _mask, mask_row, subset_dfa, walk
+from .errors import (DEFAULT_MAX_STATES, FormatError, Record, StateGuardError, _check_alphabet,
+                     _check_names, quoted, state_labels)
+from .io import _require, _state_index, _state_indices, _transitions
 
 
 class BoolFun(Record):
@@ -165,12 +167,56 @@ class AlternatingAutomaton(Record):
             raise ValueError("final state out of range")
         _check_names(self.state_names, self.n)
 
+    @classmethod
+    def from_document(cls, doc: dict, alphabet, names, states: dict[str, int]):
+        """The AFA of an afa file's document; `states` maps each name to its index."""
+        def boolfun(raw, path) -> BoolFun:
+            if isinstance(raw, str):
+                try:
+                    return compile_formula(raw, names)
+                except ValueError as exc:
+                    raise FormatError(str(exc), path) from None
+            if isinstance(raw, list):
+                subsets = []
+                for i, subset in enumerate(raw):
+                    if not isinstance(subset, list):
+                        raise FormatError("expected a list of state lists", f"{path}[{i}]")
+                    subsets.append(frozenset(_state_index(s, states, f"{path}[{i}]")
+                                             for s in subset))
+                return BoolFun(len(names), subsets)
+            raise FormatError("expected a formula string or a list of subsets", path)
+
+        delta = {}
+        for a, row in _transitions(doc, alphabet).items():
+            if not isinstance(row, dict) or set(row) != set(names):
+                raise FormatError("every state needs a transition condition", f"transitions.{a}")
+            delta[a] = tuple(boolfun(row[name], f"transitions.{a}.{name}") for name in names)
+        iota = boolfun(_require(doc, "iota", None), "iota")
+        finals = frozenset(_state_indices(doc, "finals", states))
+        return cls(len(names), alphabet, delta, iota, finals, names)
+
+    def document(self) -> dict:
+        """The JSON document of the AFA, each condition as its satisfying subsets."""
+        names = state_labels(self.state_names, self.n)
+        return {"type": "afa", "alphabet": list(self.alphabet), "states": list(names),
+                "finals": sorted(names[s] for s in self.finals),
+                "iota": _subsets_document(self.iota, names),
+                "transitions": {a: {names[s]: _subsets_document(self.delta[a][s], names)
+                                    for s in range(self.n)}
+                                for a in self.alphabet}}
+
     def view(self) -> tuple:
         """The reversed DFA's lazy triple on bitmasks (it reads words reversed): a
         subset steps to the states whose condition on the letter holds on it."""
         delta = self.delta
         return (_mask(self.n, self.finals), self.iota.at,
                 lambda mask, a: sum(f.at(mask) << s for s, f in enumerate(delta[a])))
+
+
+def _subsets_document(f: BoolFun, names) -> list:
+    """f's satisfying subsets, asked of all 2^n masks (no verb emits an AFA)."""
+    return sorted(([names[s] for s in sorted(subset)] for subset in f.sats),
+                  key=lambda xs: (len(xs), xs))
 
 
 def afa_accepts(a: AlternatingAutomaton, word: Iterable[str]) -> bool:

@@ -28,29 +28,11 @@ isomorphic exactly when their reachable canonical forms compare equal.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, compress
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DEFAULT_MAX_STATES, NonCongruenceError, Record, StateGuardError
-
-DFA_OUTPUTS = ("reject", "accept")
-
-
-def _check_alphabet(alphabet, rows: Mapping):
-    """The alphabet is nonempty with distinct letters, and the transition
-    mapping `rows` has an entry for each letter and for nothing else."""
-    if not alphabet:
-        raise ValueError("alphabet must be nonempty")
-    if len(set(alphabet)) != len(alphabet):
-        raise ValueError("alphabet letters must be distinct")
-    if set(rows) != set(alphabet):
-        raise ValueError("transitions must cover exactly the alphabet")
-
-
-def _check_names(names: Sequence[str] | None, n: int):
-    """No state names, or one for each of the n states."""
-    if names is not None and len(names) != n:
-        raise ValueError("state_names length mismatch")
+from .errors import (DEFAULT_MAX_STATES, DFA_OUTPUTS, NonCongruenceError, Record,
+                     StateGuardError, _check_alphabet, _check_names, state_labels)
 
 
 def _within(values: Sequence[int], n: int) -> bool:
@@ -264,11 +246,6 @@ def explore(starts: Iterable[Hashable], step: Callable, alphabet: Sequence[str],
             i = index.get(nxt)
             append(add(nxt) if i is None else i)
     return order, trans
-
-
-def state_labels(names: Sequence[str] | None, n: int) -> Sequence[str]:
-    """The names of n states, or s0, s1, ... when they have none."""
-    return names or tuple(f"s{i}" for i in range(n))
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")

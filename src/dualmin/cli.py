@@ -7,8 +7,11 @@ verb that prints lines returns its exit code.  Exit codes: 0 success (or
 "equivalent"), 1 negative verdicts and data errors, 2 usage errors, 3
 state-bound guards.  The state bound is `--max-states`, checked like every
 numeric flag by argparse; the library's constructions take it as an argument.
-A verb reads a construction as `dualmin.<name>`, loaded on first use by the
-package's name table, so a call loads the code of its file kind and no more.
+This module imports only `io` and `errors`: a verb reads every construction,
+and every automaton class, as `dualmin.<name>`, loaded on first use by the
+package's name table, so a call loads the code of its file kind and no more
+(a weighted call over Q or Z loads no automata.py, and a Boolean one no
+linear algebra).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from operator import methodcaller
 
 import dualmin
 
-from . import automata, io
-from .errors import DEFAULT_MAX_STATES, FormatError, StateGuardError
+from . import io
+from .errors import DEFAULT_MAX_STATES, DFA_OUTPUTS, FormatError, StateGuardError, state_labels
 
 GUARD_EXIT = 3
 
@@ -61,7 +64,7 @@ def _cmd_run(args, obj) -> int:
         print(io.emit_value(obj.semiring, dualmin.eval_series(obj, word)))
         return 0
     key = (dualmin.afa_accepts(obj, word) if obj.kind == "afa"
-           else automata.walk(obj.view(), word, obj.alphabet))
+           else dualmin.walk(obj.view(), word, obj.alphabet))
     if obj.kind == "dkm":  # the observation set of the state reached
         print(" ".join(map(_shown, sorted(key))) or "-")
     else:  # an output label, or whether the word is accepted
@@ -79,7 +82,7 @@ def _cmd_reverse(args, obj):
         return dualmin.dual_automaton(obj, args.max_states)
     if obj.kind == "afa":
         return dualmin.reverse_dfa(obj, args.max_states)
-    return automata.reverse(obj)
+    return dualmin.reverse(obj)
 
 
 def _cmd_determinize(args, obj):
@@ -87,12 +90,12 @@ def _cmd_determinize(args, obj):
         obj = dualmin.bool_wa_to_nfa(obj)
     if obj.kind != "nfa":
         raise ValueError("determinize expects an nfa (or a Boolean weighted automaton)")
-    return automata.determinise(obj, args.max_states)
+    return dualmin.determinise(obj, args.max_states)
 
 
 def _cmd_reach(args, obj):
     if obj.kind == "moore":
-        return automata.reach(obj)
+        return dualmin.reach(obj)
     if obj.kind == "weighted":
         return dualmin.reach_restrict(obj)
     raise ValueError("reach: unsupported file type")
@@ -102,7 +105,7 @@ def _cmd_minimize(args, obj):
     if obj.kind == "dkm":
         return dualmin.minimise_dkm(obj)
     if obj.kind == "moore" and args.method != "brzozowski":
-        return automata.partition_refinement_minimise(obj)  # the duality atoms
+        return dualmin.partition_refinement_minimise(obj)  # the duality atoms
     if args.method == "refine":
         kind = {"weighted": "weighted", "afa": "alternating"}.get(obj.kind, "nondeterministic")
         raise ValueError(f"refine applies to deterministic automata, not {kind} ones")
@@ -132,10 +135,10 @@ def _cmd_equiv(args, a, b) -> int:
     elif a.kind == "weighted":
         # tropical equivalence is undecidable (Krob 1994): compare short words only
         bound = args.max_len
-        words = automata.bounded_words(a.alphabet, bound, args.max_states, "tropical comparison")
+        words = dualmin.bounded_words(a.alphabet, bound, args.max_states, "tropical comparison")
         verdict = all(dualmin.eval_series(a, w) == dualmin.eval_series(b, w) for w in words)
     else:  # every Boolean kind: one pair walk of the two files' views
-        verdict = automata.equiv_exact(a, b, args.max_states)
+        verdict = dualmin.equiv_exact(a, b, args.max_states)
     suffix = "" if bound is None else f" up to length {bound}"
     print(f"equivalent{suffix}" if verdict else "not equivalent")
     return 0 if verdict else 1
@@ -156,7 +159,7 @@ def parse_trace_formula(raw: str):
 def _as_dkm(obj):
     if obj.kind == "dkm":
         return obj
-    if obj.kind == "moore" and obj.outputs == automata.DFA_OUTPUTS:
+    if obj.kind == "moore" and obj.outputs == DFA_OUTPUTS:
         return dualmin.Dkm.from_dfa(obj)
     raise ValueError("expected a dkm (or dfa) file")
 
@@ -164,7 +167,7 @@ def _as_dkm(obj):
 def _cmd_trace_eval(args, obj) -> int:
     k = _as_dkm(obj)
     formula = parse_trace_formula(args.formula)
-    names = list(map(_shown, automata.state_labels(k.state_names, k.n)))
+    names = list(map(_shown, state_labels(k.state_names, k.n)))
     sat = dualmin.eval_trace(k, formula)
     print(" ".join(names[s] for s in sorted(sat)) if sat else "-")
     return 0
@@ -176,7 +179,7 @@ def _cmd_closure(args, obj) -> int:
     descending byte order.  Lines go out through io.write_chunks, since with
     stdout unbuffered each print is a system call."""
     k = _as_dkm(obj)
-    names = list(map(_shown, automata.state_labels(k.state_names, k.n)))
+    names = list(map(_shown, state_labels(k.state_names, k.n)))
     rows = dualmin.definable_closure(k, args.max_states)
     rows.sort(reverse=True)
     rows.sort(key=methodcaller("count", 1))
@@ -193,7 +196,7 @@ def _cmd_hankel(args, obj) -> int:
 
 # what stats prints of each kind of file after its states and letters
 _STATS = {
-    "moore": lambda m: f"outputs={len(m.outputs)} reachable={automata.reach(m).n}",
+    "moore": lambda m: f"outputs={len(m.outputs)} reachable={dualmin.reach(m).n}",
     "nfa": lambda n: f"initial={len(n.inits)} final={len(n.finals)}",
     "weighted": lambda w: f"semiring={w.semiring.name}",
     "afa": lambda a: f"finals={len(a.finals)}",

@@ -17,18 +17,20 @@ the closure; `definable_closure` lists it, for the `closure` verb.  It lists
 each set as the exploration stores it, a 0/1 `bytes` row over the states
 (about 70 bytes a set of 30 states; a frozenset of its members takes about
 1,200), and `boolean_atoms` reads the atoms off the rows' columns; only the
-verb's printing turns a row into names.
+verb's printing turns a row into names.  A Dkm reads and writes its own file
+document (`from_document`, `document`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from itertools import compress
-from typing import Mapping, Sequence
 
-from .automata import (MooreAutomaton, Partition, _check_names, _check_successors, by_rows,
-                       explore, quotient_rows, stable_partition, walk)
+from .automata import (MooreAutomaton, Partition, _check_successors, by_rows, explore,
+                       quotient_rows, stable_partition, walk)
 from .brzozowski import predicates
-from .errors import DEFAULT_MAX_STATES, Record
+from .errors import DEFAULT_MAX_STATES, FormatError, Record, _check_names, quoted, state_labels
+from .io import _det_transitions, _distinct, _name_list, _require, _state_index
 
 DFA_OBS = "p"  # the one observation of a DFA read as a model: "accepting"
 
@@ -57,6 +59,40 @@ class Dkm(Record):
         if self.init is None:
             raise ValueError("this model has no initial state")
         return by_rows(self.init, self.gamma, self.delta)
+
+    @classmethod
+    def from_document(cls, doc: dict, alphabet, names, states: dict[str, int]) -> "Dkm":
+        """The model of a dkm file's document; `states` maps each name to its index."""
+        obs = _name_list(_require(doc, "obs", list), "obs")
+        raw_gamma = _require(doc, "gamma", dict)
+        for name in raw_gamma:
+            _state_index(name, states, f"gamma.{name}")
+        gamma = []
+        for name in names:
+            seen = raw_gamma.get(name, [])
+            if not isinstance(seen, list):
+                raise FormatError("expected a list of observations", f"gamma.{name}")
+            for w in seen:
+                if w not in obs:
+                    raise FormatError(f"unknown observation {quoted(w)}", f"gamma.{name}")
+            gamma.append(frozenset(_distinct(seen, f"gamma.{name}")))
+        delta = _det_transitions(doc, alphabet, states)
+        init = None
+        if doc.get("initial") is not None:
+            init = _state_index(doc["initial"], states, "initial")
+        return cls(len(names), alphabet, obs, tuple(gamma), delta, init, names)
+
+    def document(self) -> dict:
+        """The JSON document of the model; "initial" only when it has an initial state."""
+        names = state_labels(self.state_names, self.n)
+        doc = {"type": "dkm", "alphabet": list(self.alphabet), "states": list(names),
+               "obs": list(self.obs),
+               "gamma": {names[s]: sorted(self.gamma[s]) for s in range(self.n)},
+               "transitions": {a: {names[s]: names[self.delta[a][s]] for s in range(self.n)}
+                               for a in self.alphabet}}
+        if self.init is not None:
+            doc["initial"] = names[self.init]
+        return doc
 
     @classmethod
     def from_dfa(cls, m: MooreAutomaton) -> "Dkm":

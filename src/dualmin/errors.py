@@ -1,9 +1,16 @@
 """Shared exception types, the default state bound, `quoted` for long values in
-messages, and the frozen `Record` base of every automaton, matrix and basis class."""
+messages, the frozen `Record` base of every automaton, matrix and basis class,
+and what every automaton kind shares: DFA_OUTPUTS, the checks of an alphabet
+and of state names, and `state_labels`.  They live here, not in automata.py,
+so that a weighted call loads no Boolean-automaton code."""
 
+from __future__ import annotations
+
+from collections.abc import Mapping, Sequence
 from operator import attrgetter
 
 DEFAULT_MAX_STATES = 1_000_000
+DFA_OUTPUTS = ("reject", "accept")
 
 
 class DimensionError(ValueError):
@@ -101,3 +108,25 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _check_alphabet(alphabet, rows: Mapping):
+    """The alphabet is nonempty with distinct letters, and the transition
+    mapping `rows` has an entry for each letter and for nothing else."""
+    if not alphabet:
+        raise ValueError("alphabet must be nonempty")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet letters must be distinct")
+    if set(rows) != set(alphabet):
+        raise ValueError("transitions must cover exactly the alphabet")
+
+
+def _check_names(names: Sequence[str] | None, n: int):
+    """No state names, or one for each of the n states."""
+    if names is not None and len(names) != n:
+        raise ValueError("state_names length mismatch")
+
+
+def state_labels(names: Sequence[str] | None, n: int) -> Sequence[str]:
+    """The names of n states, or s0, s1, ... when they have none."""
+    return names or tuple(f"s{i}" for i in range(n))

@@ -1,4 +1,5 @@
-"""JSON serialization for every automaton kind and the shared file schema.
+"""JSON serialization: the shared file schema and its helpers, dispatch on a
+file's "type", the DFA, Moore and NFA formats, and the chunked writer.
 
 A file is one JSON object with a "type" of dfa, moore, nfa, weighted, afa or
 dkm, an "alphabet", a list of "states" (names fix the index order), and
@@ -17,8 +18,12 @@ in writes of about 64 KiB.
 Number forms: rationals are "p/q" strings, integers are JSON numbers within
 the 53-bit safe range and strings beyond it, tropical infinity is "inf".
 
-A file kind's classes are read through the package's name table, as
-`dualmin.<name>`, so reading a DFA loads no weighted, alternating or Kripke code.
+The weighted, AFA and Kripke formats belong to their records: `parse` hands
+such a document to the kind's `from_document`, and `emit` writes what its
+`document()` returns.  Every record class is read through the package's name
+table, as `dualmin.<name>`, so a call loads the code of its own file kind
+alone: reading a DFA loads no weighted, alternating or Kripke code, and
+reading a weighted file over Q or Z loads no automata.py.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from json.encoder import encode_basestring_ascii
 
 import dualmin
 
-from .automata import DFA_OUTPUTS, MooreAutomaton, Nfa, state_labels
-from .errors import FormatError, quoted
+from .errors import DFA_OUTPUTS, FormatError, quoted, state_labels
 
 KNOWN_TYPES = ("dfa", "moore", "nfa", "weighted", "afa", "dkm")
 
@@ -112,17 +116,20 @@ def parse(data: bytes | str, semiring: str | None = None):
     names = _name_list(_require(doc, "states", list), "states")
     states = {name: i for i, name in enumerate(names)}
     if kind == "weighted":
-        return _parse_weighted(doc, alphabet, names, semiring)
-    parser = {"dfa": _parse_dfa, "moore": _parse_moore, "nfa": _parse_nfa,
-              "afa": _parse_afa, "dkm": _parse_dkm}[kind]
+        return dualmin.WeightedAutomaton.from_document(doc, alphabet, names, semiring)
+    if kind == "afa":
+        return dualmin.AlternatingAutomaton.from_document(doc, alphabet, names, states)
+    if kind == "dkm":
+        return dualmin.Dkm.from_document(doc, alphabet, names, states)
+    parser = {"dfa": _parse_dfa, "moore": _parse_moore, "nfa": _parse_nfa}[kind]
     return parser(doc, alphabet, names, states)
 
 
 def _parse_dfa(doc, alphabet, names, states):
     trans = _det_transitions(doc, alphabet, states)
     init = _state_index(_require(doc, "initial", str), states, "initial")
-    return MooreAutomaton.dfa(len(names), alphabet, trans, init,
-                              _state_indices(doc, "finals", states), names)
+    return dualmin.MooreAutomaton.dfa(len(names), alphabet, trans, init,
+                                      _state_indices(doc, "finals", states), names)
 
 
 def _parse_moore(doc, alphabet, names, states):
@@ -140,7 +147,7 @@ def _parse_moore(doc, alphabet, names, states):
         if label not in outputs:
             raise FormatError(f"unknown output {quoted(label)}", f"out.{name}")
         out.append(outputs.index(label))
-    return MooreAutomaton(len(names), alphabet, trans, init, tuple(out), outputs, names)
+    return dualmin.MooreAutomaton(len(names), alphabet, trans, init, tuple(out), outputs, names)
 
 
 def _parse_nfa(doc, alphabet, names, states):
@@ -160,84 +167,7 @@ def _parse_nfa(doc, alphabet, names, states):
         trans[a] = tuple(per_state)
     inits = frozenset(_state_indices(doc, "initial", states))
     finals = frozenset(_state_indices(doc, "finals", states))
-    return Nfa(len(names), alphabet, trans, inits, finals, names)
-
-
-def _parse_value(semiring, raw, path):
-    try:
-        return semiring.coerce(raw)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(str(exc), path) from None
-
-
-def _parse_weighted(doc, alphabet, names, override):
-    semiring = dualmin.semiring_by_name(_require(doc, "semiring", str))
-    semiring = dualmin.semiring_by_name(override) if override else semiring
-    n = len(names)
-    mats = {}
-    for a, rows in _transitions(doc, alphabet).items():
-        if not isinstance(rows, list) or len(rows) != n \
-                or any(not isinstance(r, list) or len(r) != n for r in rows):
-            raise FormatError(f"matrix must be {n}x{n}", f"transitions.{a}")
-        mats[a] = dualmin.Matrix(semiring, n, n, tuple(
-            tuple(_parse_value(semiring, v, f"transitions.{a}[{y}][{x}]")
-                  for x, v in enumerate(row)) for y, row in enumerate(rows)))
-    vectors = []
-    for key in ("initial", "final"):
-        raw_vector = _require(doc, key, list)
-        if len(raw_vector) != n:
-            raise FormatError(f"{key} vector must have length {n}", key)
-        vectors.append(tuple(_parse_value(semiring, v, f"{key}[{i}]")
-                             for i, v in enumerate(raw_vector)))
-    return dualmin.WeightedAutomaton(n, alphabet, semiring, mats, *vectors, names)
-
-
-def _parse_afa(doc, alphabet, names, states):
-    def boolfun(raw, path) -> dualmin.BoolFun:
-        if isinstance(raw, str):
-            try:
-                return dualmin.compile_formula(raw, names)
-            except ValueError as exc:
-                raise FormatError(str(exc), path) from None
-        if isinstance(raw, list):
-            subsets = []
-            for i, subset in enumerate(raw):
-                if not isinstance(subset, list):
-                    raise FormatError("expected a list of state lists", f"{path}[{i}]")
-                subsets.append(frozenset(_state_index(s, states, f"{path}[{i}]")
-                                         for s in subset))
-            return dualmin.BoolFun(len(names), subsets)
-        raise FormatError("expected a formula string or a list of subsets", path)
-
-    delta = {}
-    for a, row in _transitions(doc, alphabet).items():
-        if not isinstance(row, dict) or set(row) != set(names):
-            raise FormatError("every state needs a transition condition", f"transitions.{a}")
-        delta[a] = tuple(boolfun(row[name], f"transitions.{a}.{name}") for name in names)
-    iota = boolfun(_require(doc, "iota", None), "iota")
-    finals = frozenset(_state_indices(doc, "finals", states))
-    return dualmin.AlternatingAutomaton(len(names), alphabet, delta, iota, finals, names)
-
-
-def _parse_dkm(doc, alphabet, names, states):
-    obs = _name_list(_require(doc, "obs", list), "obs")
-    raw_gamma = _require(doc, "gamma", dict)
-    for name in raw_gamma:
-        _state_index(name, states, f"gamma.{name}")
-    gamma = []
-    for name in names:
-        seen = raw_gamma.get(name, [])
-        if not isinstance(seen, list):
-            raise FormatError("expected a list of observations", f"gamma.{name}")
-        for w in seen:
-            if w not in obs:
-                raise FormatError(f"unknown observation {quoted(w)}", f"gamma.{name}")
-        gamma.append(frozenset(_distinct(seen, f"gamma.{name}")))
-    delta = _det_transitions(doc, alphabet, states)
-    init = None
-    if doc.get("initial") is not None:
-        init = _state_index(doc["initial"], states, "initial")
-    return dualmin.Dkm(len(names), alphabet, obs, tuple(gamma), delta, init, names)
+    return dualmin.Nfa(len(names), alphabet, trans, inits, finals, names)
 
 
 def emit_value(semiring, v):
@@ -299,16 +229,14 @@ def emit(obj, fp=None) -> str | None:
 
 def _document(obj) -> dict:
     """The JSON document of an automaton other than a Moore automaton, before
-    it is written as text: each automaton class names its kind in its `kind`
-    attribute."""
-    kind = getattr(obj, "kind", None)
-    if kind == "restricted":
-        obj, kind = obj.automaton, "weighted"
-    document = {"nfa": _emit_nfa, "weighted": _emit_weighted, "afa": _emit_afa,
-                "dkm": _emit_dkm}.get(kind)
+    it is written as text: an NFA's is built here, and the weighted, AFA and
+    Kripke records build their own (`document()`)."""
+    if getattr(obj, "kind", None) == "nfa":
+        return _nfa_document(obj)
+    document = getattr(obj, "document", None)
     if document is None:
         raise TypeError(f"cannot emit {type(obj).__name__}")
-    return document(obj)
+    return document()
 
 
 def _body(s: str) -> str:
@@ -318,7 +246,7 @@ def _body(s: str) -> str:
     return s if clean else encode_basestring_ascii(s)[1:-1]
 
 
-def _moore_pieces(m: MooreAutomaton):
+def _moore_pieces(m: dualmin.MooreAutomaton):
     """The text of m's DFA document (outputs reject and accept) or Moore
     document, as json.dumps writes it, in pieces made straight from m's arrays.
 
@@ -376,7 +304,7 @@ def _moore_pieces(m: MooreAutomaton):
     yield f'\n  }},\n  "type": "{"dfa" if dfa else "moore"}"\n}}\n'
 
 
-def _emit_nfa(n: Nfa) -> dict:
+def _nfa_document(n: dualmin.Nfa) -> dict:
     names = state_labels(n.state_names, n.n)
     trans = {a: {names[s]: sorted(names[t] for t in n.trans[a][s])
                  for s in range(n.n) if n.trans[a][s]}
@@ -384,42 +312,3 @@ def _emit_nfa(n: Nfa) -> dict:
     return {"type": "nfa", "alphabet": list(n.alphabet), "states": list(names),
             "initial": sorted(names[s] for s in n.inits), "transitions": trans,
             "finals": sorted(names[s] for s in n.finals)}
-
-
-def _emit_weighted(w: WeightedAutomaton) -> dict:
-    names = state_labels(w.state_names, w.n)
-    return {"type": "weighted", "semiring": w.semiring.name,
-            "alphabet": list(w.alphabet), "states": list(names),
-            "initial": [emit_value(w.semiring, v) for v in w.init],
-            "final": [emit_value(w.semiring, v) for v in w.final],
-            "transitions": {a: [[emit_value(w.semiring, v) for v in row]
-                                for row in w.mats[a].entries]
-                            for a in w.alphabet}}
-
-
-def _emit_boolfun(f: BoolFun, names) -> list:
-    """f's satisfying subsets, asked of all 2^n masks (no verb emits an AFA)."""
-    return sorted(([names[s] for s in sorted(subset)] for subset in f.sats),
-                  key=lambda xs: (len(xs), xs))
-
-
-def _emit_afa(a: AlternatingAutomaton) -> dict:
-    names = state_labels(a.state_names, a.n)
-    return {"type": "afa", "alphabet": list(a.alphabet), "states": list(names),
-            "finals": sorted(names[s] for s in a.finals),
-            "iota": _emit_boolfun(a.iota, names),
-            "transitions": {letter: {names[s]: _emit_boolfun(a.delta[letter][s], names)
-                                     for s in range(a.n)}
-                            for letter in a.alphabet}}
-
-
-def _emit_dkm(k: Dkm) -> dict:
-    names = state_labels(k.state_names, k.n)
-    doc = {"type": "dkm", "alphabet": list(k.alphabet), "states": list(names),
-           "obs": list(k.obs),
-           "gamma": {names[s]: sorted(k.gamma[s]) for s in range(k.n)},
-           "transitions": {a: {names[s]: names[k.delta[a][s]] for s in range(k.n)}
-                           for a in k.alphabet}}
-    if k.init is not None:
-        doc["initial"] = names[k.init]
-    return doc

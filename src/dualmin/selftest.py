@@ -12,7 +12,7 @@ per call and returns what failed, or None.
 from __future__ import annotations
 
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from . import sampling
 from .alternating import afa_accepts, minimal_dfa_for_afa, reverse_dfa

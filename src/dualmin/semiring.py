@@ -25,11 +25,11 @@ part of the test suite (tests/test_semiring.py).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
 from operator import add, and_, mul, or_
-from typing import Any, Callable
 
 from .errors import DimensionError, Record, SemiringError, quoted
 
@@ -55,11 +55,11 @@ class Semiring(Record):
     """
 
     name: str
-    zero: Any
-    one: Any
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
-    coerce: Callable[[Any], Any]
+    zero: object
+    one: object
+    add: Callable[[object, object], object]
+    mul: Callable[[object, object], object]
+    coerce: Callable[[object], object]
     is_ring: bool = False
     is_field: bool = False
 
@@ -164,7 +164,7 @@ class Matrix(Record):
     semiring: Semiring
     n_rows: int
     n_cols: int
-    entries: tuple[tuple[Any, ...], ...]
+    entries: tuple[tuple[object, ...], ...]
 
     def __post_init__(self):
         if len(self.entries) != self.n_rows:

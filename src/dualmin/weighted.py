@@ -9,17 +9,24 @@ Matrix convention: t_a acts on column vectors of state weights and entry
 t_a[y][x] is the weight of the transition x -> y on letter a.  The initial
 vector is a column, the final vector a row, and reading w = a1..ak computes
 final * t_ak * ... * t_a1 * init.
+
+A WeightedAutomaton reads and writes its own file document (`from_document`,
+`document`).  The linear algebra's bases and the classical Nfa are read as
+`dualmin.<name>`, so a call over Q or Z loads no Boolean-automaton code and a
+Boolean one no linear algebra.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from operator import mul
-from typing import Iterable, Mapping
 
-from .automata import Nfa, _check_alphabet, _check_names
-from .errors import DimensionError, Record, SemiringError
-from .linalg import FieldBasis, IntegerBasis
-from .semiring import BOOL, Matrix, Semiring, mat_vec, vec_mat
+import dualmin
+
+from .errors import (DimensionError, FormatError, Record, SemiringError, _check_alphabet,
+                     _check_names, state_labels)
+from .io import _require, _transitions, emit_value
+from .semiring import BOOL, Matrix, Semiring, mat_vec, semiring_by_name, vec_mat
 
 
 class WeightedAutomaton(Record):
@@ -54,6 +61,48 @@ class WeightedAutomaton(Record):
                    tuple(semiring.coerce(v) for v in final),
                    tuple(state_names) if state_names else None)
 
+    @classmethod
+    def from_document(cls, doc: dict, alphabet, names, semiring: str | None = None):
+        """The automaton of a weighted file's document, its values read in
+        `semiring` when one is named (the file's own must still be valid)."""
+        own = semiring_by_name(_require(doc, "semiring", str))
+        semiring = semiring_by_name(semiring) if semiring else own
+        n = len(names)
+        mats = {}
+        for a, rows in _transitions(doc, alphabet).items():
+            if not isinstance(rows, list) or len(rows) != n \
+                    or any(not isinstance(r, list) or len(r) != n for r in rows):
+                raise FormatError(f"matrix must be {n}x{n}", f"transitions.{a}")
+            mats[a] = Matrix(semiring, n, n, tuple(
+                tuple(_parse_value(semiring, v, f"transitions.{a}[{y}][{x}]")
+                      for x, v in enumerate(row)) for y, row in enumerate(rows)))
+        vectors = []
+        for key in ("initial", "final"):
+            raw_vector = _require(doc, key, list)
+            if len(raw_vector) != n:
+                raise FormatError(f"{key} vector must have length {n}", key)
+            vectors.append(tuple(_parse_value(semiring, v, f"{key}[{i}]")
+                                 for i, v in enumerate(raw_vector)))
+        return cls(n, alphabet, semiring, mats, *vectors, names)
+
+    def document(self) -> dict:
+        """The JSON document of the automaton, its values in the file's number forms."""
+        names, semiring = state_labels(self.state_names, self.n), self.semiring
+        return {"type": "weighted", "semiring": semiring.name,
+                "alphabet": list(self.alphabet), "states": list(names),
+                "initial": [emit_value(semiring, v) for v in self.init],
+                "final": [emit_value(semiring, v) for v in self.final],
+                "transitions": {a: [[emit_value(semiring, v) for v in row]
+                                    for row in self.mats[a].entries]
+                                for a in self.alphabet}}
+
+
+def _parse_value(semiring, raw, path):
+    try:
+        return semiring.coerce(raw)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(str(exc), path) from None
+
 
 class RestrictedWA(Record):
     """A weighted automaton together with the change of coordinates that embeds
@@ -65,13 +114,17 @@ class RestrictedWA(Record):
     """
 
     automaton: WeightedAutomaton
-    basis: FieldBasis | IntegerBasis
+    basis: dualmin.FieldBasis | dualmin.IntegerBasis
     embedding: Matrix
     kind = "restricted"
 
     @property
     def dimension(self) -> int:
         return self.automaton.n
+
+    def document(self) -> dict:
+        """The restricted automaton's document: the basis is not written."""
+        return self.automaton.document()
 
 
 def eval_series(w: WeightedAutomaton, word: Iterable[str]) -> object:
@@ -105,7 +158,7 @@ def reach_restrict(w: WeightedAutomaton) -> RestrictedWA:
     """
     if not w.semiring.is_ring:
         raise SemiringError(f"reachable restriction needs a field or PID, got {w.semiring.name}")
-    empty = (FieldBasis if w.semiring.is_field else IntegerBasis)(w.n)
+    empty = (dualmin.FieldBasis if w.semiring.is_field else dualmin.IntegerBasis)(w.n)
     basis = _span(empty, w.init, lambda v, a: mat_vec(w.mats[a], v), w.alphabet)
     embedding, r = basis.matrix(), basis.rank
     mats = {}
@@ -149,7 +202,7 @@ def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     over Q for Z too: a form vanishes on a Z-span iff it does on its Q-span.
     """
     n, dot = a.n, a.semiring.dot
-    pairs = _span(FieldBasis(n + b.n), a.init + b.init,
+    pairs = _span(dualmin.FieldBasis(n + b.n), a.init + b.init,
                   lambda v, x: mat_vec(a.mats[x], v[:n]) + mat_vec(b.mats[x], v[n:]), a.alphabet)
     return all(dot(a.final, row[:n]) == dot(b.final, row[n:]) for row in pairs.nums)
 
@@ -172,12 +225,12 @@ def hankel_rank_oracle(w: WeightedAutomaton, max_len: int) -> int:
     if not w.semiring.is_ring:
         raise SemiringError(f"{w.semiring.name}: does not embed in the rationals")
     # forward vectors extend at the end, backward vectors at the front
-    forward = _span(FieldBasis(w.n), w.init,
+    forward = _span(dualmin.FieldBasis(w.n), w.init,
                     lambda v, a: mat_vec(w.mats[a], v), w.alphabet, max_len)
-    backward = _span(FieldBasis(w.n), w.final,
+    backward = _span(dualmin.FieldBasis(w.n), w.final,
                      lambda v, a: vec_mat(v, w.mats[a]), w.alphabet, max_len)
     # the pairing's matrix, scaled by the two bases' common denominators
-    pairing = FieldBasis(forward.rank)
+    pairing = dualmin.FieldBasis(forward.rank)
     for b in backward.nums:
         pairing, _ = pairing.insert(tuple(sum(map(mul, b, f)) for f in forward.nums))
     return pairing.rank
@@ -203,7 +256,7 @@ def _span(basis, start: tuple, step, alphabet, max_len: int = -1):
     return basis
 
 
-def bool_wa_to_nfa(w: WeightedAutomaton) -> Nfa:
+def bool_wa_to_nfa(w: WeightedAutomaton) -> dualmin.Nfa:
     """Decode a Boolean-semiring weighted automaton as a classical NFA."""
     if w.semiring is not BOOL:
         raise SemiringError("expected a Boolean weighted automaton")
@@ -211,7 +264,7 @@ def bool_wa_to_nfa(w: WeightedAutomaton) -> Nfa:
     for a in w.alphabet:
         m = w.mats[a]
         trans[a] = tuple(frozenset(y for y in range(w.n) if m.entries[y][x]) for x in range(w.n))
-    return Nfa(w.n, w.alphabet, trans,
+    return dualmin.Nfa(w.n, w.alphabet, trans,
                inits=frozenset(x for x in range(w.n) if w.init[x]),
                finals=frozenset(x for x in range(w.n) if w.final[x]),
                state_names=w.state_names)

@@ -965,6 +965,8 @@ def test_closed_stdout_exits_quietly(tmp_path, verb):
 
 # modules that only some file kinds need
 HEAVY = ("weighted", "linalg", "semiring", "alternating", "dkm", "selftest", "sampling")
+# the Boolean-automaton code, which a weighted call over Q or Z never needs
+BOOLEAN = ("automata", "brzozowski")
 
 
 LOADS = [
@@ -976,8 +978,11 @@ LOADS = [
     (("equiv", "nfa_small.json", "nfa_small.json"), HEAVY + ("fractions",)),
     (("minimize", "afa_conj.json"), ("weighted", "linalg", "semiring", "selftest")),
     (("equiv", "afa_conj.json", "afa_conj.json"), ("weighted", "linalg", "semiring")),
-    (("minimize", "wa_rational.json"), ("alternating", "dkm", "selftest", "sampling")),
-    (("hankel", "wa_rational.json", "-L", "2"), ("alternating", "dkm")),
+    (("minimize", "wa_rational.json"), BOOLEAN + ("alternating", "dkm", "selftest", "sampling")),
+    (("hankel", "wa_rational.json", "-L", "2"), BOOLEAN + ("alternating", "dkm")),
+    (("reach", "wa_swap.json"), BOOLEAN + ("alternating", "dkm")),
+    (("equiv", "wa_rational.json", "wa_rational.json"), BOOLEAN + ("alternating", "dkm")),
+    (("minimize", "wa_bool.json"), ("linalg", "alternating", "dkm")),
     (("minimize", "dkm_ends_with_a.json"), ("weighted", "linalg", "alternating")),
 ]
 
@@ -1002,16 +1007,18 @@ def test_a_call_loads_only_the_modules_of_its_file_kind(data_dir, argv, unloaded
     assert not loaded & {m if m == "fractions" else f"dualmin.{m}" for m in unloaded}
 
 
-def test_a_process_loads_neither_dataclasses_nor_inspect(data_dir):
-    """The records are plain classes: a DFA and a weighted minimisation in one
-    fresh interpreter leave `dataclasses` and `inspect` (which it would
-    import) unloaded.  The child runs without `site` (-S), so that a module a
-    site .pth file imports is not counted against the package."""
+def test_a_process_loads_no_dataclasses_inspect_or_typing(data_dir):
+    """The records are plain classes and annotations name `collections.abc`
+    types: a DFA and a weighted minimisation in one fresh interpreter leave
+    `dataclasses`, `inspect` (which it would import) and `typing` unloaded.
+    The child runs without `site` (-S), so that a module a site .pth file
+    imports is not counted against the package."""
     script = ("import contextlib, io, json, sys\n"
               "from dualmin.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    codes = [main(['minimize', path]) for path in sys.argv[1:]]\n"
-              "print(json.dumps([codes, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))\n")
+              "print(json.dumps([codes, sorted({'dataclasses', 'inspect', 'typing'}\n"
+              "                                & set(sys.modules))]))\n")
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", script, str(data_dir / "ends_with_a.json"),

@@ -16,6 +16,7 @@ EXPORTED = {
     "minimal_dfa_for_afa", "reverse_dfa",
     "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact", "iso_check",
     "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
+    "bounded_words", "walk",
     "brzozowski_minimise", "dual_automaton",
     "Dkm", "TraceFormula", "bisimulation_oracle", "boolean_atoms", "definable_closure",
     "eval_trace", "minimise_dkm", "quotient_dkm",
@@ -99,14 +100,29 @@ def test_no_module_keeps_a_wrapper_after_a_traced_round(preloaded):
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "dualmin").glob("*.py"))
 
 
+def _calls_an_importer(node) -> bool:
+    """node is a call of import_module or __import__, by name or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    name = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else ""
+    return name in ("import_module", "__import__")
+
+
 def test_no_module_imports_inside_a_function():
     """A module reads another module's construction as `dualmin.<name>`, so
-    only the package's name table says where a lazily loaded name lives."""
+    only the package's name table says where a lazily loaded name lives: no
+    import statement sits in a function, and no module but __init__.py calls
+    import_module or __import__."""
     found = {f"{path.name}:{node.lineno}" for path in SOURCES
              for fn in ast.walk(ast.parse(path.read_text()))
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    found |= {f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "__init__.py"
+              for node in ast.walk(ast.parse(path.read_text())) if _calls_an_importer(node)}
     assert not found, sorted(found)
+    init = ast.parse((SOURCES[0].parent / "__init__.py").read_text())
+    assert any(map(_calls_an_importer, ast.walk(init))), "the name table no longer loads modules"
 
 
 def test_every_dualmin_attribute_read_in_the_package_is_exported():
