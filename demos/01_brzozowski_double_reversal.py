@@ -8,8 +8,8 @@ behave identically, which is exactly the redundancy minimisation removes.
 from itertools import compress
 
 from dualmin import (Dkm, MooreAutomaton, brzozowski_minimise, definable_closure, determinise,
-                     dual_automaton, equiv_exact, iso_check,
-                     partition_refinement_minimise, reach, reverse, run)
+                     dual_automaton, equiv_exact, partition_refinement_minimise, reach,
+                     reverse, run)
 
 
 def show(title, m):
@@ -48,7 +48,7 @@ print("  check: dual on 'ab' =", run(dual, ("a", "b")),
 # The same three subsets come out of the classical route.
 classical = reach(determinise(reverse(dfa)))
 print("\nClassical reverse-determinise-trim gives the same machine:",
-      iso_check(dual, classical))
+      reach(dual) == reach(classical))
 
 # A second reversal lands on the minimal automaton.  Its states are sets of
 # dual states, named here by nesting the dual's names.  brzozowski_minimise
@@ -59,4 +59,4 @@ assert minimal == brzozowski_minimise(dfa)
 show("Second reversal: the minimal DFA", minimal)
 print("\n  same language as the start:", equiv_exact(minimal, dfa))
 print("  agrees with partition refinement:",
-      iso_check(minimal, partition_refinement_minimise(dfa)))
+      reach(minimal) == reach(partition_refinement_minimise(dfa)))

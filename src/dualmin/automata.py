@@ -1,7 +1,7 @@
 """Finite deterministic Moore automata (a DFA is the one whose outputs are
 DFA_OUTPUTS, reject and accept), NFAs for classical reversal, and the baseline
 operations: evaluation, reachability, subset construction, partition
-refinement, isomorphism and exact equivalence.
+refinement and exact equivalence.
 
 Three kernels serve every construction in the package: `explore` builds the
 state space reachable under a step function (dual predicates, subsets,
@@ -28,14 +28,14 @@ isomorphic exactly when their reachable canonical forms compare equal.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, compress
 
 from .errors import (DEFAULT_MAX_STATES, DFA_OUTPUTS, NonCongruenceError, Record,
                      StateGuardError, _check_alphabet, _check_names, state_labels)
 
 
-def _within(values: Sequence[int], n: int) -> bool:
+def _within(values: Collection[int], n: int) -> bool:
     """Every value lies in 0..n-1, by one C-level min and max."""
     return not values or (min(values) >= 0 and max(values) < n)
 
@@ -79,6 +79,8 @@ class MooreAutomaton(Record):
     @classmethod
     def dfa(cls, n, alphabet, trans, init, accepting, state_names=None) -> "MooreAutomaton":
         accepting = set(accepting)
+        if not _within(accepting, n):
+            raise ValueError("accepting state out of range")
         out = tuple(1 if s in accepting else 0 for s in range(n))
         return cls(n, tuple(alphabet), {a: tuple(t) for a, t in trans.items()},
                    init, out, DFA_OUTPUTS, tuple(state_names) if state_names else None)
@@ -430,13 +432,6 @@ def partition_refinement_minimise(m: MooreAutomaton) -> MooreAutomaton:
     # are numbered in the order of their least states, so the quotient is too
     m = reach(m)
     return quotient_moore(m, stable_partition(m.out, m.trans, m.alphabet))
-
-
-def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
-    """True iff a bijection respecting init, transitions and outputs maps one
-    reachable part onto the other: `reach` numbers states canonically (BFS
-    order), and state names take no part in ==."""
-    return reach(m1) == reach(m2)
 
 
 def pair_walk(first: tuple, second: tuple, alphabet: Sequence[str],

@@ -223,51 +223,3 @@ def hnf(a: Matrix) -> tuple[Matrix, Matrix]:
                                            for i, row in enumerate(a.entries)))
     return (Matrix(INT, m, n, tuple(row[:n] for row in basis.rows)),
             Matrix(INT, m, m, tuple(row[n:] for row in basis.rows)))
-
-
-def det_int(a: Matrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    if a.n_rows != a.n_cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = a.n_rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def is_hnf_shape(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Canonical-shape predicate for an integer basis (zero rows not allowed)."""
-    last_pivot = -1
-    for row in rows:
-        pivots = [j for j, v in enumerate(row) if v != 0]
-        if not pivots:
-            return False
-        p = pivots[0]
-        if p <= last_pivot or row[p] <= 0:
-            return False
-        last_pivot = p
-    # entries above each pivot reduced into [0, pivot)
-    for i, row in enumerate(rows):
-        p = next(j for j, v in enumerate(row) if v != 0)
-        for k in range(i):
-            if not 0 <= rows[k][p] < row[p]:
-                return False
-    return True
-

@@ -201,6 +201,12 @@ def equiv_wa(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
     the form vanishes on each basis row of the pairs' span.  The span is taken
     over Q for Z too: a form vanishes on a Z-span iff it does on its Q-span.
     """
+    if a.alphabet != b.alphabet:
+        raise ValueError("equiv_wa: alphabets differ")
+    if a.semiring is not b.semiring:
+        raise ValueError("equiv_wa: semirings differ")
+    if not a.semiring.is_ring:
+        raise SemiringError(f"equiv_wa needs a ring, got {a.semiring.name}")
     n, dot = a.n, a.semiring.dot
     pairs = _span(dualmin.FieldBasis(n + b.n), a.init + b.init,
                   lambda v, x: mat_vec(a.mats[x], v[:n]) + mat_vec(b.mats[x], v[n:]), a.alphabet)

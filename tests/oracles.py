@@ -31,12 +31,12 @@ AFA's minimal DFA as one dual pass over its unnamed reachable reversed DFA
 (the library calls `brzozowski_minimise`).
 
 The module also holds the small builders that several test modules share and
-the package does not ship: identity and zero matrices, constant Boolean
-functions and their lookup on one subset, the AFA embedding of a DFA, the
-reachable part of an AFA's reversed DFA, a record's copy with fields
-changed, the DFA-output test, the decoding of 0/1 rows into sets, the
-closure of a DFA named as the dual names its states, the one-state automata,
-and a random NFA generator.
+the package does not ship: isomorphism of two Moore automata as equal `reach`
+forms, identity and zero matrices, constant Boolean functions and their
+lookup on one subset, the AFA embedding of a DFA, the reachable part of an
+AFA's reversed DFA, a record's copy with fields changed, the DFA-output test,
+the decoding of 0/1 rows into sets, the closure of a DFA named as the dual
+names its states, the one-state automata, and a random NFA generator.
 """
 
 import ast
@@ -547,6 +547,12 @@ def equiv_by_bfs(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+def iso_check(m1: MooreAutomaton, m2: MooreAutomaton) -> bool:
+    """Isomorphic reachable parts: `reach` numbers states canonically (BFS
+    order), and state names take no part in ==."""
+    return reach(m1) == reach(m2)
 
 
 def determinise_by_sets(n: Nfa) -> MooreAutomaton:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from dualmin import (AlternatingAutomaton, BoolFun, StateGuardError, afa_accepts,
-                     compile_formula, determinise, dual_automaton, equiv_exact, iso_check,
+                     compile_formula, determinise, dual_automaton, equiv_exact,
                      minimal_dfa_for_afa, parse, partition_refinement_minimise, reach,
                      reverse, reverse_dfa, run)
 from dualmin.alternating import MAX_FORMULA_DEPTH
@@ -13,7 +13,7 @@ from dualmin.automata import pair_walk
 from dualmin.sampling import random_afa, random_boolfun
 
 from oracles import (afa_accepts_recursive, afa_of_dfa, always, ends_with_a_dfa, formula_holds,
-                     formula_table_by_tables, holds, minimal_dfa_for_afa_by_composition,
+                     formula_table_by_tables, holds, iso_check, minimal_dfa_for_afa_by_composition,
                      reachable_reverse_dfa, replace, reverse_dfa_by_tables, words)
 
 

@@ -4,8 +4,8 @@ import re
 import pytest
 
 from dualmin import (AlternatingAutomaton, BoolFun, Dkm, MooreAutomaton, Nfa, StateGuardError,
-                     determinise, dual_automaton, equiv_exact, iso_check,
-                     partition_refinement_minimise, reach, reverse, reverse_dfa, run)
+                     determinise, dual_automaton, equiv_exact, partition_refinement_minimise,
+                     reach, reverse, reverse_dfa, run)
 from dualmin.automata import (Partition, bounded_words, by_rows, explore, mask_row, pair_walk,
                               quotient_rows, stable_partition, state_labels, subset_names,
                               walk)
@@ -13,7 +13,7 @@ from dualmin.errors import DEFAULT_MAX_STATES, NonCongruenceError
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore
 
 from oracles import (determinise_by_sets, dkm_equiv_by_union, dual_by_tuples, ends_with_a_dfa,
-                     equiv_by_bfs, holds, names_by_sets, nfa_accepts_paths, random_nfa,
+                     equiv_by_bfs, holds, iso_check, names_by_sets, nfa_accepts_paths, random_nfa,
                      reachable_reverse_dfa, replace, reverse_dfa_by_tables, run_by_hand,
                      smallest_equivalent_dfa, stable_partition_rounds, words)
 
@@ -665,6 +665,12 @@ REFUSALS = {
     "state names of the wrong length": (
         lambda: MooreAutomaton(2, ("a",), {"a": (0, 1)}, 0, (0, 1), state_names=("x",)),
         ValueError, "state_names length mismatch"),
+    "dfa accepting state past the last": (
+        lambda: MooreAutomaton.dfa(2, ("a",), {"a": (0, 1)}, 0, [5]),
+        ValueError, "accepting state out of range"),
+    "dfa accepting state negative": (
+        lambda: MooreAutomaton.dfa(2, ("a",), {"a": (0, 1)}, 0, [-1]),
+        ValueError, "accepting state out of range"),
     "short nfa row": (
         lambda: Nfa(2, ("a",), {"a": (frozenset(),)}, frozenset(), frozenset()),
         ValueError, "bad transition row for letter 'a'"),

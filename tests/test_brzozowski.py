@@ -4,14 +4,14 @@ import pytest
 
 from dualmin import (BOOL, Dkm, MooreAutomaton, Nfa, StateGuardError, bool_wa_to_nfa,
                      brzozowski_minimise, definable_closure, determinise, dual_automaton, emit,
-                     equiv_exact, iso_check, parse, partition_refinement_minimise, reach,
-                     reverse, reverse_dfa, run)
+                     equiv_exact, parse, partition_refinement_minimise, reach, reverse,
+                     reverse_dfa, run)
 from dualmin.cli import main
 from dualmin.sampling import random_afa, random_dfa, random_moore, random_wa
 
 from oracles import (determinise_by_sets, dual_by_tuples, duality_minimise_by_atoms,
-                     ends_with_a_dfa, is_dfa, minimise_by_determinising, one_state_automata,
-                     random_nfa, replace, row_sets, run_by_hand, words)
+                     ends_with_a_dfa, is_dfa, iso_check, minimise_by_determinising,
+                     one_state_automata, random_nfa, replace, row_sets, run_by_hand, words)
 
 
 def test_dual_of_ends_with_a():

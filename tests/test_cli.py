@@ -9,15 +9,15 @@ from decimal import Decimal
 
 import pytest
 
-from dualmin import (Dkm, MooreAutomaton, bisimulation_oracle, boolean_atoms, definable_closure,
-                     determinise, emit, io, iso_check, parse, reverse, run, selftest)
+from dualmin import (Dkm, IntegerBasis, MooreAutomaton, bisimulation_oracle, boolean_atoms,
+                     definable_closure, determinise, emit, io, parse, reverse, run, selftest)
 from dualmin.automata import state_labels
 from dualmin.cli import build_parser, main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _CHUNK_CHARS
 from dualmin.sampling import random_dfa, random_dkm
 
-from oracles import closure_by_preimages, closure_text_by_sets, replace, row_sets
+from oracles import closure_by_preimages, closure_text_by_sets, iso_check, replace, row_sets
 
 
 def invoke(capsys, *argv):
@@ -922,6 +922,26 @@ def test_selftest_reports_a_failing_suite(capsys, monkeypatch):
     rc, out, _ = invoke(capsys, "selftest", "--cases", "1")
     assert rc == 1
     assert out.splitlines()[-1] == "FAIL closure-vs-dual: planted failure"
+
+
+def test_selftest_hermite_suite_catches_a_non_canonical_basis(capsys, monkeypatch):
+    insert = IntegerBasis.insert
+
+    def uncanonical(self, v):
+        # the same lattice, but the first row gains the second: its entry
+        # above the second pivot is no longer reduced
+        basis, changed = insert(self, v)
+        rows = basis.rows
+        if len(rows) > 1:
+            first = tuple(x + y for x, y in zip(rows[0], rows[1]))
+            basis = IntegerBasis(basis.ambient, (first, *rows[1:]))
+        return basis, changed
+
+    monkeypatch.setattr(IntegerBasis, "insert", uncanonical)
+    rng = random.Random(0)
+    assert all(selftest._check_hnf(rng) for _ in range(20))
+    assert selftest.run_selftest(cases=1) is False
+    assert "FAIL hermite-normal-form: " in capsys.readouterr().out
 
 
 def test_parse_trace_formula():

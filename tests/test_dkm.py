@@ -12,8 +12,8 @@ from dualmin.sampling import random_dfa, random_dkm
 from dualmin.automata import DFA_OUTPUTS, by_rows, pair_walk
 
 from oracles import (closure_by_preimages, closure_names, dkm_equiv_by_union, ends_with_a_dfa,
-                     eval_trace_by_preimages, is_dfa, minimise_dkm_by_atoms, one_state_automata,
-                     replace, row_sets, words)
+                     eval_trace_by_preimages, is_dfa, iso_check, minimise_dkm_by_atoms,
+                     one_state_automata, replace, row_sets, words)
 
 
 def ends_with_a_dkm() -> Dkm:
@@ -256,7 +256,7 @@ def test_minimise_ends_with_a():
     assert q.gamma == (frozenset(), frozenset({"p"}))
     assert q.delta["a"] == (1, 1) and q.delta["b"] == (0, 0)
     # matches the two-state result of double reversal on the same automaton
-    from dualmin import brzozowski_minimise, iso_check
+    from dualmin import brzozowski_minimise
     assert iso_check(dkm_to_dfa(q), brzozowski_minimise(ends_with_a_dfa()))
 
 

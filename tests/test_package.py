@@ -14,7 +14,7 @@ import dualmin
 EXPORTED = {
     "AlternatingAutomaton", "BoolFun", "afa_accepts", "compile_formula",
     "minimal_dfa_for_afa", "reverse_dfa",
-    "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact", "iso_check",
+    "MooreAutomaton", "Nfa", "Partition", "determinise", "equiv_exact",
     "partition_refinement_minimise", "reach", "reverse", "run", "words_up_to",
     "bounded_words", "walk",
     "brzozowski_minimise", "dual_automaton",
@@ -22,7 +22,7 @@ EXPORTED = {
     "eval_trace", "minimise_dkm", "quotient_dkm",
     "DimensionError", "FormatError", "NonCongruenceError", "SemiringError", "StateGuardError",
     "emit", "parse",
-    "FieldBasis", "IntegerBasis", "det_int", "hnf", "is_hnf_shape",
+    "FieldBasis", "IntegerBasis", "hnf",
     "run_selftest",
     "BOOL", "INT", "RATIONAL", "SEMIRINGS", "TROPICAL", "TROPICAL_INF",
     "Matrix", "Semiring", "mat_mul", "mat_vec", "semiring_by_name", "vec_mat",

@@ -396,7 +396,13 @@ def _two_states(mat: Matrix, init=(0, 0), final=(0, 0)) -> WeightedAutomaton:
     return WeightedAutomaton(2, ("a",), INT, {"a": mat}, init, final)
 
 
-# call -> (the error it raises, its message)
+def _one_state(alphabet, semiring, weight=1, final=1) -> WeightedAutomaton:
+    return WeightedAutomaton.build(alphabet, semiring, {a: [[weight]] for a in alphabet}, [0],
+                                   [final])
+
+
+# call -> (the error it raises, its message); equiv_wa decides only over a
+# ring, and only two automata over one alphabet and one semiring
 REFUSALS = {
     "matrix of the wrong shape": (
         lambda: _two_states(Matrix(INT, 1, 1, ((0,),))),
@@ -410,6 +416,19 @@ REFUSALS = {
     "long final vector": (
         lambda: _two_states(Matrix(INT, 2, 2, ((0, 0), (0, 0))), final=(0, 0, 0)),
         DimensionError, "initial/final vectors must have length n"),
+    # these two differ on the empty word, 0 against 1
+    "equivalence over tropical": (
+        lambda: equiv_wa(_one_state("a", TROPICAL, 2, 0), _one_state("a", TROPICAL, 1, 1)),
+        SemiringError, "equiv_wa needs a ring, got tropical"),
+    "equivalence with a letter more": (
+        lambda: equiv_wa(_one_state("a", INT), _one_state("ab", INT)),
+        ValueError, "equiv_wa: alphabets differ"),
+    "equivalence with a letter fewer": (
+        lambda: equiv_wa(_one_state("ab", INT), _one_state("a", INT)),
+        ValueError, "equiv_wa: alphabets differ"),
+    "equivalence across semirings": (
+        lambda: equiv_wa(_one_state("a", INT), _one_state("a", RATIONAL)),
+        ValueError, "equiv_wa: semirings differ"),
 }
 
 
