@@ -51,9 +51,10 @@ print("\nClassical reverse-determinise-trim gives the same machine:",
       reach(dual) == reach(classical))
 
 # A second reversal lands on the minimal automaton.  Its states are sets of
-# dual states, named here by nesting the dual's names.  brzozowski_minimise
-# builds the same automaton (== ignores names) but names it by dual-state
-# index, s1 and s0+s1, so that its names stay short on large inputs.
+# dual states, named here by nesting the dual's names, so each shows its
+# atoms.  brzozowski_minimise builds the same automaton (== ignores names)
+# unnamed, states s0 and s1 in breadth-first order: the canonical minimal
+# automaton, which every route of `minimize` prints byte for byte.
 minimal = dual_automaton(dual)
 assert minimal == brzozowski_minimise(dfa)
 show("Second reversal: the minimal DFA", minimal)

@@ -12,9 +12,8 @@ dual is reachable and observable: the minimal automaton.
 
 A DFA's, an NFA's or an AFA's dual names each state by its members (`x+z`),
 so `dual` twice nests names (`x+z,y+z`); other Moore duals are unnamed.  A
-double reversal runs its first pass unnamed, so its states are named by
-first-pass index (`s0+s3`): nested names would be n labels in each of n
-members of each of n states.
+double reversal names neither pass, so it is the canonical minimal automaton,
+numbered breadth first (`s0`, `s1`, ...): what partition refinement builds.
 
 `predicates` gives the one predicate step, in C: with at most 256 states a
 `bytes.translate` of the letter's successor row through the predicate, past
@@ -74,14 +73,10 @@ def dual_automaton(x, max_states: int = DEFAULT_MAX_STATES,
 
 
 def brzozowski_minimise(x, max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
-    """Double reversal of a Moore automaton, an NFA or an AFA.
-
-    The first pass is reachable by construction, so the second pass is both
-    reachable and observable, i.e. the minimal automaton for x's language.
-    The first pass is unnamed, so the second names its states by first-pass
-    index (`s0+s3`).
-    """
-    return dual_automaton(dual_automaton(x, max_states, named=False), max_states)
+    """Double reversal of a Moore automaton, an NFA or an AFA: the first pass
+    is reachable by construction, so the second, unnamed and explored breadth
+    first, is reachable and observable: the canonical minimal automaton."""
+    return dual_automaton(dual_automaton(x, max_states, named=False), max_states, named=False)
 
 
 __all__ = ["predicates", "dual_automaton", "brzozowski_minimise"]

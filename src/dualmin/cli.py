@@ -234,8 +234,8 @@ _VERBS = {
     "reach": (_cmd_reach, "reachable part / reachable submodule", ("file",), False, True, []),
     "dual": (_cmd_reverse, "dual automaton", ("file",), True, True, []),
     "minimize": (_cmd_minimize, "minimise the automaton", ("file",), True, True, [
-        (("--method",), dict(choices=("brzozowski", "refine", "duality"),
-                             default="brzozowski"))]),
+        (("--method",), dict(choices=("brzozowski", "refine", "duality"), help="default: refine "
+         "for a dfa or moore file, else brzozowski (a dkm, Q or Z file has one route)"))]),
     "equiv": (_cmd_equiv, "compare two automata", ("file1", "file2"), True, True, [
         (("--max-len",), dict(type=_at_least(0), default=6,
                               help="word-length bound for tropical weighted comparison"))]),

@@ -402,13 +402,12 @@ def names_by_sets(subsets, names, n):
     return out if len(set(out)) == len(out) else None
 
 
-def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
+def dual_by_tuples(m: MooreAutomaton, named: bool = True) -> MooreAutomaton:
     """The dual automaton with every predicate a tuple of output indices,
     explored breadth first with letters in alphabet order; states are named
-    by `names_by_sets` when m is a DFA (its outputs are DFA_OUTPUTS), and
-    unnamed otherwise.  Applied twice it is `dual` twice, with nested names;
-    applied to the first pass with its names dropped, it is a double
-    reversal, named by first-pass index."""
+    by `names_by_sets` when m is a DFA (its outputs are DFA_OUTPUTS) and
+    `named` holds, and unnamed otherwise.  Applied twice it is `dual` twice,
+    with nested names; applied twice unnamed, it is a double reversal."""
     index = {tuple(m.out): 0}
     order = [tuple(m.out)]
     trans = {a: [] for a in m.alphabet}
@@ -420,7 +419,7 @@ def dual_by_tuples(m: MooreAutomaton) -> MooreAutomaton:
                 order.append(nxt)
             trans[a].append(index[nxt])
     names = None
-    if m.outputs == DFA_OUTPUTS:
+    if named and m.outputs == DFA_OUTPUTS:
         names = names_by_sets([{s for s in range(m.n) if phi[s]} for phi in order],
                               m.state_names, m.n)
     return MooreAutomaton(len(order), m.alphabet, {a: tuple(ts) for a, ts in trans.items()},
@@ -583,10 +582,9 @@ def minimise_by_determinising(n: Nfa, max_states: int = DEFAULT_MAX_STATES) -> M
 
 def minimal_dfa_for_afa_by_composition(a: AlternatingAutomaton,
                                        max_states: int = DEFAULT_MAX_STATES) -> MooreAutomaton:
-    """An AFA's minimal DFA as one dual pass over the reachable part of its
-    reversed DFA, built unnamed, so that the dual names its states by
-    reversed-DFA index (`s0+s3`)."""
-    return dual_automaton(subset_dfa(a, max_states, named=False), max_states)
+    """An AFA's minimal DFA as one unnamed dual pass over the reachable part
+    of its reversed DFA."""
+    return dual_automaton(subset_dfa(a, max_states, named=False), max_states, named=False)
 
 
 def equiv_by_difference(a: WeightedAutomaton, b: WeightedAutomaton) -> bool:
@@ -666,6 +664,12 @@ def reverse_dfa_by_tables(n: int, alphabet, tables, iota: int, finals) -> MooreA
              for a in alphabet}
     out = tuple(iota >> mask & 1 for mask in range(1 << n))
     return MooreAutomaton(1 << n, tuple(alphabet), trans, _mask(n, finals), out, DFA_OUTPUTS)
+
+
+def afa_reverse_dfa_by_tables(a: AlternatingAutomaton) -> MooreAutomaton:
+    """reverse_dfa_by_tables of an AFA, from the truth tables of its conditions."""
+    tables = {c: [f.table for f in row] for c, row in a.delta.items()}
+    return reverse_dfa_by_tables(a.n, a.alphabet, tables, a.iota.table, a.finals)
 
 
 def holds(f: BoolFun, subset) -> bool:

@@ -12,10 +12,10 @@ from dualmin.automata import (Partition, bounded_words, by_rows, explore, mask_r
 from dualmin.errors import DEFAULT_MAX_STATES, NonCongruenceError
 from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore
 
-from oracles import (determinise_by_sets, dkm_equiv_by_union, dual_by_tuples, ends_with_a_dfa,
-                     equiv_by_bfs, holds, iso_check, names_by_sets, nfa_accepts_paths, random_nfa,
-                     reachable_reverse_dfa, replace, reverse_dfa_by_tables, run_by_hand,
-                     smallest_equivalent_dfa, stable_partition_rounds, words)
+from oracles import (afa_reverse_dfa_by_tables, determinise_by_sets, dkm_equiv_by_union,
+                     dual_by_tuples, ends_with_a_dfa, equiv_by_bfs, holds, iso_check,
+                     names_by_sets, nfa_accepts_paths, random_nfa, reachable_reverse_dfa, replace,
+                     run_by_hand, smallest_equivalent_dfa, stable_partition_rounds, words)
 
 
 def test_run_examples():
@@ -442,11 +442,6 @@ def _dkm_flipped(rng, k: Dkm) -> Dkm:
     return replace(k, gamma=tuple(gamma))
 
 
-def _afa_by_tables(a: AlternatingAutomaton) -> MooreAutomaton:
-    tables = {c: [f.table for f in row] for c, row in a.delta.items()}
-    return reverse_dfa_by_tables(a.n, a.alphabet, tables, a.iota.table, a.finals)
-
-
 # kind -> (a random file, a renumbered copy, a copy with one final state or
 # observation flipped, the oracle's verdict on two files)
 EQUIV_KINDS = {
@@ -455,7 +450,7 @@ EQUIV_KINDS = {
             lambda n1, n2: equiv_by_bfs(determinise_by_sets(n1), determinise_by_sets(n2))),
     "afa": (random_afa, _afa_renumbered,
             lambda rng, a: replace(a, finals=a.finals ^ {rng.randrange(a.n)}),
-            lambda a1, a2: equiv_by_bfs(_afa_by_tables(a1), _afa_by_tables(a2))),
+            lambda a1, a2: equiv_by_bfs(*map(afa_reverse_dfa_by_tables, (a1, a2)))),
     "dkm": (random_dkm, _dkm_renumbered, _dkm_flipped, dkm_equiv_by_union),
 }
 

@@ -9,15 +9,17 @@ from decimal import Decimal
 
 import pytest
 
-from dualmin import (Dkm, IntegerBasis, MooreAutomaton, bisimulation_oracle, boolean_atoms,
-                     definable_closure, determinise, emit, io, parse, reverse, run, selftest)
+from dualmin import (BOOL, Dkm, IntegerBasis, MooreAutomaton, bisimulation_oracle,
+                     bool_wa_to_nfa, boolean_atoms, definable_closure, determinise, emit, io,
+                     parse, partition_refinement_minimise, reverse, run, selftest)
 from dualmin.automata import state_labels
 from dualmin.cli import build_parser, main, parse_trace_formula
 from dualmin.errors import DEFAULT_MAX_STATES
 from dualmin.io import _CHUNK_CHARS
-from dualmin.sampling import random_dfa, random_dkm
+from dualmin.sampling import random_afa, random_dfa, random_dkm, random_moore, random_wa
 
-from oracles import closure_by_preimages, closure_text_by_sets, iso_check, replace, row_sets
+from oracles import (afa_reverse_dfa_by_tables, closure_by_preimages, closure_text_by_sets,
+                     determinise_by_sets, iso_check, random_nfa, replace, row_sets)
 
 
 def invoke(capsys, *argv):
@@ -27,42 +29,71 @@ def invoke(capsys, *argv):
 
 
 def test_minimize_brzozowski(capsys, data_dir):
-    rc, out, _ = invoke(capsys, "minimize", str(data_dir / "ends_with_a.json"))
+    rc, out, _ = invoke(capsys, "minimize", str(data_dir / "ends_with_a.json"),
+                        "--method", "brzozowski")
     assert rc == 0
     result = parse(out)
     assert result.n == 2
     assert iso_check(result, parse((data_dir / "ends_with_a_min.json").read_bytes()))
 
 
+# every route of minimize for a DFA or Moore file: the default, then each method
+ROUTES = ((), ("--method", "brzozowski"), ("--method", "refine"), ("--method", "duality"))
+
+
+def _emitted_by_every_route(capsys, path) -> set[str]:
+    outs = set()
+    for route in ROUTES:
+        rc, out, err = invoke(capsys, "minimize", str(path), *route)
+        assert (rc, err) == (0, "")
+        outs.add(out)
+    return outs
+
+
 def test_minimize_methods_agree(capsys, data_dir):
-    results = []
-    for method in ("brzozowski", "refine", "duality"):
-        rc, out, _ = invoke(capsys, "minimize", str(data_dir / "ends_with_a.json"),
-                            "--method", method)
-        assert rc == 0
-        results.append(parse(out))
-    assert iso_check(results[0], results[1])
-    assert iso_check(results[0], results[2])
+    outs = _emitted_by_every_route(capsys, data_dir / "ends_with_a.json")
+    assert len(outs) == 1 and parse(outs.pop()).n == 2
 
 
 def test_minimize_methods_agree_on_moore(capsys, data_dir):
-    outputs = []
-    for method in ("brzozowski", "refine", "duality"):
-        rc, out, _ = invoke(capsys, "minimize", str(data_dir / "moore3.json"),
-                            "--method", method)
-        assert rc == 0
-        outputs.append(parse(out))
-    assert iso_check(outputs[0], outputs[1])
-    assert iso_check(outputs[0], outputs[2])  # three outputs: low, mid, high
+    outs = _emitted_by_every_route(capsys, data_dir / "moore3.json")
+    assert len(outs) == 1 and parse(outs.pop()).outputs == ("low", "mid", "high")
 
 
-def _minimise_by_every_method(capsys, path):
-    results = []
-    for method in ("brzozowski", "refine", "duality"):
-        rc, out, _ = invoke(capsys, "minimize", str(path), "--method", method)
-        assert rc == 0
-        results.append(parse(out))
-    return results
+def test_every_minimize_route_prints_the_same_bytes(capsys, tmp_path):
+    """The double reversal names neither pass, so it prints the canonical
+    minimal automaton, states numbered breadth first, as refinement does."""
+    rng = random.Random(11)
+    path = tmp_path / "m.json"
+    for i in range(200):
+        m = random_dfa(rng, max_n=10) if i % 2 else random_moore(rng, max_n=10)
+        if i % 3 == 0:  # a named file: no route keeps its names
+            m = replace(m, state_names=tuple(f"q{s}" for s in range(m.n)))
+        path.write_text(emit(m))
+        assert _emitted_by_every_route(capsys, path) == {emit(partition_refinement_minimise(m))}
+
+
+def test_minimize_of_each_nondeterministic_kind_is_the_refined_subset_dfa(capsys, tmp_path):
+    """NFA, Boolean weighted and AFA files take the double reversal, and print
+    what refinement prints of their determinisation (of an AFA's, the subset
+    DFA of its reversed DFA's reversal), byte for byte."""
+    rng = random.Random(12)
+    path = tmp_path / "x.json"
+    for i in range(120):
+        kind = i % 3
+        if kind == 0:
+            x = random_nfa(rng, max_n=7)
+            subsets = determinise_by_sets(x)
+        elif kind == 1:
+            x = random_wa(rng, BOOL, max_n=5)
+            subsets = determinise_by_sets(bool_wa_to_nfa(x))
+        else:
+            x = random_afa(rng, max_n=4)
+            subsets = determinise_by_sets(reverse(afa_reverse_dfa_by_tables(x)))
+        path.write_text(emit(x))
+        expected = emit(partition_refinement_minimise(subsets))
+        for route in ((), ("--method", "brzozowski"), ("--method", "duality")):
+            assert invoke(capsys, "minimize", str(path), *route) == (0, expected, "")
 
 
 def test_duality_quotients_only_the_reachable_part(capsys, tmp_path):
@@ -71,7 +102,8 @@ def test_duality_quotients_only_the_reachable_part(capsys, tmp_path):
     path.write_text(json.dumps({
         "type": "dfa", "alphabet": ["a"], "states": ["x", "y", "z"], "initial": "x",
         "transitions": {"a": {"x": "x", "y": "z", "z": "y"}}, "finals": ["y"]}))
-    assert [r.n for r in _minimise_by_every_method(capsys, path)] == [1, 1, 1]
+    outs = _emitted_by_every_route(capsys, path)
+    assert len(outs) == 1 and parse(outs.pop()).n == 1
 
 
 def test_duality_keeps_moore_labels(capsys, tmp_path):
@@ -98,9 +130,10 @@ def test_minimize_methods_agree_with_unreachable_states(capsys, tmp_path):
         out = tuple(rng.randrange(2) for _ in range(n + extra))
         m = MooreAutomaton(n + extra, alphabet, trans, rng.randrange(n), out, outputs)
         path.write_text(emit(m))
-        brz, ref, dual = _minimise_by_every_method(capsys, path)
-        assert iso_check(brz, ref) and iso_check(brz, dual)
-        assert dual.n <= n and dual.outputs == outputs
+        outs = _emitted_by_every_route(capsys, path)
+        assert len(outs) == 1
+        minimal = parse(outs.pop())
+        assert minimal.n <= n and minimal.outputs == outputs
 
 
 def test_equiv_verdicts(capsys, data_dir):
@@ -682,10 +715,48 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_guard_exit_code(capsys, data_dir):
+    # the double reversal: a flagless minimize of a DFA explores no subsets
     rc, _, err = invoke(capsys, "minimize", str(data_dir / "ends_with_a.json"),
-                        "--max-states", "2")
+                        "--method", "brzozowski", "--max-states", "2")
     assert rc == 3
     assert "max-states" in err
+
+
+def random_two_letter_dfa(n: int) -> dict:
+    """The DFA document of n states q0..q{n-1} drawn by random.Random(1000 + n):
+    each state's a-successor, then each b-successor, then each state final
+    with probability 1/2.  The first pass of its double reversal outgrows the
+    default bound from about 70 states on."""
+    rng = random.Random(1000 + n)
+    names = [f"q{i}" for i in range(n)]
+    trans = {a: {q: rng.choice(names) for q in names} for a in "ab"}
+    return {"type": "dfa", "alphabet": ["a", "b"], "states": names, "initial": names[0],
+            "finals": [q for q in names if rng.random() < 0.5], "transitions": trans}
+
+
+def test_a_random_60_state_dfa_minimises_to_the_same_bytes_by_every_route(capsys, tmp_path):
+    path = tmp_path / "rand60.json"
+    path.write_text(json.dumps(random_two_letter_dfa(60)))
+    outs = _emitted_by_every_route(capsys, path)
+    assert len(outs) == 1 and len(outs.pop().encode()) == 2735
+
+
+@pytest.mark.parametrize("n, size", [(70, 3236), (100, 4745)])
+def test_a_flagless_minimize_of_a_random_dfa_passes_the_double_reversal_bound(
+        capsys, tmp_path, n, size):
+    path = tmp_path / f"rand{n}.json"
+    path.write_text(json.dumps(random_two_letter_dfa(n)))
+    rc, out, err = invoke(capsys, "minimize", str(path))
+    assert (rc, err) == (0, "") and len(out.encode()) == size
+    assert invoke(capsys, "minimize", str(path), "--method", "refine") == (0, out, "")
+
+
+def test_the_double_reversal_of_a_random_70_state_dfa_meets_the_bound(capsys, tmp_path):
+    path = tmp_path / "rand70.json"
+    path.write_text(json.dumps(random_two_letter_dfa(70)))
+    rc, out, err = invoke(capsys, "minimize", str(path), "--method", "brzozowski")
+    assert (rc, out) == (3, "")
+    assert err == "error: dual automaton exceeds 1000000 states; raise --max-states\n"
 
 
 def test_data_error_exit_code(capsys, data_dir):
@@ -708,9 +779,11 @@ def test_the_environment_sets_no_bound(monkeypatch, capsys, data_dir):
 
 
 # duality minimisation quotients by the stable partition and lists no closure,
-# so it builds nothing larger than its input and prints what refinement prints
+# and a flagless DFA minimize refines, so each builds nothing larger than its
+# input and prints what refinement prints
 BUILDS_NOTHING_LARGER = {
     ("minimize", "dkm_ends_with_a.json"),
+    ("minimize", "ends_with_a.json"),
     ("minimize", "ends_with_a.json", "--method", "duality"),
 }
 
@@ -725,6 +798,8 @@ BUILDS_NOTHING_LARGER = {
     ("minimize", "nfa_small.json"),
     ("closure", "dkm_ends_with_a.json"),
     ("minimize", "dkm_ends_with_a.json"),
+    ("minimize", "ends_with_a.json"),
+    ("minimize", "ends_with_a.json", "--method", "brzozowski"),
     ("minimize", "ends_with_a.json", "--method", "duality"),
     ("equiv", "nfa_small.json", "nfa_small.json"),
     ("equiv", "ends_with_a.json", "ends_with_a.json"),
@@ -992,6 +1067,7 @@ BOOLEAN = ("automata", "brzozowski")
 LOADS = [
     (("stats", "ends_with_a.json"), HEAVY + ("fractions",)),
     (("minimize", "ends_with_a.json"), HEAVY + ("fractions",)),
+    (("minimize", "moore3.json"), HEAVY + ("fractions", "brzozowski")),
     (("minimize", "ends_with_a.json", "--method", "duality"), HEAVY + ("fractions",)),
     (("equiv", "ends_with_a.json", "ends_with_a_min.json"), HEAVY + ("fractions",)),
     (("determinize", "nfa_small.json"), HEAVY + ("fractions",)),

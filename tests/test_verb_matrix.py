@@ -15,6 +15,7 @@ COLUMNS = {
     "determinize": ("determinize", "FILE"),
     "reach": ("reach", "FILE"),
     "dual": ("dual", "FILE"),
+    "minimize": ("minimize", "FILE"),  # each file kind's default route
     "brzozowski": ("minimize", "FILE", "--method", "brzozowski"),
     "refine": ("minimize", "FILE", "--method", "refine"),
     "duality": ("minimize", "FILE", "--method", "duality"),
@@ -41,6 +42,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (1, UNSUPPORTED.format("reach")),
         "dual": (0, "dfa 1"),
+        "minimize": (0, "dfa 1"),
         "brzozowski": (0, "dfa 1"),
         "refine": (1, "error: refine applies to deterministic automata, not alternating ones\n"),
         "duality": (0, "dfa 1"),
@@ -56,6 +58,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (1, UNSUPPORTED.format("reach")),
         "dual": (0, "dfa 3"),
+        "minimize": (0, "dfa 2"),
         "brzozowski": (0, "dfa 2"),
         "refine": (1, "error: refine applies to deterministic automata, not alternating ones\n"),
         "duality": (0, "dfa 2"),
@@ -72,6 +75,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (1, UNSUPPORTED.format("reach")),
         "dual": (1, UNSUPPORTED.format("dual")),
+        "minimize": (0, "dkm 2"),
         "brzozowski": (0, "dkm 2"),
         "refine": (0, "dkm 2"),
         "duality": (0, "dkm 2"),
@@ -87,6 +91,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (0, "dfa 3"),
         "dual": (0, "dfa 3"),
+        "minimize": (0, "dfa 2"),
         "brzozowski": (0, "dfa 2"),
         "refine": (0, "dfa 2"),
         "duality": (0, "dfa 2"),
@@ -102,6 +107,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (0, "dfa 2"),
         "dual": (0, "dfa 3"),
+        "minimize": (0, "dfa 2"),
         "brzozowski": (0, "dfa 2"),
         "refine": (0, "dfa 2"),
         "duality": (0, "dfa 2"),
@@ -117,6 +123,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (0, "moore 2"),
         "dual": (0, "moore 2"),
+        "minimize": (0, "moore 2"),
         "brzozowski": (0, "moore 2"),
         "refine": (0, "moore 2"),
         "duality": (0, "moore 2"),
@@ -132,6 +139,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (0, "moore 4"),
         "dual": (0, "moore 12"),
+        "minimize": (0, "moore 4"),
         "brzozowski": (0, "moore 4"),
         "refine": (0, "moore 4"),
         "duality": (0, "moore 4"),
@@ -147,6 +155,7 @@ MATRIX = {
         "determinize": (0, "dfa 4"),
         "reach": (1, UNSUPPORTED.format("reach")),
         "dual": (0, "dfa 4"),
+        "minimize": (0, "dfa 4"),
         "brzozowski": (0, "dfa 4"),
         "refine": (1, "error: refine applies to deterministic automata, "
                       "not nondeterministic ones\n"),
@@ -163,6 +172,7 @@ MATRIX = {
         "determinize": (0, "dfa 3"),
         "reach": (1, "error: reachable restriction needs a field or PID, got bool\n"),
         "dual": (1, "error: dual_wa needs a ring, got bool\n"),
+        "minimize": (0, "dfa 3"),
         "brzozowski": (0, "dfa 3"),
         "refine": (1, NO_REFINE),
         "duality": (0, "dfa 3"),
@@ -178,6 +188,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (0, "weighted 2"),
         "dual": (0, "weighted 2"),
+        "minimize": (0, "weighted 2"),
         "brzozowski": (0, "weighted 2"),
         "refine": (1, NO_REFINE),
         "duality": (0, "weighted 2"),
@@ -193,6 +204,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (0, "weighted 2"),
         "dual": (0, "weighted 2"),
+        "minimize": (0, "weighted 1"),
         "brzozowski": (0, "weighted 1"),
         "refine": (1, NO_REFINE),
         "duality": (0, "weighted 1"),
@@ -208,6 +220,7 @@ MATRIX = {
         "determinize": (1, NOT_NFA),
         "reach": (1, "error: reachable restriction needs a field or PID, got tropical\n"),
         "dual": (1, "error: dual_wa needs a ring, got tropical\n"),
+        "minimize": (1, "error: dual_wa needs a ring, got tropical\n"),
         "brzozowski": (1, "error: dual_wa needs a ring, got tropical\n"),
         "refine": (1, NO_REFINE),
         "duality": (1, "error: dual_wa needs a ring, got tropical\n"),
